@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from .kernel import JointKernel, aged_joint, backward_conditional, validate_ages
+from .kernel import JointKernel, _digits, aged_joint, backward_conditional, validate_ages
 from .model import CmcModel, ModelError, StateSpace
 from .queries import QuerySpec, k_sensitivity
 from .rng import derive_seed, generator, laplace
@@ -73,13 +73,40 @@ class LeakageReport:
         return min(self.loose_linear, self.loose_log)
 
 
-def _neighbour_pairs(states) -> list:
-    pairs = []
-    for ai, a in enumerate(states):
-        for bi, b in enumerate(states):
-            if ai < bi and sum(x != y for x, y in zip(a, b)) == 1:
-                pairs.append((ai, bi))
-    return pairs
+def _neighbour_pairs(s: int, m: int) -> np.ndarray:
+    """All (ai, bi), ai < bi, of joint indices over s sequences and m states
+    that differ in exactly one coordinate, as an int array of shape (P, 2)
+    sorted by ai and then bi.
+
+    bi = ai + d * m^(s-1-j) raises coordinate j by d.  All offsets of
+    coordinate j lie below m^(s-j), the smallest offset of coordinate j-1,
+    so taking the coordinates from last to first and d upwards sorts bi.
+    """
+    n = m**s
+    strides = m ** np.arange(s)[None, :, None]  # coordinates from last to first
+    steps = np.arange(1, m)[None, None, :]
+    room = (m - 1 - _digits(s, m)[:, ::-1])[:, :, None]
+    ai = np.broadcast_to(np.arange(n)[:, None, None], (n, s, m - 1))
+    keep = steps <= room
+    return np.stack([ai[keep], (ai + steps * strides)[keep]], axis=1)
+
+
+def _max_pair_tv(M: np.ndarray, totals: np.ndarray, pairs: np.ndarray) -> float:
+    """Largest TV distance over the given column pairs between the columns
+    of M divided by their totals."""
+    ms = len(totals)
+    Bt = np.empty((ms, ms))  # Bt[x] = conditional law of z given x
+    np.divide(M.T, totals[:, None], out=Bt)
+    # two (chunk, ms) temporaries at a time: together at most one M
+    chunk = max(1, ms // 2)
+    best = 0.0
+    for lo in range(0, len(pairs), chunk):
+        a, b = pairs[lo : lo + chunk].T
+        diff = Bt[a]
+        diff -= Bt[b]
+        np.abs(diff, out=diff)
+        best = max(best, 0.5 * float(diff.sum(axis=1).max()))
+    return best
 
 
 def aged_tv_distance(kernel: JointKernel, age, degree: int) -> float:
@@ -93,28 +120,29 @@ def aged_tv_distance(kernel: JointKernel, age, degree: int) -> float:
     s, m = kernel.space.num_sequences, kernel.space.num_states
     if not 1 <= degree <= s:
         raise ModelError(f"correlation degree {degree} out of range [1, {s}]")
-    J = aged_joint(kernel, age)
+    # C order, so that column totals are summed row by row, as for the
+    # subset marginals built below
+    J = np.ascontiguousarray(aged_joint(kernel, age))
     size = min(degree, s)
+    digits = _digits(s, m)
+    pairs = _neighbour_pairs(size, m)
     best = 0.0
-    substates = list(itertools.product(range(m), repeat=size))
-    sub_index = {st: i for i, st in enumerate(substates)}
     for subset in itertools.combinations(range(s), size):
-        # joint law of (z restricted to subset, x restricted to subset)
-        M = np.zeros((len(substates), len(substates)))
-        for zi, z in enumerate(kernel.states):
-            zk = sub_index[tuple(z[i] for i in subset)]
-            for xi, x in enumerate(kernel.states):
-                xk = sub_index[tuple(x[i] for i in subset)]
-                M[zk, xk] += J[zi, xi]
+        # joint law of (z restricted to subset, x restricted to subset);
+        # np.add.at sums in the order of the (z, x) loop it replaces
+        if size == s:
+            M = J
+        else:
+            code = digits[:, list(subset)] @ m ** np.arange(size - 1, -1, -1)
+            M = np.zeros((m**size, m**size))
+            np.add.at(M, (code[:, None], code[None, :]), J)
         totals = M.sum(axis=0)
         if np.any(totals <= 0):
-            dead = substates[int(np.argmin(totals))]
+            dead = tuple(int(v) for v in _digits(size, m)[int(np.argmin(totals))])
             raise ModelError(
                 f"cannot condition on sub-snapshot {dead} of users {subset}: zero mass"
             )
-        B = M / totals[None, :]
-        for ai, bi in _neighbour_pairs(substates):
-            best = max(best, 0.5 * float(np.abs(B[:, ai] - B[:, bi]).sum()))
+        best = max(best, _max_pair_tv(M, totals, pairs))
     return best
 
 
@@ -131,11 +159,12 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
     return linear, log_form
 
 
-def _hamming_costs(states) -> np.ndarray:
-    return np.array(
-        [[sum(a != b for a, b in zip(z, w)) for w in states] for z in states],
-        dtype=float,
-    )
+def _hamming_costs(s: int, m: int) -> np.ndarray:
+    digits = _digits(s, m)
+    costs = np.zeros((len(digits), len(digits)))
+    for col in digits.T:
+        costs += col[:, None] != col[None, :]
+    return costs
 
 
 def _transport_distance(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> float:
@@ -177,10 +206,11 @@ def bounded_aged_correlation(kernel: JointKernel, age) -> float:
     leakage on the evaluated configurations while staying below the loose
     budget (see tests and the bound-ordering invariant).
     """
+    s, m = kernel.space.num_sequences, kernel.space.num_states
     B = backward_conditional(kernel, age)
-    costs = _hamming_costs(kernel.states)
+    costs = _hamming_costs(s, m)
     best = 0.0
-    for ai, bi in _neighbour_pairs(kernel.states):
+    for ai, bi in _neighbour_pairs(s, m).tolist():
         best = max(best, _transport_distance(B[:, ai], B[:, bi], costs))
     return best
 
@@ -350,20 +380,22 @@ def oracle_leakage(
     f_values = np.array([query.evaluate(z) for z in kernel.states])
     b = query.sensitivity(1) / params.eps_c
     thetas = _theta_grid(f_values, b)
-    pairs = _neighbour_pairs(kernel.states)
+    pairs = _neighbour_pairs(kernel.space.num_sequences, kernel.space.num_states)
 
     if method == "exact":
         with np.errstate(divide="ignore"):
             logB = np.where(B > 0, np.log(np.maximum(B, 1e-300)), -np.inf)
-        best = 0.0
         lc = _laplace_logcdf(thetas[:, None] - f_values[None, :], b)
         ls = _laplace_logsf(thetas[:, None] - f_values[None, :], b)
-        for ai, bi in pairs:
-            F1 = logsumexp(lc + logB[None, :, ai], axis=1)
-            F2 = logsumexp(lc + logB[None, :, bi], axis=1)
-            S1 = logsumexp(ls + logB[None, :, ai], axis=1)
-            S2 = logsumexp(ls + logB[None, :, bi], axis=1)
-            best = max(best, float(np.abs(F1 - F2).max()), float(np.abs(S1 - S2).max()))
+        # log Pr[M <= theta | x] and log Pr[M > theta | x], once per state x
+        F = np.empty((len(thetas), len(f_values)))
+        S = np.empty_like(F)
+        for x in range(len(f_values)):
+            F[:, x] = logsumexp(lc + logB[None, :, x], axis=1)
+            S[:, x] = logsumexp(ls + logB[None, :, x], axis=1)
+        a, c = pairs.T
+        best = max(0.0, float(np.abs(F[:, a] - F[:, c]).max()),
+                   float(np.abs(S[:, a] - S[:, c]).max()))
         return OracleEstimate(best, 0.0)
 
     if method != "sampling":
@@ -372,6 +404,7 @@ def oracle_leakage(
         raise ModelError(f"need at least {MIN_CELL_COUNT * 4} samples, got {samples}")
 
     n = int(samples)
+    pairs = pairs.tolist()
     cum = {}
     for idx in {i for pair in pairs for i in pair}:
         rng = generator(derive_seed(seed, "oracle", idx))

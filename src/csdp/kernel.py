@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, StateSpace
+from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, StateSpace, _power_iteration
 from .rng import generator
 
 STATIONARY = "stationary"
@@ -47,15 +47,17 @@ class JointKernel:
         return idx
 
 
+def _digits(s: int, m: int) -> np.ndarray:
+    """(m^s, s) array whose row i holds the per-sequence states of joint index i."""
+    return np.arange(m**s)[:, None] // m ** np.arange(s - 1, -1, -1) % m
+
+
 def _joint_stationary(K: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6) -> np.ndarray:
     n = K.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = K @ pi
-        if np.abs(nxt - pi).sum() <= tol:
-            return nxt
-        pi = nxt
-    raise ModelError("joint stationary distribution did not converge")
+    pi = _power_iteration(K, np.full(n, 1.0 / n), tol, max_iter)
+    if pi is None:
+        raise ModelError("joint stationary distribution did not converge")
+    return pi
 
 
 def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKernel:
@@ -63,6 +65,10 @@ def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKe
 
     Refuses spaces larger than `cap` joint states; callers with big models
     should fall back to trajectory sampling.
+
+    K[b, a] is the product over sequences j of the conditional law
+    L_j[b_j, a] = sum_k lam[j, k] P[j][k][b_j, a_k], built one sequence at
+    a time: after sequence j the rows enumerate (b_0, ..., b_j).
     """
     from .model import validate_model
 
@@ -71,22 +77,16 @@ def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKe
         raise ModelError("invalid model: " + "; ".join(report.violations))
     model.space.check_cap(cap)
     s, m = model.space.num_sequences, model.space.num_states
+    digits = _digits(s, m)
+    n = len(digits)
+    K = np.ones((1, n))
+    for j in range(s):
+        law = np.zeros((m, n))
+        for k in range(s):
+            if model.weights[j, k]:
+                law += model.weights[j, k] * model.transitions[j, k][:, digits[:, k]]
+        K = (K[:, None, :] * law[None, :, :]).reshape(-1, n)
     states = tuple(itertools.product(range(m), repeat=s))
-    n = len(states)
-    K = np.empty((n, n))
-    for ai, a in enumerate(states):
-        laws = []
-        for j in range(s):
-            v = np.zeros(m)
-            for k in range(s):
-                if model.weights[j, k]:
-                    v += model.weights[j, k] * model.transitions[j, k][:, a[k]]
-            laws.append(v)
-        for bi, b in enumerate(states):
-            p = 1.0
-            for j in range(s):
-                p *= laws[j][b[j]]
-            K[bi, ai] = p
     return JointKernel(model.space, K, states, _joint_stationary(K))
 
 
@@ -202,40 +202,4 @@ def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> 
         cur = int(np.searchsorted(cum[:, cur], rng.random(), side="right"))
         cur = min(cur, n - 1)
         out[t] = kernel.states[cur]
-    return out
-
-
-def sample_states(kernel: JointKernel, dist: np.ndarray, steps: int, count: int,
-                  rng) -> np.ndarray:
-    """Vectorized helper: draw `count` starts from `dist`, run `steps` kernel
-    steps each, return (start_index, end_index) pairs of shape (count, 2)."""
-    cum0 = np.cumsum(dist)
-    cur = np.searchsorted(cum0, rng.random(count), side="right")
-    np.clip(cur, 0, len(dist) - 1, out=cur)
-    start = cur.copy()
-    cum = np.cumsum(kernel.matrix, axis=0)
-    n = kernel.matrix.shape[0]
-    for _ in range(steps):
-        u = rng.random(count)
-        # next state: count of cumulative columns below u, per current state
-        cur = (u[:, None] > cum[:, cur].T).sum(axis=1)
-        np.clip(cur, 0, n - 1, out=cur)
-    return np.stack([start, cur], axis=1)
-
-
-def kernel_marginals(kernel: JointKernel, blocks: np.ndarray) -> np.ndarray:
-    """One joint step from a product distribution, marginalized per sequence.
-
-    Used in tests to confirm consistency with evolve_distribution.
-    """
-    s, m = kernel.space.num_sequences, kernel.space.num_states
-    joint = np.ones(len(kernel.states))
-    for idx, state in enumerate(kernel.states):
-        for j in range(s):
-            joint[idx] *= blocks[j][state[j]]
-    nxt = kernel.matrix @ joint
-    out = np.zeros((s, m))
-    for idx, state in enumerate(kernel.states):
-        for j in range(s):
-            out[j, state[j]] += nxt[idx]
     return out

@@ -21,7 +21,10 @@ import yaml
 from scipy.sparse import csgraph, csr_matrix
 
 STOCHASTIC_TOL = 1e-9
-DEFAULT_ENUMERATION_CAP = 10**6
+# Joint states above which the dense product-space kernel is refused.  An
+# n x n float64 kernel takes 8 n^2 bytes (512 MiB at the cap), and building
+# it and its aged joint law holds about three such arrays at once.
+DEFAULT_ENUMERATION_CAP = 2**13
 
 
 class ModelError(ValueError):
@@ -45,10 +48,12 @@ class StateSpace:
         return self.num_states**self.num_sequences
 
     def check_cap(self, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-        if self.product_size > cap:
+        n = self.product_size
+        if n > cap:
             raise ModelError(
-                f"product state space has {self.product_size} elements, above the "
-                f"enumeration cap {cap}; use the sampling path instead"
+                f"product state space has {n} elements, above the enumeration cap "
+                f"{cap}: its dense {n} x {n} kernel needs n^2 * 8 = {n * n * 8} bytes; "
+                "use the sampling path instead"
             )
 
 
@@ -172,20 +177,33 @@ def stationary_distribution(
             if model.weights[j, k] > 0 and not _strongly_connected(model.transitions[j, k]):
                 raise ModelError(f"P[{j}][{k}] is reducible; stationary law is not unique")
     Q = build_block_matrix(model)
-    pi = np.full(s * m, 1.0 / m)
+    pi = _power_iteration(Q, np.full(s * m, 1.0 / m), tol, max_iter)
+    if pi is None:
+        raise ModelError(f"power iteration did not converge within {max_iter} iterations")
+    return pi.reshape(s, m)
+
+
+def _power_iteration(A: np.ndarray, pi: np.ndarray, tol: float, max_iter: int):
+    """Iterate pi <- A @ pi until the l1 step is at most tol; None if it never is.
+
+    A periodic chain oscillates instead of converging.  It is reported at
+    once: its step stops shrinking (successive steps agree to 1e-12
+    relative, with no absolute slack, so a slowly converging aperiodic
+    chain is not taken for one) while every second iterate returns to where
+    it was.
+    """
     prev_gap = None
     for _ in range(int(max_iter)):
-        nxt = Q @ pi
+        nxt = A @ pi
         gap = np.abs(nxt - pi).sum()
         if gap <= tol:
-            return nxt.reshape(s, m)
-        if prev_gap is not None and np.isclose(gap, prev_gap, rtol=1e-12) and gap > 100 * tol:
-            two = Q @ nxt
-            if np.abs(two - pi).sum() < tol:
+            return nxt
+        if prev_gap is not None and gap > 100 * tol and abs(gap - prev_gap) <= 1e-12 * prev_gap:
+            if np.abs(A @ nxt - pi).sum() < tol:
                 raise ModelError("power iteration oscillates: the chain appears periodic")
         prev_gap = gap
         pi = nxt
-    raise ModelError(f"power iteration did not converge within {max_iter} iterations")
+    return None
 
 
 @dataclass(frozen=True)

@@ -166,31 +166,65 @@ def solve_p1(model: CmcModel, spec: UtilitySpec) -> TradeoffSolution:
     feasible the best-MSE point is returned with feasible=False.
     """
     kernel = joint_kernel(model)
-    return _solve_on_kernel(kernel, spec)
+    return _select(_grid_rows(kernel, model, spec, "csdp", {}), spec.mse_cap)
 
 
-def _solve_on_kernel(kernel: JointKernel, spec: UtilitySpec) -> TradeoffSolution:
+def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, mechanism: str,
+               cache: dict) -> list:
+    """(age, eps, leakage, mse) at every grid point of a mechanism, age-major.
+
+    CSDP and ADP range over the full (age, eps) grid; DP and DDP are pinned
+    to age zero, where the correlation-blind mechanism still pays the
+    d(k)-scaled cost once correlated records are accounted for, which is
+    exactly the DDP certified budget -- the two frontiers coincide.  None
+    of this depends on the MSE cap; `cache` keeps the aging errors and
+    leakage coefficients for reuse across mechanisms and calls.
+    """
+    s = kernel.space.num_sequences
     degree = spec.resolved_degree()
     dk = k_sensitivity(spec.query, degree)
-    cache: dict = {}
+
+    def memo(key, compute):
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    if mechanism in ("dp", "ddp"):
+        grid = [((0,) * s, eps) for eps in spec.eps_grid]
+    else:
+        grid = []
+        for age in spec.age_grid:
+            ages = tuple(int(a) for a in np.atleast_1d(age))
+            if len(ages) == 1 and s > 1:
+                ages = ages * s
+            grid += [(ages, eps) for eps in spec.eps_grid]
+    rows = []
+    for ages, eps in grid:
+        if mechanism == "csdp":
+            leak = _leakage(spec.leakage_kind, kernel, ages, eps, dk, degree, cache)
+        elif mechanism == "adp":
+            t = max(ages)
+            leak = adp_leakage(memo(("adp", t), lambda: single_chain_tv(model, t)), eps)
+        else:
+            leak = dk * eps
+        aging = memo(("aging", ages), lambda: aging_error(kernel, ages, spec.query))
+        rows.append((ages, eps, leak, aging + noise_variance(spec.query, eps)))
+    return rows
+
+
+def _select(rows: list, cap: float) -> TradeoffSolution:
+    """The P1 answer over grid rows, scanned in order (ties are order-sensitive)."""
     best = None  # (leakage, -eps, age) ordering
     fallback = None  # (mse, -eps, age)
-    for age in spec.age_grid:
-        ages = tuple(int(a) for a in np.atleast_1d(age))
-        if len(ages) == 1 and kernel.space.num_sequences > 1:
-            ages = ages * kernel.space.num_sequences
-        aging = aging_error(kernel, ages, spec.query)
-        for eps in spec.eps_grid:
-            mse = aging + noise_variance(spec.query, eps)
-            leak = _leakage(spec.leakage_kind, kernel, ages, eps, dk, degree, cache)
-            fb_key = (mse, -eps, ages)
-            if fallback is None or fb_key < fallback[0]:
-                fallback = (fb_key, leak)
-            if mse > spec.mse_cap:
-                continue
-            key = (leak, -eps, ages)
-            if _better(key, best[0] if best else None):
-                best = (key, mse)
+    for ages, eps, leak, mse in rows:
+        fb_key = (mse, -eps, ages)
+        if fallback is None or fb_key < fallback[0]:
+            fallback = (fb_key, leak)
+        if mse > cap:
+            continue
+        key = (leak, -eps, ages)
+        if _better(key, best[0] if best else None):
+            best = (key, mse)
     if best is not None:
         (leak, neg_eps, ages), mse = best
         return TradeoffSolution(ages, -neg_eps, leak, mse, True)
@@ -198,84 +232,21 @@ def _solve_on_kernel(kernel: JointKernel, spec: UtilitySpec) -> TradeoffSolution
     return TradeoffSolution(ages, -neg_eps, leak, mse, False)
 
 
-def _baseline_optimum(
-    kernel: JointKernel,
-    model: CmcModel,
-    spec: UtilitySpec,
-    mechanism: str,
-    cap: float,
-) -> TradeoffSolution:
-    degree = spec.resolved_degree()
-    dk = k_sensitivity(spec.query, degree)
-    zero_age = (0,) * kernel.space.num_sequences
-    best = None
-    fallback = None
-    if mechanism in ("dp", "ddp"):
-        # age pinned at zero; the correlation-blind mechanism still pays the
-        # d(k)-scaled cost once correlated records are accounted for, which
-        # is exactly the DDP certified budget -- the two frontiers coincide
-        aging = aging_error(kernel, zero_age, spec.query)
-        for eps in spec.eps_grid:
-            mse = aging + noise_variance(spec.query, eps)
-            leak = dk * eps
-            fb = ((mse, -eps, zero_age), leak)
-            if fallback is None or fb[0] < fallback[0]:
-                fallback = fb
-            if mse > cap:
-                continue
-            key = (leak, -eps, zero_age)
-            if _better(key, best[0] if best else None):
-                best = (key, mse)
-    elif mechanism == "adp":
-        tv_cache: dict = {}
-        for age in spec.age_grid:
-            ages = tuple(int(a) for a in np.atleast_1d(age))
-            if len(ages) == 1 and kernel.space.num_sequences > 1:
-                ages = ages * kernel.space.num_sequences
-            t = max(ages)
-            if t not in tv_cache:
-                tv_cache[t] = single_chain_tv(model, t)
-            aging = aging_error(kernel, ages, spec.query)
-            for eps in spec.eps_grid:
-                mse = aging + noise_variance(spec.query, eps)
-                leak = adp_leakage(tv_cache[t], eps)
-                fb = ((mse, -eps, ages), leak)
-                if fallback is None or fb[0] < fallback[0]:
-                    fallback = fb
-                if mse > cap:
-                    continue
-                key = (leak, -eps, ages)
-                if _better(key, best[0] if best else None):
-                    best = (key, mse)
-    else:
-        raise ModelError(f"unknown mechanism '{mechanism}'")
-    if best is not None:
-        (leak, neg_eps, ages), mse = best
-        return TradeoffSolution(ages, -neg_eps, leak, mse, True)
-    (mse_key, neg_eps, ages), leak = fallback
-    return TradeoffSolution(ages, -neg_eps, leak, mse_key, False)
-
-
 def tradeoff_frontier(model: CmcModel, spec: UtilitySpec, caps) -> dict:
     """Frontier solutions per mechanism: {mechanism: [(cap, solution), ...]}.
 
     CSDP searches the full (age, eps) grid with the spec's leakage kind;
     ADP uses single-sequence temporal discounting over the same grid; DP
-    and DDP are pinned to age zero.
+    and DDP are pinned to age zero.  Each mechanism's grid is evaluated
+    once and every cap selects from it.
     """
+    for cap in caps:
+        if cap <= 0:
+            raise ModelError(f"mse_cap must be positive, got {cap}")
     kernel = joint_kernel(model)
+    cache: dict = {}
     out = {}
     for mech in MECHANISMS:
-        rows = []
-        for cap in caps:
-            if mech == "csdp":
-                sub = UtilitySpec(
-                    spec.query, cap, spec.age_grid, spec.eps_grid,
-                    spec.leakage_kind, spec.degree,
-                )
-                sol = _solve_on_kernel(kernel, sub)
-            else:
-                sol = _baseline_optimum(kernel, model, spec, mech, cap)
-            rows.append((float(cap), sol))
-        out[mech] = rows
+        rows = _grid_rows(kernel, model, spec, mech, cache)
+        out[mech] = [(float(cap), _select(rows, cap)) for cap in caps]
     return out

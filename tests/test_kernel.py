@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -14,13 +15,28 @@ from csdp import (
     sample_trajectory,
     two_user_model,
 )
-from csdp.kernel import kernel_marginals
+from csdp.model import DEFAULT_ENUMERATION_CAP
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
 
 def single_chain(P):
     return CmcModel(StateSpace(1, P.shape[0]), np.asarray(P)[None, None], np.ones((1, 1)))
+
+
+def kernel_marginals(kernel, blocks: np.ndarray) -> np.ndarray:
+    """One joint step from a product distribution, marginalized per sequence."""
+    s, m = kernel.space.num_sequences, kernel.space.num_states
+    joint = np.ones(len(kernel.states))
+    for idx, state in enumerate(kernel.states):
+        for j in range(s):
+            joint[idx] *= blocks[j][state[j]]
+    nxt = kernel.matrix @ joint
+    out = np.zeros((s, m))
+    for idx, state in enumerate(kernel.states):
+        for j in range(s):
+            out[j, state[j]] += nxt[idx]
+    return out
 
 
 class TestJointKernel:
@@ -50,6 +66,26 @@ class TestJointKernel:
     def test_cap_refusal(self):
         with pytest.raises(ModelError, match="cap"):
             joint_kernel(two_user_model(0.5), cap=3)
+
+    def test_default_cap_refuses_by_memory(self):
+        # 2^14 joint states: the dense kernel would need 2 GiB, so it is
+        # refused before anything is allocated
+        model = CmcModel(
+            StateSpace(14, 2),
+            np.broadcast_to(FLIP, (14, 14, 2, 2)),
+            np.full((14, 14), 1 / 14),
+        )
+        assert 2**14 > DEFAULT_ENUMERATION_CAP
+        with pytest.raises(ModelError, match=f"cap {DEFAULT_ENUMERATION_CAP}.* {2**31} bytes"):
+            joint_kernel(model)
+
+    def test_periodic_chain_fails_fast(self):
+        # period-2 chain: power iteration from uniform oscillates forever
+        P = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="periodic"):
+            joint_kernel(single_chain(P))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBackwardConditional:

@@ -147,6 +147,13 @@ class TestStationary:
         with pytest.raises(ModelError, match="periodic|converge"):
             stationary_distribution(single_chain(P), max_iter=2000)
 
+    def test_nearly_periodic_chain_converges(self):
+        # eigenvalue -0.997: successive steps almost repeat, yet the chain
+        # is aperiodic and must not be reported as periodic
+        P = np.array([[0.001, 0.998], [0.999, 0.002]])
+        pi = stationary_distribution(single_chain(P))
+        np.testing.assert_allclose(pi[0], [0.998 / 1.997, 0.999 / 1.997], atol=1e-9)
+
     def test_permutation_from_uniform_start_converges_exactly(self):
         # uniform is the exact stationary vector of any permutation chain, so
         # the mandated uniform start lands on the fixed point immediately
