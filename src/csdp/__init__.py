@@ -9,17 +9,14 @@ __version__ = "0.1.0"
 
 from .bounds import (
     LeakageParams,
-    LeakageReport,
     OracleEstimate,
     adp_leakage,
     aged_tv_distance,
     baseline_bounds,
     bounded_aged_correlation,
-    cmc_leakage,
     k_sensitivity,
     loose_bound,
     oracle_leakage,
-    ratio_extremes,
     single_chain_tv,
     tight_bound,
     verify_reductions,

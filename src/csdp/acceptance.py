@@ -14,21 +14,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .bounds import (
-    LeakageParams,
-    aged_tv_distance,
-    bounded_aged_correlation,
-    loose_bound,
-    oracle_leakage,
-    tight_bound,
-    verify_reductions,
-)
+from .bounds import LeakageParams, aged_tv_distance, oracle_leakage, verify_reductions
 from .kernel import joint_kernel
 from .mechanism import SequenceDatabase, laplace_sample, release
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed, generator, laplace
-from .sweeps import AGE_GRID_DEFAULT, EPS_GRID_DEFAULT
+from .sweeps import (
+    AGE_GRID_DEFAULT,
+    EPS_GRID_DEFAULT,
+    PRESETS,
+    _check_leakage_row,
+    render_table,
+    run_sweep,
+)
 from .utility import UtilitySpec, mse_exact, mse_simulated, noise_variance, tradeoff_frontier
 
 DEFAULT_TOLERANCES = {
@@ -61,13 +60,9 @@ class CriterionResult:
                 f"measured {self.measured}; expected {self.expected}")
 
 
-def _kernels(lams):
-    return {lam: joint_kernel(two_user_model(lam)) for lam in lams}
-
-
 def criterion_u_shape(tol) -> CriterionResult:
     lams = [round(0.1 * i, 10) for i in range(11)]
-    kernels = _kernels(lams)
+    kernels = {lam: joint_kernel(two_user_model(lam)) for lam in lams}
     query = builtin_queries(StateSpace(2, 2))["mean"]
     dk = k_sensitivity(query, 2)
     ok = True
@@ -109,26 +104,10 @@ def criterion_decay(tol) -> CriterionResult:
 
 
 def criterion_bound_ordering(tol) -> CriterionResult:
-    query = builtin_queries(StateSpace(2, 2))["mean"]
-    dk = k_sensitivity(query, 2)
-    slack = tol["ordering_slack"]
-    violations = 0
-    checked = 0
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        kern = joint_kernel(two_user_model(lam))
-        for t in range(7):
-            delta_k = aged_tv_distance(kern, (t, t), 2)
-            delta_bar = bounded_aged_correlation(kern, (t, t))
-            for eps in (2.0, 5.0, 10.0):
-                lin, logf = loose_bound(delta_k, dk, eps)
-                tight = tight_bound(delta_bar, eps)
-                params = LeakageParams((t, t), eps, 2, query)
-                oracle = oracle_leakage(kern, params).estimate
-                checked += 1
-                if tight > min(lin, logf) + slack or oracle > tight + slack:
-                    violations += 1
+    _, rows, _ = run_sweep(PRESETS["oracle-validate"])
+    violations = sum(1 for row in rows if _check_leakage_row(row, tol["ordering_slack"]))
     return CriterionResult(3, "bound ordering", violations == 0,
-                           f"{violations} violations over {checked} grid points",
+                           f"{violations} violations over {len(rows)} grid points",
                            "oracle <= tight <= min(loose) everywhere")
 
 
@@ -265,8 +244,6 @@ def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
 
 
 def criterion_determinism(tol, seed=0) -> CriterionResult:
-    from .sweeps import PRESETS, render_table, run_sweep
-
     config = PRESETS["fig4a"]
     config = replace(config, seed=seed)
     outputs = []

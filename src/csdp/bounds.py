@@ -25,15 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from .kernel import JointKernel, _digits, aged_joint, backward_conditional, validate_ages
+from .kernel import JointKernel, _digits, aged_joint, backward_conditional, joint_kernel
 from .model import CmcModel, ModelError, StateSpace
-from .queries import QuerySpec, k_sensitivity
+from .queries import QuerySpec, builtin_queries, k_sensitivity
 from .rng import derive_seed, generator, laplace
 
 CONFIDENCE_Z = 1.959963984540054  # two-sided 95%
@@ -54,23 +53,6 @@ class LeakageParams:
             raise ModelError(f"eps_c must be positive, got {self.eps_c}")
         if not 1 <= self.degree <= self.query.space.num_sequences:
             raise ModelError(f"correlation degree {self.degree} out of range")
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    loose_linear: float
-    loose_log: float
-    tight: float
-    adp: Optional[float] = None
-    dp: Optional[float] = None
-    ddp: Optional[float] = None
-    oracle: Optional[float] = None
-    oracle_hw: Optional[float] = None
-    params: Optional[LeakageParams] = None
-
-    @property
-    def certified(self) -> float:
-        return min(self.loose_linear, self.loose_log)
 
 
 def _neighbour_pairs(s: int, m: int) -> np.ndarray:
@@ -215,83 +197,12 @@ def bounded_aged_correlation(kernel: JointKernel, age) -> float:
     return best
 
 
-def ratio_extremes(kernel: JointKernel, age) -> tuple:
-    """Diagnostic (g_max, g_min): extremes of the conditional-probability
-    ratio products Pr[x_i | x_-i, z_-i]/Pr[x_i | x_-i] *
-    Pr[x_-i | x_i, z_i]/Pr[x_-i | x_i] over users, snapshots and aged
-    values.  Zero-probability conditioning events are skipped.
-
-    Collapses to (1, 1) when sequences are independent or the age is zero
-    everywhere with a single sequence.
-    """
-    s, m = kernel.space.num_sequences, kernel.space.num_states
-    J = aged_joint(kernel, age)
-    px = J.sum(axis=0)
-    states = kernel.states
-    g_max, g_min = 0.0, math.inf
-    seen = False
-    for i in range(s):
-        rest = [j for j in range(s) if j != i]
-        for xi, x in enumerate(states):
-            if px[xi] <= 0:
-                continue
-            # denominators: stationary conditionals of x_i given x_-i and
-            # x_-i given x_i
-            same_rest = [k for k, w in enumerate(states)
-                         if all(w[j] == x[j] for j in rest)]
-            same_i = [k for k, w in enumerate(states) if w[i] == x[i]]
-            p_xi_given_rest = px[xi] / px[same_rest].sum()
-            p_rest_given_xi = px[xi] / px[same_i].sum()
-            # ratio over z_-i: Pr[x_i | x_-i, z_-i] / Pr[x_i | x_-i]
-            for z_rest in itertools.product(range(m), repeat=len(rest)):
-                num = 0.0
-                den = 0.0
-                for zi, z in enumerate(states):
-                    if tuple(z[j] for j in rest) != z_rest:
-                        continue
-                    den += J[zi, same_rest].sum()
-                    num += J[zi, xi]
-                if den <= 0:
-                    continue
-                r1 = (num / den) / p_xi_given_rest
-                # ratio over z_i: Pr[x_-i | x_i, z_i] / Pr[x_-i | x_i]
-                for z_i in range(m):
-                    num2 = 0.0
-                    den2 = 0.0
-                    for zi, z in enumerate(states):
-                        if z[i] != z_i:
-                            continue
-                        den2 += J[zi, same_i].sum()
-                        num2 += J[zi, xi]
-                    if den2 <= 0:
-                        continue
-                    r2 = (num2 / den2) / p_rest_given_xi
-                    seen = True
-                    g_max = max(g_max, r1 * r2)
-                    g_min = min(g_min, r1 * r2)
-    if not seen:
-        raise ModelError("all conditioning events are degenerate")
-    return g_max, g_min
-
-
 def tight_bound(delta_bar: float, eps_c: float) -> float:
     if delta_bar < 0:
         raise ModelError(f"delta_bar must be nonnegative, got {delta_bar}")
     if eps_c <= 0:
         raise ModelError(f"eps_c must be positive, got {eps_c}")
     return delta_bar * eps_c
-
-
-def cmc_leakage(
-    model: CmcModel, age, eps_c: float, query: QuerySpec, degree: int
-) -> float:
-    """d(k) * Delta_k(lambda, age) * eps_c on the model's joint kernel."""
-    from .kernel import joint_kernel
-
-    kernel = joint_kernel(model)
-    dk = k_sensitivity(query, degree)
-    delta = aged_tv_distance(kernel, age, degree)
-    return dk * delta * eps_c
 
 
 def adp_leakage(delta_t: float, eps_c: float) -> float:
@@ -307,12 +218,9 @@ def single_chain_tv(model: CmcModel, t: int) -> float:
     """Worst per-sequence aged TV when each sequence is viewed as an
     isolated chain with its own self-transition matrix (the baseline that
     ignores coupling)."""
-    from .kernel import joint_kernel
-    from .model import CmcModel as _M
-
     best = 0.0
     for i in range(model.space.num_sequences):
-        solo = _M(
+        solo = CmcModel(
             StateSpace(1, model.space.num_states),
             model.transitions[i : i + 1, i : i + 1],
             np.ones((1, 1)),
@@ -463,9 +371,6 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
     (c) the coupled benchmark model: reductions intentionally do not
         apply; reported as not applicable.
     """
-    from .kernel import joint_kernel
-    from .queries import builtin_queries
-
     cases = []
 
     iid_col = np.array([0.6, 0.4])

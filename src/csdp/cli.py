@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .model import DEFAULT_ENUMERATION_CAP, ModelError
+from .model import ModelError
 from .sweeps import PRESETS, load_config, run
 
 EXIT_OK = 0

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, StateSpace, _power_iteration
+from .model import (
+    DEFAULT_ENUMERATION_CAP,
+    CmcModel,
+    ModelError,
+    StateSpace,
+    _power_iteration,
+    _require_valid,
+)
 from .rng import generator
 
 STATIONARY = "stationary"
@@ -70,11 +77,7 @@ def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKe
     L_j[b_j, a] = sum_k lam[j, k] P[j][k][b_j, a_k], built one sequence at
     a time: after sequence j the rows enumerate (b_0, ..., b_j).
     """
-    from .model import validate_model
-
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelError("invalid model: " + "; ".join(report.violations))
+    _require_valid(model)
     model.space.check_cap(cap)
     s, m = model.space.num_sequences, model.space.num_states
     digits = _digits(s, m)
@@ -119,43 +122,29 @@ def aged_joint(kernel: JointKernel, age) -> np.ndarray:
         return (Kt * kernel.stationary[None, :]).T
 
     s, m = kernel.space.num_sequences, kernel.space.num_states
+    digits = _digits(s, m)
     # dist[w, r] = Pr[current joint state w, recorded coordinates r], where r
-    # enumerates the already-recorded aged coordinates (in sequence order).
-    record_at = {}  # step -> list of sequences recorded after that step's state
-    for i in range(s):
-        record_at.setdefault(T - int(ages[i]), []).append(i)
-    dist = kernel.stationary[:, None].copy()  # (n, 1): nothing recorded yet
+    # is the big-endian code of the coordinates recorded so far, in the
+    # order they were recorded
+    dist = kernel.stationary[:, None]  # (n, 1): nothing recorded yet
     recorded = []
-
-    def record(dist, seqs):
-        reps = m ** len(seqs)
-        out = np.zeros((n, dist.shape[1] * reps))
-        for w, state in enumerate(kernel.states):
-            vals = tuple(state[i] for i in seqs)
-            offset = 0
-            for v in vals:
-                offset = offset * m + v
-            out[w, offset::reps] = dist[w]
-        return out
-
     for step in range(T + 1):
-        if step in record_at:
-            dist = record(dist, record_at[step])
-            recorded.extend(record_at[step])
+        seqs = [i for i in range(s) if T - ages[i] == step]
+        if seqs:
+            # append the codes of w's coordinates `seqs` as the lowest digits of r
+            reps = m ** len(seqs)
+            code = digits[:, seqs] @ m ** np.arange(len(seqs) - 1, -1, -1)
+            out = np.zeros((n, dist.shape[1], reps))
+            out[np.arange(n), :, code] = dist
+            dist = out.reshape(n, -1)
+            recorded.extend(seqs)
         if step < T:
             dist = kernel.matrix @ dist
-    # reorder recorded coordinates into sequence order and assemble J[z, x]
-    J = np.zeros((n, n))
-    digits = list(itertools.product(range(m), repeat=s))
-    for r, rec_vals in enumerate(digits):
-        z = [0] * s
-        for pos, i in enumerate(recorded):
-            z[i] = rec_vals[pos]
-        zi = 0
-        for v in z:
-            zi = zi * m + v
-        J[zi, :] += dist[:, r]
-    return J
+    # J[z, x] with the recorded coordinates back in sequence order.  J is
+    # returned in C order, which fixes how sums over it round
+    # (tests/test_vectorised.py pins it against the loop form)
+    J = dist.T.reshape((m,) * s + (n,)).transpose(list(np.argsort(recorded)) + [s])
+    return np.ascontiguousarray(J).reshape(n, n)
 
 
 def backward_conditional(kernel: JointKernel, age) -> np.ndarray:

@@ -14,6 +14,7 @@ All distribution vectors are column vectors acted on from the left.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ STOCHASTIC_TOL = 1e-9
 # n x n float64 kernel takes 8 n^2 bytes (512 MiB at the cap), and building
 # it and its aged joint law holds about three such arrays at once.
 DEFAULT_ENUMERATION_CAP = 2**13
+# Steps after which a power iteration that has not converged checks whether
+# the chain is periodic; converging chains seldom need more than 100.
+PERIOD_CHECK_AFTER = 256
 
 
 class ModelError(ValueError):
@@ -183,25 +187,61 @@ def stationary_distribution(
     return pi.reshape(s, m)
 
 
+def _support_period(A: np.ndarray) -> int:
+    """Least common multiple of the periods of the strongly connected
+    components of A's support graph; 1 when every component is aperiodic.
+
+    A component's period is the gcd, over its edges u -> v, of
+    level(u) + 1 - level(v), with BFS levels taken from any one of its
+    states.  The iterates of A can only oscillate with a period dividing it.
+    """
+    n = A.shape[0]
+    graph = csr_matrix(A != 0)
+    n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
+    u, v = graph.nonzero()
+    keep = comp[u] == comp[v]
+    order = np.argsort(comp[u][keep], kind="stable")
+    u, v = u[keep][order], v[keep][order]  # edges inside components, grouped
+    # BFS levels inside each component from its first state: search from an
+    # extra state n with one edge to each of those
+    roots = np.unique(comp, return_index=True)[1]
+    inner = csr_matrix(
+        (np.ones(len(u) + n_comp), (np.r_[u, np.full(n_comp, n)], np.r_[v, roots])),
+        shape=(n + 1, n + 1),
+    )
+    level = csgraph.shortest_path(inner, indices=n, unweighted=True)[:n].astype(np.int64)
+    starts = np.flatnonzero(np.r_[True, np.diff(comp[u]) != 0])
+    periods = np.gcd.reduceat(np.abs(level[u] + 1 - level[v]), starts)
+    return math.lcm(*set(periods.tolist()))
+
+
 def _power_iteration(A: np.ndarray, pi: np.ndarray, tol: float, max_iter: int):
     """Iterate pi <- A @ pi until the l1 step is at most tol; None if it never is.
 
-    A periodic chain oscillates instead of converging.  It is reported at
-    once: its step stops shrinking (successive steps agree to 1e-12
-    relative, with no absolute slack, so a slowly converging aperiodic
-    chain is not taken for one) while every second iterate returns to where
-    it was.
+    A periodic chain oscillates instead of converging.  If the iteration
+    has not converged after PERIOD_CHECK_AFTER steps, the period L of A's
+    support graph is computed once.  When L > 1 the chain is reported as
+    periodic as soon as an iterate returns to within tol of the one L steps
+    before while its step stays the same (to 1e-12 relative, with no
+    absolute slack, so a slowly converging aperiodic chain is not taken for
+    one).
     """
-    prev_gap = None
-    for _ in range(int(max_iter)):
+    period = 1
+    for it in range(int(max_iter)):
         nxt = A @ pi
         gap = np.abs(nxt - pi).sum()
         if gap <= tol:
             return nxt
-        if prev_gap is not None and gap > 100 * tol and abs(gap - prev_gap) <= 1e-12 * prev_gap:
-            if np.abs(A @ nxt - pi).sum() < tol:
-                raise ModelError("power iteration oscillates: the chain appears periodic")
-        prev_gap = gap
+        if it == PERIOD_CHECK_AFTER:
+            period = _support_period(A)
+            back, back_gap = nxt, gap
+        elif period > 1 and (it - PERIOD_CHECK_AFTER) % period == 0:
+            if (gap > 100 * tol and abs(gap - back_gap) <= 1e-12 * back_gap
+                    and np.abs(nxt - back).sum() < tol):
+                raise ModelError(
+                    f"power iteration oscillates: the chain appears periodic (period {period})"
+                )
+            back, back_gap = nxt, gap
         pi = nxt
     return None
 

@@ -165,47 +165,51 @@ def _map_cells(fn, cells, threads: int) -> list:
         return list(pool.map(fn, cells))
 
 
-def _leakage_row(config, lam, t, eps, with_oracle=False, oracle_method="exact",
-                 samples=0):
+def _leakage_rows(config, lam, t, eps_grid, with_oracle):
+    """Rows of one (lambda, t) cell, one per eps_c in `eps_grid`.
+
+    The kernel, Delta_k, Delta_bar and the single-chain TV do not depend on
+    eps_c, so they are computed once; only the budgets and the oracle are
+    evaluated per eps_c.
+    """
     model = _model_for(config, lam)
     kernel = joint_kernel(model, config.cap)
     query = builtin_queries(model.space)["mean"]
     k = model.space.num_sequences
     dk = k_sensitivity(query, k)
-    age = (t,) * model.space.num_sequences
+    age = (t,) * k
     delta_k = aged_tv_distance(kernel, age, k)
     delta_bar = bounded_aged_correlation(kernel, age)
-    lin, logf = loose_bound(delta_k, dk, eps)
-    dp, ddp = baseline_bounds(eps, k, query)
-    row = {
-        "lambda": lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
-        "delta_k": delta_k, "delta_bar": delta_bar,
-        "loose_linear": lin, "loose_log": logf,
-        "tight": tight_bound(delta_bar, eps),
-        "adp": adp_leakage(single_chain_tv(model, t), eps),
-        "dp": dp, "ddp": ddp,
-        "oracle": "", "oracle_hw": "", "seed": config.seed,
-    }
-    if with_oracle:
-        params = LeakageParams(age, eps, k, query)
-        est = oracle_leakage(
-            kernel, params, samples=samples,
-            seed=derive_seed(config.seed, "oracle", lam, t, eps),
-            method=oracle_method,
-        )
-        row["oracle"] = est.estimate
-        row["oracle_hw"] = est.half_width
-    return row
+    delta_t = single_chain_tv(model, t)
+    rows = []
+    for eps in eps_grid:
+        lin, logf = loose_bound(delta_k, dk, eps)
+        dp, ddp = baseline_bounds(eps, k, query)
+        row = {
+            "lambda": lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
+            "delta_k": delta_k, "delta_bar": delta_bar,
+            "loose_linear": lin, "loose_log": logf,
+            "tight": tight_bound(delta_bar, eps),
+            "adp": adp_leakage(delta_t, eps),
+            "dp": dp, "ddp": ddp,
+            "oracle": "", "oracle_hw": "", "seed": config.seed,
+        }
+        if with_oracle:
+            est = oracle_leakage(kernel, LeakageParams(age, eps, k, query))
+            row["oracle"] = est.estimate
+            row["oracle_hw"] = est.half_width
+        rows.append(row)
+    return rows
 
 
-def _check_leakage_row(row) -> list:
+def _check_leakage_row(row, slack: float = 1e-9) -> list:
     bad = []
     loc = f"lambda={row['lambda']} t={row['t']} eps_c={row['eps_c']}"
-    if row["loose_log"] < row["loose_linear"] - 1e-9:
+    if row["loose_log"] < row["loose_linear"] - slack:
         bad.append(f"{loc}: loose_log fell below loose_linear")
-    if row["tight"] > row["loose_linear"] + 1e-9:
+    if row["tight"] > row["loose_linear"] + slack:
         bad.append(f"{loc}: tight exceeds loose_linear")
-    if row["oracle"] != "" and row["oracle"] > row["tight"] + (row["oracle_hw"] or 0.0) + 1e-9:
+    if row["oracle"] != "" and row["oracle"] > row["tight"] + (row["oracle_hw"] or 0.0) + slack:
         bad.append(f"{loc}: oracle estimate exceeds tight bound")
     return bad
 
@@ -213,27 +217,16 @@ def _check_leakage_row(row) -> list:
 def run_sweep(config: ExperimentConfig):
     """Execute a sweep; returns (fields, rows, violations)."""
     grids = config.grids
-    if config.sweep in ("leakage-vs-lambda", "leakage-vs-age", "leakage-vs-noise"):
-        cells = [
-            (lam, t, eps)
-            for lam in grids.get("lambda", [0.5])
-            for t in grids.get("t", list(range(7)))
-            for eps in grids.get("eps_c", [1.0])
-        ]
-        rows = _map_cells(lambda c: _leakage_row(config, *c), cells, config.threads)
-        violations = [v for row in rows for v in _check_leakage_row(row)]
-        return LEAKAGE_FIELDS, rows, violations
-
-    if config.sweep == "oracle-validate":
-        cells = [
-            (lam, t, eps)
-            for lam in grids.get("lambda", [0.0, 0.25, 0.5, 0.75, 1.0])
-            for t in grids.get("t", list(range(7)))
-            for eps in grids.get("eps_c", [2.0, 5.0, 10.0])
-        ]
-        rows = _map_cells(
-            lambda c: _leakage_row(config, *c, with_oracle=True), cells, config.threads
+    if config.sweep in ("leakage-vs-lambda", "leakage-vs-age", "leakage-vs-noise",
+                        "oracle-validate"):
+        validate = config.sweep == "oracle-validate"
+        lams = grids.get("lambda", [0.0, 0.25, 0.5, 0.75, 1.0] if validate else [0.5])
+        eps_grid = grids.get("eps_c", [2.0, 5.0, 10.0] if validate else [1.0])
+        cells = [(lam, t) for lam in lams for t in grids.get("t", list(range(7)))]
+        per_cell = _map_cells(
+            lambda c: _leakage_rows(config, *c, eps_grid, validate), cells, config.threads
         )
+        rows = [row for cell_rows in per_cell for row in cell_rows]
         violations = [v for row in rows for v in _check_leakage_row(row)]
         return LEAKAGE_FIELDS, rows, violations
 

@@ -1,10 +1,10 @@
 """Loop versions of the product-space routines, kept as references.
 
-The package builds the joint kernel, the Hamming-1 neighbour pairs, the
-subset marginals of Delta_k and the exact oracle's pair maximum with
-NumPy index arithmetic.  These are the nested-loop forms they replaced,
-one state at a time.  `test_vectorised.py` asserts that both give
-bit-identical results.
+The package builds the joint kernel, the heterogeneous-age aged joint law,
+the Hamming-1 neighbour pairs, the subset marginals of Delta_k and the
+exact oracle's pair maximum with NumPy index arithmetic.  These are the
+nested-loop forms they replaced, one state at a time.  `test_vectorised.py`
+asserts that both give bit-identical results.
 """
 
 import itertools
@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 from scipy.special import logsumexp
 
-from csdp import aged_joint, backward_conditional
+import csdp
+from csdp import backward_conditional
 from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
 
 
@@ -48,6 +49,47 @@ def joint_stationary(K: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6) -
     raise AssertionError("joint stationary distribution did not converge")
 
 
+def aged_joint(kernel, age) -> np.ndarray:
+    """Forward dynamic programming over the trajectory, recording each
+    coordinate when its lag is reached (the heterogeneous-age path)."""
+    ages = np.asarray(age, int)
+    s, m = kernel.space.num_sequences, kernel.space.num_states
+    n = kernel.matrix.shape[0]
+    T = int(ages.max())
+    record_at = {}
+    for i in range(s):
+        record_at.setdefault(T - int(ages[i]), []).append(i)
+    dist = kernel.stationary[:, None].copy()
+    recorded = []
+
+    def record(dist, seqs):
+        reps = m ** len(seqs)
+        out = np.zeros((n, dist.shape[1] * reps))
+        for w, state in enumerate(kernel.states):
+            offset = 0
+            for v in (state[i] for i in seqs):
+                offset = offset * m + v
+            out[w, offset::reps] = dist[w]
+        return out
+
+    for step in range(T + 1):
+        if step in record_at:
+            dist = record(dist, record_at[step])
+            recorded.extend(record_at[step])
+        if step < T:
+            dist = kernel.matrix @ dist
+    J = np.zeros((n, n))
+    for r, rec_vals in enumerate(itertools.product(range(m), repeat=s)):
+        z = [0] * s
+        for pos, i in enumerate(recorded):
+            z[i] = rec_vals[pos]
+        zi = 0
+        for v in z:
+            zi = zi * m + v
+        J[zi, :] += dist[:, r]
+    return J
+
+
 def neighbour_pairs(states) -> list:
     pairs = []
     for ai, a in enumerate(states):
@@ -66,7 +108,7 @@ def hamming_costs(states) -> np.ndarray:
 
 def aged_tv_distance(kernel, age, degree: int) -> float:
     s, m = kernel.space.num_sequences, kernel.space.num_states
-    J = aged_joint(kernel, age)
+    J = csdp.aged_joint(kernel, age)
     size = min(degree, s)
     best = 0.0
     substates = list(itertools.product(range(m), repeat=size))

@@ -12,6 +12,7 @@ from csdp.acceptance import (
     CRITERIA,
     DEFAULT_TOLERANCES,
     acceptance,
+    criterion_bound_ordering,
     criterion_decay,
     criterion_u_shape,
 )
@@ -70,8 +71,12 @@ def test_every_criterion_reported_once(results):
 
 
 def test_fault_injection_isolated():
-    # an impossible decay threshold must fail criterion 2 without
-    # disturbing criterion 1, proving the tolerances act independently
+    # an impossible tolerance must fail its own criterion without disturbing
+    # the others, proving the tolerances act independently
     tol = dict(DEFAULT_TOLERANCES, decay_threshold=1e-9)
     assert not criterion_decay(tol).passed
     assert criterion_u_shape(tol).passed
+    tol = dict(DEFAULT_TOLERANCES, ordering_slack=-1.0)
+    assert not criterion_bound_ordering(tol).passed
+    assert criterion_u_shape(tol).passed
+    assert criterion_decay(tol).passed

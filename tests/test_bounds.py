@@ -13,11 +13,10 @@ from csdp import (
     baseline_bounds,
     bounded_aged_correlation,
     builtin_queries,
-    cmc_leakage,
     joint_kernel,
+    k_sensitivity,
     loose_bound,
     oracle_leakage,
-    ratio_extremes,
     single_chain_tv,
     tight_bound,
     two_user_model,
@@ -155,21 +154,6 @@ class TestBoundedAgedCorrelation:
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
-class TestRatioExtremes:
-    def test_independent_model_collapses_to_one(self):
-        kern = joint_kernel(independent_pair())
-        for t in (0, 1, 3):
-            g_max, g_min = ratio_extremes(kern, (t, t))
-            assert g_max == pytest.approx(1.0, abs=1e-9)
-            assert g_min == pytest.approx(1.0, abs=1e-9)
-
-    def test_coupled_model_straddles_one(self):
-        kern = joint_kernel(two_user_model(0.75))
-        g_max, g_min = ratio_extremes(kern, (1, 1))
-        assert g_max > 1.0 + 1e-6
-        assert g_min < 1.0 - 1e-6
-
-
 class TestTightBound:
     def test_zero(self):
         assert tight_bound(0.0, 5.0) == 0.0
@@ -189,22 +173,24 @@ class TestTightBound:
 
 
 class TestCmcLeakage:
+    """The linear loose budget d(k) * Delta_k * eps_c on the benchmark."""
+
+    @staticmethod
+    def leakage(lam, age, eps):
+        model = two_user_model(lam)
+        dk = k_sensitivity(builtin_queries(model.space)["mean"], 2)
+        return loose_bound(aged_tv_distance(joint_kernel(model), age, 2), dk, eps)[0]
+
     def test_linear_in_eps(self):
-        model = two_user_model(0.75)
-        q = builtin_queries(model.space)["mean"]
-        base = cmc_leakage(model, (2, 2), 1.0, q, 2)
-        assert cmc_leakage(model, (2, 2), 1e-6, q, 2) == pytest.approx(base * 1e-6)
+        base = self.leakage(0.75, (2, 2), 1.0)
+        assert self.leakage(0.75, (2, 2), 1e-6) == pytest.approx(base * 1e-6)
 
     def test_age_zero_value(self):
-        model = two_user_model(0.75)
-        q = builtin_queries(model.space)["mean"]
-        assert cmc_leakage(model, (0, 0), 1.0, q, 2) == pytest.approx(2.0, abs=1e-9)
+        assert self.leakage(0.75, (0, 0), 1.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_decay_below_threshold_by_six(self):
-        q = builtin_queries(StateSpace(2, 2))["mean"]
         for lam in (0.5, 0.75, 1.0):
-            model = two_user_model(lam)
-            vals = [cmc_leakage(model, (t, t), 1.0, q, 2) for t in range(7)]
+            vals = [self.leakage(lam, (t, t), 1.0) for t in range(7)]
             assert vals[6] < 0.05
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 

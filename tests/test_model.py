@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from csdp import (
     StateSpace,
     build_block_matrix,
     evolve_distribution,
+    joint_kernel,
     load_model,
     save_model,
     spectral_check,
@@ -16,6 +19,7 @@ from csdp import (
     two_user_model,
     validate_model,
 )
+from csdp.model import _support_period
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
@@ -146,6 +150,25 @@ class TestStationary:
         P = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
         with pytest.raises(ModelError, match="periodic|converge"):
             stationary_distribution(single_chain(P), max_iter=2000)
+
+    @pytest.mark.parametrize("entry", [stationary_distribution, joint_kernel])
+    def test_period_three_chain_fails_fast(self, entry):
+        # 0 -> 1 -> {2, 3} -> 0: every cycle has length 3, so power iteration
+        # from uniform returns to its start every third step
+        P = np.array([[0, 0, 1, 1], [1, 0, 0, 0], [0, 0.5, 0, 0], [0, 0.5, 0, 0]], float)
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="periodic"):
+            entry(single_chain(P))
+        assert time.perf_counter() - start < 1.0
+
+    def test_support_period_is_lcm_over_components(self):
+        # a 2-cycle, a 3-cycle and a state with a self-loop
+        A = np.zeros((6, 6))
+        for a, b in [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 5)]:
+            A[b, a] = 1.0
+        assert _support_period(A) == 6
+        assert _support_period(A[5:, 5:]) == 1
+        assert _support_period(np.array([[0.001, 0.998], [0.999, 0.002]])) == 1
 
     def test_nearly_periodic_chain_converges(self):
         # eigenvalue -0.997: successive steps almost repeat, yet the chain

@@ -90,11 +90,15 @@ class TestSweeps:
         assert violations == []
 
     def test_thread_determinism(self):
-        serial = run_sweep(replace(SMALL_AGE, threads=1))
-        threaded = run_sweep(replace(SMALL_AGE, threads=3))
-        assert render_table(serial[0], serial[1], "csv") == render_table(
-            threaded[0], threaded[1], "csv"
+        multi_eps = ExperimentConfig(
+            "oracle-validate", {"lambda": [0.25, 0.75], "t": [0, 1, 3], "eps_c": [0.5, 2.0, 10.0]}
         )
+        for config in (SMALL_AGE, multi_eps):
+            serial = run_sweep(replace(config, threads=1))
+            threaded = run_sweep(replace(config, threads=3))
+            assert render_table(serial[0], serial[1], "csv") == render_table(
+                threaded[0], threaded[1], "csv"
+            )
 
 
 class TestRunArtifacts:

@@ -3,7 +3,9 @@
 Each property builds a random valid coupled model (s <= 3 sequences,
 m <= 3 states, Dirichlet transition columns and coupling rows, sometimes
 with a zero coupling weight) and compares the package against the loop
-references in `loop_reference.py` with exact equality.
+references in `loop_reference.py` with exact equality.  One more property
+checks that the current-snapshot marginal of the aged joint law is the
+stationary law.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from csdp import (
     CmcModel,
     LeakageParams,
     StateSpace,
+    aged_joint,
     aged_tv_distance,
     backward_conditional,
     bounded_aged_correlation,
@@ -99,6 +102,35 @@ def test_delta_k_and_oracle_match_loops(case):
     assert_matches_loops(joint_kernel(model), age)
 
 
+@st.composite
+def models_and_mixed_ages(draw):
+    s = draw(st.integers(2, 3))
+    model = random_model(draw(st.integers(0, 2**32 - 1)), s, draw(st.integers(2, 3)),
+                         draw(st.booleans()))
+    ages = st.lists(st.integers(0, 4), min_size=s, max_size=s)
+    return model, tuple(draw(ages.filter(lambda a: len(set(a)) > 1)))
+
+
+@PROPERTY
+@given(models_and_mixed_ages())
+def test_aged_joint_matches_loops(case):
+    model, age = case
+    kern = joint_kernel(model)
+    J = aged_joint(kern, age)
+    assert np.array_equal(J, ref.aged_joint(kern, age))
+    # C order, as the loop builds it, so that sums over J round the same way
+    assert J.flags.c_contiguous
+
+
+@PROPERTY
+@given(models_and_ages())
+def test_aged_joint_x_marginal_is_stationary(case):
+    model, age = case
+    kern = joint_kernel(model)
+    np.testing.assert_allclose(aged_joint(kern, age).sum(axis=0), kern.stationary,
+                               rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("s, m", [(4, 2), (3, 3)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fixed_models_match_loops(s, m, seed):
@@ -107,5 +139,6 @@ def test_fixed_models_match_loops(s, m, seed):
     assert np.array_equal(kern.matrix, ref.joint_kernel_matrix(model))
     for age in [(1,) * s, (2,) * s, tuple(range(s))]:
         assert_matches_loops(kern, age)
+    assert np.array_equal(aged_joint(kern, tuple(range(s))), ref.aged_joint(kern, tuple(range(s))))
     age = (2,) * s
     assert bounded_aged_correlation(kern, age) == bounded_aged_correlation_loops(kern, age)
