@@ -30,7 +30,14 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from .kernel import JointKernel, _digits, aged_joint, backward_conditional, joint_kernel
+from .kernel import (
+    JointKernel,
+    _digits,
+    aged_joint,
+    backward_conditional,
+    joint_kernel,
+    state_values,
+)
 from .model import CmcModel, ModelError, StateSpace
 from .queries import QuerySpec, builtin_queries, k_sensitivity
 from .rng import derive_seed, generator, laplace
@@ -285,7 +292,7 @@ def oracle_leakage(
     """
     query = params.query
     B = backward_conditional(kernel, params.age)
-    f_values = np.array([query.evaluate(z) for z in kernel.states])
+    f_values = state_values(kernel, query)
     b = query.sensitivity(1) / params.eps_c
     thetas = _theta_grid(f_values, b)
     pairs = _neighbour_pairs(kernel.space.num_sequences, kernel.space.num_states)

@@ -93,17 +93,31 @@ def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKe
     return JointKernel(model.space, K, states, _joint_stationary(K))
 
 
-def validate_ages(age, space: StateSpace) -> np.ndarray:
-    ages = np.atleast_1d(np.asarray(age, int))
-    if ages.shape == (1,) and space.num_sequences > 1:
-        ages = np.full(space.num_sequences, ages[0])
-    if ages.shape != (space.num_sequences,):
-        raise ModelError(
-            f"age vector has shape {ages.shape}, expected ({space.num_sequences},)"
-        )
-    if np.any(ages < 0):
-        raise ModelError(f"ages must be nonnegative, got {ages.tolist()}")
-    return ages
+def validate_ages(age, space: StateSpace) -> tuple:
+    """The age vector as a tuple of one nonnegative int per sequence.
+
+    A scalar (or length-1) age applies to every sequence.  Tuples and lists
+    of ints are checked in plain Python; any other input is read through
+    ``np.asarray(age, int)``, so its shape is numpy's.
+    """
+    if isinstance(age, (tuple, list)) and all(type(a) is int for a in age):
+        shape, ages = (len(age),), list(age)
+    else:
+        arr = np.atleast_1d(np.asarray(age, int))
+        shape, ages = arr.shape, arr.tolist()
+    s = space.num_sequences
+    if shape == (1,) and s > 1:
+        shape, ages = (s,), ages * s
+    if shape != (s,):
+        raise ModelError(f"age vector has shape {shape}, expected ({s},)")
+    if min(ages) < 0:
+        raise ModelError(f"ages must be nonnegative, got {ages}")
+    return tuple(ages)
+
+
+def state_values(kernel: JointKernel, query) -> np.ndarray:
+    """f[i] = query.evaluate(kernel.states[i]): the query on every joint state."""
+    return np.array([query.evaluate(x) for x in kernel.states])
 
 
 def aged_joint(kernel: JointKernel, age) -> np.ndarray:
@@ -114,7 +128,7 @@ def aged_joint(kernel: JointKernel, age) -> np.ndarray:
     handled by forward dynamic programming over the trajectory, recording
     each coordinate when its lag is reached.
     """
-    ages = validate_ages(age, kernel.space)
+    ages = np.array(validate_ages(age, kernel.space))
     n = kernel.matrix.shape[0]
     T = int(ages.max())
     if np.all(ages == ages[0]):
@@ -177,7 +191,8 @@ def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> 
     if isinstance(initial, str):
         if initial != STATIONARY:
             raise ModelError(f"unknown initial distribution '{initial}'")
-        cur = int(np.searchsorted(np.cumsum(kernel.stationary), rng.random()))
+        # a draw above a cumsum that rounds below 1 would index past the end
+        cur = min(int(np.searchsorted(np.cumsum(kernel.stationary), rng.random())), n - 1)
     elif np.isscalar(initial):
         cur = int(initial)
         if not 0 <= cur < n:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import validate_ages
 from .model import ModelError, StateSpace
 from .queries import QuerySpec
 from .rng import generator, laplace
@@ -73,14 +74,12 @@ class MechanismOutput:
 
 def age_data(db: SequenceDatabase, t: int, age) -> tuple:
     """Phase 1: the aged snapshot (x^(i) at time t - age[i], 1-based times)."""
-    from .kernel import validate_ages
-
     ages = validate_ages(age, db.space)
     if not 1 <= t <= db.horizon:
         raise ModelError(f"time index {t} outside the recorded horizon [1, {db.horizon}]")
     snapshot = []
     for i, a in enumerate(ages):
-        idx = t - int(a)
+        idx = t - a
         if idx < 1:
             raise ModelError(
                 f"sequence {i}: age {a} reaches before the start of the record at t={t}"
@@ -89,8 +88,12 @@ def age_data(db: SequenceDatabase, t: int, age) -> tuple:
     return tuple(snapshot)
 
 
-def laplace_sample(scale: float, dim: int, seed: int) -> np.ndarray:
-    """dim i.i.d. Laplace(0, scale) draws, deterministic given seed."""
+def laplace_sample(scale: float, dim: int | None, seed: int) -> np.ndarray | float:
+    """dim i.i.d. Laplace(0, scale) draws, deterministic given seed.
+
+    With dim=None the one draw is returned as a scalar, equal to the
+    element of the dim=1 array.
+    """
     if scale <= 0:
         raise ModelError(f"noise scale must be positive, got {scale}")
     return laplace(generator(seed), scale, dim)
@@ -104,7 +107,7 @@ def release(
         raise ModelError(f"eps_c must be positive, got {eps_c}")
     snapshot = age_data(db, t, age)
     scale = query.sensitivity(1) / eps_c
-    noise = laplace_sample(scale, 1, seed)[0]
+    noise = laplace_sample(scale, None, seed)
     return MechanismOutput(
         value=query.evaluate(snapshot) + noise,
         aged_snapshot=snapshot,

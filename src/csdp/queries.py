@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .model import ModelError, StateSpace
 
 
@@ -39,7 +37,12 @@ def k_sensitivity(query: QuerySpec, k: int) -> float:
 
 
 def builtin_queries(space: StateSpace) -> dict:
-    """Mean, sum, max and min over the joint snapshot, with exact profiles."""
+    """Mean, sum, max and min over the joint snapshot, with exact profiles.
+
+    `evaluate` takes a tuple or an integer array row and returns a Python
+    float.  It is plain Python: on integer snapshots the sums are exact
+    (below 2^53), so it equals numpy's mean/sum/max/min bit for bit.
+    """
     s, m = space.num_sequences, space.num_states
     span = float(m - 1)
 
@@ -55,22 +58,22 @@ def builtin_queries(space: StateSpace) -> dict:
     return {
         "mean": QuerySpec(
             "mean", space,
-            evaluate=lambda x: float(np.mean(x)),
+            evaluate=lambda x: float(sum(x)) / len(x),
             sensitivity=lambda i: clamp(i) * span / s,
         ),
         "sum": QuerySpec(
             "sum", space,
-            evaluate=lambda x: float(np.sum(x)),
+            evaluate=lambda x: float(sum(x)),
             sensitivity=lambda i: clamp(i) * span,
         ),
         "max": QuerySpec(
             "max", space,
-            evaluate=lambda x: float(np.max(x)),
+            evaluate=lambda x: float(max(x)),
             sensitivity=extremum_profile,
         ),
         "min": QuerySpec(
             "min", space,
-            evaluate=lambda x: float(np.min(x)),
+            evaluate=lambda x: float(min(x)),
             sensitivity=extremum_profile,
         ),
     }

@@ -31,11 +31,13 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def laplace(rng: np.random.Generator, scale: float, size) -> np.ndarray:
+def laplace(rng: np.random.Generator, scale: float, size) -> np.ndarray | float:
     """Laplace(0, scale) draws via inverse CDF from uniform variates.
 
     Implemented explicitly (rather than through Generator.laplace) so the
-    draw is a fixed, documented function of the uniform stream.
+    draw is a fixed, documented function of the uniform stream.  With
+    size=None one variate is drawn and returned as a scalar, the same
+    double as the single element that size=1 returns.
     """
     u = rng.random(size) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))

@@ -22,7 +22,7 @@ from .bounds import (
     loose_bound,
     single_chain_tv,
 )
-from .kernel import JointKernel, aged_joint, joint_kernel, validate_ages
+from .kernel import JointKernel, aged_joint, joint_kernel, state_values, validate_ages
 from .model import CmcModel, ModelError
 from .queries import QuerySpec, k_sensitivity
 from .rng import generator, laplace
@@ -82,7 +82,7 @@ class TradeoffSolution:
 def aging_error(kernel: JointKernel, age, query: QuerySpec) -> float:
     """E[(f(aged snapshot) - f(current snapshot))^2] at stationarity."""
     J = aged_joint(kernel, age)
-    f = np.array([query.evaluate(x) for x in kernel.states])
+    f = state_values(kernel, query)
     return float((J * (f[:, None] - f[None, :]) ** 2).sum())
 
 
@@ -109,17 +109,18 @@ def mse_simulated(
         raise ModelError(f"need at least 100 samples, got {samples}")
     if eps_c <= 0:
         raise ModelError(f"eps_c must be positive, got {eps_c}")
-    ages = validate_ages(age, kernel.space)
+    s, m = kernel.space.num_sequences, kernel.space.num_states
+    ages = np.array(validate_ages(age, kernel.space))
     T = int(ages.max())
     n = int(samples)
     rng = generator(seed)
     nstates = len(kernel.states)
-    f = np.array([query.evaluate(x) for x in kernel.states])
+    f = state_values(kernel, query)
 
     cur = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n), side="right")
     np.clip(cur, 0, nstates - 1, out=cur)
     state_arr = np.array(kernel.states)
-    recorded = np.empty((n, kernel.space.num_sequences), dtype=np.int64)
+    recorded = np.empty((n, s), dtype=np.int64)
     cum = np.cumsum(kernel.matrix, axis=0)
     for step in range(T + 1):
         mask = (T - ages) == step
@@ -130,7 +131,8 @@ def mse_simulated(
             cur = (u[:, None] > cum[:, cur].T).sum(axis=1)
             np.clip(cur, 0, nstates - 1, out=cur)
     f_cur = f[cur]
-    f_aged = np.array([query.evaluate(z) for z in recorded])
+    # the aged snapshots' joint indices (big-endian, as kernel.states)
+    f_aged = f[recorded @ m ** np.arange(s - 1, -1, -1)]
     noise = laplace(rng, query.sensitivity(1) / eps_c, n)
     sq = (f_aged + noise - f_cur) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))

@@ -1,20 +1,26 @@
-"""Loop versions of the product-space routines, kept as references.
+"""Loop versions of the product-space and sampling routines, kept as references.
 
 The package builds the joint kernel, the heterogeneous-age aged joint law,
 the Hamming-1 neighbour pairs, the subset marginals of Delta_k and the
 exact oracle's pair maximum with NumPy index arithmetic.  These are the
-nested-loop forms they replaced, one state at a time.  `test_vectorised.py`
-asserts that both give bit-identical results.
+nested-loop forms they replaced, one state at a time.  The simulated MSE
+gathers the aged query values from the per-state vector, `release` checks
+ages and draws its one variate without arrays, and the built-in queries
+evaluate in plain Python; below are the per-sample and NumPy forms those
+replaced.  `test_vectorised.py` asserts that both give bit-identical
+results.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.special import logsumexp
 
 import csdp
-from csdp import backward_conditional
+from csdp import ModelError, MechanismOutput, backward_conditional, laplace_sample
 from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
+from csdp.rng import generator, laplace
 
 
 def joint_kernel_matrix(model) -> np.ndarray:
@@ -145,3 +151,83 @@ def exact_oracle(kernel, params) -> float:
         S2 = logsumexp(ls + logB[None, :, bi], axis=1)
         best = max(best, float(np.abs(F1 - F2).max()), float(np.abs(S1 - S2).max()))
     return best
+
+
+NUMPY_EVALUATE = {
+    "mean": lambda x: float(np.mean(x)),
+    "sum": lambda x: float(np.sum(x)),
+    "max": lambda x: float(np.max(x)),
+    "min": lambda x: float(np.min(x)),
+}
+
+
+def validate_ages(age, space) -> np.ndarray:
+    ages = np.atleast_1d(np.asarray(age, int))
+    if ages.shape == (1,) and space.num_sequences > 1:
+        ages = np.full(space.num_sequences, ages[0])
+    if ages.shape != (space.num_sequences,):
+        raise ModelError(
+            f"age vector has shape {ages.shape}, expected ({space.num_sequences},)"
+        )
+    if np.any(ages < 0):
+        raise ModelError(f"ages must be nonnegative, got {ages.tolist()}")
+    return ages
+
+
+def age_data(db, t, age) -> tuple:
+    ages = validate_ages(age, db.space)
+    if not 1 <= t <= db.horizon:
+        raise ModelError(f"time index {t} outside the recorded horizon [1, {db.horizon}]")
+    snapshot = []
+    for i, a in enumerate(ages):
+        idx = t - int(a)
+        if idx < 1:
+            raise ModelError(
+                f"sequence {i}: age {a} reaches before the start of the record at t={t}"
+            )
+        snapshot.append(int(db.snapshots[idx - 1, i]))
+    return tuple(snapshot)
+
+
+def release(db, t, age, query, eps_c, seed):
+    """`release` with a built-in query's NumPy evaluate and the noise taken
+    as the element of a size-1 draw."""
+    if eps_c <= 0:
+        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    snapshot = age_data(db, t, age)
+    scale = query.sensitivity(1) / eps_c
+    noise = laplace_sample(scale, 1, seed)[0]
+    return MechanismOutput(
+        value=NUMPY_EVALUATE[query.name](snapshot) + noise,
+        aged_snapshot=snapshot,
+        noise_scale=scale,
+        seed=seed,
+    )
+
+
+def mse_simulated(kernel, age, query, eps_c, samples, seed, evaluate) -> tuple:
+    """The simulated MSE with `evaluate` called on every aged sample."""
+    ages = validate_ages(age, kernel.space)
+    T = int(ages.max())
+    n = int(samples)
+    rng = generator(seed)
+    nstates = len(kernel.states)
+    f = np.array([evaluate(x) for x in kernel.states])
+    cur = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n), side="right")
+    np.clip(cur, 0, nstates - 1, out=cur)
+    state_arr = np.array(kernel.states)
+    recorded = np.empty((n, kernel.space.num_sequences), dtype=np.int64)
+    cum = np.cumsum(kernel.matrix, axis=0)
+    for step in range(T + 1):
+        mask = (T - ages) == step
+        if mask.any():
+            recorded[:, mask] = state_arr[cur][:, mask]
+        if step < T:
+            u = rng.random(n)
+            cur = (u[:, None] > cum[:, cur].T).sum(axis=1)
+            np.clip(cur, 0, nstates - 1, out=cur)
+    f_cur = f[cur]
+    f_aged = np.array([evaluate(z) for z in recorded])
+    noise = laplace(rng, query.sensitivity(1) / eps_c, n)
+    sq = (f_aged + noise - f_cur) ** 2
+    return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))

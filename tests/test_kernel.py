@@ -6,6 +6,7 @@ import pytest
 
 from csdp import (
     CmcModel,
+    JointKernel,
     ModelError,
     StateSpace,
     aged_joint,
@@ -16,6 +17,7 @@ from csdp import (
     two_user_model,
 )
 from csdp.model import DEFAULT_ENUMERATION_CAP
+from csdp.rng import generator
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
@@ -202,3 +204,11 @@ class TestSampling:
         kern = joint_kernel(two_user_model(0.75))
         with pytest.raises(ModelError, match="horizon"):
             sample_trajectory(kern, "stationary", horizon=0, seed=1)
+
+    def test_stationary_start_when_cumsum_rounds_below_one(self):
+        # a start draw above the stationary law's total lands on the last state
+        kern = JointKernel(StateSpace(1, 2), np.eye(2), ((0,), (1,)), np.array([0.5, 0.499]))
+        seed = 1874
+        assert generator(seed).random() > 0.999
+        traj = sample_trajectory(kern, "stationary", horizon=3, seed=seed)
+        assert traj.tolist() == [[1], [1], [1]]

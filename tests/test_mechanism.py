@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from csdp import (
     ModelError,
     SequenceDatabase,
@@ -10,6 +11,7 @@ from csdp import (
     laplace_sample,
     release,
 )
+from csdp.queries import QuerySpec
 
 SPACE = StateSpace(2, 2)
 
@@ -83,6 +85,47 @@ class TestRelease:
         query = builtin_queries(SPACE)["mean"]
         with pytest.raises(ModelError, match="eps_c"):
             release(db, 2, (0, 0), query, 0.0, seed=1)
+
+    @pytest.mark.parametrize("t, age, eps, query, message", [
+        (4, (1, 2, 3), 1.0, "mean", "age vector has shape (3,), expected (2,)"),
+        (4, [], 1.0, "mean", "age vector has shape (0,), expected (2,)"),
+        (4, np.zeros((2, 2), int), 1.0, "mean", "age vector has shape (2, 2), expected (2,)"),
+        (4, (1, -1), 1.0, "sum", "ages must be nonnegative, got [1, -1]"),
+        (4, -2, 1.0, "sum", "ages must be nonnegative, got [-2, -2]"),
+        (3, (1, 3), 1.0, "max",
+         "sequence 1: age 3 reaches before the start of the record at t=3"),
+        (3, np.array([5, 5]), 1.0, "max",
+         "sequence 0: age 5 reaches before the start of the record at t=3"),
+        (9, (0, 0), 1.0, "min", "time index 9 outside the recorded horizon [1, 8]"),
+        (0, (0, 0), 1.0, "min", "time index 0 outside the recorded horizon [1, 8]"),
+        (2, (0, 0), 0.0, "mean", "eps_c must be positive, got 0.0"),
+        (2, (0, 0), -1.0, "mean", "eps_c must be positive, got -1.0"),
+        (2, (0, 0), 1.0, "zero", "noise scale must be positive, got 0.0"),
+    ])
+    def test_error_messages(self, t, age, eps, query, message):
+        db = alternating_db()
+        queries = builtin_queries(SPACE)
+        queries["zero"] = QuerySpec("zero", SPACE, evaluate=lambda x: 0.0,
+                                    sensitivity=lambda i: 0.0)
+        with pytest.raises(ModelError) as raised:
+            release(db, t, age, queries[query], eps, seed=1)
+        assert str(raised.value) == message
+        if query != "zero":  # the reference knows the built-in queries only
+            with pytest.raises(ModelError) as expected:
+                ref.release(db, t, age, queries[query], eps, seed=1)
+            assert str(expected.value) == message
+        if eps > 0 and query != "zero":
+            with pytest.raises(ModelError) as raised:
+                age_data(db, t, age)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("age", [1, np.int64(1), np.array([2, 1]), np.array(1), [2, 1]])
+    def test_scalar_and_array_ages(self, age):
+        db = alternating_db()
+        query = builtin_queries(SPACE)["sum"]
+        out = release(db, 5, age, query, 1.0, seed=3)
+        assert out == ref.release(db, 5, age, query, 1.0, seed=3)
+        assert out.aged_snapshot == ref.age_data(db, 5, age)
 
 
 class TestDatabaseIO:

@@ -5,7 +5,8 @@ m <= 3 states, Dirichlet transition columns and coupling rows, sometimes
 with a zero coupling weight) and compares the package against the loop
 references in `loop_reference.py` with exact equality.  One more property
 checks that the current-snapshot marginal of the aged joint law is the
-stationary law.
+stationary law.  The release path, the simulated MSE and the built-in
+query evaluates are compared with their per-sample NumPy forms the same way.
 """
 
 import itertools
@@ -19,6 +20,8 @@ import loop_reference as ref
 from csdp import (
     CmcModel,
     LeakageParams,
+    ModelError,
+    SequenceDatabase,
     StateSpace,
     aged_joint,
     aged_tv_distance,
@@ -26,9 +29,14 @@ from csdp import (
     bounded_aged_correlation,
     builtin_queries,
     joint_kernel,
+    mse_simulated,
     oracle_leakage,
+    release,
+    sample_trajectory,
 )
 from csdp.bounds import _hamming_costs, _neighbour_pairs, _transport_distance
+from csdp.kernel import _digits
+from csdp.queries import QuerySpec
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -78,6 +86,19 @@ def assert_matches_loops(kernel, age):
     assert oracle_leakage(kernel, params).estimate == ref.exact_oracle(kernel, params)
 
 
+def assert_mse_matches_loops(kernel, age, seed):
+    """Every built-in query against its NumPy form, and a query that weighs
+    each sequence differently, so that a wrong state order would show."""
+    space = kernel.space
+    cases = [(query, ref.NUMPY_EVALUATE[name]) for name, query in builtin_queries(space).items()]
+    weighted = QuerySpec("weighted", space, evaluate=lambda x: float(x @ 3 ** np.arange(len(x))),
+                         sensitivity=lambda i: 1.0)
+    cases.append((weighted, weighted.evaluate))
+    for query, evaluate in cases:
+        args = (kernel, age, query, 0.3 + seed % 7, 200, seed)
+        assert mse_simulated(*args) == ref.mse_simulated(*args, evaluate), query.name
+
+
 @PROPERTY
 @given(models())
 def test_joint_kernel_matches_loops(model):
@@ -100,6 +121,13 @@ def test_neighbour_pairs_and_costs_match_loops(s, m):
 def test_delta_k_and_oracle_match_loops(case):
     model, age = case
     assert_matches_loops(joint_kernel(model), age)
+
+
+@PROPERTY
+@given(models_and_ages(), st.integers(0, 2**62))
+def test_mse_simulated_matches_loops(case, seed):
+    model, age = case
+    assert_mse_matches_loops(joint_kernel(model), age, seed)
 
 
 @st.composite
@@ -142,3 +170,53 @@ def test_fixed_models_match_loops(s, m, seed):
     assert np.array_equal(aged_joint(kern, tuple(range(s))), ref.aged_joint(kern, tuple(range(s))))
     age = (2,) * s
     assert bounded_aged_correlation(kern, age) == bounded_aged_correlation_loops(kern, age)
+    for age in [(3,) * s, tuple(range(s))]:
+        assert_mse_matches_loops(kern, age, seed)
+
+
+def test_release_matches_loops():
+    """release() equals the validate_ages + laplace_sample(...)[0] form with
+    NumPy evaluates, value bits included, over random requests on a (4,3)
+    database; requests whose ages reach before the record raise the same
+    error in both."""
+    s, m = 4, 3
+    model = random_model(7, s, m)
+    db = SequenceDatabase(model.space, sample_trajectory(joint_kernel(model), "stationary", 60, 5))
+    queries = builtin_queries(model.space)
+    names = sorted(queries)
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for _ in range(10**4):
+        t = int(rng.integers(1, db.horizon + 1))
+        age = rng.integers(0, 12, size=s)
+        age = [tuple(age.tolist()), age.tolist(), age, int(age[0])][int(rng.integers(4))]
+        query = queries[names[int(rng.integers(len(names)))]]
+        eps = float(rng.uniform(0.05, 5.0))
+        seed = int(rng.integers(2**62))
+        try:
+            got = release(db, t, age, query, eps, seed)
+        except ModelError as err:
+            with pytest.raises(ModelError) as expected:
+                ref.release(db, t, age, query, eps, seed)
+            assert str(err) == str(expected.value)
+            outcomes.append("raised")
+            continue
+        want = ref.release(db, t, age, query, eps, seed)
+        assert got == want
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        outcomes.append(query.name)
+    assert set(outcomes) == set(names) | {"raised"}
+
+
+@pytest.mark.parametrize(
+    "s, m", [(s, m) for s in range(1, 11) for m in (2, 3, 4) if m**s <= 1024])
+def test_builtin_evaluate_matches_numpy(s, m):
+    rows = _digits(s, m)
+    for name, query in builtin_queries(StateSpace(s, m)).items():
+        numpy_evaluate = ref.NUMPY_EVALUATE[name]
+        for row in rows:
+            want = numpy_evaluate(row)
+            for x in (tuple(row.tolist()), row):
+                got = query.evaluate(x)
+                assert type(got) is float
+                assert got == want, (name, x)
