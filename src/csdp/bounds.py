@@ -11,7 +11,11 @@ Three analytic quantities drive everything:
   conditionals.  Moving one aged coordinate costs one unit of one-record
   sensitivity in the release, so the transport value bounds the per-unit
   likelihood-ratio exposure; it reduces to the plain TV distance for a
-  single sequence and to 1 at age zero.
+  single sequence and to 1 at age zero.  It is computed in the
+  Kantorovich-Rubinstein dual on the Hamming graph (potentials that change
+  by at most 1 across each of the E = n*s*(m-1)/2 neighbour edges): one
+  sparse LP per kernel, with n*P variables and 2*E*P rows for the P
+  neighbour pairs whose conditionals differ.
 * d(k) -- the query's k-sensitivity.
 
 The certified loose budget is min(d(k)*Delta_k*eps_c,
@@ -27,18 +31,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from .kernel import (
     JointKernel,
     _digits,
+    _joint_stationary,
     aged_joint,
     backward_conditional,
     joint_kernel,
     state_values,
 )
-from .model import CmcModel, ModelError, StateSpace
+from .model import CmcModel, ModelError, StateSpace, _require_valid, check_eps
 from .queries import QuerySpec, builtin_queries, k_sensitivity
 from .rng import derive_seed, generator, laplace
 
@@ -56,8 +62,7 @@ class LeakageParams:
     query: QuerySpec
 
     def __post_init__(self):
-        if self.eps_c <= 0:
-            raise ModelError(f"eps_c must be positive, got {self.eps_c}")
+        check_eps(self.eps_c)
         if not 1 <= self.degree <= self.query.space.num_sequences:
             raise ModelError(f"correlation degree {self.degree} out of range")
 
@@ -141,48 +146,10 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
         raise ModelError(f"delta_k must lie in [0, 1], got {delta_k}")
     if dk < 1.0 - 1e-12:
         raise ModelError(f"k-sensitivity must be >= 1, got {dk}")
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    check_eps(eps_c)
     linear = dk * delta_k * eps_c
     log_form = math.log1p(delta_k * math.expm1(dk * eps_c))
     return linear, log_form
-
-
-def _hamming_costs(s: int, m: int) -> np.ndarray:
-    digits = _digits(s, m)
-    costs = np.zeros((len(digits), len(digits)))
-    for col in digits.T:
-        costs += col[:, None] != col[None, :]
-    return costs
-
-
-def _transport_distance(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> float:
-    """Minimal expected Hamming cost of a coupling of p and q."""
-    n = len(p)
-    diff = p - q
-    if np.abs(diff).sum() < 1e-15:
-        return 0.0
-    # mass common to p and q can stay in place at zero cost; transport only
-    # the difference (standard reduction, keeps the LP small and well scaled)
-    surplus = np.maximum(diff, 0.0)
-    deficit = np.maximum(-diff, 0.0)
-    # normalize the moved mass to 1 so the LP stays well conditioned even
-    # when the two distributions are nearly identical
-    mass = surplus.sum()
-    rows = np.nonzero(surplus > 0)[0]
-    cols = np.nonzero(deficit > 0)[0]
-    nr, nc = len(rows), len(cols)
-    A_eq = np.zeros((nr + nc, nr * nc))
-    for r in range(nr):
-        A_eq[r, r * nc : (r + 1) * nc] = 1.0
-    for c in range(nc):
-        A_eq[nr + c, c::nc] = 1.0
-    b_eq = np.concatenate([surplus[rows], deficit[cols] * (mass / deficit.sum())]) / mass
-    cost_vec = costs[np.ix_(rows, cols)].ravel()
-    res = linprog(cost_vec, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise ModelError(f"transport LP failed: {res.message}")
-    return float(res.fun) * mass
 
 
 def bounded_aged_correlation(kernel: JointKernel, age) -> float:
@@ -194,21 +161,46 @@ def bounded_aged_correlation(kernel: JointKernel, age) -> float:
     Delta_bar * eps_c therefore dominates the exact likelihood-ratio
     leakage on the evaluated configurations while staying below the loose
     budget (see tests and the bound-ordering invariant).
+
+    Hamming cost is the shortest-path metric of the Hamming graph, whose
+    E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  By
+    Kantorovich-Rubinstein duality the transport distance between p and q
+    is max f.(p - q) over potentials f that change by at most 1 along every
+    edge.  Each of the P pairs with p != q gets one block of free
+    potentials, with d = p - q scaled to unit moved mass so that nearly
+    equal conditionals stay well conditioned; all blocks are solved as one
+    sparse LP of n*P variables and 2*E*P rows.
     """
     s, m = kernel.space.num_sequences, kernel.space.num_states
     B = backward_conditional(kernel, age)
-    costs = _hamming_costs(s, m)
-    best = 0.0
-    for ai, bi in _neighbour_pairs(s, m).tolist():
-        best = max(best, _transport_distance(B[:, ai], B[:, bi], costs))
-    return best
+    edges = _neighbour_pairs(s, m)
+    D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
+    D = D[np.abs(D).sum(axis=1) >= 1e-15]
+    if not len(D):
+        return 0.0
+    mass = np.maximum(D, 0.0).sum(axis=1)
+    D /= mass[:, None]
+    # block p is [G; -G] f_p <= 1 on potentials p*n .. p*n + n-1, where row
+    # e of G is +1 at edges[e, 0] and -1 at edges[e, 1]; the rows of
+    # [G; -G] are the edges taken both ways (arcs)
+    arcs = np.concatenate([edges, edges[:, ::-1]])
+    rows = len(arcs) * len(D)
+    cols = arcs[None] + len(B) * np.arange(len(D))[:, None, None]
+    A = sparse.csr_matrix(
+        (np.tile([1.0, -1.0], rows), (np.arange(rows).repeat(2), cols.ravel())),
+        shape=(rows, len(B) * len(D)),
+    )
+    res = linprog(-D.ravel(), A_ub=A, b_ub=np.ones(rows), bounds=(None, None),
+                  method="highs")
+    if not res.success:
+        raise ModelError(f"transport LP failed: {res.message}")
+    return float(((res.x.reshape(D.shape) * D).sum(axis=1) * mass).max())
 
 
 def tight_bound(delta_bar: float, eps_c: float) -> float:
     if delta_bar < 0:
         raise ModelError(f"delta_bar must be nonnegative, got {delta_bar}")
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    check_eps(eps_c)
     return delta_bar * eps_c
 
 
@@ -216,8 +208,7 @@ def adp_leakage(delta_t: float, eps_c: float) -> float:
     """Single-sequence age-dependent budget ln(1 + Delta(t)(e^eps - 1))."""
     if not 0.0 <= delta_t <= 1.0 + 1e-12:
         raise ModelError(f"delta_t must lie in [0, 1], got {delta_t}")
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    check_eps(eps_c)
     return math.log1p(delta_t * math.expm1(eps_c))
 
 
@@ -225,22 +216,22 @@ def single_chain_tv(model: CmcModel, t: int) -> float:
     """Worst per-sequence aged TV when each sequence is viewed as an
     isolated chain with its own self-transition matrix (the baseline that
     ignores coupling)."""
+    _require_valid(model)
+    m = model.space.num_states
+    space, states = StateSpace(1, m), tuple((v,) for v in range(m))
     best = 0.0
     for i in range(model.space.num_sequences):
-        solo = CmcModel(
-            StateSpace(1, model.space.num_states),
-            model.transitions[i : i + 1, i : i + 1],
-            np.ones((1, 1)),
-        )
-        best = max(best, aged_tv_distance(joint_kernel(solo), [t], 1))
+        # the one-sequence joint kernel is the self-transition matrix itself
+        P = model.transitions[i, i]
+        solo = JointKernel(space, P, states, _joint_stationary(P))
+        best = max(best, aged_tv_distance(solo, [t], 1))
     return best
 
 
 def baseline_bounds(eps_c: float, degree: int, query: QuerySpec) -> tuple:
     """(dp, ddp): the correlation-blind budget and the sensitivity-scaled
     spatial-only budget, both at age zero."""
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    check_eps(eps_c)
     return eps_c, k_sensitivity(query, degree) * eps_c
 
 

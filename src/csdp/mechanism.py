@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import validate_ages
-from .model import ModelError, StateSpace
+from .model import ModelError, StateSpace, check_eps
 from .queries import QuerySpec
 from .rng import generator, laplace
 
@@ -103,8 +103,7 @@ def release(
     db: SequenceDatabase, t: int, age, query: QuerySpec, eps_c: float, seed: int
 ) -> MechanismOutput:
     """Phase 1 + Phase 2: noisy query answer on the aged snapshot."""
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    check_eps(eps_c)
     snapshot = age_data(db, t, age)
     scale = query.sensitivity(1) / eps_c
     noise = laplace_sample(scale, None, seed)

@@ -35,6 +35,14 @@ class ModelError(ValueError):
     """Raised for structurally invalid models or inputs."""
 
 
+def check_eps(eps_c) -> None:
+    """Reject a privacy budget eps_c that is not a finite positive number."""
+    if eps_c <= 0:
+        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    if not eps_c < math.inf:  # also catches NaN, which fails every comparison
+        raise ModelError(f"eps_c must be finite, got {eps_c}")
+
+
 @dataclass(frozen=True)
 class StateSpace:
     num_sequences: int

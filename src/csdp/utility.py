@@ -23,7 +23,7 @@ from .bounds import (
     single_chain_tv,
 )
 from .kernel import JointKernel, aged_joint, joint_kernel, state_values, validate_ages
-from .model import CmcModel, ModelError
+from .model import CmcModel, ModelError, check_eps
 from .queries import QuerySpec, k_sensitivity
 from .rng import generator, laplace
 
@@ -49,7 +49,7 @@ class UtilitySpec:
     query: QuerySpec
     mse_cap: float
     age_grid: tuple  # iterable of age vectors
-    eps_grid: tuple  # iterable of positive reals
+    eps_grid: tuple  # iterable of finite positive reals
     leakage_kind: str = "loose_linear"
     degree: Optional[int] = None  # defaults to s (fully coupled worst case)
 
@@ -58,8 +58,8 @@ class UtilitySpec:
             raise ModelError(f"mse_cap must be positive, got {self.mse_cap}")
         if not len(self.age_grid) or not len(self.eps_grid):
             raise ModelError("age and eps grids must be non-empty")
-        if any(e <= 0 for e in self.eps_grid):
-            raise ModelError("eps grid entries must be positive")
+        for eps in self.eps_grid:
+            check_eps(eps)
         if self.leakage_kind not in LEAKAGE_KINDS:
             raise ModelError(
                 f"leakage_kind '{self.leakage_kind}' not one of {LEAKAGE_KINDS}"
@@ -91,8 +91,7 @@ def noise_variance(query: QuerySpec, eps_c: float) -> float:
 
 
 def mse_exact(kernel: JointKernel, age, query: QuerySpec, eps_c: float) -> float:
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    check_eps(eps_c)
     return aging_error(kernel, age, query) + noise_variance(query, eps_c)
 
 
@@ -107,8 +106,7 @@ def mse_simulated(
     """(estimate, standard error) of the release MSE over seeded trajectories."""
     if samples < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
+    check_eps(eps_c)
     s, m = kernel.space.num_sequences, kernel.space.num_states
     ages = np.array(validate_ages(age, kernel.space))
     T = int(ages.max())

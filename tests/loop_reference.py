@@ -9,17 +9,32 @@ ages and draws its one variate without arrays, and the built-in queries
 evaluate in plain Python; below are the per-sample and NumPy forms those
 replaced.  `test_vectorised.py` asserts that both give bit-identical
 results.
+
+Delta_bar is one Kantorovich-Rubinstein LP per kernel in the package; the
+dense coupling LP per neighbour pair it replaced is kept here as its
+reference, which agrees to rounding, not bit for bit.  `single_chain_tv`
+builds each one-sequence kernel directly; the form through a one-sequence
+`CmcModel` and `joint_kernel` is kept here and must give the same bits.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 import csdp
-from csdp import ModelError, MechanismOutput, backward_conditional, laplace_sample
+from csdp import (
+    CmcModel,
+    MechanismOutput,
+    ModelError,
+    StateSpace,
+    backward_conditional,
+    laplace_sample,
+)
 from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
+from csdp.kernel import _digits
 from csdp.rng import generator, laplace
 
 
@@ -110,6 +125,65 @@ def hamming_costs(states) -> np.ndarray:
         [[sum(a != b for a, b in zip(z, w)) for w in states] for z in states],
         dtype=float,
     )
+
+
+def hamming_costs_from_digits(s: int, m: int) -> np.ndarray:
+    """The Hamming cost matrix by digit comparison, one coordinate at a time."""
+    digits = _digits(s, m)
+    costs = np.zeros((len(digits), len(digits)))
+    for col in digits.T:
+        costs += col[:, None] != col[None, :]
+    return costs
+
+
+def transport_distance(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> float:
+    """Minimal expected Hamming cost of a coupling of p and q, as a dense
+    coupling LP over the states where p and q differ."""
+    diff = p - q
+    if np.abs(diff).sum() < 1e-15:
+        return 0.0
+    # mass common to p and q can stay in place at zero cost; transport only
+    # the difference, normalized to unit moved mass
+    surplus = np.maximum(diff, 0.0)
+    deficit = np.maximum(-diff, 0.0)
+    mass = surplus.sum()
+    rows = np.nonzero(surplus > 0)[0]
+    cols = np.nonzero(deficit > 0)[0]
+    nr, nc = len(rows), len(cols)
+    A_eq = np.zeros((nr + nc, nr * nc))
+    for r in range(nr):
+        A_eq[r, r * nc : (r + 1) * nc] = 1.0
+    for c in range(nc):
+        A_eq[nr + c, c::nc] = 1.0
+    b_eq = np.concatenate([surplus[rows], deficit[cols] * (mass / deficit.sum())]) / mass
+    cost_vec = costs[np.ix_(rows, cols)].ravel()
+    res = linprog(cost_vec, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise ModelError(f"transport LP failed: {res.message}")
+    return float(res.fun) * mass
+
+
+def bounded_aged_correlation(kernel, age) -> float:
+    """Delta_bar as one dense coupling LP per neighbour pair."""
+    B = backward_conditional(kernel, age)
+    costs = hamming_costs_from_digits(kernel.space.num_sequences, kernel.space.num_states)
+    best = 0.0
+    for ai, bi in neighbour_pairs(kernel.states):
+        best = max(best, transport_distance(B[:, ai], B[:, bi], costs))
+    return best
+
+
+def single_chain_tv(model, t: int) -> float:
+    """The single-chain TV through a one-sequence CmcModel and its joint kernel."""
+    best = 0.0
+    for i in range(model.space.num_sequences):
+        solo = CmcModel(
+            StateSpace(1, model.space.num_states),
+            model.transitions[i : i + 1, i : i + 1],
+            np.ones((1, 1)),
+        )
+        best = max(best, csdp.aged_tv_distance(csdp.joint_kernel(solo), [t], 1))
+    return best
 
 
 def aged_tv_distance(kernel, age, degree: int) -> float:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from csdp import (
     StateSpace,
     adp_leakage,
     aged_tv_distance,
+    backward_conditional,
     baseline_bounds,
     bounded_aged_correlation,
     builtin_queries,
@@ -22,6 +24,7 @@ from csdp import (
     two_user_model,
     verify_reductions,
 )
+from csdp import bounds
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
@@ -76,6 +79,19 @@ class TestAgedTV:
         kern = joint_kernel(two_user_model(0.75))
         with pytest.raises(ModelError):
             aged_tv_distance(kern, (1, 1), 0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda eps: LeakageParams((1, 1), eps, 2, builtin_queries(StateSpace(2, 2))["mean"]),
+    lambda eps: loose_bound(0.5, 2.0, eps),
+    lambda eps: tight_bound(0.5, eps),
+    lambda eps: adp_leakage(0.3, eps),
+    lambda eps: baseline_bounds(eps, 2, builtin_queries(StateSpace(2, 2))["mean"]),
+], ids=["LeakageParams", "loose_bound", "tight_bound", "adp_leakage", "baseline_bounds"])
+def test_non_finite_eps_rejected(entry, eps):
+    with pytest.raises(ModelError, match="eps_c must be (finite|positive), got -?(nan|inf)$"):
+        entry(eps)
 
 
 class TestLooseBound:
@@ -152,6 +168,60 @@ class TestBoundedAgedCorrelation:
         kern = joint_kernel(two_user_model(0.75))
         vals = [bounded_aged_correlation(kern, (t, t)) for t in range(9)]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_two_user_cycle_closed_form(self, lam):
+        # two binary users make the Hamming graph a 4-cycle, on which W1 is
+        # sum_k |F_k - median(F)| for the cumulative differences F around it
+        kern = joint_kernel(two_user_model(lam))
+        cycle = [0, 1, 3, 2]  # (0,0), (0,1), (1,1), (1,0)
+        for t in range(21):
+            B = backward_conditional(kern, (t, t))
+            w1 = []
+            for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
+                F = np.cumsum((B[:, a] - B[:, b])[cycle])
+                w1.append(np.abs(F - np.median(F)).sum())
+            assert bounded_aged_correlation(kern, (t, t)) == pytest.approx(max(w1), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("s, m", [(1, 3), (2, 2), (3, 2), (2, 3)])
+    def test_age_zero_is_one(self, s, m):
+        rng = np.random.default_rng(s * 10 + m)
+        transitions = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2).copy()
+        model = CmcModel(StateSpace(s, m), transitions, rng.dirichlet(np.ones(s), size=s))
+        assert bounded_aged_correlation(joint_kernel(model), (0,) * s) == pytest.approx(1.0, abs=1e-12)
+
+    def test_identical_neighbour_columns_give_zero_without_lp(self, monkeypatch):
+        # every transition column uniform: the aged snapshot is independent
+        # of the current one, so all backward conditionals are equal
+        uniform = np.full((2, 2, 2, 2), 0.5)
+        kern = joint_kernel(CmcModel(StateSpace(2, 2), uniform, np.full((2, 2), 0.5)))
+        calls = []
+        monkeypatch.setattr(bounds, "linprog", lambda *a, **k: calls.append(1))
+        for age in [(1, 1), (2, 1)]:
+            assert bounded_aged_correlation(kern, age) == 0.0
+        assert calls == []
+
+    def test_one_lp_per_call(self, monkeypatch):
+        calls = []
+        linprog = bounds.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "linprog", counting)
+        for lam, t in [(0.5, 1), (0.75, 3)]:
+            bounded_aged_correlation(joint_kernel(two_user_model(lam)), (t, t))
+        kern = joint_kernel(CmcModel(StateSpace(3, 2), np.broadcast_to(FLIP, (3, 3, 2, 2)).copy(),
+                                     np.full((3, 3), 1 / 3)))
+        bounded_aged_correlation(kern, (1, 2, 0))
+        assert len(calls) == 3
+
+    def test_failed_lp_is_named(self, monkeypatch):
+        monkeypatch.setattr(bounds, "linprog",
+                            lambda *a, **k: SimpleNamespace(success=False, message="boom"))
+        with pytest.raises(ModelError, match="transport LP failed: boom"):
+            bounded_aged_correlation(joint_kernel(two_user_model(0.5)), (1, 1))
 
 
 class TestTightBound:

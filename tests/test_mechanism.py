@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ class TestRelease:
         query = builtin_queries(SPACE)["mean"]
         with pytest.raises(ModelError, match="eps_c"):
             release(db, 2, (0, 0), query, 0.0, seed=1)
+
+    @pytest.mark.parametrize("eps, message", [
+        (math.nan, "eps_c must be finite, got nan"),
+        (math.inf, "eps_c must be finite, got inf"),
+        (-math.inf, "eps_c must be positive, got -inf"),
+    ])
+    def test_non_finite_eps(self, eps, message):
+        query = builtin_queries(SPACE)["mean"]
+        with pytest.raises(ModelError) as raised:
+            release(alternating_db(), 2, (0, 0), query, eps, seed=1)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("t, age, eps, query, message", [
         (4, (1, 2, 3), 1.0, "mean", "age vector has shape (3,), expected (2,)"),

@@ -28,6 +28,18 @@ def mean_query(space=StateSpace(2, 2)):
     return builtin_queries(space)["mean"]
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_non_finite_eps_rejected(eps):
+    kern = joint_kernel(two_user_model(0.5))
+    q = mean_query()
+    with pytest.raises(ModelError, match="eps_c must be"):
+        UtilitySpec(q, mse_cap=1.0, age_grid=((1, 1),), eps_grid=(1.0, eps))
+    with pytest.raises(ModelError, match="eps_c must be"):
+        mse_exact(kern, (1, 1), q, eps)
+    with pytest.raises(ModelError, match="eps_c must be"):
+        mse_simulated(kern, (1, 1), q, eps, samples=100, seed=0)
+
+
 class TestMseExact:
     def test_age_zero_noise_only(self):
         kern = joint_kernel(two_user_model(0.75))

@@ -3,9 +3,10 @@
 Each property builds a random valid coupled model (s <= 3 sequences,
 m <= 3 states, Dirichlet transition columns and coupling rows, sometimes
 with a zero coupling weight) and compares the package against the loop
-references in `loop_reference.py` with exact equality.  One more property
-checks that the current-snapshot marginal of the aged joint law is the
-stationary law.  The release path, the simulated MSE and the built-in
+references in `loop_reference.py` with exact equality; Delta_bar, whose
+LP changed form, is compared with the dense coupling LP to 1e-12.  One more
+property checks that the current-snapshot marginal of the aged joint law is
+the stationary law.  The release path, the simulated MSE and the built-in
 query evaluates are compared with their per-sample NumPy forms the same way.
 """
 
@@ -25,7 +26,6 @@ from csdp import (
     StateSpace,
     aged_joint,
     aged_tv_distance,
-    backward_conditional,
     bounded_aged_correlation,
     builtin_queries,
     joint_kernel,
@@ -33,8 +33,9 @@ from csdp import (
     oracle_leakage,
     release,
     sample_trajectory,
+    single_chain_tv,
 )
-from csdp.bounds import _hamming_costs, _neighbour_pairs, _transport_distance
+from csdp.bounds import _neighbour_pairs
 from csdp.kernel import _digits
 from csdp.queries import QuerySpec
 
@@ -67,15 +68,6 @@ def models_and_ages(draw):
     else:
         age = tuple(draw(st.lists(st.integers(0, 3), min_size=s, max_size=s)))
     return model, age
-
-
-def bounded_aged_correlation_loops(kernel, age) -> float:
-    B = backward_conditional(kernel, age)
-    costs = ref.hamming_costs(kernel.states)
-    best = 0.0
-    for ai, bi in ref.neighbour_pairs(kernel.states):
-        best = max(best, _transport_distance(B[:, ai], B[:, bi], costs))
-    return best
 
 
 def assert_matches_loops(kernel, age):
@@ -113,7 +105,7 @@ def test_joint_kernel_matches_loops(model):
 def test_neighbour_pairs_and_costs_match_loops(s, m):
     states = list(itertools.product(range(m), repeat=s))
     assert _neighbour_pairs(s, m).tolist() == [list(p) for p in ref.neighbour_pairs(states)]
-    assert np.array_equal(_hamming_costs(s, m), ref.hamming_costs(states))
+    assert np.array_equal(ref.hamming_costs_from_digits(s, m), ref.hamming_costs(states))
 
 
 @PROPERTY
@@ -121,6 +113,33 @@ def test_neighbour_pairs_and_costs_match_loops(s, m):
 def test_delta_k_and_oracle_match_loops(case):
     model, age = case
     assert_matches_loops(joint_kernel(model), age)
+
+
+def assert_delta_bar_matches_dense(kernel, age):
+    """The KR dual LP and the dense coupling LPs solve the same transport
+    problems in different arithmetic, so they agree to rounding only."""
+    got, want = bounded_aged_correlation(kernel, age), ref.bounded_aged_correlation(kernel, age)
+    assert abs(got - want) <= 1e-12, (got, want)
+
+
+@PROPERTY
+@given(models_and_ages())
+def test_delta_bar_matches_dense_lp(case):
+    model, age = case
+    kern = joint_kernel(model)
+    assert_delta_bar_matches_dense(kern, age)
+
+
+def test_delta_bar_matches_dense_lp_six_users():
+    kern = joint_kernel(random_model(0, 6, 2))
+    age = (1,) * 6
+    assert_delta_bar_matches_dense(kern, age)
+
+
+@PROPERTY
+@given(models(), st.integers(0, 6))
+def test_single_chain_tv_matches_solo_models(model, t):
+    assert single_chain_tv(model, t) == ref.single_chain_tv(model, t)
 
 
 @PROPERTY
@@ -169,7 +188,7 @@ def test_fixed_models_match_loops(s, m, seed):
         assert_matches_loops(kern, age)
     assert np.array_equal(aged_joint(kern, tuple(range(s))), ref.aged_joint(kern, tuple(range(s))))
     age = (2,) * s
-    assert bounded_aged_correlation(kern, age) == bounded_aged_correlation_loops(kern, age)
+    assert_delta_bar_matches_dense(kern, age)
     for age in [(3,) * s, tuple(range(s))]:
         assert_mse_matches_loops(kern, age, seed)
 
