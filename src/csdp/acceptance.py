@@ -9,7 +9,8 @@ the fault-injection test to show criteria fail independently).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -53,11 +54,17 @@ class CriterionResult:
     passed: bool
     measured: str
     expected: str
+    # wall time of the criterion, filled in by acceptance(); it is kept out
+    # of line(), which must read the same on every run
+    seconds: float = field(default=0.0, compare=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"[{status}] criterion {self.number} ({self.name}): "
                 f"measured {self.measured}; expected {self.expected}")
+
+    def timing_line(self) -> str:
+        return f"timing criterion {self.number} ({self.name}): {self.seconds:.3f} s"
 
 
 def criterion_u_shape(tol) -> CriterionResult:
@@ -271,8 +278,14 @@ CRITERIA = (
 
 
 def acceptance(seed: int = 0, tolerances: dict = None) -> list:
-    """Run every criterion; returns a list of CriterionResult."""
+    """Run every criterion; returns a list of CriterionResult, each with
+    its wall time in `seconds`."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    return [fn(tol, seed) for _, fn in CRITERIA]
+    results = []
+    for _, fn in CRITERIA:
+        start = time.perf_counter()
+        result = fn(tol, seed)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

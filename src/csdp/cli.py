@@ -81,7 +81,7 @@ def _cmd_acceptance(args) -> int:
     from .acceptance import acceptance
 
     results = acceptance(seed=args.seed)
-    lines = [r.line() for r in results]
+    lines = [r.line() for r in results] + [r.timing_line() for r in results]
     body = "\n".join(lines) + "\n"
     print(body, end="")
     if args.out:

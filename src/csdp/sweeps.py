@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -315,7 +317,14 @@ def run_sweep(config: ExperimentConfig):
 # artifact emission
 
 
+def _plain(v):
+    """A NumPy scalar as the Python scalar it holds, so that a cell renders
+    the same whichever kind it is; any other value unchanged."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def _format_value(v):
+    v = _plain(v)
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
@@ -326,7 +335,7 @@ def _format_value(v):
 def render_table(fields, rows, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(
-            [{f: row[f] for f in fields} for row in rows], indent=2, default=str
+            [{f: _plain(row[f]) for f in fields} for row in rows], indent=2, default=str
         ) + "\n"
     lines = [",".join(fields)]
     for row in rows:
@@ -341,6 +350,9 @@ def _manifest(config: ExperimentConfig, violations) -> dict:
             digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "sweep": config.sweep,
         "grids": config.grids,
         "model_path": config.model_path,

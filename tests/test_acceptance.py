@@ -6,8 +6,11 @@ prints its [PASS]/[FAIL] line so the gate status is visible in verbose
 pytest output.
 """
 
+import re
+
 import pytest
 
+from csdp import acceptance as acceptance_module
 from csdp.acceptance import (
     CRITERIA,
     DEFAULT_TOLERANCES,
@@ -68,6 +71,25 @@ def test_criterion_9_determinism(results):
 def test_every_criterion_reported_once(results):
     assert [r.number for r in results] == list(range(1, len(CRITERIA) + 1))
     assert all(r.line().startswith("[PASS]") for r in results)
+
+
+def test_cli_prints_timing_apart_from_result_lines(results, monkeypatch, capsys, tmp_path):
+    """`csdp acceptance` prints the result lines as they are, then one
+    timing line per criterion; acceptance.txt holds the same lines."""
+    from csdp.cli import main
+
+    monkeypatch.setattr(acceptance_module, "acceptance", lambda seed: results)
+    assert main(["acceptance", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = (tmp_path / "acceptance.txt").read_text().splitlines()
+    assert printed[:-1] == written
+    assert written[: len(results)] == [r.line() for r in results]
+    timings = written[len(results):]
+    assert len(timings) == len(results) == len(CRITERIA)
+    for r, line in zip(results, timings):
+        assert re.fullmatch(rf"timing criterion {r.number} \({re.escape(r.name)}\): "
+                            r"\d+\.\d{3} s", line), line
+        assert r.seconds > 0 and r.line().startswith("[PASS]")
 
 
 def test_fault_injection_isolated():

@@ -1,7 +1,10 @@
 import json
+import platform
 from dataclasses import replace
 
+import numpy as np
 import pytest
+import scipy
 
 from csdp.cli import main
 from csdp.model import ModelError
@@ -112,12 +115,25 @@ class TestRunArtifacts:
         doc = json.loads(open(manifest).read())
         assert doc["sweep"] == "leakage-vs-age"
         assert doc["seed"] == config.seed
+        assert doc["python"] == platform.python_version()
+        assert doc["numpy"] == np.__version__
+        assert doc["scipy"] == scipy.__version__
 
     def test_json_format(self, tmp_path):
         config = replace(SMALL_AGE, out_dir=str(tmp_path), fmt="json")
         _, paths, _ = run(config)
         rows = json.loads(open(paths[0]).read())
         assert rows[0]["lambda"] == 0.5
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numpy_scalars_render_as_python_scalars(self, fmt):
+        fields = ("x", "n", "flag", "tag")
+        python_row = {"x": 0.1, "n": 3, "flag": True, "tag": "a"}
+        numpy_row = {"x": np.float64(0.1), "n": np.int64(3), "flag": np.bool_(True),
+                     "tag": "a"}
+        text = render_table(fields, [numpy_row], fmt)
+        assert text == render_table(fields, [python_row], fmt)
+        assert "np." not in text
 
     def test_rerun_byte_identical(self, tmp_path):
         config = replace(SMALL_AGE, out_dir=str(tmp_path))

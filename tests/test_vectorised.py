@@ -4,13 +4,16 @@ Each property builds a random valid coupled model (s <= 3 sequences,
 m <= 3 states, Dirichlet transition columns and coupling rows, sometimes
 with a zero coupling weight) and compares the package against the loop
 references in `loop_reference.py` with exact equality; Delta_bar, whose
-LP changed form, is compared with the dense coupling LP to 1e-12.  One more
+LP changed form, is compared with the dense coupling LP to 1e-12, and the
+exact oracle, whose sums are one matrix product, with the per-state
+`logsumexp` loop to 1e-12 * max(1, |value|).  One more
 property checks that the current-snapshot marginal of the aged joint law is
 the stationary law.  The release path, the simulated MSE and the built-in
 query evaluates are compared with their per-sample NumPy forms the same way.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -34,10 +37,12 @@ from csdp import (
     release,
     sample_trajectory,
     single_chain_tv,
+    two_user_model,
 )
 from csdp.bounds import _neighbour_pairs
 from csdp.kernel import _digits
 from csdp.queries import QuerySpec
+from csdp.sweeps import EPS_GRID_DEFAULT
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -70,12 +75,22 @@ def models_and_ages(draw):
     return model, age
 
 
-def assert_matches_loops(kernel, age):
+def assert_oracle_matches_loops(kernel, age, eps_c):
+    """The oracle's mixtures are one row-scaled matrix product, the loop's
+    one `logsumexp` per state, so the two agree to rounding only."""
+    s = kernel.space.num_sequences
+    for name, query in builtin_queries(kernel.space).items():
+        params = LeakageParams(age, eps_c, s, query)
+        got, want = oracle_leakage(kernel, params).estimate, ref.exact_oracle(kernel, params)
+        assert math.isfinite(got), (name, eps_c, got)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, eps_c, got, want)
+
+
+def assert_matches_loops(kernel, age, eps_c=0.7):
     s = kernel.space.num_sequences
     for degree in range(1, s + 1):
         assert aged_tv_distance(kernel, age, degree) == ref.aged_tv_distance(kernel, age, degree)
-    params = LeakageParams(age, 0.7, s, builtin_queries(kernel.space)["mean"])
-    assert oracle_leakage(kernel, params).estimate == ref.exact_oracle(kernel, params)
+    assert_oracle_matches_loops(kernel, age, eps_c)
 
 
 def assert_mse_matches_loops(kernel, age, seed):
@@ -109,10 +124,31 @@ def test_neighbour_pairs_and_costs_match_loops(s, m):
 
 
 @PROPERTY
-@given(models_and_ages())
-def test_delta_k_and_oracle_match_loops(case):
+@given(models_and_ages(), st.sampled_from(EPS_GRID_DEFAULT))
+def test_delta_k_and_oracle_match_loops(case, eps_c):
     model, age = case
-    assert_matches_loops(joint_kernel(model), age)
+    assert_matches_loops(joint_kernel(model), age, eps_c)
+
+
+@pytest.mark.parametrize("i, eps_c", list(enumerate(EPS_GRID_DEFAULT)))
+def test_oracle_matches_loops_on_eps_grid(i, eps_c):
+    s, m = [(2, 2), (3, 2), (2, 3)][i % 3]
+    kern = joint_kernel(random_model(i, s, m, zero_weight=i % 2 == 1))
+    for age in [(1,) * s, tuple(range(s))]:
+        assert_oracle_matches_loops(kern, age, eps_c)
+
+
+@pytest.mark.parametrize("eps_c", [300.0, 2000.0])
+@pytest.mark.parametrize("t", range(4))
+def test_oracle_matches_loops_at_large_eps(eps_c, t):
+    """At eps_c * range / sensitivity beyond ~745 the row-scaled product
+    underflows in some columns; those must be summed in the log domain."""
+    two_user = joint_kernel(two_user_model(0.5))
+    for kern in (two_user, joint_kernel(random_model(3, 3, 2))):
+        assert_oracle_matches_loops(kern, (t,) * kern.space.num_sequences, eps_c)
+    if t == 0:  # the noise alone protects the current snapshot
+        params = LeakageParams((0, 0), eps_c, 2, builtin_queries(two_user.space)["mean"])
+        assert oracle_leakage(two_user, params).estimate == pytest.approx(eps_c, rel=1e-12)
 
 
 def assert_delta_bar_matches_dense(kernel, age):
@@ -134,6 +170,12 @@ def test_delta_bar_matches_dense_lp_six_users():
     kern = joint_kernel(random_model(0, 6, 2))
     age = (1,) * 6
     assert_delta_bar_matches_dense(kern, age)
+
+
+def test_oracle_matches_loops_six_users():
+    kern = joint_kernel(random_model(0, 6, 2))
+    for age in [(1,) * 6, (0, 1, 2, 0, 1, 2)]:
+        assert_oracle_matches_loops(kern, age, 0.7)
 
 
 @PROPERTY
