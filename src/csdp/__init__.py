@@ -34,6 +34,7 @@ from .mechanism import (
     age_data,
     laplace_sample,
     release,
+    release_values,
 )
 from .model import (
     CmcModel,

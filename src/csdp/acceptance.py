@@ -17,7 +17,7 @@ from scipy import stats
 
 from .bounds import LeakageParams, aged_tv_distance, oracle_leakage, verify_reductions
 from .kernel import joint_kernel
-from .mechanism import SequenceDatabase, laplace_sample, release
+from .mechanism import SequenceDatabase, laplace_sample, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed, generator, laplace
@@ -170,10 +170,8 @@ def criterion_mechanism_stats(tol, seed=0) -> CriterionResult:
     query = builtin_queries(space)["mean"]
     db = SequenceDatabase(space, np.array([[1, 0]]))
     n = 10**5
-    fran = np.array([
-        release(db, 1, (0, 0), query, 1.0, derive_seed(seed, "ks-fran", i)).value
-        for i in range(n)
-    ])
+    fran = release_values(db, 1, (0, 0), query, 1.0,
+                          [derive_seed(seed, "ks-fran", i) for i in range(n)])
     plain = query.evaluate((1, 0)) + laplace(
         generator(derive_seed(seed, "ks-plain")), query.sensitivity(1) / 1.0, n
     )

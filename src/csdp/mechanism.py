@@ -10,6 +10,7 @@ bounds), not by inflating the noise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .kernel import validate_ages
 from .model import ModelError, StateSpace, check_eps
 from .queries import QuerySpec
-from .rng import generator, laplace
+from .rng import first_laplace, generator, laplace
 
 
 @dataclass(frozen=True)
@@ -88,24 +89,35 @@ def age_data(db: SequenceDatabase, t: int, age) -> tuple:
     return tuple(snapshot)
 
 
+def _check_scale(scale: float) -> None:
+    """Reject a noise scale that is not a finite positive number."""
+    if scale <= 0:
+        raise ModelError(f"noise scale must be positive, got {scale}")
+    if not scale < math.inf:  # also catches NaN, which fails every comparison
+        raise ModelError(f"noise scale must be finite, got {scale}")
+
+
 def laplace_sample(scale: float, dim: int | None, seed: int) -> np.ndarray | float:
     """dim i.i.d. Laplace(0, scale) draws, deterministic given seed.
 
     With dim=None the one draw is returned as a scalar, equal to the
     element of the dim=1 array.
     """
-    if scale <= 0:
-        raise ModelError(f"noise scale must be positive, got {scale}")
+    _check_scale(scale)
     return laplace(generator(seed), scale, dim)
+
+
+def _aged_request(db: SequenceDatabase, t: int, age, query: QuerySpec, eps_c: float):
+    """(aged snapshot, noise scale) of a release request, eps_c checked first."""
+    check_eps(eps_c)
+    return age_data(db, t, age), query.sensitivity(1) / eps_c
 
 
 def release(
     db: SequenceDatabase, t: int, age, query: QuerySpec, eps_c: float, seed: int
 ) -> MechanismOutput:
     """Phase 1 + Phase 2: noisy query answer on the aged snapshot."""
-    check_eps(eps_c)
-    snapshot = age_data(db, t, age)
-    scale = query.sensitivity(1) / eps_c
+    snapshot, scale = _aged_request(db, t, age, query, eps_c)
     noise = laplace_sample(scale, None, seed)
     return MechanismOutput(
         value=query.evaluate(snapshot) + noise,
@@ -113,3 +125,13 @@ def release(
         noise_scale=scale,
         seed=seed,
     )
+
+
+def release_values(
+    db: SequenceDatabase, t: int, age, query: QuerySpec, eps_c: float, seeds
+) -> np.ndarray:
+    """`release(db, t, age, query, eps_c, seed).value` for every seed of the
+    1-D sequence seeds, bit for bit, drawn in one array pass (rng.first_laplace)."""
+    snapshot, scale = _aged_request(db, t, age, query, eps_c)
+    _check_scale(scale)
+    return query.evaluate(snapshot) + first_laplace(seeds, scale)

@@ -1,22 +1,57 @@
 """Deterministic random-number plumbing.
 
-Every stochastic operation in this package takes an explicit integer seed.
-Seeds for grid cells are derived from a root seed by hashing the root
-together with the cell's coordinates (the "splitting rule"), so serial and
-parallel sweeps see identical streams.  The underlying bit generator is
-numpy's counter-based Philox, which produces the same output on every
-platform.
+Every stochastic operation in this package takes an explicit seed, an
+integer in [0, 2**64).  Seeds for grid cells are derived from a root seed
+(any integer) by hashing the root together with the cell's coordinates (the
+"splitting rule"), so serial and parallel sweeps see identical streams.
+The underlying bit generator is numpy's counter-based Philox, which
+produces the same output on every platform.
 
 Splitting rule (version 1, changing it is a breaking change):
     child_seed = first 8 bytes (big-endian) of
                  SHA-256(repr((root_seed,) + coordinates))
+
+Batch path.  `seed_keys` is a NumPy-array port of
+`np.random.SeedSequence(seed).generate_state(2, np.uint64)`, the Philox
+key that `generator(seed)` uses: SeedSequence's documented pool-size-4
+`hashmix`/`mix` hash over the seed's two 32-bit words.  `first_uniforms`
+adds the first Philox4x64-10 block (counter (1, 0, 0, 0)) and gives
+`generator(seed).random()` for a whole array of seeds in one pass, and
+`first_laplace` the first draw of `laplace(generator(seed), scale, None)`.
+Because Philox is counter-based, that first draw is a pure function of
+the key.  The port holds because NumPy's stream-compatibility policy
+(NEP 19) fixes SeedSequence's output and the Philox stream for a given
+seed.  tests/test_rng.py pins the keys and the first draws, bit for bit,
+against NumPy itself, and tests/test_vectorised.py pins
+`mechanism.release_values` against per-seed releases.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
+
+from .model import ModelError
+
+# SeedSequence with its default pool of four 32-bit words.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+# Philox4x64-10.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
 
 
 def derive_seed(root_seed: int, *coords) -> int:
@@ -26,9 +61,97 @@ def derive_seed(root_seed: int, *coords) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _check_seed(seed) -> int:
+    """seed as an int, rejected by name unless it is an integer in [0, 2**64)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ModelError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 2**64:
+        raise ModelError(f"seed must lie in [0, 2**64), got {value}")
+    return value
+
+
 def generator(seed: int) -> np.random.Generator:
-    """A Philox-backed Generator for the given seed."""
-    return np.random.Generator(np.random.Philox(int(seed)))
+    """A Philox-backed Generator for the given seed, an integer in [0, 2**64)."""
+    return np.random.Generator(np.random.Philox(_check_seed(seed)))
+
+
+def _hash_constants(init, mult, count):
+    """The (xor, multiply) constant pairs of `count` successive hashmix calls."""
+    pairs = []
+    h = init
+    for _ in range(count):
+        nxt = (h * mult) & _MASK32
+        pairs.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return pairs
+
+
+def _hashmix(value, constants):
+    value = (value ^ constants[0]) * constants[1]
+    return value ^ (value >> _XSHIFT)
+
+
+def seed_keys(seeds) -> np.ndarray:
+    """The (len(seeds), 2) uint64 Philox keys of the seeds: row i equals
+    `np.random.SeedSequence(seeds[i]).generate_state(2, np.uint64)`."""
+    # Each seed is checked on its own: np.asarray would turn a list holding
+    # seeds on both sides of 2**63 into float64, and a float array cast to
+    # uint64 truncates.
+    seeds = np.fromiter(map(_check_seed, seeds), dtype=np.uint64)
+    # A seed below 2**64 is two 32-bit words, low first.  SeedSequence pads
+    # its entropy with hashmix(0) up to the pool size, so a seed below 2**32
+    # (one word; zero is the one word 0) hashes like its two words.
+    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    words += [np.zeros_like(words[0])] * (_POOL_SIZE - 2)
+    mix_constants = iter(_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2))
+    pool = [_hashmix(w, next(mix_constants)) for w in words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst]
+                         - _MIX_MULT_R * _hashmix(pool[src], next(mix_constants)))
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    # generate_state(2, np.uint64): four 32-bit words, read as two
+    # little-endian 64-bit words.
+    state = [_hashmix(w, c).astype(np.uint64)
+             for w, c in zip(pool, _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE))]
+    return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    lh = x_lo * m_hi
+    hl = x_hi * m_lo
+    cross = ((x_lo * m_lo) >> 32) + (lh & _MASK32) + hl
+    return x_hi * m_hi + (lh >> 32) + (cross >> 32), x * np.uint64(m)
+
+
+def first_uniforms(seeds) -> np.ndarray:
+    """`generator(seeds[i]).random()` for every seed, as one float64 array."""
+    key = seed_keys(seeds)
+    k0, k1 = key[:, 0], key[:, 1]
+    # Philox increments its counter before the first block, so it is (1, 0, 0, 0).
+    c0 = np.ones_like(k0)
+    c1, c2, c3 = np.zeros_like(k0), np.zeros_like(k0), np.zeros_like(k0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = k0 + np.uint64(_PHILOX_W0)
+            k1 = k1 + np.uint64(_PHILOX_W1)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    # Generator.random() takes word 0 of the block as a 53-bit double.
+    return (c0 >> 11).astype(np.float64) * 2.0**-53
+
+
+def _laplace_inverse_cdf(u, scale: float):
+    """Laplace(0, scale) variates from uniforms u in [0, 1)."""
+    u = u - 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def laplace(rng: np.random.Generator, scale: float, size) -> np.ndarray | float:
@@ -39,5 +162,9 @@ def laplace(rng: np.random.Generator, scale: float, size) -> np.ndarray | float:
     size=None one variate is drawn and returned as a scalar, the same
     double as the single element that size=1 returns.
     """
-    u = rng.random(size) - 0.5
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return _laplace_inverse_cdf(rng.random(size), scale)
+
+
+def first_laplace(seeds, scale: float) -> np.ndarray:
+    """`laplace(generator(seeds[i]), scale, None)` for every seed, as one array."""
+    return _laplace_inverse_cdf(first_uniforms(seeds), scale)

@@ -56,6 +56,14 @@ def test_criterion_6_mechanism_statistics(results):
     _check(results, 6)
 
 
+def test_criterion_6_line_is_fixed(results):
+    """The batch-seeded FRAN draws give seed 0 the same variance and KS
+    p-value as 10^5 per-seed release() calls did."""
+    assert results[5].line() == (
+        "[PASS] criterion 6 (mechanism statistics): measured variance 1.9967 "
+        "(target 2), KS p-value 0.2697; expected variance within 5%, p > 0.01")
+
+
 def test_criterion_7_mse_model(results):
     _check(results, 7)
 

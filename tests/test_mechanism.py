@@ -12,6 +12,7 @@ from csdp import (
     builtin_queries,
     laplace_sample,
     release,
+    release_values,
 )
 from csdp.queries import QuerySpec
 
@@ -59,6 +60,22 @@ class TestLaplaceSample:
     def test_bad_scale(self):
         with pytest.raises(ModelError, match="scale"):
             laplace_sample(0.0, 10, seed=1)
+
+    @pytest.mark.parametrize("scale, message", [
+        (math.nan, "noise scale must be finite, got nan"),
+        (math.inf, "noise scale must be finite, got inf"),
+        (-math.inf, "noise scale must be positive, got -inf"),
+    ])
+    def test_non_finite_scale(self, scale, message):
+        """Also through a query whose sensitivity is the bad scale, on the
+        per-seed and the batch release path."""
+        query = QuerySpec("bad", SPACE, evaluate=lambda x: 0.0, sensitivity=lambda i: scale)
+        for draw in (lambda: laplace_sample(scale, 3, seed=0),
+                     lambda: release(alternating_db(), 2, (0, 0), query, 1.0, seed=0),
+                     lambda: release_values(alternating_db(), 2, (0, 0), query, 1.0, [0])):
+            with pytest.raises(ModelError) as raised:
+                draw()
+            assert str(raised.value) == message
 
 
 class TestRelease:
@@ -123,6 +140,9 @@ class TestRelease:
         with pytest.raises(ModelError) as raised:
             release(db, t, age, queries[query], eps, seed=1)
         assert str(raised.value) == message
+        with pytest.raises(ModelError) as raised:
+            release_values(db, t, age, queries[query], eps, [1])
+        assert str(raised.value) == message
         if query != "zero":  # the reference knows the built-in queries only
             with pytest.raises(ModelError) as expected:
                 ref.release(db, t, age, queries[query], eps, seed=1)
@@ -131,6 +151,20 @@ class TestRelease:
             with pytest.raises(ModelError) as raised:
                 age_data(db, t, age)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([1, -1], "seed must lie in [0, 2**64), got -1"),
+        ([2**64], "seed must lie in [0, 2**64), got 18446744073709551616"),
+        ([1.5], "seed must be an integer, got 1.5"),
+    ])
+    def test_bad_seeds_are_named(self, seeds, message):
+        query = builtin_queries(SPACE)["mean"]
+        with pytest.raises(ModelError) as raised:
+            release_values(alternating_db(), 2, (0, 0), query, 1.0, seeds)
+        assert str(raised.value) == message
+        with pytest.raises(ModelError) as raised:
+            release(alternating_db(), 2, (0, 0), query, 1.0, seeds[-1])
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("age", [1, np.int64(1), np.array([2, 1]), np.array(1), [2, 1]])
     def test_scalar_and_array_ages(self, age):

@@ -1,0 +1,79 @@
+"""The batch seeding path equals NumPy's own, bit for bit.
+
+`seed_keys` ports `np.random.SeedSequence(seed).generate_state(2, np.uint64)`
+and `first_uniforms` the first Philox4x64-10 block behind
+`generator(seed).random()`; both are compared with NumPy itself over
+random seeds in [0, 2**64) and the word-boundary seeds below.  Seeds that
+are not integers in [0, 2**64) are rejected by name on both paths.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from csdp import ModelError
+from csdp.rng import first_laplace, first_uniforms, generator, laplace, seed_keys
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+SEED_LISTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40)
+PROPERTY = settings(max_examples=50, deadline=None)
+
+
+@PROPERTY
+@given(SEED_LISTS)
+@example(EDGE_SEEDS)
+def test_keys_equal_seed_sequence(seeds):
+    want = np.array([np.random.SeedSequence(s).generate_state(2, np.uint64) for s in seeds])
+    got = seed_keys(seeds)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+    assert np.array_equal(seed_keys(np.array(seeds, dtype=np.uint64)), want)
+
+
+@PROPERTY
+@given(SEED_LISTS, st.floats(1e-3, 1e3))
+@example(EDGE_SEEDS, 1.0)
+def test_first_draws_equal_generator(seeds, scale):
+    want = np.array([generator(s).random() for s in seeds])
+    assert first_uniforms(seeds).tobytes() == want.tobytes()
+    want = np.array([laplace(generator(s), scale, None) for s in seeds])
+    assert first_laplace(seeds, scale).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ([3, -1], "seed must lie in [0, 2**64), got -1"),
+    ([2**64], "seed must lie in [0, 2**64), got 18446744073709551616"),
+    ([2**70 + 5], "seed must lie in [0, 2**64), got 1180591620717411303429"),
+    (np.array([4, -7]), "seed must lie in [0, 2**64), got -7"),
+    ([1.5], "seed must be an integer, got 1.5"),
+    ([2.0], "seed must be an integer, got 2.0"),
+    (np.array([1.5]), "seed must be an integer, got np.float64(1.5)"),
+    ([None], "seed must be an integer, got None"),
+])
+def test_bad_batch_seeds_are_named(seeds, message):
+    for fn in (seed_keys, first_uniforms):
+        with pytest.raises(ModelError) as raised:
+            fn(seeds)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (np.float64(3.0), "seed must be an integer, got np.float64(3.0)"),
+    (math.nan, "seed must be an integer, got nan"),
+    (-1, "seed must lie in [0, 2**64), got -1"),
+    (2**64, "seed must lie in [0, 2**64), got 18446744073709551616"),
+])
+def test_bad_seed_is_named(seed, message):
+    with pytest.raises(ModelError) as raised:
+        generator(seed)
+    assert str(raised.value) == message
+
+
+def test_integer_types_seed_alike():
+    want = generator(12345).random()
+    assert generator(np.int64(12345)).random() == want
+    assert generator(np.uint64(12345)).random() == want

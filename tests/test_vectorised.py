@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_reference as ref
@@ -35,6 +35,7 @@ from csdp import (
     mse_simulated,
     oracle_leakage,
     release,
+    release_values,
     sample_trajectory,
     single_chain_tv,
     two_user_model,
@@ -235,21 +236,25 @@ def test_fixed_models_match_loops(s, m, seed):
         assert_mse_matches_loops(kern, age, seed)
 
 
+def release_db() -> SequenceDatabase:
+    """A 60-step database sampled from a random (4,3) model."""
+    model = random_model(7, 4, 3)
+    return SequenceDatabase(model.space, sample_trajectory(joint_kernel(model), "stationary", 60, 5))
+
+
 def test_release_matches_loops():
     """release() equals the validate_ages + laplace_sample(...)[0] form with
     NumPy evaluates, value bits included, over random requests on a (4,3)
     database; requests whose ages reach before the record raise the same
     error in both."""
-    s, m = 4, 3
-    model = random_model(7, s, m)
-    db = SequenceDatabase(model.space, sample_trajectory(joint_kernel(model), "stationary", 60, 5))
-    queries = builtin_queries(model.space)
+    db = release_db()
+    queries = builtin_queries(db.space)
     names = sorted(queries)
     rng = np.random.default_rng(11)
     outcomes = []
     for _ in range(10**4):
         t = int(rng.integers(1, db.horizon + 1))
-        age = rng.integers(0, 12, size=s)
+        age = rng.integers(0, 12, size=db.space.num_sequences)
         age = [tuple(age.tolist()), age.tolist(), age, int(age[0])][int(rng.integers(4))]
         query = queries[names[int(rng.integers(len(names)))]]
         eps = float(rng.uniform(0.05, 5.0))
@@ -267,6 +272,27 @@ def test_release_matches_loops():
         assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
         outcomes.append(query.name)
     assert set(outcomes) == set(names) | {"raised"}
+
+
+@PROPERTY
+@given(st.integers(1, 60), st.lists(st.integers(0, 11), min_size=4, max_size=4),
+       st.sampled_from(["max", "mean", "min", "sum"]), st.floats(0.05, 5.0),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=30))
+@example(60, [0, 1, 2, 3], "mean", 1.0, [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_release_values_match_release(t, age, name, eps, seeds):
+    """release_values() gives, for each seed, the value of the per-seed
+    reference release bit for bit, or raises the same error."""
+    db = release_db()
+    query = builtin_queries(db.space)[name]
+    try:
+        got = release_values(db, t, age, query, eps, seeds)
+    except ModelError as err:
+        with pytest.raises(ModelError) as expected:
+            ref.release(db, t, age, query, eps, seeds[0])
+        assert str(err) == str(expected.value)
+        return
+    want = np.array([ref.release(db, t, age, query, eps, seed).value for seed in seeds])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
