@@ -14,6 +14,7 @@ from .bounds import (
     aged_tv_distance,
     baseline_bounds,
     bounded_aged_correlation,
+    bounded_aged_correlations,
     k_sensitivity,
     loose_bound,
     oracle_leakage,

@@ -20,7 +20,7 @@ from .kernel import joint_kernel
 from .mechanism import SequenceDatabase, laplace_sample, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
-from .rng import derive_seed, generator, laplace
+from .rng import derive_seed, derive_seeds, generator, laplace
 from .sweeps import (
     AGE_GRID_DEFAULT,
     EPS_GRID_DEFAULT,
@@ -170,8 +170,7 @@ def criterion_mechanism_stats(tol, seed=0) -> CriterionResult:
     query = builtin_queries(space)["mean"]
     db = SequenceDatabase(space, np.array([[1, 0]]))
     n = 10**5
-    fran = release_values(db, 1, (0, 0), query, 1.0,
-                          [derive_seed(seed, "ks-fran", i) for i in range(n)])
+    fran = release_values(db, 1, (0, 0), query, 1.0, derive_seeds(seed, "ks-fran", count=n))
     plain = query.evaluate((1, 0)) + laplace(
         generator(derive_seed(seed, "ks-plain")), query.sensitivity(1) / 1.0, n
     )

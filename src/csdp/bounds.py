@@ -14,8 +14,12 @@ Three analytic quantities drive everything:
   single sequence and to 1 at age zero.  It is computed in the
   Kantorovich-Rubinstein dual on the Hamming graph (potentials that change
   by at most 1 across each of the E = n*s*(m-1)/2 neighbour edges): one
-  sparse LP per kernel, with n*P variables and 2*E*P rows for the P
-  neighbour pairs whose conditionals differ.
+  block of n potentials and 2*E rows per neighbour pair whose conditionals
+  differ.  The blocks of every requested age are stacked and packed, in
+  order, into block-diagonal LPs of at most about a thousand potentials.
+  Packing saves the solver's per-call overhead, which dominates tiny LPs;
+  the bound on size keeps the solver's time, which grows faster than the
+  LP, from dominating large ones.
 * d(k) -- the query's k-sensitivity.
 
 The certified loose budget is min(d(k)*Delta_k*eps_c,
@@ -157,9 +161,21 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
     return linear, log_form
 
 
+# Largest number of potentials in one transport LP (at least one block is
+# always packed).  On a shared 2-vCPU x86-64 host the 192 blocks of a
+# random 64-state kernel took ~430-520 ms as one LP, ~290-370 ms as 16-block
+# LPs and ~690-810 ms as one LP per block.
+_LP_VARIABLES = 1024
+
+
 def bounded_aged_correlation(kernel: JointKernel, age) -> float:
-    """Delta_bar: max over neighbouring snapshots of the Hamming-cost
-    transport distance between their backward conditionals.
+    """Delta_bar at one age; see `bounded_aged_correlations`."""
+    return bounded_aged_correlations(kernel, [age])[0]
+
+
+def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
+    """Delta_bar at each age: max over neighbouring snapshots of the
+    Hamming-cost transport distance between their backward conditionals.
 
     Each unit of transport moves one aged coordinate, which shifts the
     query by at most one one-record sensitivity.  The resulting budget
@@ -170,35 +186,48 @@ def bounded_aged_correlation(kernel: JointKernel, age) -> float:
     E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  By
     Kantorovich-Rubinstein duality the transport distance between p and q
     is max f.(p - q) over potentials f that change by at most 1 along every
-    edge.  Each of the P pairs with p != q gets one block of free
+    edge.  Each pair with p != q, at each age, gets one block of n free
     potentials, with d = p - q scaled to unit moved mass so that nearly
-    equal conditionals stay well conditioned; all blocks are solved as one
-    sparse LP of n*P variables and 2*E*P rows.
+    equal conditionals stay well conditioned.  The blocks of all ages, in
+    order, are packed into block-diagonal LPs of at most `_LP_VARIABLES`
+    potentials: one LP for every age of a small kernel, several for a
+    large one.  An age with no differing pair gives 0.0.
     """
     s, m = kernel.space.num_sequences, kernel.space.num_states
-    B = backward_conditional(kernel, age)
     edges = _neighbour_pairs(s, m)
-    D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
-    D = D[np.abs(D).sum(axis=1) >= 1e-15]
-    if not len(D):
-        return 0.0
+    blocks = []
+    for age in ages:
+        B = backward_conditional(kernel, age)
+        D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
+        blocks.append(D[np.abs(D).sum(axis=1) >= 1e-15])
+    if not blocks:
+        return []
+    D = np.concatenate(blocks)
     mass = np.maximum(D, 0.0).sum(axis=1)
     D /= mass[:, None]
+    n = D.shape[1]
     # block p is [G; -G] f_p <= 1 on potentials p*n .. p*n + n-1, where row
     # e of G is +1 at edges[e, 0] and -1 at edges[e, 1]; the rows of
     # [G; -G] are the edges taken both ways (arcs)
     arcs = np.concatenate([edges, edges[:, ::-1]])
-    rows = len(arcs) * len(D)
-    cols = arcs[None] + len(B) * np.arange(len(D))[:, None, None]
-    A = sparse.csr_matrix(
-        (np.tile([1.0, -1.0], rows), (np.arange(rows).repeat(2), cols.ravel())),
-        shape=(rows, len(B) * len(D)),
-    )
-    res = linprog(-D.ravel(), A_ub=A, b_ub=np.ones(rows), bounds=(None, None),
-                  method="highs")
-    if not res.success:
-        raise ModelError(f"transport LP failed: {res.message}")
-    return float(((res.x.reshape(D.shape) * D).sum(axis=1) * mass).max())
+    per_lp = max(1, _LP_VARIABLES // n)
+    values = np.empty(len(D))
+    for lo in range(0, len(D), per_lp):
+        d = D[lo : lo + per_lp]
+        rows = len(arcs) * len(d)
+        cols = arcs[None] + n * np.arange(len(d))[:, None, None]
+        A = sparse.csr_matrix(
+            (np.tile([1.0, -1.0], rows), (np.arange(rows).repeat(2), cols.ravel())),
+            shape=(rows, n * len(d)),
+        )
+        res = linprog(-d.ravel(), A_ub=A, b_ub=np.ones(rows), bounds=(None, None),
+                      method="highs")
+        if not res.success:
+            raise ModelError(f"transport LP failed: {res.message}")
+        values[lo : lo + len(d)] = (res.x.reshape(d.shape) * d).sum(axis=1)
+    values *= mass
+    ends = np.cumsum([len(b) for b in blocks])[:-1]
+    return [float(v.max()) if len(v) else 0.0 for v in np.split(values, ends)]
 
 
 def tight_bound(delta_bar: float, eps_c: float) -> float:

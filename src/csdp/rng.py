@@ -10,6 +10,8 @@ produces the same output on every platform.
 Splitting rule (version 1, changing it is a breaking change):
     child_seed = first 8 bytes (big-endian) of
                  SHA-256(repr((root_seed,) + coordinates))
+`derive_seeds` gives the children i = 0..count-1 of one coordinate prefix,
+bit for bit, hashing the shared prefix once.
 
 Batch path.  `seed_keys` is a NumPy-array port of
 `np.random.SeedSequence(seed).generate_state(2, np.uint64)`, the Philox
@@ -59,6 +61,22 @@ def derive_seed(root_seed: int, *coords) -> int:
     payload = repr((int(root_seed),) + tuple(coords)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seeds(root_seed: int, *coords, count: int) -> list:
+    """`[derive_seed(root_seed, *coords, i) for i in range(count)]`.
+
+    The payloads share the repr prefix "(root_seed, *coords, ", so it is
+    hashed once and each child copies that SHA-256 state and adds "i)".
+    """
+    head = repr((int(root_seed),) + tuple(coords) + (0,))[: -len("0)")]
+    prefix = hashlib.sha256(head.encode("utf-8"))
+    seeds = []
+    for i in range(count):
+        h = prefix.copy()
+        h.update(b"%d)" % i)
+        seeds.append(int.from_bytes(h.digest()[:8], "big"))
+    return seeds
 
 
 def _check_seed(seed) -> int:

@@ -5,6 +5,8 @@ column order), a run manifest, and a list of invariant violations.  Rows
 always carry every parameter needed to regenerate them, including the
 seed.  Cells are independent; with threads > 1 they are evaluated in a
 pool and merged in grid order, so output bytes never depend on scheduling.
+A leakage sweep's cell is one lambda: one model and kernel, and one
+Delta_bar call for all its ages; its rows are (t, eps_c) in grid order.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bounds import (
     adp_leakage,
     aged_tv_distance,
     baseline_bounds,
-    bounded_aged_correlation,
+    bounded_aged_correlations,
     loose_bound,
     oracle_leakage,
     single_chain_tv,
@@ -167,40 +169,40 @@ def _map_cells(fn, cells, threads: int) -> list:
         return list(pool.map(fn, cells))
 
 
-def _leakage_rows(config, lam, t, eps_grid, with_oracle):
-    """Rows of one (lambda, t) cell, one per eps_c in `eps_grid`.
+def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
+    """Rows of one lambda cell, one per (t, eps_c) in `ts` x `eps_grid`.
 
-    The kernel, Delta_k, Delta_bar and the single-chain TV do not depend on
-    eps_c, so they are computed once; only the budgets and the oracle are
-    evaluated per eps_c.
+    The kernel and the Delta_bar of every t are computed once per cell, and
+    Delta_k and the single-chain TV once per t; only the budgets and the
+    oracle are evaluated per eps_c.
     """
     model = _model_for(config, lam)
     kernel = joint_kernel(model, config.cap)
     query = builtin_queries(model.space)["mean"]
     k = model.space.num_sequences
     dk = k_sensitivity(query, k)
-    age = (t,) * k
-    delta_k = aged_tv_distance(kernel, age, k)
-    delta_bar = bounded_aged_correlation(kernel, age)
-    delta_t = single_chain_tv(model, t)
+    ages = [(t,) * k for t in ts]
     rows = []
-    for eps in eps_grid:
-        lin, logf = loose_bound(delta_k, dk, eps)
-        dp, ddp = baseline_bounds(eps, k, query)
-        row = {
-            "lambda": lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
-            "delta_k": delta_k, "delta_bar": delta_bar,
-            "loose_linear": lin, "loose_log": logf,
-            "tight": tight_bound(delta_bar, eps),
-            "adp": adp_leakage(delta_t, eps),
-            "dp": dp, "ddp": ddp,
-            "oracle": "", "oracle_hw": "", "seed": config.seed,
-        }
-        if with_oracle:
-            est = oracle_leakage(kernel, LeakageParams(age, eps, k, query))
-            row["oracle"] = est.estimate
-            row["oracle_hw"] = est.half_width
-        rows.append(row)
+    for t, age, delta_bar in zip(ts, ages, bounded_aged_correlations(kernel, ages)):
+        delta_k = aged_tv_distance(kernel, age, k)
+        delta_t = single_chain_tv(model, t)
+        for eps in eps_grid:
+            lin, logf = loose_bound(delta_k, dk, eps)
+            dp, ddp = baseline_bounds(eps, k, query)
+            row = {
+                "lambda": lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
+                "delta_k": delta_k, "delta_bar": delta_bar,
+                "loose_linear": lin, "loose_log": logf,
+                "tight": tight_bound(delta_bar, eps),
+                "adp": adp_leakage(delta_t, eps),
+                "dp": dp, "ddp": ddp,
+                "oracle": "", "oracle_hw": "", "seed": config.seed,
+            }
+            if with_oracle:
+                est = oracle_leakage(kernel, LeakageParams(age, eps, k, query))
+                row["oracle"] = est.estimate
+                row["oracle_hw"] = est.half_width
+            rows.append(row)
     return rows
 
 
@@ -224,9 +226,10 @@ def run_sweep(config: ExperimentConfig):
         validate = config.sweep == "oracle-validate"
         lams = grids.get("lambda", [0.0, 0.25, 0.5, 0.75, 1.0] if validate else [0.5])
         eps_grid = grids.get("eps_c", [2.0, 5.0, 10.0] if validate else [1.0])
-        cells = [(lam, t) for lam in lams for t in grids.get("t", list(range(7)))]
+        ts = grids.get("t", list(range(7)))
         per_cell = _map_cells(
-            lambda c: _leakage_rows(config, *c, eps_grid, validate), cells, config.threads
+            lambda lam: _leakage_rows(config, lam, ts, eps_grid, validate), lams,
+            config.threads,
         )
         rows = [row for cell_rows in per_cell for row in cell_rows]
         violations = [v for row in rows for v in _check_leakage_row(row)]

@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import (
     adp_leakage,
     aged_tv_distance,
-    bounded_aged_correlation,
+    bounded_aged_correlations,
     loose_bound,
     single_chain_tv,
 )
@@ -136,22 +136,9 @@ def mse_simulated(
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))
 
 
-def _leakage(
-    kind: str,
-    kernel: JointKernel,
-    age,
-    eps_c: float,
-    dk: float,
-    degree: int,
-    cache: dict,
-) -> float:
-    key = (kind, tuple(int(a) for a in np.atleast_1d(age)))
-    if key not in cache:
-        if kind == "tight":
-            cache[key] = bounded_aged_correlation(kernel, age)
-        else:
-            cache[key] = aged_tv_distance(kernel, age, degree)
-    coeff = cache[key]
+def _leakage(kind: str, coeff: float, eps_c: float, dk: float) -> float:
+    """The budget of `kind` from its coefficient: Delta_bar for "tight",
+    Delta_k for the loose forms."""
     if kind == "tight":
         return coeff * eps_c
     linear, log_form = loose_bound(coeff, dk, eps_c)
@@ -198,10 +185,18 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, mechanis
             if len(ages) == 1 and s > 1:
                 ages = ages * s
             grid += [(ages, eps) for eps in spec.eps_grid]
+    kind = spec.leakage_kind
+    if mechanism == "csdp":
+        todo = [a for a in dict.fromkeys(a for a, _ in grid) if (kind, a) not in cache]
+        if kind == "tight":  # one call packs every age's transport LPs
+            coeffs = bounded_aged_correlations(kernel, todo)
+        else:
+            coeffs = [aged_tv_distance(kernel, a, degree) for a in todo]
+        cache.update(zip([(kind, a) for a in todo], coeffs))
     rows = []
     for ages, eps in grid:
         if mechanism == "csdp":
-            leak = _leakage(spec.leakage_kind, kernel, ages, eps, dk, degree, cache)
+            leak = _leakage(kind, cache[(kind, ages)], eps, dk)
         elif mechanism == "adp":
             t = max(ages)
             leak = adp_leakage(memo(("adp", t), lambda: single_chain_tv(model, t)), eps)

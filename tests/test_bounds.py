@@ -14,6 +14,7 @@ from csdp import (
     backward_conditional,
     baseline_bounds,
     bounded_aged_correlation,
+    bounded_aged_correlations,
     builtin_queries,
     joint_kernel,
     k_sensitivity,
@@ -31,6 +32,13 @@ FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 # enumeration results from an independent reference implementation, frozen
 DELTA2_LAM_050 = [1.0, 0.24, 0.0832, 0.032256, 0.01282048]
 DELTA2_LAM_075 = [1.0, 0.3, 0.1, 0.036, 0.0136]
+
+
+def random_model(s, m, seed):
+    """Dirichlet(1) transition columns and coupling rows."""
+    rng = np.random.default_rng(seed)
+    transitions = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2).copy()
+    return CmcModel(StateSpace(s, m), transitions, rng.dirichlet(np.ones(s), size=s))
 
 
 def single_chain(P=FLIP):
@@ -185,9 +193,7 @@ class TestBoundedAgedCorrelation:
 
     @pytest.mark.parametrize("s, m", [(1, 3), (2, 2), (3, 2), (2, 3)])
     def test_age_zero_is_one(self, s, m):
-        rng = np.random.default_rng(s * 10 + m)
-        transitions = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2).copy()
-        model = CmcModel(StateSpace(s, m), transitions, rng.dirichlet(np.ones(s), size=s))
+        model = random_model(s, m, seed=s * 10 + m)
         assert bounded_aged_correlation(joint_kernel(model), (0,) * s) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_neighbour_columns_give_zero_without_lp(self, monkeypatch):
@@ -216,6 +222,47 @@ class TestBoundedAgedCorrelation:
                                      np.full((3, 3), 1 / 3)))
         bounded_aged_correlation(kern, (1, 2, 0))
         assert len(calls) == 3
+
+    @staticmethod
+    def count_lps(monkeypatch):
+        calls = []
+        linprog = bounds.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "linprog", counting)
+        return calls
+
+    def test_chunk_size_does_not_move_values(self, monkeypatch):
+        kern = joint_kernel(random_model(4, 2, seed=3))  # n = 16, 32 Hamming edges
+        ages = [(0,) * 4, (1,) * 4, (2, 0, 1, 3), (3,) * 4]
+        default = bounded_aged_correlations(kern, ages)
+        calls = self.count_lps(monkeypatch)
+        results = []
+        # n potentials per LP: every one of the 4 * 32 blocks alone; 10^9: one LP
+        for size, lps in ((16, 4 * 32), (10**9, 1)):
+            monkeypatch.setattr(bounds, "_LP_VARIABLES", size)
+            calls.clear()
+            results.append(bounded_aged_correlations(kern, ages))
+            assert len(calls) == lps
+        for value in (default, results[0]):
+            assert np.allclose(value, results[1], rtol=0, atol=1e-12)
+
+    def test_one_lp_per_fig3a_lambda(self, monkeypatch):
+        from csdp.sweeps import PRESETS, run_sweep
+
+        calls = self.count_lps(monkeypatch)
+        run_sweep(PRESETS["fig3a"])
+        assert len(calls) == 21
+
+    def test_large_kernel_is_chunked(self, monkeypatch):
+        # n = 64: 192 blocks of 64 potentials, 16 blocks per LP
+        kern = joint_kernel(random_model(6, 2, seed=0))
+        calls = self.count_lps(monkeypatch)
+        bounded_aged_correlation(kern, (1,) * 6)
+        assert len(calls) == 12
 
     def test_failed_lp_is_named(self, monkeypatch):
         monkeypatch.setattr(bounds, "linprog",

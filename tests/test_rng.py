@@ -5,6 +5,7 @@ and `first_uniforms` the first Philox4x64-10 block behind
 `generator(seed).random()`; both are compared with NumPy itself over
 random seeds in [0, 2**64) and the word-boundary seeds below.  Seeds that
 are not integers in [0, 2**64) are rejected by name on both paths.
+`derive_seeds` is compared with `derive_seed` child by child.
 """
 
 import math
@@ -15,7 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdp import ModelError
-from csdp.rng import first_laplace, first_uniforms, generator, laplace, seed_keys
+from csdp.rng import (
+    derive_seed,
+    derive_seeds,
+    first_laplace,
+    first_uniforms,
+    generator,
+    laplace,
+    seed_keys,
+)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 SEED_LISTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40)
@@ -77,3 +86,21 @@ def test_integer_types_seed_alike():
     want = generator(12345).random()
     assert generator(np.int64(12345)).random() == want
     assert generator(np.uint64(12345)).random() == want
+
+
+COORDS = st.lists(st.one_of(
+    st.text(max_size=8),
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers(0, 9), st.text(max_size=3)),
+), max_size=3)
+
+
+@PROPERTY
+@given(st.integers(-2**70, 2**70), COORDS, st.integers(0, 30))
+@example(0, [], 12)
+@example(-1, ["ks-fran"], 11)
+@example(2**64, [0.5, (1, "a")], 3)
+def test_batch_children_equal_derive_seed(root, coords, count):
+    want = [derive_seed(root, *coords, i) for i in range(count)]
+    assert derive_seeds(root, *coords, count=count) == want

@@ -96,9 +96,14 @@ class TestSweeps:
         multi_eps = ExperimentConfig(
             "oracle-validate", {"lambda": [0.25, 0.75], "t": [0, 1, 3], "eps_c": [0.5, 2.0, 10.0]}
         )
-        for config in (SMALL_AGE, multi_eps):
+        # a leakage cell is one lambda: one lambda, and more threads than lambdas
+        one_lambda = ExperimentConfig(
+            "leakage-vs-noise", {"lambda": [0.75], "t": [1, 4, 2], "eps_c": [1.0, 3.0]}
+        )
+        for config, threads in ((SMALL_AGE, 3), (multi_eps, 3), (one_lambda, 2),
+                                (SMALL_AGE, 5)):
             serial = run_sweep(replace(config, threads=1))
-            threaded = run_sweep(replace(config, threads=3))
+            threaded = run_sweep(replace(config, threads=threads))
             assert render_table(serial[0], serial[1], "csv") == render_table(
                 threaded[0], threaded[1], "csv"
             )

@@ -30,6 +30,7 @@ from csdp import (
     aged_joint,
     aged_tv_distance,
     bounded_aged_correlation,
+    bounded_aged_correlations,
     builtin_queries,
     joint_kernel,
     mse_simulated,
@@ -165,6 +166,48 @@ def test_delta_bar_matches_dense_lp(case):
     model, age = case
     kern = joint_kernel(model)
     assert_delta_bar_matches_dense(kern, age)
+
+
+@st.composite
+def models_and_age_lists(draw):
+    """A model and 1-2 ages, mixed or uniform, plus age zero."""
+    model = draw(models())
+    s = model.space.num_sequences
+    uniform = st.integers(0, 3).map(lambda t: (t,) * s)
+    mixed = st.lists(st.integers(0, 3), min_size=s, max_size=s).map(tuple)
+    ages = draw(st.lists(st.one_of(uniform, mixed), min_size=1, max_size=2))
+    ages.insert(draw(st.integers(0, len(ages))), (0,) * s)
+    return model, ages
+
+
+# fewer examples than PROPERTY: each makes up to two dense reference LPs
+# per neighbour pair, and test_delta_bar_matches_dense_lp covers single ages
+@settings(max_examples=15, deadline=None)
+@given(models_and_age_lists())
+def test_batched_delta_bar_matches_dense_lp(case):
+    """One call packs the transport blocks of every age into shared LPs;
+    each age still gets its own dense-LP value."""
+    model, ages = case
+    kern = joint_kernel(model)
+    got = bounded_aged_correlations(kern, ages)
+    assert len(got) == len(ages)
+    for age, value in zip(ages, got):
+        want = 1.0 if not any(age) else ref.bounded_aged_correlation(kern, age)
+        assert abs(value - want) <= 1e-12, (age, value, want)
+
+
+def test_batched_delta_bar_with_equal_conditionals():
+    """With uniform transition columns every age >= 1 leaves all backward
+    conditionals equal (Delta_bar 0, no blocks) while age zero gives 1; a
+    batch mixing those ages with a partly fresh one keeps each value."""
+    kern = joint_kernel(CmcModel(StateSpace(2, 2), np.full((2, 2, 2, 2), 0.5),
+                                 np.full((2, 2), 0.5)))
+    ages = [(1, 1), (0, 0), (2, 1), (0, 3)]
+    got = bounded_aged_correlations(kern, ages)
+    assert got[0] == got[2] == 0.0
+    assert abs(got[1] - 1.0) <= 1e-12
+    assert abs(got[3] - ref.bounded_aged_correlation(kern, (0, 3))) <= 1e-12
+    assert got[3] > 0.5
 
 
 def test_delta_bar_matches_dense_lp_six_users():
