@@ -11,15 +11,21 @@ Three analytic quantities drive everything:
   conditionals.  Moving one aged coordinate costs one unit of one-record
   sensitivity in the release, so the transport value bounds the per-unit
   likelihood-ratio exposure; it reduces to the plain TV distance for a
-  single sequence and to 1 at age zero.  It is computed in the
-  Kantorovich-Rubinstein dual on the Hamming graph (potentials that change
-  by at most 1 across each of the E = n*s*(m-1)/2 neighbour edges): one
-  block of n potentials and 2*E rows per neighbour pair whose conditionals
-  differ.  The blocks of every requested age are stacked and packed, in
-  order, into block-diagonal LPs of at most about a thousand potentials.
-  Packing saves the solver's per-call overhead, which dominates tiny LPs;
-  the bound on size keeps the solver's time, which grows faster than the
-  LP, from dominating large ones.
+  single sequence and to 1 at age zero.  Each neighbour pair whose
+  conditionals differ, at each age, is one block.  Closed-form bounds
+  lo <= W1 <= hi settle most blocks: lo from two Kantorovich-Rubinstein
+  potentials (the TV and the summed coordinate-marginal TVs), hi from an
+  explicit flow that collapses one coordinate at a time.  With tau the
+  age's largest lo, a block with hi <= tau * (1 + 1e-12) is settled; only
+  the others get an LP.  Those go to the Kantorovich-Rubinstein dual on the
+  Hamming graph (potentials that change by at most 1 across each of the
+  E = n*s*(m-1)/2 neighbour edges): one block of n potentials and 2*E rows
+  each, packed in order into block-diagonal LPs of at most about a
+  thousand potentials.  Packing saves the solver's per-call overhead,
+  which dominates tiny LPs; the bound on size keeps the solver's time,
+  which grows faster than the LP, from dominating large ones.  Each age's
+  Delta_bar is an LP value or tau, and tau is within the 1e-12 relative
+  slack of the exact maximum whenever it is returned.
 * d(k) -- the query's k-sensitivity.
 
 The certified loose budget is min(d(k)*Delta_k*eps_c,
@@ -166,45 +172,80 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
 # random 64-state kernel took ~430-520 ms as one LP, ~290-370 ms as 16-block
 # LPs and ~690-810 ms as one LP per block.
 _LP_VARIABLES = 1024
+# A block whose flow bound is within this relative slack of its age's
+# largest dual bound cannot raise the age's maximum by more than the slack,
+# so it is settled without an LP.
+_SETTLE_SLACK = 1e-12
+# Entries of D bounded at once by `_transport_bounds`, which keeps its
+# temporaries to a few such chunks.
+_BOUND_ENTRIES = 1 << 18
 
 
-def bounded_aged_correlation(kernel: JointKernel, age) -> float:
-    """Delta_bar at one age; see `bounded_aged_correlations`."""
-    return bounded_aged_correlations(kernel, [age])[0]
+def _transport_bounds(D: np.ndarray, s: int, m: int) -> tuple:
+    """(lo, hi) with lo <= W1(d) <= hi for every row d = p - q of D, where W1
+    is the Hamming-cost transport distance over the m^s joint states.
 
+    lo is max(TV, sum over coordinates j of the TV of the coordinate-j
+    marginals).  The potentials 1[z in A] and sum_j 1[z_j in A_j] change by
+    at most 1 along each Hamming edge, so both are Kantorovich-Rubinstein
+    dual values.
 
-def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
-    """Delta_bar at each age: max over neighbouring snapshots of the
-    Hamming-cost transport distance between their backward conditionals.
-
-    Each unit of transport moves one aged coordinate, which shifts the
-    query by at most one one-record sensitivity.  The resulting budget
-    Delta_bar * eps_c stays below the loose budget, but it is not an upper
-    bound on the leakage: it is the leakage's slope as eps_c goes to 0.
-
-    Hamming cost is the shortest-path metric of the Hamming graph, whose
-    E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  By
-    Kantorovich-Rubinstein duality the transport distance between p and q
-    is max f.(p - q) over potentials f that change by at most 1 along every
-    edge.  Each pair with p != q, at each age, gets one block of n free
-    potentials, with d = p - q scaled to unit moved mass so that nearly
-    equal conditionals stay well conditioned.  The blocks of all ages, in
-    order, are packed into block-diagonal LPs of at most `_LP_VARIABLES`
-    potentials: one LP for every age of a small kernel, several for a
-    large one.  An age with no differing pair gives 0.0.
+    hi is the cost of one explicit flow.  It collapses the coordinates onto
+    state 0 one at a time, largest marginal TV first.  Collapsing a
+    coordinate moves each line of states that differ only there onto its
+    state-0 entry at unit cost per moved mass: for a line x with sum sigma
+    that costs 0.5 * (|sigma - x_0| + sum_{a != 0} |x_a|), the
+    discrete-metric distance from x to sigma at state 0 (for m = 2, the
+    mass |x_1| off state 0).  The lines' sums are the next coordinate's
+    input, and after the last coordinate the measure is zero.
+    Rows are bounded in chunks of about `_BOUND_ENTRIES` entries, so
+    temporaries stay within a few times D.
     """
-    s, m = kernel.space.num_sequences, kernel.space.num_states
-    edges = _neighbour_pairs(s, m)
-    blocks = []
-    for age in ages:
-        B = backward_conditional(kernel, age)
-        D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
-        blocks.append(D[np.abs(D).sum(axis=1) >= 1e-15])
-    if not blocks:
-        return []
-    D = np.concatenate(blocks)
+    N, n = D.shape
+    lo, hi = np.empty(N), np.empty(N)
+    # int32 joint indices halve the gather's index array; strides[j] is the
+    # joint-index step of coordinate j
+    digits = _digits(s, m).astype(np.int32)
+    strides = m ** np.arange(s - 1, -1, -1, dtype=np.int32)
+    rows = max(1, _BOUND_ENTRIES // n)
+    for start in range(0, N, rows):
+        X = D[start : start + rows]
+        c = len(X)
+        cube = X.reshape((c,) + (m,) * s)
+        marginal_tv = np.stack(
+            [np.abs(cube.sum(axis=tuple(k + 1 for k in range(s) if k != j))).sum(axis=1)
+             for j in range(s)], axis=1) * 0.5
+        tv = np.abs(X).sum(axis=1) * 0.5
+        lo[start : start + c] = np.maximum(tv, marginal_tv.sum(axis=1))
+        # row r's states relaid with its coordinates in collapse order: joint
+        # index i of the relaid row reads digits[i, k] of coordinate order[r, k]
+        order = np.argsort(-marginal_tv, axis=1, kind="stable")
+        idx = np.zeros((c, n), dtype=np.int32)
+        for k in range(s):
+            idx += strides[order[:, k]][:, None] * digits[:, k]
+        Y = np.take_along_axis(X, idx, axis=1)
+        del idx
+        cost = np.zeros(c)
+        for _ in range(s):
+            Y = Y.reshape(c, m, -1)  # lines along the next coordinate
+            rest = Y[:, 1:]  # sigma - x_0 is their sum
+            cost += (np.abs(rest.sum(axis=1)).sum(axis=1) + np.abs(rest).sum(axis=(1, 2))) * 0.5
+            Y = Y.sum(axis=1)
+        hi[start : start + c] = cost
+    return lo, hi
+
+
+def _transport_lps(D: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The transport distance of every row of D, by Kantorovich-Rubinstein
+    LPs on the Hamming graph with the given edges.
+
+    Each row gets one block of n free potentials, with d scaled to unit
+    moved mass so that nearly equal conditionals stay well conditioned.
+    Consecutive blocks are packed into block-diagonal LPs of at most
+    `_LP_VARIABLES` potentials.
+    """
     mass = np.maximum(D, 0.0).sum(axis=1)
-    D /= mass[:, None]
+    D = D / mass[:, None]
     n = D.shape[1]
     # block p is [G; -G] f_p <= 1 on potentials p*n .. p*n + n-1, where row
     # e of G is +1 at edges[e, 0] and -1 at edges[e, 1]; the rows of
@@ -225,8 +266,64 @@ def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
         if not res.success:
             raise ModelError(f"transport LP failed: {res.message}")
         values[lo : lo + len(d)] = (res.x.reshape(d.shape) * d).sum(axis=1)
-    values *= mass
-    ends = np.cumsum([len(b) for b in blocks])[:-1]
+    return values * mass
+
+
+def _transport_blocks(kernel: JointKernel, ages) -> list:
+    """Per age, the rows d = p - q, p != q, of the backward conditionals of
+    every neighbour pair, as one (rows, n) array."""
+    s, m = kernel.space.num_sequences, kernel.space.num_states
+    edges = _neighbour_pairs(s, m)
+    blocks = []
+    for age in ages:
+        B = backward_conditional(kernel, age)
+        D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
+        blocks.append(D[np.abs(D).sum(axis=1) >= 1e-15])
+    return blocks
+
+
+def bounded_aged_correlation(kernel: JointKernel, age) -> float:
+    """Delta_bar at one age; see `bounded_aged_correlations`."""
+    return bounded_aged_correlations(kernel, [age])[0]
+
+
+def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
+    """Delta_bar at each age: max over neighbouring snapshots of the
+    Hamming-cost transport distance between their backward conditionals.
+
+    Each unit of transport moves one aged coordinate, which shifts the
+    query by at most one one-record sensitivity.  The resulting budget
+    Delta_bar * eps_c stays below the loose budget, but it is not an upper
+    bound on the leakage: it is the leakage's slope as eps_c goes to 0.
+
+    Hamming cost is the shortest-path metric of the Hamming graph, whose
+    E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  Every pair
+    with p != q, at every age, is a block.  `_transport_bounds` gives each
+    block closed-form bounds lo <= W1 <= hi.  With tau the largest lo of an
+    age, a block with hi <= tau * (1 + 1e-12) is settled: it cannot raise
+    the age's maximum by more than that relative slack.  The open blocks of
+    all ages, in order, go to exact Kantorovich-Rubinstein LPs
+    (`_transport_lps`), several per LP for a small kernel.
+
+    An age's value is max(tau, the LP values of its open blocks), so it is
+    an LP value or tau.  tau never exceeds Delta_bar, and when it is
+    returned Delta_bar <= tau * (1 + 1e-12).  An age with no differing
+    pair gives 0.0.
+    """
+    blocks = _transport_blocks(kernel, ages)
+    if not blocks:
+        return []
+    s, m = kernel.space.num_sequences, kernel.space.num_states
+    counts = [len(b) for b in blocks]
+    D = np.concatenate(blocks)
+    lo, hi = _transport_bounds(D, s, m)
+    ends = np.cumsum(counts)[:-1]
+    taus = [v.max() if len(v) else 0.0 for v in np.split(lo, ends)]
+    open_ = np.flatnonzero(hi > np.repeat(taus, counts) * (1 + _SETTLE_SLACK))
+    values = lo
+    if len(open_):
+        lp = _transport_lps(D[open_], _neighbour_pairs(s, m))
+        values[open_] = np.maximum(values[open_], lp)
     return [float(v.max()) if len(v) else 0.0 for v in np.split(values, ends)]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import tempfile
@@ -207,15 +208,28 @@ def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
 
 
 def _check_leakage_row(row, slack: float = 1e-9) -> list:
+    """Breaches of loose_log >= loose_linear >= tight and, with an oracle,
+    oracle <= tight + its half-width, each with its size."""
     bad = []
     loc = f"lambda={row['lambda']} t={row['t']} eps_c={row['eps_c']}"
     if row["loose_log"] < row["loose_linear"] - slack:
-        bad.append(f"{loc}: loose_log fell below loose_linear")
+        bad.append(f"{loc}: loose_log fell below loose_linear by "
+                   f"{row['loose_linear'] - row['loose_log']:.1e}")
     if row["tight"] > row["loose_linear"] + slack:
-        bad.append(f"{loc}: tight exceeds loose_linear")
-    if row["oracle"] != "" and row["oracle"] > row["tight"] + (row["oracle_hw"] or 0.0) + slack:
-        bad.append(f"{loc}: oracle estimate exceeds tight bound")
+        bad.append(f"{loc}: tight exceeds loose_linear by "
+                   f"{row['tight'] - row['loose_linear']:.1e}")
+    hw = row["oracle_hw"] or 0.0
+    if row["oracle"] != "" and row["oracle"] > row["tight"] + hw + slack:
+        bad.append(f"{loc}: oracle estimate exceeds tight bound by "
+                   f"{row['oracle'] - row['tight']:.1e}"
+                   + (f" (half-width {hw:.1e})" if hw else ""))
     return bad
+
+
+def _z_score(diff: float, stderr: float) -> float:
+    if stderr > 0:
+        return diff / stderr
+    return math.copysign(math.inf, diff)
 
 
 def run_sweep(config: ExperimentConfig):
@@ -265,7 +279,8 @@ def run_sweep(config: ExperimentConfig):
         rows = _map_cells(cell, cells, config.threads)
         violations = [
             f"lambda={r['lambda']} age={r['age']} eps_c={r['eps_c']}: "
-            "simulated MSE outside 5 standard errors of exact"
+            "simulated MSE outside 5 standard errors of exact "
+            f"(z = {_z_score(r['mse_simulated'] - r['mse_exact'], r['mse_stderr']):+.2f})"
             for r in rows
             if abs(r["mse_simulated"] - r["mse_exact"]) > 5 * r["mse_stderr"]
         ]
@@ -295,9 +310,12 @@ def run_sweep(config: ExperimentConfig):
                 })
         violations = []
         for mech in ("csdp", "adp", "ddp", "dp"):
-            vals = [sol.leakage for _, sol in frontier[mech] if sol.feasible]
-            if any(b > a + 1e-9 for a, b in zip(vals, vals[1:])):
-                violations.append(f"{mech}: frontier not non-increasing in the cap")
+            points = [(cap, sol.leakage) for cap, sol in frontier[mech] if sol.feasible]
+            violations += [
+                f"{mech}: frontier not non-increasing in the cap: rises by {b - a:.1e} "
+                f"at l_cap={cap}"
+                for (_, a), (cap, b) in zip(points, points[1:]) if b > a + 1e-9
+            ]
         return FRONTIER_FIELDS, rows, violations
 
     if config.sweep == "reduce-check":

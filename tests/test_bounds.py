@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from csdp import (
     verify_reductions,
 )
 from csdp import bounds
+import loop_reference as ref
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
@@ -39,6 +41,23 @@ def random_model(s, m, seed):
     rng = np.random.default_rng(seed)
     transitions = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2).copy()
     return CmcModel(StateSpace(s, m), transitions, rng.dirichlet(np.ones(s), size=s))
+
+
+def open_blocks(kern, ages) -> int:
+    """Transport blocks, over all ages, that their bounds leave to an LP."""
+    s, m = kern.space.num_sequences, kern.space.num_states
+    opened = 0
+    for D in bounds._transport_blocks(kern, ages):
+        if len(D):
+            lo, hi = bounds._transport_bounds(D, s, m)
+            opened += int((hi > lo.max() * (1 + bounds._SETTLE_SLACK)).sum())
+    return opened
+
+
+def lps_for(kern, ages) -> int:
+    """LPs one `bounded_aged_correlations(kern, ages)` call makes."""
+    per_lp = max(1, bounds._LP_VARIABLES // kern.space.product_size)
+    return -(-open_blocks(kern, ages) // per_lp)
 
 
 def single_chain(P=FLIP):
@@ -208,20 +227,20 @@ class TestBoundedAgedCorrelation:
         assert calls == []
 
     def test_one_lp_per_call(self, monkeypatch):
-        calls = []
-        linprog = bounds.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, "linprog", counting)
-        for lam, t in [(0.5, 1), (0.75, 3)]:
-            bounded_aged_correlation(joint_kernel(two_user_model(lam)), (t, t))
+        cases = [(joint_kernel(two_user_model(lam)), (t, t)) for lam, t in [(0.5, 1), (0.75, 3)]]
         kern = joint_kernel(CmcModel(StateSpace(3, 2), np.broadcast_to(FLIP, (3, 3, 2, 2)).copy(),
                                      np.full((3, 3), 1 / 3)))
-        bounded_aged_correlation(kern, (1, 2, 0))
-        assert len(calls) == 3
+        cases.append((kern, (1, 2, 0)))
+        calls = self.count_lps(monkeypatch)
+        # one LP for a call with an open block (only lambda = 0.5, t = 1),
+        # none for a call whose bounds settle every block; slack -1 opens
+        # every block, and each call is still one LP
+        for slack, lps in ((bounds._SETTLE_SLACK, 1), (-1.0, 3)):
+            monkeypatch.setattr(bounds, "_SETTLE_SLACK", slack)
+            calls.clear()
+            for k, a in cases:
+                bounded_aged_correlation(k, a)
+            assert len(calls) == sum(lps_for(k, [a]) for k, a in cases) == lps
 
     @staticmethod
     def count_lps(monkeypatch):
@@ -239,28 +258,46 @@ class TestBoundedAgedCorrelation:
         kern = joint_kernel(random_model(4, 2, seed=3))  # n = 16, 32 Hamming edges
         ages = [(0,) * 4, (1,) * 4, (2, 0, 1, 3), (3,) * 4]
         default = bounded_aged_correlations(kern, ages)
+        opened = open_blocks(kern, ages)
+        assert opened == 13
         calls = self.count_lps(monkeypatch)
         results = []
-        # n potentials per LP: every one of the 4 * 32 blocks alone; 10^9: one LP
-        for size, lps in ((16, 4 * 32), (10**9, 1)):
-            monkeypatch.setattr(bounds, "_LP_VARIABLES", size)
-            calls.clear()
-            results.append(bounded_aged_correlations(kern, ages))
-            assert len(calls) == lps
-        for value in (default, results[0]):
-            assert np.allclose(value, results[1], rtol=0, atol=1e-12)
+        # n potentials per LP: one LP per open block, or per each of the
+        # 4 * 32 blocks once slack -1 opens them all; 10^9: one LP
+        for slack, blocks in ((bounds._SETTLE_SLACK, opened), (-1.0, 4 * 32)):
+            monkeypatch.setattr(bounds, "_SETTLE_SLACK", slack)
+            for size, lps in ((16, blocks), (10**9, 1)):
+                monkeypatch.setattr(bounds, "_LP_VARIABLES", size)
+                calls.clear()
+                results.append(bounded_aged_correlations(kern, ages))
+                assert len(calls) == lps
+        for value in results:
+            assert np.allclose(value, default, rtol=0, atol=1e-12)
 
     def test_one_lp_per_fig3a_lambda(self, monkeypatch):
         from csdp.sweeps import PRESETS, run_sweep
 
+        grids = PRESETS["fig3a"].grids
+        ages = [(t, t) for t in grids["t"]]
+        open_lambdas = sum(open_blocks(joint_kernel(two_user_model(lam)), ages) > 0
+                           for lam in grids["lambda"])
         calls = self.count_lps(monkeypatch)
         run_sweep(PRESETS["fig3a"])
-        assert len(calls) == 21
+        assert len(calls) == open_lambdas == 5
+        # with every block open, still one LP per lambda
+        monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
+        calls.clear()
+        run_sweep(PRESETS["fig3a"])
+        assert len(calls) == len(grids["lambda"]) == 21
 
     def test_large_kernel_is_chunked(self, monkeypatch):
         # n = 64: 192 blocks of 64 potentials, 16 blocks per LP
         kern = joint_kernel(random_model(6, 2, seed=0))
         calls = self.count_lps(monkeypatch)
+        bounded_aged_correlation(kern, (1,) * 6)
+        assert len(calls) == lps_for(kern, [(1,) * 6]) == 2
+        monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
+        calls.clear()
         bounded_aged_correlation(kern, (1,) * 6)
         assert len(calls) == 12
 
@@ -269,6 +306,58 @@ class TestBoundedAgedCorrelation:
                             lambda *a, **k: SimpleNamespace(success=False, message="boom"))
         with pytest.raises(ModelError, match="transport LP failed: boom"):
             bounded_aged_correlation(joint_kernel(two_user_model(0.5)), (1, 1))
+
+
+class TestTransportBounds:
+    """`bounds._transport_bounds`: lo <= W1 <= hi in closed form."""
+
+    def test_equal_marginals_move_two_coordinates(self):
+        # 1/2 (d_0000 + d_1111) - 1/2 (d_0011 + d_1100): every coordinate
+        # marginal agrees, so lo is the TV, 1; each unit of mass must change
+        # two coordinates, so W1 = 2, and the collapsing flow attains it
+        d = np.zeros(16)
+        d[[0b0000, 0b1111]] = 0.5
+        d[[0b0011, 0b1100]] = -0.5
+        lo, hi = bounds._transport_bounds(d[None], 4, 2)
+        assert (lo[0], hi[0]) == (1.0, 2.0)
+        costs = ref.hamming_costs_from_digits(4, 2)
+        assert ref.transport_distance(np.maximum(d, 0), np.maximum(-d, 0), costs) == \
+            pytest.approx(2.0, abs=1e-12)
+
+    def test_open_block_can_exceed_every_lower_bound(self):
+        # the maximum sits in an open block whose W1 is 0.33% above every
+        # block's lower bound, so only its LP finds Delta_bar
+        kern = joint_kernel(random_model(3, 3, seed=32))
+        D = np.concatenate(bounds._transport_blocks(kern, [(1, 1, 1)]))
+        tau = bounds._transport_bounds(D, 3, 3)[0].max()
+        value = bounded_aged_correlation(kern, (1, 1, 1))
+        assert value > tau * 1.003
+        assert value == pytest.approx(ref.bounded_aged_correlation(kern, (1, 1, 1)), abs=1e-12)
+
+    @pytest.mark.parametrize("s, m", [(1, 3), (2, 2), (3, 2), (2, 3)])
+    def test_age_zero_is_exactly_one_without_lp(self, monkeypatch, s, m):
+        calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
+        kern = joint_kernel(random_model(s, m, seed=s * 10 + m))
+        assert bounded_aged_correlation(kern, (0,) * s) == 1.0
+        assert calls == []
+
+    def test_benchmark_late_age_needs_no_lp(self, monkeypatch):
+        calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
+        assert bounded_aged_correlation(joint_kernel(two_user_model(0.75)), (3, 3)) == \
+            pytest.approx(0.4**3, abs=1e-12)
+        assert calls == []
+
+    def test_temporaries_stay_within_three_times_d(self):
+        kern = joint_kernel(random_model(8, 2, seed=1))
+        D = np.concatenate(bounds._transport_blocks(kern, [(1,) * 8]))
+        assert D.shape == (1024, 256)
+        tracemalloc.start()
+        try:
+            bounds._transport_bounds(D, 8, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * D.nbytes
 
 
 class TestTightBound:

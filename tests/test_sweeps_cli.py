@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 import scipy
 
+from csdp import sweeps
 from csdp.cli import main
 from csdp.model import ModelError
-from csdp.sweeps import PRESETS, ExperimentConfig, load_config, render_table, run, run_sweep
+from csdp.sweeps import (
+    PRESETS,
+    ExperimentConfig,
+    _check_leakage_row,
+    load_config,
+    render_table,
+    run,
+    run_sweep,
+)
+from csdp.utility import TradeoffSolution
 
 
 class TestConfig:
@@ -107,6 +117,45 @@ class TestSweeps:
             assert render_table(serial[0], serial[1], "csv") == render_table(
                 threaded[0], threaded[1], "csv"
             )
+
+
+class TestViolationMessages:
+    """Each invariant violation names its cell and its margin."""
+
+    ROW = {"lambda": 0.5, "t": 1, "eps_c": 1.0, "loose_linear": 0.8, "loose_log": 0.9,
+           "tight": 0.4, "oracle": "", "oracle_hw": ""}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"loose_log": 0.7}, "loose_log fell below loose_linear by 1.0e-01"),
+        ({"tight": 0.8 + 3.1e-4}, "tight exceeds loose_linear by 3.1e-04"),
+        ({"oracle": 0.45, "oracle_hw": 0.0}, "oracle estimate exceeds tight bound by 5.0e-02"),
+        ({"oracle": 0.45, "oracle_hw": 0.01},
+         "oracle estimate exceeds tight bound by 5.0e-02 (half-width 1.0e-02)"),
+    ])
+    def test_leakage_row_breach_names_its_size(self, change, message):
+        row = {**self.ROW, **change}
+        assert _check_leakage_row(row) == [f"lambda=0.5 t=1 eps_c=1.0: {message}"]
+
+    def test_mse_violation_names_z_score(self):
+        # a known 5-sigma excursion of the skewed squared-Laplace mean
+        config = ExperimentConfig("utility-sweep", {"lambda": [0.5], "age": [[20, 10]],
+                                                    "eps_c": [1.0], "samples": 4000}, seed=1013)
+        _, _, violations = run_sweep(config)
+        assert violations == ["lambda=0.5 age=20|10 eps_c=1.0: simulated MSE outside "
+                              "5 standard errors of exact (z = -5.32)"]
+
+    def test_frontier_violation_names_cap_and_rise(self, monkeypatch):
+        def point(leakage, feasible=True):
+            return TradeoffSolution((1, 1), 1.0, leakage, 0.1, feasible)
+
+        rising = [(0.2, point(0.5)), (0.3, point(0.9, feasible=False)), (0.4, point(0.5)),
+                  (0.5, point(0.75)), (0.6, point(0.25))]
+        monkeypatch.setattr(sweeps, "tradeoff_frontier", lambda model, spec, caps: {
+            mech: rising if mech == "adp" else rising[:1] for mech in ("csdp", "adp", "ddp", "dp")
+        })
+        _, _, violations = run_sweep(PRESETS["fig4c"])
+        assert violations == ["adp: frontier not non-increasing in the cap: "
+                              "rises by 2.5e-01 at l_cap=0.5"]
 
 
 class TestRunArtifacts:

@@ -6,7 +6,8 @@ with a zero coupling weight) and compares the package against the loop
 references in `loop_reference.py` with exact equality; Delta_bar, whose
 LP changed form, is compared with the dense coupling LP to 1e-12, and the
 exact oracle, whose sums are one matrix product, with the per-state
-`logsumexp` loop to 1e-12 * max(1, |value|).  One more
+`logsumexp` loop to 1e-12 * max(1, |value|).  The closed-form transport
+bounds that settle most Delta_bar blocks must bracket the dense LP.  One more
 property checks that the current-snapshot marginal of the aged joint law is
 the stationary law.  The release path, the simulated MSE and the built-in
 query evaluates are compared with their per-sample NumPy forms the same way.
@@ -29,6 +30,7 @@ from csdp import (
     StateSpace,
     aged_joint,
     aged_tv_distance,
+    backward_conditional,
     bounded_aged_correlation,
     bounded_aged_correlations,
     builtin_queries,
@@ -41,7 +43,7 @@ from csdp import (
     single_chain_tv,
     two_user_model,
 )
-from csdp.bounds import _neighbour_pairs
+from csdp.bounds import _neighbour_pairs, _transport_bounds
 from csdp.kernel import _digits
 from csdp.queries import QuerySpec
 from csdp.sweeps import EPS_GRID_DEFAULT
@@ -194,6 +196,34 @@ def test_batched_delta_bar_matches_dense_lp(case):
     for age, value in zip(ages, got):
         want = 1.0 if not any(age) else ref.bounded_aged_correlation(kern, age)
         assert abs(value - want) <= 1e-12, (age, value, want)
+
+
+@st.composite
+def small_models_and_ages(draw):
+    """A model with m^s <= 27 states (s <= 4, m <= 3) and one age, mixed or
+    uniform."""
+    s, m = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]))
+    model = random_model(draw(st.integers(0, 2**32 - 1)), s, m, draw(st.booleans()))
+    uniform = st.integers(0, 3).map(lambda t: (t,) * s)
+    mixed = st.lists(st.integers(0, 3), min_size=s, max_size=s).map(tuple)
+    return model, draw(st.one_of(uniform, mixed))
+
+
+# each example makes one dense reference LP per neighbour pair (up to 54)
+@settings(max_examples=15, deadline=None)
+@given(small_models_and_ages())
+def test_transport_bounds_bracket_dense_lp(case):
+    """lo <= W1 <= hi for the backward conditionals of every neighbour pair."""
+    model, age = case
+    kern = joint_kernel(model)
+    s, m = model.space.num_sequences, model.space.num_states
+    B = backward_conditional(kern, age)
+    pairs = ref.neighbour_pairs(kern.states)
+    lo, hi = _transport_bounds(np.array([B[:, a] - B[:, b] for a, b in pairs]), s, m)
+    costs = ref.hamming_costs_from_digits(s, m)
+    for (a, b), low, high in zip(pairs, lo, hi):
+        w1 = ref.transport_distance(B[:, a], B[:, b], costs)
+        assert low <= w1 + 1e-12 and w1 <= high + 1e-12, (a, b, low, w1, high)
 
 
 def test_batched_delta_bar_with_equal_conditionals():
