@@ -29,7 +29,13 @@ from .sweeps import (
     render_table,
     run_sweep,
 )
-from .utility import UtilitySpec, mse_exact, mse_simulated, noise_variance, tradeoff_frontier
+from .utility import (
+    UtilitySpec,
+    aging_error,
+    mse_simulated,
+    noise_variance,
+    tradeoff_frontier,
+)
 
 DEFAULT_TOLERANCES = {
     "symmetry": 1e-9,
@@ -194,9 +200,11 @@ def criterion_mse(tol, seed=0) -> CriterionResult:
     for lam in lams:
         kern = joint_kernel(two_user_model(lam))
         for age in ages:
+            # mse_exact is this plus noise_variance, so `exact` keeps its bits
+            aging = aging_error(kern, age, query)
             exact_cache = {}
             for eps in eps_list:
-                exact = mse_exact(kern, age, query, eps)
+                exact = aging + noise_variance(query, eps)
                 exact_cache[eps] = exact
                 est, se = mse_simulated(
                     kern, age, query, eps, 4000, derive_seed(seed, "mse", lam, age, eps)

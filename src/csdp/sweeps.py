@@ -253,18 +253,22 @@ def run_sweep(config: ExperimentConfig):
         fields = ("lambda", "age", "eps_c", "mse_exact", "mse_simulated",
                   "mse_stderr", "samples", "seed")
         samples = int(grids.get("samples", 4000))
+        lams = grids.get("lambda", [0.5])
         cells = [
             (lam, tuple(age), eps)
-            for lam in grids.get("lambda", [0.5])
+            for lam in lams
             for age in grids.get("age", [[0, 0]])
             for eps in grids.get("eps_c", [1.0])
         ]
+        # one model and kernel per distinct lambda, shared read-only by its cells
+        kernels = {}
+        for lam in dict.fromkeys(lams):
+            model = _model_for(config, lam)
+            kernels[lam] = (joint_kernel(model, config.cap), builtin_queries(model.space)["mean"])
 
         def cell(c):
             lam, age, eps = c
-            model = _model_for(config, lam)
-            kernel = joint_kernel(model, config.cap)
-            query = builtin_queries(model.space)["mean"]
+            kernel, query = kernels[lam]
             exact = mse_exact(kernel, age, query, eps)
             est, se = mse_simulated(
                 kernel, age, query, eps, samples,

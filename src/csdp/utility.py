@@ -95,6 +95,34 @@ def mse_exact(kernel: JointKernel, age, query: QuerySpec, eps_c: float) -> float
     return aging_error(kernel, age, query) + noise_variance(query, eps_c)
 
 
+def _threshold_table(matrix: np.ndarray) -> np.ndarray:
+    """Row c holds the first n-1 cumulative sums of column c of an (n, n)
+    column-stochastic matrix, padded with +inf to a power-of-two width."""
+    n = matrix.shape[0]
+    table = np.full((n, 1 << (n - 1).bit_length()), np.inf)
+    table[:, : n - 1] = np.cumsum(matrix, axis=0)[:-1].T
+    return table
+
+
+def _next_states(table: np.ndarray, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(#{j : cum[j, c] < u}, n-1) for each chain at state c = cur,
+    by branch-free binary lifting over `_threshold_table`'s rows.
+
+    The thresholds of a row never decrease (cumsums of nonnegative entries
+    do not in floating point), so the count below u is a prefix length and
+    the +inf padding caps it at n-1 with no clip.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    base = cur * width - 1
+    pos = np.zeros(len(cur), dtype=np.intp)
+    k = width // 2
+    while k:
+        pos += k * (flat[base + pos + k] < u)
+        k //= 2
+    return pos
+
+
 def mse_simulated(
     kernel: JointKernel,
     age,
@@ -103,7 +131,15 @@ def mse_simulated(
     samples: int,
     seed: int,
 ) -> tuple:
-    """(estimate, standard error) of the release MSE over seeded trajectories."""
+    """(estimate, standard error) of the release MSE over seeded trajectories.
+
+    The generator of `seed` is read in one fixed order: `samples` uniforms
+    for the stationary start states (inverted with `searchsorted`), then
+    `samples` uniforms per step of the longest lag, then `samples` Laplace
+    draws of the noise.  A chain at state c with uniform u steps to
+    min(#{j : cum[j, c] < u}, n-1), cum the kernel's column cumsums.  The
+    stream and the rule together fix every estimate to the last bit.
+    """
     if samples < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
     check_eps(eps_c)
@@ -117,20 +153,22 @@ def mse_simulated(
 
     cur = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n), side="right")
     np.clip(cur, 0, nstates - 1, out=cur)
-    state_arr = np.array(kernel.states)
-    recorded = np.empty((n, s), dtype=np.int64)
-    cum = np.cumsum(kernel.matrix, axis=0)
+    table = _threshold_table(kernel.matrix)
+    # the aged snapshots' joint indices (big-endian, as kernel.states),
+    # each sequence's digit taken from `cur` when its lag is reached
+    place = m ** np.arange(s - 1, -1, -1)
+    aged = np.zeros(n, dtype=np.intp)
     for step in range(T + 1):
-        mask = (T - ages) == step
-        if mask.any():
-            recorded[:, mask] = state_arr[cur][:, mask]
+        lagged = (T - ages) == step
+        if lagged.all():
+            aged = cur
+        else:
+            for p in place[lagged]:
+                aged += cur // p % m * p
         if step < T:
-            u = rng.random(n)
-            cur = (u[:, None] > cum[:, cur].T).sum(axis=1)
-            np.clip(cur, 0, nstates - 1, out=cur)
+            cur = _next_states(table, cur, rng.random(n))
     f_cur = f[cur]
-    # the aged snapshots' joint indices (big-endian, as kernel.states)
-    f_aged = f[recorded @ m ** np.arange(s - 1, -1, -1)]
+    f_aged = f[aged]
     noise = laplace(rng, query.sensitivity(1) / eps_c, n)
     sq = (f_aged + noise - f_cur) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))

@@ -7,11 +7,14 @@ nested-loop forms they replaced, one state at a time.  The exact oracle
 here also sums each state's Laplace mixture with its own `logsumexp`; the
 package forms all states' sums as one row-scaled matrix product, which
 rounds differently, so the two agree to rounding, not bit for bit.  The
-simulated MSE
-gathers the aged query values from the per-state vector, `release` checks
-ages and draws its one variate without arrays, and the built-in queries
-evaluate in plain Python; below are the per-sample and NumPy forms those
-replaced.  `test_vectorised.py` asserts that both give bit-identical
+simulated MSE steps its chains by binary lifting over a padded threshold
+table, tracks the aged snapshots' joint indices by digit arithmetic and
+gathers their query values from the per-state vector; here each step
+compares every chain's uniform with each cumulative threshold, sums and
+clips, and each aged snapshot is recorded per sequence and evaluated on
+its own.  `release` checks ages and draws its one variate without
+arrays, and the built-in queries evaluate in plain Python; below are the
+per-sample and NumPy forms those replaced.  `test_vectorised.py` asserts that both give bit-identical
 results.
 
 Delta_bar is one Kantorovich-Rubinstein LP per kernel in the package; the
@@ -283,6 +286,14 @@ def release(db, t, age, query, eps_c, seed):
     )
 
 
+def next_states(cum, cur, u):
+    """The chains' next states: the number of column `cur`'s cumulative
+    thresholds below u, one comparison per threshold, clipped to the last
+    state."""
+    nxt = (u[:, None] > cum[:, cur].T).sum(axis=1)
+    return np.clip(nxt, 0, cum.shape[0] - 1)
+
+
 def mse_simulated(kernel, age, query, eps_c, samples, seed, evaluate) -> tuple:
     """The simulated MSE with `evaluate` called on every aged sample."""
     ages = validate_ages(age, kernel.space)
@@ -301,9 +312,7 @@ def mse_simulated(kernel, age, query, eps_c, samples, seed, evaluate) -> tuple:
         if mask.any():
             recorded[:, mask] = state_arr[cur][:, mask]
         if step < T:
-            u = rng.random(n)
-            cur = (u[:, None] > cum[:, cur].T).sum(axis=1)
-            np.clip(cur, 0, nstates - 1, out=cur)
+            cur = next_states(cum, cur, rng.random(n))
     f_cur = f[cur]
     f_aged = np.array([evaluate(z) for z in recorded])
     noise = laplace(rng, query.sensitivity(1) / eps_c, n)

@@ -10,7 +10,9 @@ exact oracle, whose sums are one matrix product, with the per-state
 bounds that settle most Delta_bar blocks must bracket the dense LP.  One more
 property checks that the current-snapshot marginal of the aged joint law is
 the stationary law.  The release path, the simulated MSE and the built-in
-query evaluates are compared with their per-sample NumPy forms the same way.
+query evaluates are compared with their per-sample NumPy forms the same way,
+the simulated MSE also at lags up to 20, and its chain step with the
+comparison sum it replaced on hand-picked uniforms at every threshold.
 """
 
 import itertools
@@ -47,6 +49,7 @@ from csdp.bounds import _neighbour_pairs, _transport_bounds
 from csdp.kernel import _digits
 from csdp.queries import QuerySpec
 from csdp.sweeps import EPS_GRID_DEFAULT
+from csdp.utility import _next_states, _threshold_table
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -263,6 +266,70 @@ def test_single_chain_tv_matches_solo_models(model, t):
 def test_mse_simulated_matches_loops(case, seed):
     model, age = case
     assert_mse_matches_loops(joint_kernel(model), age, seed)
+
+
+@st.composite
+def models_and_long_ages(draw):
+    """Lags up to 20, either uniform or fig4b-style (t, t//2, t, ...)."""
+    model = draw(models())
+    t = draw(st.integers(0, 20))
+    halve = draw(st.booleans())
+    return model, tuple(t // 2 if halve and j % 2 else t for j in range(model.space.num_sequences))
+
+
+@PROPERTY
+@given(models_and_long_ages(), st.integers(0, 2**62))
+@example((two_user_model(0.5), (20, 10)), 1013)
+@example((two_user_model(0.5), (20, 20)), 0)
+def test_mse_simulated_matches_loops_long_lags(case, seed):
+    model, age = case
+    assert_mse_matches_loops(joint_kernel(model), age, seed)
+
+
+def edge_matrix(nstates: int) -> np.ndarray:
+    """A column-stochastic matrix whose columns hold the step's edge cases.
+
+    Column 0 puts all mass on the last state (its thresholds repeat 0),
+    column 1 on the first (they repeat 1); column 2 is a Dirichlet column whose
+    cumsum rounds below the largest double under 1, so a uniform can lie
+    above all its thresholds; with ten or more states column 3 is ten
+    entries of 0.1, whose cumsum ends exactly on that double.  The other
+    columns are Dirichlet draws with about 30% zero entries, which repeat
+    thresholds.
+    """
+    top = np.nextafter(1.0, 0.0)
+    rng = np.random.default_rng(nstates)
+    cols = rng.dirichlet(np.ones(nstates), size=nstates)
+    cols[:, :-1][rng.random((nstates, nstates - 1)) < 0.3] = 0.0
+    cols /= cols.sum(axis=1, keepdims=True)
+    cols[0], cols[1] = np.eye(nstates)[-1], np.eye(nstates)[0]
+    draws = rng.dirichlet(np.ones(nstates), size=256)
+    cols[2] = draws[np.cumsum(draws, axis=1)[:, -1] < top][0]
+    if nstates >= 10:
+        cols[3] = [0.1] * 10 + [0.0] * (nstates - 10)
+    return cols.T.copy()
+
+
+@pytest.mark.parametrize("nstates", [3, 9, 27])
+def test_next_states_matches_comparison_sum(nstates):
+    """The lifted step against the comparison sum and clip on hand-picked
+    uniforms: every threshold of every column, the doubles either side of
+    it, 0 and the largest double under 1, each from every state."""
+    K = edge_matrix(nstates)
+    cum = np.cumsum(K, axis=0)
+    top = np.nextafter(1.0, 0.0)
+    assert cum[-1, 2] < top and np.sum(cum[:-1, 0] == 0.0) == nstates - 1
+    if nstates >= 10:
+        assert cum[-1, 3] == top and np.sum(cum[:-1, 3] == top) == nstates - 10
+    us = np.concatenate([cum.ravel(), np.nextafter(cum, 0.0).ravel(),
+                         np.nextafter(cum, 2.0).ravel(), [0.0, top]])
+    us = np.unique(us[us < 1.0])
+    cur = np.repeat(np.arange(nstates), len(us))
+    u = np.tile(us, nstates)
+    got = _next_states(_threshold_table(K), cur, u)
+    assert np.array_equal(got, ref.next_states(cum, cur, u))
+    # the largest double under 1 lies above every threshold of column 2
+    assert got.reshape(nstates, -1)[2, -1] == nstates - 1
 
 
 @st.composite
