@@ -5,6 +5,10 @@ the CLI's `acceptance` command and tests/test_acceptance.py both call
 these, so there is a single source of truth for what "passing" means.
 All tolerances live in DEFAULT_TOLERANCES and can be overridden (used by
 the fault-injection test to show criteria fail independently).
+
+Criteria 3, 5, 7 and 9 read the tables of the `oracle-validate` and `fig5`
+presets, the utility sweep MSE_SWEEP and the `fig4a` preset, so the gate
+checks the tables that users run, not a copy of the code behind them.
 """
 
 from __future__ import annotations
@@ -21,21 +25,8 @@ from .mechanism import SequenceDatabase, laplace_sample, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed, derive_seeds, generator, laplace
-from .sweeps import (
-    AGE_GRID_DEFAULT,
-    EPS_GRID_DEFAULT,
-    PRESETS,
-    _check_leakage_row,
-    render_table,
-    run_sweep,
-)
-from .utility import (
-    UtilitySpec,
-    aging_error,
-    mse_simulated,
-    noise_variance,
-    tradeoff_frontier,
-)
+from .sweeps import PRESETS, ExperimentConfig, _check_leakage_row, render_table, run_sweep
+from .utility import noise_variance
 
 DEFAULT_TOLERANCES = {
     "symmetry": 1e-9,
@@ -133,30 +124,15 @@ def criterion_reductions(tol) -> CriterionResult:
                            f"all applicable cases within {tol['reduction']:.0e}")
 
 
-def _frontier(seed):
-    model = two_user_model(0.5)
-    query = builtin_queries(model.space)["mean"]
-    spec = UtilitySpec(query, mse_cap=1.0, age_grid=AGE_GRID_DEFAULT,
-                       eps_grid=EPS_GRID_DEFAULT, leakage_kind="tight")
-    caps = [round(0.2 + 0.1 * i, 10) for i in range(9)]
-    return caps, tradeoff_frontier(model, spec, caps)
-
-
 def criterion_baseline_separation(tol, seed=0) -> CriterionResult:
-    caps, frontier = _frontier(seed)
-    at = {m: {cap: sol for cap, sol in frontier[m]} for m in frontier}
-    c08 = at["csdp"][0.8].leakage
-    a08 = at["adp"][0.8].leakage
-    d08 = at["dp"][0.8].leakage
-    dd08 = at["ddp"][0.8].leakage
+    _, rows, _ = run_sweep(replace(PRESETS["fig5"], seed=seed))
+    at = {(r["mechanism"], r["l_cap"]): r["leakage"] for r in rows}
+    c08, a08, d08, dd08 = (at[m, 0.8] for m in ("csdp", "adp", "dp", "ddp"))
     ratio = c08 / a08
     sep = min(d08, dd08) / c08
-    ordering_ok = all(
-        at["csdp"][c].leakage <= at["adp"][c].leakage + 1e-12
-        and at["adp"][c].leakage <= at["ddp"][c].leakage + 1e-12
-        and at["ddp"][c].leakage <= at["dp"][c].leakage + 1e-12
-        for c in caps
-    )
+    order = ("csdp", "adp", "ddp", "dp")
+    ordering_ok = all(at[a, cap] <= at[b, cap] + 1e-12
+                      for a, b in zip(order, order[1:]) for _, cap in at)
     ok = (ratio <= tol["ratio_csdp_adp"] and sep >= tol["separation_factor"]
           and ordering_ok)
     measured = (f"at cap 0.8: csdp={c08:.3e}, adp={a08:.3e} (ratio {ratio:.3f}), "
@@ -189,34 +165,28 @@ def criterion_mechanism_stats(tol, seed=0) -> CriterionResult:
     )
 
 
+# Criterion 7's utility sweep, run at the gate seed: simulated against exact
+# MSE on three couplings, fresh, uniform and mixed ages and five budgets.
+MSE_SWEEP = ExperimentConfig(
+    "utility-sweep",
+    {"lambda": [0.25, 0.5, 0.75], "age": [[0, 0], [1, 1], [3, 3], [5, 2], [10, 10]],
+     "eps_c": [0.5, 1.0, 2.0, 5.0, 10.0], "samples": 4000},
+)
+
+
 def criterion_mse(tol, seed=0) -> CriterionResult:
-    agree_ok = True
-    worst_sigma = 0.0
-    lams = (0.25, 0.5, 0.75)
-    ages = ((0, 0), (1, 1), (3, 3), (5, 2), (10, 10))
-    eps_list = (0.5, 1.0, 2.0, 5.0, 10.0)
+    _, rows, _ = run_sweep(replace(MSE_SWEEP, seed=seed))
     query = builtin_queries(StateSpace(2, 2))["mean"]
+    worst_sigma = max(abs(r["mse_simulated"] - r["mse_exact"]) / r["mse_stderr"] for r in rows)
+    agree_ok = worst_sigma <= tol["mse_sigmas"]
+    # exact MSE less its first-eps value must be the noise variance's change
+    first = {}  # (lambda, age) -> the row of its first eps_c
     decomposition_worst = 0.0
-    for lam in lams:
-        kern = joint_kernel(two_user_model(lam))
-        for age in ages:
-            # mse_exact is this plus noise_variance, so `exact` keeps its bits
-            aging = aging_error(kern, age, query)
-            exact_cache = {}
-            for eps in eps_list:
-                exact = aging + noise_variance(query, eps)
-                exact_cache[eps] = exact
-                est, se = mse_simulated(
-                    kern, age, query, eps, 4000, derive_seed(seed, "mse", lam, age, eps)
-                )
-                sigmas = abs(est - exact) / se
-                worst_sigma = max(worst_sigma, sigmas)
-                if sigmas > tol["mse_sigmas"]:
-                    agree_ok = False
-            for eps in eps_list:
-                gap = abs((exact_cache[eps] - exact_cache[eps_list[0]])
-                          - (noise_variance(query, eps) - noise_variance(query, eps_list[0])))
-                decomposition_worst = max(decomposition_worst, gap)
+    for r in rows:
+        r0 = first.setdefault((r["lambda"], r["age"]), r)
+        gap = abs((r["mse_exact"] - r0["mse_exact"])
+                  - (noise_variance(query, r["eps_c"]) - noise_variance(query, r0["eps_c"])))
+        decomposition_worst = max(decomposition_worst, gap)
     decomp_ok = decomposition_worst <= tol["decomposition"]
     return CriterionResult(
         7, "mse model", agree_ok and decomp_ok,
@@ -256,8 +226,7 @@ def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
 
 
 def criterion_determinism(tol, seed=0) -> CriterionResult:
-    config = PRESETS["fig4a"]
-    config = replace(config, seed=seed)
+    config = replace(PRESETS["fig4a"], seed=seed)
     outputs = []
     for threads in (1, 2, 1):
         fields, rows, _ = run_sweep(replace(config, threads=threads))

@@ -7,6 +7,8 @@ seed.  Cells are independent; with threads > 1 they are evaluated in a
 pool and merged in grid order, so output bytes never depend on scheduling.
 A leakage sweep's cell is one lambda: one model and kernel, and one
 Delta_bar call for all its ages; its rows are (t, eps_c) in grid order.
+A utility sweep's cell is one (lambda, age): one aging term, and one row
+per eps_c in grid order.
 """
 
 from __future__ import annotations
@@ -41,16 +43,12 @@ from .kernel import joint_kernel
 from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed
-from .utility import UtilitySpec, mse_exact, mse_simulated, tradeoff_frontier
-
-SWEEP_KINDS = (
-    "leakage-vs-lambda",
-    "leakage-vs-age",
-    "leakage-vs-noise",
-    "utility-sweep",
-    "frontier",
-    "oracle-validate",
-    "reduce-check",
+from .utility import (
+    UtilitySpec,
+    aging_error,
+    mse_simulated,
+    noise_variance,
+    tradeoff_frontier,
 )
 
 LEAKAGE_FIELDS = (
@@ -62,7 +60,22 @@ LEAKAGE_FIELDS = (
 FRONTIER_FIELDS = ("mechanism", "l_cap", "age", "eps_c", "leakage", "mse", "feasible", "seed")
 
 EPS_GRID_DEFAULT = tuple(np.logspace(np.log10(0.05), np.log10(10.0), 25).tolist())
-AGE_GRID_DEFAULT = tuple(range(21))
+
+_LEAKAGE_GRIDS = {"lambda": (0.5,), "t": tuple(range(7)), "eps_c": (1.0,)}
+
+# Each sweep kind's grid keys and the value a key takes when a config leaves
+# it out; a config naming any other key is rejected.
+GRID_DEFAULTS = {
+    "leakage-vs-lambda": _LEAKAGE_GRIDS,
+    "leakage-vs-age": _LEAKAGE_GRIDS,
+    "leakage-vs-noise": _LEAKAGE_GRIDS,
+    "utility-sweep": {"lambda": (0.5,), "age": ((0, 0),), "eps_c": (1.0,), "samples": 4000},
+    "frontier": {"lambda": (0.5,), "caps": tuple(round(0.2 + 0.1 * i, 10) for i in range(9)),
+                 "age": tuple(range(21)), "eps_c": EPS_GRID_DEFAULT, "leakage_kind": "tight"},
+    "oracle-validate": {"lambda": (0.0, 0.25, 0.5, 0.75, 1.0), "t": tuple(range(7)),
+                        "eps_c": (2.0, 5.0, 10.0)},
+    "reduce-check": {"eps_c": (1.0,), "max_age": 8},
+}
 
 
 @dataclass(frozen=True)
@@ -77,14 +90,31 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.sweep not in SWEEP_KINDS:
+        if self.sweep not in GRID_DEFAULTS:
             raise ModelError(
-                f"sweep: unknown kind '{self.sweep}'; expected one of {SWEEP_KINDS}"
+                f"sweep: unknown kind '{self.sweep}'; expected one of {tuple(GRID_DEFAULTS)}"
             )
+        if not isinstance(self.grids, dict):
+            raise ModelError(f"grids: expected a mapping, got {self.grids!r}")
+        keys = GRID_DEFAULTS[self.sweep]
+        unknown = [key for key in self.grids if key not in keys]
+        if unknown:
+            raise ModelError(f"grids: unknown key(s) {unknown}; {self.sweep} takes {tuple(keys)}")
         if self.fmt not in ("csv", "json"):
             raise ModelError(f"format: unknown value '{self.fmt}'")
         if self.threads < 1:
             raise ModelError(f"threads: must be >= 1, got {self.threads}")
+
+    def grid(self, key: str):
+        """The grid `key` as the config gives it, else the sweep kind's default."""
+        return self.grids.get(key, GRID_DEFAULTS[self.sweep][key])
+
+    def single(self, key: str):
+        """The value of grid `key`, for a sweep that takes exactly one."""
+        values = self.grid(key)
+        if len(values) != 1:
+            raise ModelError(f"grids: a {self.sweep} sweep takes one {key}, got {values}")
+        return values[0]
 
 
 PRESETS = {
@@ -115,19 +145,13 @@ PRESETS = {
     ),
     "fig4c": ExperimentConfig(
         "frontier",
-        {"lambda": [0.5], "caps": [0.4, 0.6, 0.8],
-         "leakage_kind": "tight"},
+        {"lambda": [0.5], "caps": [0.4, 0.6, 0.8], "leakage_kind": "tight"},
     ),
     "fig5": ExperimentConfig(
         "frontier",
-        {"lambda": [0.5], "caps": [round(0.2 + 0.1 * i, 10) for i in range(9)],
-         "leakage_kind": "tight"},
+        {"lambda": [0.5], "caps": GRID_DEFAULTS["frontier"]["caps"], "leakage_kind": "tight"},
     ),
-    "oracle-validate": ExperimentConfig(
-        "oracle-validate",
-        {"lambda": [0.0, 0.25, 0.5, 0.75, 1.0], "t": list(range(7)),
-         "eps_c": [2.0, 5.0, 10.0]},
-    ),
+    "oracle-validate": ExperimentConfig("oracle-validate", dict(GRID_DEFAULTS["oracle-validate"])),
     "reduce-check": ExperimentConfig("reduce-check", {"eps_c": [1.0], "max_age": 8}),
 }
 
@@ -142,19 +166,29 @@ def load_config(source) -> ExperimentConfig:
             "nor a readable file"
         )
     with open(source) as fh:
-        doc = yaml.safe_load(fh) or {}
-    if "sweep" not in doc:
+        try:
+            doc = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ModelError(f"config: '{source}' is not valid YAML: {exc}") from None
+    if not isinstance(doc, dict) or "sweep" not in doc:
         raise ModelError("config: missing field 'sweep'")
     return ExperimentConfig(
         sweep=doc["sweep"],
         grids=doc.get("grids", {}),
-        model_path=doc.get("model", ""),
-        seed=int(doc.get("seed", 0)),
-        out_dir=doc.get("out", "."),
-        cap=int(doc.get("cap", DEFAULT_ENUMERATION_CAP)),
-        fmt=doc.get("format", "csv"),
-        threads=int(doc.get("threads", 1)),
+        model_path=_field(doc, "model", str, ""),
+        seed=_field(doc, "seed", int, 0),
+        out_dir=_field(doc, "out", str, "."),
+        cap=_field(doc, "cap", int, DEFAULT_ENUMERATION_CAP),
+        fmt=_field(doc, "format", str, "csv"),
+        threads=_field(doc, "threads", int, 1),
     )
+
+
+def _field(doc: dict, key: str, kind, default):
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError):
+        raise ModelError(f"{key}: expected {kind.__name__}, got {doc[key]!r}") from None
 
 
 def _model_for(config: ExperimentConfig, lam: float) -> CmcModel:
@@ -234,16 +268,13 @@ def _z_score(diff: float, stderr: float) -> float:
 
 def run_sweep(config: ExperimentConfig):
     """Execute a sweep; returns (fields, rows, violations)."""
-    grids = config.grids
     if config.sweep in ("leakage-vs-lambda", "leakage-vs-age", "leakage-vs-noise",
                         "oracle-validate"):
+        ts, eps_grid = config.grid("t"), config.grid("eps_c")
         validate = config.sweep == "oracle-validate"
-        lams = grids.get("lambda", [0.0, 0.25, 0.5, 0.75, 1.0] if validate else [0.5])
-        eps_grid = grids.get("eps_c", [2.0, 5.0, 10.0] if validate else [1.0])
-        ts = grids.get("t", list(range(7)))
         per_cell = _map_cells(
-            lambda lam: _leakage_rows(config, lam, ts, eps_grid, validate), lams,
-            config.threads,
+            lambda lam: _leakage_rows(config, lam, ts, eps_grid, validate),
+            config.grid("lambda"), config.threads,
         )
         rows = [row for cell_rows in per_cell for row in cell_rows]
         violations = [v for row in rows for v in _check_leakage_row(row)]
@@ -252,14 +283,9 @@ def run_sweep(config: ExperimentConfig):
     if config.sweep == "utility-sweep":
         fields = ("lambda", "age", "eps_c", "mse_exact", "mse_simulated",
                   "mse_stderr", "samples", "seed")
-        samples = int(grids.get("samples", 4000))
-        lams = grids.get("lambda", [0.5])
-        cells = [
-            (lam, tuple(age), eps)
-            for lam in lams
-            for age in grids.get("age", [[0, 0]])
-            for eps in grids.get("eps_c", [1.0])
-        ]
+        samples = int(config.grid("samples"))
+        lams, eps_grid = config.grid("lambda"), config.grid("eps_c")
+        cells = [(lam, tuple(age)) for lam in lams for age in config.grid("age")]
         # one model and kernel per distinct lambda, shared read-only by its cells
         kernels = {}
         for lam in dict.fromkeys(lams):
@@ -267,20 +293,23 @@ def run_sweep(config: ExperimentConfig):
             kernels[lam] = (joint_kernel(model, config.cap), builtin_queries(model.space)["mean"])
 
         def cell(c):
-            lam, age, eps = c
+            lam, age = c
             kernel, query = kernels[lam]
-            exact = mse_exact(kernel, age, query, eps)
-            est, se = mse_simulated(
-                kernel, age, query, eps, samples,
-                derive_seed(config.seed, "mse", lam, age, eps),
-            )
-            return {
-                "lambda": lam, "age": "|".join(str(a) for a in age), "eps_c": eps,
-                "mse_exact": exact, "mse_simulated": est, "mse_stderr": se,
-                "samples": samples, "seed": config.seed,
-            }
+            aging = aging_error(kernel, age, query)
+            label = "|".join(str(a) for a in age)
+            rows = []
+            for eps in eps_grid:
+                est, se = mse_simulated(kernel, age, query, eps, samples,
+                                        derive_seed(config.seed, "mse", lam, age, eps))
+                # mse_exact's sum; mse_simulated has checked eps by now
+                exact = aging + noise_variance(query, eps)
+                rows.append({"lambda": lam, "age": label, "eps_c": eps, "mse_exact": exact,
+                             "mse_simulated": est, "mse_stderr": se, "samples": samples,
+                             "seed": config.seed})
+            return rows
 
-        rows = _map_cells(cell, cells, config.threads)
+        rows = [row for cell_rows in _map_cells(cell, cells, config.threads)
+                for row in cell_rows]
         violations = [
             f"lambda={r['lambda']} age={r['age']} eps_c={r['eps_c']}: "
             "simulated MSE outside 5 standard errors of exact "
@@ -291,19 +320,18 @@ def run_sweep(config: ExperimentConfig):
         return fields, rows, violations
 
     if config.sweep == "frontier":
-        lam = grids.get("lambda", [0.5])[0]
-        caps = grids.get("caps", [round(0.2 + 0.1 * i, 10) for i in range(9)])
-        model = _model_for(config, lam)
-        query = builtin_queries(model.space)["mean"]
+        model = _model_for(config, config.single("lambda"))
+        model.space.check_cap(config.cap)
+        caps = config.grid("caps")
         spec = UtilitySpec(
-            query,
+            builtin_queries(model.space)["mean"],
             mse_cap=max(caps),
-            age_grid=tuple(grids.get("age", AGE_GRID_DEFAULT)),
-            eps_grid=tuple(grids.get("eps_c", EPS_GRID_DEFAULT)),
-            leakage_kind=grids.get("leakage_kind", "tight"),
+            age_grid=tuple(config.grid("age")),
+            eps_grid=tuple(config.grid("eps_c")),
+            leakage_kind=config.grid("leakage_kind"),
         )
         frontier = tradeoff_frontier(model, spec, caps)
-        rows = []
+        rows, violations = [], []
         for mech in ("csdp", "adp", "ddp", "dp"):
             for cap, sol in frontier[mech]:
                 rows.append({
@@ -312,8 +340,6 @@ def run_sweep(config: ExperimentConfig):
                     "eps_c": sol.eps_c, "leakage": sol.leakage, "mse": sol.mse,
                     "feasible": sol.feasible, "seed": config.seed,
                 })
-        violations = []
-        for mech in ("csdp", "adp", "ddp", "dp"):
             points = [(cap, sol.leakage) for cap, sol in frontier[mech] if sol.feasible]
             violations += [
                 f"{mech}: frontier not non-increasing in the cap: rises by {b - a:.1e} "
@@ -324,8 +350,7 @@ def run_sweep(config: ExperimentConfig):
 
     if config.sweep == "reduce-check":
         fields = ("case", "applicable", "passed", "detail")
-        eps = grids.get("eps_c", [1.0])[0]
-        cases = verify_reductions(eps, int(grids.get("max_age", 8)))
+        cases = verify_reductions(config.single("eps_c"), int(config.grid("max_age")))
         rows = [
             {"case": c.name, "applicable": c.applicable, "passed": c.passed,
              "detail": c.detail}

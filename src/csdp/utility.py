@@ -21,6 +21,7 @@ from .bounds import (
     bounded_aged_correlations,
     loose_bound,
     single_chain_tv,
+    tight_bound,
 )
 from .kernel import JointKernel, aged_joint, joint_kernel, state_values, validate_ages
 from .model import CmcModel, ModelError, check_eps
@@ -178,7 +179,7 @@ def _leakage(kind: str, coeff: float, eps_c: float, dk: float) -> float:
     """The budget of `kind` from its coefficient: Delta_bar for "tight",
     Delta_k for the loose forms."""
     if kind == "tight":
-        return coeff * eps_c
+        return tight_bound(coeff, eps_c)
     linear, log_form = loose_bound(coeff, dk, eps_c)
     return linear if kind == "loose_linear" else log_form
 
@@ -219,9 +220,7 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, mechanis
     else:
         grid = []
         for age in spec.age_grid:
-            ages = tuple(int(a) for a in np.atleast_1d(age))
-            if len(ages) == 1 and s > 1:
-                ages = ages * s
+            ages = validate_ages(age, kernel.space)
             grid += [(ages, eps) for eps in spec.eps_grid]
     kind = spec.leakage_kind
     if mechanism == "csdp":

@@ -68,6 +68,19 @@ def test_criterion_7_mse_model(results):
     _check(results, 7)
 
 
+def test_criteria_5_and_7_lines_are_fixed(results):
+    """Criteria 5 and 7 read the fig5 and MSE_SWEEP tables; at seed 0 they
+    give the lines their own frontier and MSE loops gave."""
+    assert results[4].line() == (
+        "[PASS] criterion 5 (baseline separation): measured at cap 0.8: csdp=1.209e-08, "
+        "adp=2.202e-08 (ratio 0.549), dp=1.764e+00, ddp=1.764e+00 (separation 1.5e+08); "
+        "pointwise ordering holds; expected ratio <= 0.6, separation >= 100x, "
+        "csdp<=adp<=ddp<=dp")
+    assert results[6].line() == (
+        "[PASS] criterion 7 (mse model): measured worst |sim-exact| = 2.97 standard errors; "
+        "decomposition residual 4.44e-16; expected <= 3.0 standard errors; residual <= 1e-12")
+
+
 def test_criterion_8_oracle_cross_validation(results):
     _check(results, 8)
 

@@ -8,7 +8,9 @@ import scipy
 
 from csdp import sweeps
 from csdp.cli import main
-from csdp.model import ModelError
+from csdp.kernel import joint_kernel
+from csdp.model import ModelError, two_user_model
+from csdp.queries import builtin_queries
 from csdp.sweeps import (
     PRESETS,
     ExperimentConfig,
@@ -18,7 +20,7 @@ from csdp.sweeps import (
     run,
     run_sweep,
 )
-from csdp.utility import TradeoffSolution
+from csdp.utility import TradeoffSolution, aging_error, mse_exact
 
 
 class TestConfig:
@@ -110,13 +112,41 @@ class TestSweeps:
         one_lambda = ExperimentConfig(
             "leakage-vs-noise", {"lambda": [0.75], "t": [1, 4, 2], "eps_c": [1.0, 3.0]}
         )
+        # a utility cell is one (lambda, age): uniform and mixed ages, rows per eps_c
+        utility = ExperimentConfig(
+            "utility-sweep", {"lambda": [0.25, 0.75], "age": [[0, 0], [3, 3], [4, 1]],
+                              "eps_c": [0.5, 2.0, 10.0], "samples": 200}
+        )
         for config, threads in ((SMALL_AGE, 3), (multi_eps, 3), (one_lambda, 2),
-                                (SMALL_AGE, 5)):
+                                (SMALL_AGE, 5), (utility, 3), (utility, 5)):
             serial = run_sweep(replace(config, threads=1))
             threaded = run_sweep(replace(config, threads=threads))
             assert render_table(serial[0], serial[1], "csv") == render_table(
                 threaded[0], threaded[1], "csv"
             )
+
+    def test_utility_sweep_one_aging_term_per_lambda_and_age(self, monkeypatch):
+        calls = []
+
+        def counting(kernel, age, query):
+            calls.append(age)
+            return aging_error(kernel, age, query)
+
+        monkeypatch.setattr(sweeps, "aging_error", counting)
+        config = ExperimentConfig(
+            "utility-sweep", {"lambda": [0.25, 0.75], "age": [[0, 0], [2, 2], [5, 2]],
+                              "eps_c": [0.5, 1.0, 5.0], "samples": 200}
+        )
+        _, rows, _ = run_sweep(config)
+        assert [(r["lambda"], r["age"], r["eps_c"]) for r in rows] == [
+            (lam, age, eps) for lam in (0.25, 0.75) for age in ("0|0", "2|2", "5|2")
+            for eps in (0.5, 1.0, 5.0)]
+        assert calls == [(0, 0), (2, 2), (5, 2)] * 2
+        for row in rows:
+            kernel = joint_kernel(two_user_model(row["lambda"]))
+            age = tuple(int(a) for a in row["age"].split("|"))
+            query = builtin_queries(kernel.space)["mean"]
+            assert row["mse_exact"] == mse_exact(kernel, age, query, row["eps_c"])
 
 
 class TestViolationMessages:
@@ -206,6 +236,40 @@ class TestCli:
 
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--config", "missing.yaml"]) == 2
+
+    @staticmethod
+    def run_yaml(tmp_path, capsys, doc, *flags):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+        return code, capsys.readouterr().err
+
+    def test_frontier_checks_cap_and_takes_one_lambda(self, tmp_path, capsys):
+        assert main(["run", "--config", "fig5", "--cap", "2", "--out", str(tmp_path)]) == 2
+        assert "enumeration cap 2" in capsys.readouterr().err
+        for doc, key in (("sweep: frontier\ngrids:\n  lambda: [0.5, 0.75]\n", "lambda"),
+                         ("sweep: reduce-check\ngrids:\n  eps_c: [1.0, 2.0]\n", "eps_c")):
+            code, err = self.run_yaml(tmp_path, capsys, doc)
+            assert code == 2 and f"takes one {key}, got" in err
+        assert not (tmp_path / "out").exists() and not list(tmp_path.glob("*.csv"))
+
+    def test_unknown_grid_key_is_named(self, tmp_path, capsys):
+        code, err = self.run_yaml(tmp_path, capsys,
+                                  "sweep: leakage-vs-age\ngrids:\n  lamda: [0.9]\n")
+        assert code == 2 and "unknown key(s) ['lamda']" in err
+        with pytest.raises(ModelError, match="'caps'"):
+            ExperimentConfig("utility-sweep", {"caps": [0.5]})
+
+    @pytest.mark.parametrize("doc, named", [
+        ("sweep: leakage-vs-age\nseed: abc\n", "seed: expected int, got 'abc'"),
+        ("sweep: leakage-vs-age\nthreads: two\n", "threads: expected int, got 'two'"),
+        ("sweep: leakage-vs-age\ngrids: [1, 2]\n", "grids: expected a mapping, got [1, 2]"),
+        ("sweep: [leakage-vs-age\n", "is not valid YAML"),
+        ("- sweep: leakage-vs-age\n", "missing field 'sweep'"),
+    ])
+    def test_config_type_error_names_field(self, tmp_path, capsys, doc, named):
+        code, err = self.run_yaml(tmp_path, capsys, doc)
+        assert code == 2 and named in err
 
     def test_bad_flag_exit_code(self):
         assert main(["run", "--config", "reduce-check", "--format", "xml"]) == 2
