@@ -131,8 +131,9 @@ def criterion_baseline_separation(tol, seed=0) -> CriterionResult:
     ratio = c08 / a08
     sep = min(d08, dd08) / c08
     order = ("csdp", "adp", "ddp", "dp")
+    caps = PRESETS["fig5"].grid("caps")
     ordering_ok = all(at[a, cap] <= at[b, cap] + 1e-12
-                      for a, b in zip(order, order[1:]) for _, cap in at)
+                      for a, b in zip(order, order[1:]) for cap in caps)
     ok = (ratio <= tol["ratio_csdp_adp"] and sep >= tol["separation_factor"]
           and ordering_ok)
     measured = (f"at cap 0.8: csdp={c08:.3e}, adp={a08:.3e} (ratio {ratio:.3f}), "

@@ -43,13 +43,7 @@ from .kernel import joint_kernel
 from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed
-from .utility import (
-    UtilitySpec,
-    aging_error,
-    mse_simulated,
-    noise_variance,
-    tradeoff_frontier,
-)
+from .utility import UtilitySpec, aging_error, mse_simulated, noise_variance, tradeoff_frontier
 
 LEAKAGE_FIELDS = (
     "lambda", "t", "eps_c", "k", "d_k", "delta_k", "delta_bar",
@@ -185,10 +179,19 @@ def load_config(source) -> ExperimentConfig:
 
 
 def _field(doc: dict, key: str, kind, default):
-    try:
-        return kind(doc.get(key, default))
-    except (TypeError, ValueError):
-        raise ModelError(f"{key}: expected {kind.__name__}, got {doc[key]!r}") from None
+    """doc[key] as `kind`, or `default` when the key is absent or left empty;
+    a value that is not of that kind (or, for an int, text of one) is refused."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is int:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ModelError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _model_for(config: ExperimentConfig, lam: float) -> CmcModel:
@@ -321,7 +324,6 @@ def run_sweep(config: ExperimentConfig):
 
     if config.sweep == "frontier":
         model = _model_for(config, config.single("lambda"))
-        model.space.check_cap(config.cap)
         caps = config.grid("caps")
         spec = UtilitySpec(
             builtin_queries(model.space)["mean"],
@@ -330,7 +332,7 @@ def run_sweep(config: ExperimentConfig):
             eps_grid=tuple(config.grid("eps_c")),
             leakage_kind=config.grid("leakage_kind"),
         )
-        frontier = tradeoff_frontier(model, spec, caps)
+        frontier = tradeoff_frontier(model, spec, caps, config.cap)
         rows, violations = [], []
         for mech in ("csdp", "adp", "ddp", "dp"):
             for cap, sol in frontier[mech]:

@@ -24,7 +24,7 @@ from .bounds import (
     tight_bound,
 )
 from .kernel import JointKernel, aged_joint, joint_kernel, state_values, validate_ages
-from .model import CmcModel, ModelError, check_eps
+from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_eps
 from .queries import QuerySpec, k_sensitivity
 from .rng import generator, laplace
 
@@ -264,18 +264,20 @@ def _select(rows: list, cap: float) -> TradeoffSolution:
     return TradeoffSolution(ages, -neg_eps, leak, mse, False)
 
 
-def tradeoff_frontier(model: CmcModel, spec: UtilitySpec, caps) -> dict:
+def tradeoff_frontier(model: CmcModel, spec: UtilitySpec, caps,
+                      enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     """Frontier solutions per mechanism: {mechanism: [(cap, solution), ...]}.
 
     CSDP searches the full (age, eps) grid with the spec's leakage kind;
     ADP uses single-sequence temporal discounting over the same grid; DP
     and DDP are pinned to age zero.  Each mechanism's grid is evaluated
-    once and every cap selects from it.
+    once and every cap selects from it.  `enumeration_cap` bounds the
+    joint state space, as `cap` does in `joint_kernel`.
     """
     for cap in caps:
         if cap <= 0:
             raise ModelError(f"mse_cap must be positive, got {cap}")
-    kernel = joint_kernel(model)
+    kernel = joint_kernel(model, enumeration_cap)
     cache: dict = {}
     out = {}
     for mech in MECHANISMS:

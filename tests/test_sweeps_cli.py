@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy
 
-from csdp import sweeps
+from csdp import sweeps, utility
 from csdp.cli import main
 from csdp.kernel import joint_kernel
-from csdp.model import ModelError, two_user_model
+from csdp.model import DEFAULT_ENUMERATION_CAP, ModelError, two_user_model
 from csdp.queries import builtin_queries
 from csdp.sweeps import (
     PRESETS,
@@ -180,7 +180,7 @@ class TestViolationMessages:
 
         rising = [(0.2, point(0.5)), (0.3, point(0.9, feasible=False)), (0.4, point(0.5)),
                   (0.5, point(0.75)), (0.6, point(0.25))]
-        monkeypatch.setattr(sweeps, "tradeoff_frontier", lambda model, spec, caps: {
+        monkeypatch.setattr(sweeps, "tradeoff_frontier", lambda model, spec, caps, cap: {
             mech: rising if mech == "adp" else rising[:1] for mech in ("csdp", "adp", "ddp", "dp")
         })
         _, _, violations = run_sweep(PRESETS["fig4c"])
@@ -253,6 +253,17 @@ class TestCli:
             assert code == 2 and f"takes one {key}, got" in err
         assert not (tmp_path / "out").exists() and not list(tmp_path.glob("*.csv"))
 
+    def test_frontier_honours_a_raised_cap(self, monkeypatch):
+        seen = []
+
+        def recording(model, cap):
+            seen.append(cap)
+            return joint_kernel(model, cap)
+
+        monkeypatch.setattr(utility, "joint_kernel", recording)
+        run_sweep(replace(PRESETS["fig4c"], cap=DEFAULT_ENUMERATION_CAP + 1))
+        assert seen == [DEFAULT_ENUMERATION_CAP + 1]
+
     def test_unknown_grid_key_is_named(self, tmp_path, capsys):
         code, err = self.run_yaml(tmp_path, capsys,
                                   "sweep: leakage-vs-age\ngrids:\n  lamda: [0.9]\n")
@@ -264,12 +275,20 @@ class TestCli:
         ("sweep: leakage-vs-age\nseed: abc\n", "seed: expected int, got 'abc'"),
         ("sweep: leakage-vs-age\nthreads: two\n", "threads: expected int, got 'two'"),
         ("sweep: leakage-vs-age\ngrids: [1, 2]\n", "grids: expected a mapping, got [1, 2]"),
+        ("sweep: leakage-vs-age\nout: 5\n", "out: expected str, got 5"),
+        ("sweep: leakage-vs-age\nmodel: [a]\n", "model: expected str, got ['a']"),
         ("sweep: [leakage-vs-age\n", "is not valid YAML"),
         ("- sweep: leakage-vs-age\n", "missing field 'sweep'"),
     ])
     def test_config_type_error_names_field(self, tmp_path, capsys, doc, named):
         code, err = self.run_yaml(tmp_path, capsys, doc)
         assert code == 2 and named in err
+
+    def test_empty_fields_take_their_defaults(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("sweep: reduce-check\nmodel:\nout:\nformat:\nseed:\n")
+        config = load_config(str(cfg))
+        assert (config.model_path, config.out_dir, config.fmt, config.seed) == ("", ".", "csv", 0)
 
     def test_bad_flag_exit_code(self):
         assert main(["run", "--config", "reduce-check", "--format", "xml"]) == 2
