@@ -19,14 +19,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import stats
 
-from .bounds import LeakageParams, aged_tv_distance, oracle_leakage, verify_reductions
+from .bounds import (
+    LeakageParams,
+    aged_tv_distance,
+    loose_bound,
+    oracle_leakage,
+    verify_reductions,
+)
 from .kernel import joint_kernel
 from .mechanism import SequenceDatabase, laplace_sample, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed, derive_seeds, generator, laplace
 from .sweeps import PRESETS, ExperimentConfig, _check_leakage_row, render_table, run_sweep
-from .utility import noise_variance
+from .utility import MECHANISMS, noise_variance
 
 DEFAULT_TOLERANCES = {
     "symmetry": 1e-9,
@@ -73,7 +79,8 @@ def criterion_u_shape(tol) -> CriterionResult:
     worst_sym = 0.0
     bad_min = []
     for t in (1, 2, 3, 4):
-        leak = {lam: dk * aged_tv_distance(kernels[lam], (t, t), 2) * 1.0 for lam in lams}
+        leak = {lam: loose_bound(aged_tv_distance(kernels[lam], (t, t), 2), dk, 1.0)[0]
+                for lam in lams}
         argmin = min(lams, key=lambda l: leak[l])
         if argmin != 0.5:
             ok = False
@@ -95,7 +102,7 @@ def criterion_decay(tol) -> CriterionResult:
     notes = []
     for lam in (0.5, 0.75, 1.0):
         kern = joint_kernel(two_user_model(lam))
-        leak = [dk * aged_tv_distance(kern, (t, t), 2) for t in range(7)]
+        leak = [loose_bound(aged_tv_distance(kern, (t, t), 2), dk, 1.0)[0] for t in range(7)]
         drop = 1.0 - leak[4] / leak[0]
         mono = all(b <= a + 1e-12 for a, b in zip(leak, leak[1:]))
         if leak[6] >= tol["decay_threshold"] or drop < tol["decay_drop"] or not mono:
@@ -127,13 +134,12 @@ def criterion_reductions(tol) -> CriterionResult:
 def criterion_baseline_separation(tol, seed=0) -> CriterionResult:
     _, rows, _ = run_sweep(replace(PRESETS["fig5"], seed=seed))
     at = {(r["mechanism"], r["l_cap"]): r["leakage"] for r in rows}
-    c08, a08, d08, dd08 = (at[m, 0.8] for m in ("csdp", "adp", "dp", "ddp"))
+    c08, a08, dd08, d08 = (at[m, 0.8] for m in MECHANISMS)
     ratio = c08 / a08
     sep = min(d08, dd08) / c08
-    order = ("csdp", "adp", "ddp", "dp")
     caps = PRESETS["fig5"].grid("caps")
     ordering_ok = all(at[a, cap] <= at[b, cap] + 1e-12
-                      for a, b in zip(order, order[1:]) for cap in caps)
+                      for a, b in zip(MECHANISMS, MECHANISMS[1:]) for cap in caps)
     ok = (ratio <= tol["ratio_csdp_adp"] and sep >= tol["separation_factor"]
           and ordering_ok)
     measured = (f"at cap 0.8: csdp={c08:.3e}, adp={a08:.3e} (ratio {ratio:.3f}), "

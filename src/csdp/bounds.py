@@ -521,6 +521,8 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
     (c) the coupled benchmark model: reductions intentionally do not
         apply; reported as not applicable.
     """
+    if max_age < 0:
+        raise ModelError(f"max_age must be >= 0, got {max_age}")
     cases = []
 
     iid_col = np.array([0.6, 0.4])

@@ -98,12 +98,17 @@ def validate_ages(age, space: StateSpace) -> tuple:
 
     A scalar (or length-1) age applies to every sequence.  Tuples and lists
     of ints are checked in plain Python; any other input is read through
-    ``np.asarray(age, int)``, so its shape is numpy's.
+    ``np.asarray(age)``, so its shape is numpy's, and refused unless it
+    holds integers: 1.5, 2.0, True and "2" are not ages.
     """
     if isinstance(age, (tuple, list)) and all(type(a) is int for a in age):
         shape, ages = (len(age),), list(age)
     else:
-        arr = np.atleast_1d(np.asarray(age, int))
+        arr = np.atleast_1d(np.asarray(age))
+        bools = isinstance(age, (tuple, list)) and any(
+            isinstance(a, (bool, np.bool_)) for a in age)
+        if arr.dtype.kind not in "iu" or bools:
+            raise ModelError(f"ages must be integers, got {age!r}")
         shape, ages = arr.shape, arr.tolist()
     s = space.num_sequences
     if shape == (1,) and s > 1:
@@ -192,7 +197,8 @@ def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> 
         if initial != STATIONARY:
             raise ModelError(f"unknown initial distribution '{initial}'")
         # a draw above a cumsum that rounds below 1 would index past the end
-        cur = min(int(np.searchsorted(np.cumsum(kernel.stationary), rng.random())), n - 1)
+        cur = min(int(np.searchsorted(np.cumsum(kernel.stationary), rng.random(),
+                                      side="right")), n - 1)
     elif np.isscalar(initial):
         cur = int(initial)
         if not 0 <= cur < n:

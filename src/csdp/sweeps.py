@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import platform
 import tempfile
@@ -43,7 +44,14 @@ from .kernel import joint_kernel
 from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed
-from .utility import UtilitySpec, aging_error, mse_simulated, noise_variance, tradeoff_frontier
+from .utility import (
+    MECHANISMS,
+    UtilitySpec,
+    aging_error,
+    mse_simulated,
+    noise_variance,
+    tradeoff_frontier,
+)
 
 LEAKAGE_FIELDS = (
     "lambda", "t", "eps_c", "k", "d_k", "delta_k", "delta_bar",
@@ -58,7 +66,8 @@ EPS_GRID_DEFAULT = tuple(np.logspace(np.log10(0.05), np.log10(10.0), 25).tolist(
 _LEAKAGE_GRIDS = {"lambda": (0.5,), "t": tuple(range(7)), "eps_c": (1.0,)}
 
 # Each sweep kind's grid keys and the value a key takes when a config leaves
-# it out; a config naming any other key is rejected.
+# it out; a config naming any other key, or giving a value not of its
+# default's shape (`_fits`), is rejected.
 GRID_DEFAULTS = {
     "leakage-vs-lambda": _LEAKAGE_GRIDS,
     "leakage-vs-age": _LEAKAGE_GRIDS,
@@ -70,6 +79,26 @@ GRID_DEFAULTS = {
                         "eps_c": (2.0, 5.0, 10.0)},
     "reduce-check": {"eps_c": (1.0,), "max_age": 8},
 }
+
+
+def _fits(value, default) -> bool:
+    """Whether a grid value has the shape of its default: a list (or tuple)
+    of elements each fitting the default's first for a tuple, an int for an
+    int, a number for a float and a str for a str.  A bool is none of these."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(default, str):
+        return isinstance(value, str)
+    return isinstance(value, numbers.Integral if isinstance(default, int) else numbers.Real)
+
+
+def _shape(default) -> str:
+    """The shape `_fits` asks of a value, written out: "[int, ...]"."""
+    if isinstance(default, tuple):
+        return f"[{_shape(default[0])}, ...]"
+    return {int: "int", float: "number", str: "str"}[type(default)]
 
 
 @dataclass(frozen=True)
@@ -94,6 +123,10 @@ class ExperimentConfig:
         unknown = [key for key in self.grids if key not in keys]
         if unknown:
             raise ModelError(f"grids: unknown key(s) {unknown}; {self.sweep} takes {tuple(keys)}")
+        for key, value in self.grids.items():
+            # a frontier's ages may be age vectors too, as a utility sweep's are
+            if not (_fits(value, keys[key]) or key == "age" and _fits(value, ((0,),))):
+                raise ModelError(f"grids: {key}: expected {_shape(keys[key])}, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ModelError(f"format: unknown value '{self.fmt}'")
         if self.threads < 1:
@@ -286,7 +319,7 @@ def run_sweep(config: ExperimentConfig):
     if config.sweep == "utility-sweep":
         fields = ("lambda", "age", "eps_c", "mse_exact", "mse_simulated",
                   "mse_stderr", "samples", "seed")
-        samples = int(config.grid("samples"))
+        samples = config.grid("samples")
         lams, eps_grid = config.grid("lambda"), config.grid("eps_c")
         cells = [(lam, tuple(age)) for lam in lams for age in config.grid("age")]
         # one model and kernel per distinct lambda, shared read-only by its cells
@@ -334,7 +367,7 @@ def run_sweep(config: ExperimentConfig):
         )
         frontier = tradeoff_frontier(model, spec, caps, config.cap)
         rows, violations = [], []
-        for mech in ("csdp", "adp", "ddp", "dp"):
+        for mech in MECHANISMS:
             for cap, sol in frontier[mech]:
                 rows.append({
                     "mechanism": mech, "l_cap": cap,
@@ -352,7 +385,7 @@ def run_sweep(config: ExperimentConfig):
 
     if config.sweep == "reduce-check":
         fields = ("case", "applicable", "passed", "detail")
-        cases = verify_reductions(config.single("eps_c"), int(config.grid("max_age")))
+        cases = verify_reductions(config.single("eps_c"), config.grid("max_age"))
         rows = [
             {"case": c.name, "applicable": c.applicable, "passed": c.passed,
              "detail": c.detail}

@@ -4,20 +4,22 @@ The release error decomposes into an aging term (query drift between the
 aged and the current snapshot) and the Laplace noise variance; the two are
 independent, so the mean squared error is their sum.  Problem P1 --
 minimize a chosen leakage budget subject to an MSE cap -- is solved by
-exhaustive search over (age, eps_c) grids.
+exhaustive search over (age, eps_c) grids.  The correlation degree is
+always s, every user coupled (the worst case).  The frontier's DP rows
+are its DDP rows: both are pinned to age zero with the same budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
     adp_leakage,
     aged_tv_distance,
+    baseline_bounds,
     bounded_aged_correlations,
     loose_bound,
     single_chain_tv,
@@ -47,12 +49,14 @@ def _better(candidate, incumbent) -> bool:
 
 @dataclass(frozen=True)
 class UtilitySpec:
+    """A P1 problem: the leakage budget of `leakage_kind` at degree s, the
+    number of sequences, minimized over the grids subject to `mse_cap`."""
+
     query: QuerySpec
     mse_cap: float
     age_grid: tuple  # iterable of age vectors
     eps_grid: tuple  # iterable of finite positive reals
     leakage_kind: str = "loose_linear"
-    degree: Optional[int] = None  # defaults to s (fully coupled worst case)
 
     def __post_init__(self):
         if self.mse_cap <= 0:
@@ -66,9 +70,6 @@ class UtilitySpec:
                 f"leakage_kind '{self.leakage_kind}' not one of {LEAKAGE_KINDS}"
             )
 
-    def resolved_degree(self) -> int:
-        return self.query.space.num_sequences if self.degree is None else self.degree
-
 
 @dataclass(frozen=True)
 class TradeoffSolution:
@@ -77,7 +78,6 @@ class TradeoffSolution:
     leakage: float
     mse: float
     feasible: bool
-    frontier: tuple = field(default_factory=tuple)
 
 
 def aging_error(kernel: JointKernel, age, query: QuerySpec) -> float:
@@ -106,11 +106,11 @@ def _threshold_table(matrix: np.ndarray) -> np.ndarray:
 
 
 def _next_states(table: np.ndarray, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """min(#{j : cum[j, c] < u}, n-1) for each chain at state c = cur,
+    """min(#{j : cum[j, c] <= u}, n-1) for each chain at state c = cur,
     by branch-free binary lifting over `_threshold_table`'s rows.
 
     The thresholds of a row never decrease (cumsums of nonnegative entries
-    do not in floating point), so the count below u is a prefix length and
+    do not in floating point), so the count up to u is a prefix length and
     the +inf padding caps it at n-1 with no clip.
     """
     width = table.shape[1]
@@ -119,7 +119,7 @@ def _next_states(table: np.ndarray, cur: np.ndarray, u: np.ndarray) -> np.ndarra
     pos = np.zeros(len(cur), dtype=np.intp)
     k = width // 2
     while k:
-        pos += k * (flat[base + pos + k] < u)
+        pos += k * (flat[base + pos + k] <= u)
         k //= 2
     return pos
 
@@ -135,10 +135,11 @@ def mse_simulated(
     """(estimate, standard error) of the release MSE over seeded trajectories.
 
     The generator of `seed` is read in one fixed order: `samples` uniforms
-    for the stationary start states (inverted with `searchsorted`), then
-    `samples` uniforms per step of the longest lag, then `samples` Laplace
-    draws of the noise.  A chain at state c with uniform u steps to
-    min(#{j : cum[j, c] < u}, n-1), cum the kernel's column cumsums.  The
+    for the stationary start states, then `samples` uniforms per step of
+    the longest lag, then `samples` Laplace draws of the noise.  Every draw
+    maps its uniform u to min(#{j : cum[j] <= u}, n-1), cum the cumsums of
+    its law: the stationary law for a start, column c of the kernel for a
+    step from state c.  A zero-probability state is never drawn.  The
     stream and the rule together fix every estimate to the last bit.
     """
     if samples < 100:
@@ -192,56 +193,41 @@ def solve_p1(model: CmcModel, spec: UtilitySpec) -> TradeoffSolution:
     feasible the best-MSE point is returned with feasible=False.
     """
     kernel = joint_kernel(model)
-    return _select(_grid_rows(kernel, model, spec, "csdp", {}), spec.mse_cap)
+    return _select(_grid_rows(kernel, model, spec, baselines=False)["csdp"], spec.mse_cap)
 
 
-def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, mechanism: str,
-               cache: dict) -> list:
-    """(age, eps, leakage, mse) at every grid point of a mechanism, age-major.
+def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baselines: bool) -> dict:
+    """{mechanism: [(age, eps, leakage, mse), ...]} for CSDP and, with
+    `baselines`, ADP and DDP, each at every grid point, age-major.
 
-    CSDP and ADP range over the full (age, eps) grid; DP and DDP are pinned
-    to age zero, where the correlation-blind mechanism still pays the
-    d(k)-scaled cost once correlated records are accounted for, which is
-    exactly the DDP certified budget -- the two frontiers coincide.  None
-    of this depends on the MSE cap; `cache` keeps the aging errors and
-    leakage coefficients for reuse across mechanisms and calls.
+    CSDP and ADP range over the full (age, eps) grid in `age_grid` order,
+    duplicates included; DDP is pinned to age zero.  DP is pinned there
+    too, where the correlation-blind mechanism still pays the d(k)-scaled
+    cost once correlated records are accounted for, which is exactly the
+    DDP certified budget -- the two frontiers coincide, so DP reads DDP's
+    rows and is not evaluated.  The degree is s.  Each distinct age's
+    leakage coefficients and aging error are computed once and shared by
+    every mechanism; none of this depends on the MSE cap.
     """
     s = kernel.space.num_sequences
-    degree = spec.resolved_degree()
-    dk = k_sensitivity(spec.query, degree)
-
-    def memo(key, compute):
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
-
-    if mechanism in ("dp", "ddp"):
-        grid = [((0,) * s, eps) for eps in spec.eps_grid]
+    query, kind = spec.query, spec.leakage_kind
+    dk = k_sensitivity(query, s)
+    grid = [validate_ages(age, kernel.space) for age in spec.age_grid]
+    ages = list(dict.fromkeys(grid))
+    if kind == "tight":  # one call packs every age's transport LPs
+        delta = dict(zip(ages, bounded_aged_correlations(kernel, ages)))
     else:
-        grid = []
-        for age in spec.age_grid:
-            ages = validate_ages(age, kernel.space)
-            grid += [(ages, eps) for eps in spec.eps_grid]
-    kind = spec.leakage_kind
-    if mechanism == "csdp":
-        todo = [a for a in dict.fromkeys(a for a, _ in grid) if (kind, a) not in cache]
-        if kind == "tight":  # one call packs every age's transport LPs
-            coeffs = bounded_aged_correlations(kernel, todo)
-        else:
-            coeffs = [aged_tv_distance(kernel, a, degree) for a in todo]
-        cache.update(zip([(kind, a) for a in todo], coeffs))
-    rows = []
-    for ages, eps in grid:
-        if mechanism == "csdp":
-            leak = _leakage(kind, cache[(kind, ages)], eps, dk)
-        elif mechanism == "adp":
-            t = max(ages)
-            leak = adp_leakage(memo(("adp", t), lambda: single_chain_tv(model, t)), eps)
-        else:
-            leak = dk * eps
-        aging = memo(("aging", ages), lambda: aging_error(kernel, ages, spec.query))
-        rows.append((ages, eps, leak, aging + noise_variance(spec.query, eps)))
-    return rows
+        delta = {a: aged_tv_distance(kernel, a, s) for a in ages}
+    budgets = {"csdp": (grid, lambda a, eps: _leakage(kind, delta[a], eps, dk))}
+    if baselines:
+        chain_tv = {a: single_chain_tv(model, max(a)) for a in ages}
+        budgets["adp"] = (grid, lambda a, eps: adp_leakage(chain_tv[a], eps))
+        budgets["ddp"] = ([(0,) * s], lambda a, eps: baseline_bounds(eps, s, query)[1])
+    aging = {a: aging_error(kernel, a, query)
+             for a in dict.fromkeys(a for mech_ages, _ in budgets.values() for a in mech_ages)}
+    return {mech: [(a, eps, budget(a, eps), aging[a] + noise_variance(query, eps))
+                   for a in mech_ages for eps in spec.eps_grid]
+            for mech, (mech_ages, budget) in budgets.items()}
 
 
 def _select(rows: list, cap: float) -> TradeoffSolution:
@@ -270,17 +256,16 @@ def tradeoff_frontier(model: CmcModel, spec: UtilitySpec, caps,
 
     CSDP searches the full (age, eps) grid with the spec's leakage kind;
     ADP uses single-sequence temporal discounting over the same grid; DP
-    and DDP are pinned to age zero.  Each mechanism's grid is evaluated
-    once and every cap selects from it.  `enumeration_cap` bounds the
-    joint state space, as `cap` does in `joint_kernel`.
+    and DDP are pinned to age zero, and DP's solutions are DDP's.  The
+    grid is evaluated once and every cap selects from it.
+    `enumeration_cap` bounds the joint state space, as `cap` does in
+    `joint_kernel`.
     """
     for cap in caps:
         if cap <= 0:
             raise ModelError(f"mse_cap must be positive, got {cap}")
     kernel = joint_kernel(model, enumeration_cap)
-    cache: dict = {}
-    out = {}
-    for mech in MECHANISMS:
-        rows = _grid_rows(kernel, model, spec, mech, cache)
-        out[mech] = [(float(cap), _select(rows, cap)) for cap in caps]
+    out = {mech: [(float(cap), _select(rows, cap)) for cap in caps]
+           for mech, rows in _grid_rows(kernel, model, spec, baselines=True).items()}
+    out["dp"] = out["ddp"]
     return out

@@ -22,6 +22,12 @@ dense coupling LP per neighbour pair it replaced is kept here as its
 reference, which agrees to rounding, not bit for bit.  `single_chain_tv`
 builds each one-sequence kernel directly; the form through a one-sequence
 `CmcModel` and `joint_kernel` is kept here and must give the same bits.
+
+The P1 / frontier optimiser works out each distinct age's leakage
+coefficient and aging error once and shares them across mechanisms and
+eps; `tradeoff_scan` recomputes every grid point's budget and MSE from
+the bound functions, one mechanism at a time, and scans the rows with
+the same tie rule.
 """
 
 import itertools
@@ -43,6 +49,7 @@ from csdp import (
 from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
 from csdp.kernel import _digits
 from csdp.rng import generator, laplace
+from csdp.utility import TradeoffSolution, _better
 
 
 def joint_kernel_matrix(model) -> np.ndarray:
@@ -288,9 +295,9 @@ def release(db, t, age, query, eps_c, seed):
 
 def next_states(cum, cur, u):
     """The chains' next states: the number of column `cur`'s cumulative
-    thresholds below u, one comparison per threshold, clipped to the last
-    state."""
-    nxt = (u[:, None] > cum[:, cur].T).sum(axis=1)
+    thresholds at or below u, one comparison per threshold, clipped to the
+    last state."""
+    nxt = (u[:, None] >= cum[:, cur].T).sum(axis=1)
     return np.clip(nxt, 0, cum.shape[0] - 1)
 
 
@@ -318,3 +325,47 @@ def mse_simulated(kernel, age, query, eps_c, samples, seed, evaluate) -> tuple:
     noise = laplace(rng, query.sensitivity(1) / eps_c, n)
     sq = (f_aged + noise - f_cur) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))
+
+
+def budget(model, kernel, spec, mechanism, age, eps) -> float:
+    """One grid point's leakage budget, from the bound functions."""
+    s = model.space.num_sequences
+    if mechanism == "csdp":
+        if spec.leakage_kind == "tight":
+            return csdp.tight_bound(csdp.bounded_aged_correlation(kernel, age), eps)
+        dk = csdp.k_sensitivity(spec.query, s)
+        linear, log_form = csdp.loose_bound(csdp.aged_tv_distance(kernel, age, s), dk, eps)
+        return linear if spec.leakage_kind == "loose_linear" else log_form
+    if mechanism == "adp":
+        return csdp.adp_leakage(csdp.single_chain_tv(model, max(age)), eps)
+    # DP at age zero pays DDP's d(k)-scaled budget
+    return csdp.baseline_bounds(eps, s, spec.query)[1]
+
+
+def p1_scan(rows, cap) -> TradeoffSolution:
+    """The least leakage with MSE <= cap over rows in order (ties: larger
+    eps, then smaller age), else the least-MSE row, infeasible."""
+    best = least = None
+    for age, eps, leak, mse in rows:
+        if least is None or (mse, -eps, age) < least[:3]:
+            least = (mse, -eps, age, leak)
+        if mse <= cap and _better((leak, -eps, age), best and best[:3]):
+            best = (leak, -eps, age, mse)
+    if best is not None:
+        return TradeoffSolution(best[2], -best[1], best[0], best[3], True)
+    return TradeoffSolution(least[2], -least[1], least[3], least[0], False)
+
+
+def tradeoff_scan(model, spec, caps) -> dict:
+    """{mechanism: [(cap, solution), ...]} with every row recomputed."""
+    kernel = csdp.joint_kernel(model)
+    s = model.space.num_sequences
+    grid = [tuple(validate_ages(age, model.space).tolist()) for age in spec.age_grid]
+    out = {}
+    for mech in ("csdp", "adp", "ddp", "dp"):
+        ages = [(0,) * s] if mech in ("ddp", "dp") else grid
+        rows = [(age, eps, budget(model, kernel, spec, mech, age, eps),
+                 csdp.mse_exact(kernel, age, spec.query, eps))
+                for age in ages for eps in spec.eps_grid]
+        out[mech] = [(float(cap), p1_scan(rows, cap)) for cap in caps]
+    return out

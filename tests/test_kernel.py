@@ -16,6 +16,8 @@ from csdp import (
     sample_trajectory,
     two_user_model,
 )
+from csdp import kernel as kernel_module
+from csdp.kernel import validate_ages
 from csdp.model import DEFAULT_ENUMERATION_CAP
 from csdp.rng import generator
 
@@ -212,3 +214,41 @@ class TestSampling:
         assert generator(seed).random() > 0.999
         traj = sample_trajectory(kern, "stationary", horizon=3, seed=seed)
         assert traj.tolist() == [[1], [1], [1]]
+
+    def test_stationary_start_at_a_tie_skips_an_empty_state(self, monkeypatch):
+        # a uniform of exactly 0.0 ties with the empty state 0's threshold;
+        # start and steps alike count the thresholds at or below it
+        class Zeros:
+            def random(self):
+                return 0.0
+
+        monkeypatch.setattr(kernel_module, "generator", lambda seed: Zeros())
+        K = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [1.0, 0.5, 0.5]])
+        kern = JointKernel(StateSpace(1, 3), K, ((0,), (1,), (2,)), np.array([0.0, 0.5, 0.5]))
+        traj = sample_trajectory(kern, "stationary", horizon=3, seed=0)
+        assert traj.tolist() == [[1], [1], [1]]
+
+
+class TestValidateAges:
+    SPACE = StateSpace(2, 2)
+
+    @pytest.mark.parametrize("age", [
+        1.5, 2.0, True, "2", [1.5, 2], (2.0, 2), [True, 1], (1, "2"),
+        np.array([1.0, 2.0]), np.array([True, False]), np.float64(2.0),
+    ])
+    def test_non_integer_ages_are_refused(self, age):
+        with pytest.raises(ModelError, match="ages must be integers, got"):
+            validate_ages(age, self.SPACE)
+
+    @pytest.mark.parametrize("age, ages", [
+        ((1, 2), (1, 2)), ([3], (3, 3)), (4, (4, 4)), (np.int64(2), (2, 2)),
+        (np.array([1, 2]), (1, 2)), ([np.int64(1), 2], (1, 2)), (np.uint8(5), (5, 5)),
+    ])
+    def test_integer_ages_are_read(self, age, ages):
+        got = validate_ages(age, self.SPACE)
+        assert got == ages and all(type(a) is int for a in got)
+
+    def test_consumers_refuse_a_fractional_age(self):
+        kern = joint_kernel(two_user_model(0.5))
+        with pytest.raises(ModelError, match=r"ages must be integers, got \(1.5, 2\)"):
+            aged_joint(kern, (1.5, 2))

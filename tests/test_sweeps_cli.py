@@ -284,6 +284,36 @@ class TestCli:
         code, err = self.run_yaml(tmp_path, capsys, doc)
         assert code == 2 and named in err
 
+    @pytest.mark.parametrize("doc, named", [
+        ("sweep: utility-sweep\ngrids:\n  age: [3]\n",
+         "grids: age: expected [[int, ...], ...], got [3]"),
+        ("sweep: frontier\ngrids:\n  lambda: 0.5\n", "grids: lambda: expected [number, ...], got 0.5"),
+        ("sweep: leakage-vs-age\ngrids:\n  t: 3\n", "grids: t: expected [int, ...], got 3"),
+        ("sweep: utility-sweep\ngrids:\n  samples: abc\n", "grids: samples: expected int, got 'abc'"),
+        ("sweep: leakage-vs-noise\ngrids:\n  eps_c: [abc]\n",
+         "grids: eps_c: expected [number, ...], got ['abc']"),
+        ("sweep: frontier\ngrids:\n  leakage_kind: [tight]\n",
+         "grids: leakage_kind: expected str, got ['tight']"),
+        ("sweep: reduce-check\ngrids:\n  max_age: -1\n", "max_age must be >= 0, got -1"),
+        # ages that are not integers, which used to be truncated
+        ("sweep: leakage-vs-age\ngrids:\n  t: [1.5]\n", "grids: t: expected [int, ...], got [1.5]"),
+        ("sweep: oracle-validate\ngrids:\n  t: [true]\n", "grids: t: expected [int, ...], got [True]"),
+        ("sweep: utility-sweep\ngrids:\n  age: [[1.5, 2]]\n",
+         "grids: age: expected [[int, ...], ...], got [[1.5, 2]]"),
+        ("sweep: frontier\ngrids:\n  age: [2.7]\n", "grids: age: expected [int, ...], got [2.7]"),
+    ])
+    def test_bad_grid_value_names_key(self, tmp_path, capsys, doc, named):
+        code, err = self.run_yaml(tmp_path, capsys, doc)
+        assert code == 2 and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_frontier_takes_age_vectors(self, tmp_path, capsys):
+        code, _ = self.run_yaml(tmp_path, capsys, "sweep: frontier\ngrids:\n  "
+                                "age: [[2, 1], [0, 0]]\n  caps: [0.8]\n  eps_c: [1.0]\n")
+        assert code == 0
+        rows = (tmp_path / "out" / "frontier.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["2|1", "2|1", "0|0", "0|0"]
+
     def test_empty_fields_take_their_defaults(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("sweep: reduce-check\nmodel:\nout:\nformat:\nseed:\n")

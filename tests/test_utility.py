@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from csdp import (
     tradeoff_frontier,
     two_user_model,
 )
+from csdp import utility
 from csdp.queries import QuerySpec
-from csdp.utility import aging_error, noise_variance
+from csdp.utility import LEAKAGE_KINDS, aging_error, noise_variance
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
@@ -181,6 +184,46 @@ class TestSolveP1:
             UtilitySpec(mean_query(), 1.0, (), (1.0,))
 
 
+@pytest.mark.parametrize("kind", LEAKAGE_KINDS)
+def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
+    """A frontier computes each distinct age's coefficients and aging error
+    once, for every mechanism and eps; `solve_p1` computes no ADP term."""
+    calls = {name: [] for name in ("bounded_aged_correlations", "aged_tv_distance",
+                                   "single_chain_tv", "aging_error")}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(utility, name)):
+            calls[name].append(args[1])
+            return fn(*args)
+        monkeypatch.setattr(utility, name, counted)
+    spec = UtilitySpec(mean_query(), mse_cap=1.0,
+                       age_grid=((2, 2), 3, (1, 3), (2, 2), [1, 3]),
+                       eps_grid=(0.5, 1.0, 2.0), leakage_kind=kind)
+    distinct = [(2, 2), (3, 3), (1, 3)]
+    coefficients = {"bounded_aged_correlations": [distinct] if kind == "tight" else [],
+                    "aged_tv_distance": [] if kind == "tight" else distinct}
+    tradeoff_frontier(two_user_model(0.5), spec, [0.4, 0.8])
+    # single_chain_tv takes each age's largest entry; DDP adds age zero's aging
+    assert calls == {**coefficients, "single_chain_tv": [2, 3, 3],
+                     "aging_error": distinct + [(0, 0)]}
+    for got in calls.values():
+        got.clear()
+    solve_p1(two_user_model(0.5), spec)
+    assert calls == {**coefficients, "single_chain_tv": [], "aging_error": distinct}
+
+
+def test_duplicate_ages_keep_their_rows(monkeypatch):
+    """Ties within TIE_RTOL do not chain, so the scan order matters: with
+    Delta_k set to 0.5, 0.5(1 + 0.9e-12) and 0.5(1 + 1.8e-12) at ages 3, 2
+    and 1, each younger age ties with the one before it and wins on age,
+    and the repeated age 3 then beats age 1 outright."""
+    delta = {(3, 3): 0.5, (2, 2): 0.5 * (1 + 0.9e-12), (1, 1): 0.5 * (1 + 1.8e-12)}
+    monkeypatch.setattr(utility, "aged_tv_distance", lambda kernel, age, degree: delta[age])
+    spec = UtilitySpec(mean_query(), mse_cap=1e9, age_grid=((3, 3), (2, 2), (1, 1), (3, 3)),
+                       eps_grid=(1.0,), leakage_kind="loose_linear")
+    assert solve_p1(two_user_model(0.5), spec).age == (3, 3)
+    assert solve_p1(two_user_model(0.5), replace(spec, age_grid=spec.age_grid[:3])).age == (1, 1)
+
+
 @pytest.fixture(scope="module")
 def frontier():
     model = two_user_model(0.5)
@@ -216,6 +259,11 @@ class TestFrontier:
         d = table["dp"][i][1].leakage
         dd = table["ddp"][i][1].leakage
         assert d == pytest.approx(dd, rel=0.01)
+
+    def test_dp_reads_ddp(self, frontier):
+        _, table = frontier
+        assert list(table) == ["csdp", "adp", "ddp", "dp"]
+        assert table["dp"] == table["ddp"]
 
     def test_baselines_pinned_to_age_zero(self, frontier):
         _, table = frontier

@@ -13,10 +13,13 @@ the stationary law.  The release path, the simulated MSE and the built-in
 query evaluates are compared with their per-sample NumPy forms the same way,
 the simulated MSE also at lags up to 20, and its chain step with the
 comparison sum it replaced on hand-picked uniforms at every threshold.
+The P1 solver and the four-mechanism frontier equal a plain scan that
+recomputes every grid point, on grids with repeated and mixed ages.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from csdp import (
     ModelError,
     SequenceDatabase,
     StateSpace,
+    UtilitySpec,
     aged_joint,
     aged_tv_distance,
     backward_conditional,
@@ -43,13 +47,15 @@ from csdp import (
     release_values,
     sample_trajectory,
     single_chain_tv,
+    solve_p1,
+    tradeoff_frontier,
     two_user_model,
 )
 from csdp.bounds import _neighbour_pairs, _transport_bounds
 from csdp.kernel import _digits
 from csdp.queries import QuerySpec
 from csdp.sweeps import EPS_GRID_DEFAULT
-from csdp.utility import _next_states, _threshold_table
+from csdp.utility import LEAKAGE_KINDS, _next_states, _threshold_table
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -330,6 +336,62 @@ def test_next_states_matches_comparison_sum(nstates):
     assert np.array_equal(got, ref.next_states(cum, cur, u))
     # the largest double under 1 lies above every threshold of column 2
     assert got.reshape(nstates, -1)[2, -1] == nstates - 1
+
+
+def test_next_states_skips_a_zero_probability_state_at_a_tie():
+    """A uniform equal to a threshold steps past it: with all of column 0's
+    mass on state 2, u = 0.0 goes to state 2, never to the empty state 0."""
+    K = np.array([[0.0, 0.5, 0.5], [0.0, 0.25, 0.5], [1.0, 0.25, 0.0]])
+    cur, u = np.array([0]), np.array([0.0])
+    assert _next_states(_threshold_table(K), cur, u).tolist() == [2]
+    assert ref.next_states(np.cumsum(K, axis=0), cur, u).tolist() == [2]
+
+
+@st.composite
+def p1_problems(draw):
+    """A model, a spec whose age grid repeats ages and mixes scalar, uniform
+    and mixed age vectors, and a few MSE caps."""
+    model = draw(models())
+    s = model.space.num_sequences
+    age = st.one_of(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=s, max_size=s))
+    ages = draw(st.lists(age, min_size=1, max_size=4))
+    ages = draw(st.permutations(ages + draw(st.lists(st.sampled_from(ages), max_size=3))))
+    spec = UtilitySpec(
+        builtin_queries(model.space)["mean"], mse_cap=1.0,
+        age_grid=tuple(ages),
+        eps_grid=tuple(draw(st.lists(st.sampled_from((0.2, 0.5, 1.0, 2.0, 5.0)),
+                                     min_size=1, max_size=3))),
+        leakage_kind=draw(st.sampled_from(LEAKAGE_KINDS)),
+    )
+    return model, spec, draw(st.lists(st.floats(0.01, 2.0), min_size=1, max_size=3))
+
+
+def assert_solutions_match(got, want, rel):
+    """(cap, solution) lists equal, leakage to `rel` and all else exactly."""
+    assert [cap for cap, _ in got] == [cap for cap, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert (g.age, g.eps_c, g.mse, g.feasible) == (w.age, w.eps_c, w.mse, w.feasible)
+        assert g.leakage == pytest.approx(w.leakage, rel=rel, abs=rel)
+
+
+@PROPERTY
+@given(p1_problems())
+def test_p1_and_frontier_match_plain_scan(problem):
+    """Every mechanism's frontier and `solve_p1` at each cap equal the
+    scan's.  The package packs every age's Delta_bar into one call and the
+    scan makes one call per grid point, which agree to rounding, so a tight
+    CSDP leakage is compared to 1e-12; every other value is compared exactly."""
+    model, spec, caps = problem
+    want = ref.tradeoff_scan(model, spec, caps)
+    got = tradeoff_frontier(model, spec, caps)
+    assert list(got) == list(want)
+    rel = {mech: 0.0 for mech in want}
+    if spec.leakage_kind == "tight":
+        rel["csdp"] = 1e-12
+    for mech in want:
+        assert_solutions_match(got[mech], want[mech], rel[mech])
+    p1 = [(cap, solve_p1(model, replace(spec, mse_cap=cap))) for cap in caps]
+    assert_solutions_match(p1, want["csdp"], rel["csdp"])
 
 
 @st.composite
