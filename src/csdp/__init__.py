@@ -48,7 +48,6 @@ from .model import (
     spectral_check,
     stationary_distribution,
     two_user_model,
-    validate_model,
 )
 from .queries import QuerySpec, builtin_queries, brute_force_profile
 from .utility import (

@@ -209,7 +209,7 @@ def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
         configs.append((two_user_model(lam), (t, t), eps, f"two-user lam={lam} t={t}"))
     three = CmcModel(
         StateSpace(3, 2),
-        np.broadcast_to(np.array([[0.7, 0.3], [0.3, 0.7]]), (3, 3, 2, 2)).copy(),
+        np.broadcast_to(np.array([[0.7, 0.3], [0.3, 0.7]]), (3, 3, 2, 2)),
         np.full((3, 3), 1.0 / 3),
     )
     configs.append((three, (1, 1, 1), 1.0, "three-user uniform coupling t=1"))

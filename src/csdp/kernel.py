@@ -12,7 +12,6 @@ Backward (aged) conditionals are always evaluated at stationarity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .model import (
     ModelError,
     StateSpace,
     _power_iteration,
-    _require_valid,
 )
 from .rng import generator
 
@@ -32,31 +30,12 @@ STATIONARY = "stationary"
 
 @dataclass(frozen=True)
 class JointKernel:
-    """Column-stochastic kernel over joint snapshots plus its stationary law.
-
-    ``states[i]`` is the tuple of per-sequence states encoded by index i
-    (big-endian: the last sequence varies fastest).
-    """
+    """Column-stochastic kernel over joint snapshots plus its stationary law,
+    indexed by the joint encoding of `space`."""
 
     space: StateSpace
     matrix: np.ndarray  # (m^s, m^s), column-stochastic
-    states: tuple
     stationary: np.ndarray  # (m^s,)
-
-    def index(self, state) -> int:
-        m, s = self.space.num_states, self.space.num_sequences
-        state = tuple(int(v) for v in state)
-        if len(state) != s or any(not 0 <= v < m for v in state):
-            raise ModelError(f"{state} is not a valid joint state for s={s}, m={m}")
-        idx = 0
-        for v in state:
-            idx = idx * m + v
-        return idx
-
-
-def _digits(s: int, m: int) -> np.ndarray:
-    """(m^s, s) array whose row i holds the per-sequence states of joint index i."""
-    return np.arange(m**s)[:, None] // m ** np.arange(s - 1, -1, -1) % m
 
 
 def _joint_stationary(K: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6) -> np.ndarray:
@@ -77,10 +56,9 @@ def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKe
     L_j[b_j, a] = sum_k lam[j, k] P[j][k][b_j, a_k], built one sequence at
     a time: after sequence j the rows enumerate (b_0, ..., b_j).
     """
-    _require_valid(model)
     model.space.check_cap(cap)
     s, m = model.space.num_sequences, model.space.num_states
-    digits = _digits(s, m)
+    digits = model.space.digits
     n = len(digits)
     K = np.ones((1, n))
     for j in range(s):
@@ -89,8 +67,7 @@ def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKe
             if model.weights[j, k]:
                 law += model.weights[j, k] * model.transitions[j, k][:, digits[:, k]]
         K = (K[:, None, :] * law[None, :, :]).reshape(-1, n)
-    states = tuple(itertools.product(range(m), repeat=s))
-    return JointKernel(model.space, K, states, _joint_stationary(K))
+    return JointKernel(model.space, K, _joint_stationary(K))
 
 
 def validate_ages(age, space: StateSpace) -> tuple:
@@ -121,8 +98,8 @@ def validate_ages(age, space: StateSpace) -> tuple:
 
 
 def state_values(kernel: JointKernel, query) -> np.ndarray:
-    """f[i] = query.evaluate(kernel.states[i]): the query on every joint state."""
-    return np.array([query.evaluate(x) for x in kernel.states])
+    """f[i] = query.evaluate(kernel.space.states[i]): the query on every joint state."""
+    return np.array([query.evaluate(x) for x in kernel.space.states])
 
 
 def aged_joint(kernel: JointKernel, age) -> np.ndarray:
@@ -141,7 +118,6 @@ def aged_joint(kernel: JointKernel, age) -> np.ndarray:
         return (Kt * kernel.stationary[None, :]).T
 
     s, m = kernel.space.num_sequences, kernel.space.num_states
-    digits = _digits(s, m)
     # dist[w, r] = Pr[current joint state w, recorded coordinates r], where r
     # is the big-endian code of the coordinates recorded so far, in the
     # order they were recorded
@@ -152,7 +128,7 @@ def aged_joint(kernel: JointKernel, age) -> np.ndarray:
         if seqs:
             # append the codes of w's coordinates `seqs` as the lowest digits of r
             reps = m ** len(seqs)
-            code = digits[:, seqs] @ m ** np.arange(len(seqs) - 1, -1, -1)
+            code = kernel.space.subset_code(seqs)
             out = np.zeros((n, dist.shape[1], reps))
             out[np.arange(n), :, code] = dist
             dist = out.reshape(n, -1)
@@ -177,7 +153,7 @@ def backward_conditional(kernel: JointKernel, age) -> np.ndarray:
     dead = np.nonzero(px <= 0)[0]
     if dead.size:
         raise ModelError(
-            f"cannot condition on state {kernel.states[dead[0]]}: "
+            f"cannot condition on state {kernel.space.states[dead[0]]}: "
             "zero probability under the stationary law"
         )
     return J / px[None, :]
@@ -204,12 +180,11 @@ def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> 
         if not 0 <= cur < n:
             raise ModelError(f"initial state index {cur} out of range")
     else:
-        cur = kernel.index(initial)
+        cur = kernel.space.index(initial)
     cum = np.cumsum(kernel.matrix, axis=0)
-    out = np.empty((horizon, kernel.space.num_sequences), dtype=np.int64)
-    out[0] = kernel.states[cur]
+    path = np.empty(horizon, dtype=np.intp)
+    path[0] = cur
     for t in range(1, horizon):
         cur = int(np.searchsorted(cum[:, cur], rng.random(), side="right"))
-        cur = min(cur, n - 1)
-        out[t] = kernel.states[cur]
-    return out
+        path[t] = cur = min(cur, n - 1)
+    return kernel.space.digits[path].astype(np.int64, copy=False)

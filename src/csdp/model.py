@@ -14,8 +14,9 @@ All distribution vectors are column vectors acted on from the left.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -43,8 +44,21 @@ def check_eps(eps_c) -> None:
         raise ModelError(f"eps_c must be finite, got {eps_c}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class StateSpace:
+    """The m^s joint snapshots of s sequences over m states, and their encoding.
+
+    Joint index i is the snapshot whose sequence j is in state digits[i, j];
+    the encoding is big-endian, i = digits[i] @ place, with the last
+    sequence varying fastest.  Every table is computed at most once per
+    (s, m), since equal spaces share a cache, and is read-only.
+    """
+
     num_sequences: int
     num_states: int
 
@@ -68,68 +82,104 @@ class StateSpace:
                 "use the sampling path instead"
             )
 
+    @property
+    @functools.cache
+    def place(self) -> np.ndarray:
+        """place[j] = m^(s-1-j), the joint-index step of sequence j."""
+        return _read_only(self.num_states ** np.arange(self.num_sequences - 1, -1, -1))
+
+    @property
+    @functools.cache
+    def digits(self) -> np.ndarray:
+        """(m^s, s) array whose row i holds the per-sequence states of joint index i."""
+        return _read_only(np.arange(self.product_size)[:, None] // self.place % self.num_states)
+
+    @property
+    @functools.cache
+    def states(self) -> tuple:
+        """states[i] is the tuple of per-sequence states of joint index i."""
+        return tuple(map(tuple, self.digits.tolist()))
+
+    def index(self, state) -> int:
+        """The joint index of a tuple of per-sequence states."""
+        s, m = self.num_sequences, self.num_states
+        state = tuple(int(v) for v in state)
+        if len(state) != s or any(not 0 <= v < m for v in state):
+            raise ModelError(f"{state} is not a valid joint state for s={s}, m={m}")
+        return sum(v * p for v, p in zip(state, self.place.tolist()))
+
+    def subset_code(self, coords) -> np.ndarray:
+        """For every joint index, the big-endian code of its states at the
+        sequences `coords`, taken in the order given."""
+        return self.digits[:, list(coords)] @ StateSpace(len(coords), self.num_states).place
+
+    @property
+    @functools.cache
+    def neighbour_pairs(self) -> np.ndarray:
+        """All (ai, bi), ai < bi, of joint indices that differ in exactly one
+        coordinate, as an int array of shape (P, 2) sorted by ai and then bi.
+
+        bi = ai + d * place[j] raises coordinate j by d.  All offsets of
+        coordinate j lie below place[j-1], the smallest offset of coordinate
+        j-1, so taking the coordinates from last to first and d upwards
+        sorts bi.
+        """
+        n, s, m = self.product_size, self.num_sequences, self.num_states
+        strides = self.place[::-1][None, :, None]  # coordinates from last to first
+        steps = np.arange(1, m)[None, None, :]
+        room = (m - 1 - self.digits[:, ::-1])[:, :, None]
+        ai = np.broadcast_to(np.arange(n)[:, None, None], (n, s, m - 1))
+        keep = steps <= room
+        return _read_only(np.stack([ai[keep], (ai + steps * strides)[keep]], axis=1))
+
 
 @dataclass(frozen=True)
 class CmcModel:
-    """Transition matrices, coupling weights and the state space they act on."""
+    """Transition matrices, coupling weights and the state space they act on.
+
+    A model is valid by construction: it keeps read-only float copies of
+    `transitions` and `weights`, and refuses, with a ModelError naming
+    every violation, wrong shapes, transition entries outside [0, 1],
+    columns that do not sum to 1, negative coupling weights and coupling
+    rows that do not sum to 1.  A NaN entry fails these checks.
+    """
 
     space: StateSpace
     transitions: np.ndarray  # shape (s, s, m, m), column-stochastic per (j, k)
     weights: np.ndarray  # shape (s, s), rows sum to 1
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", np.asarray(self.transitions, float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, float))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple = field(default_factory=tuple)
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_model(model: CmcModel) -> ValidationReport:
-    """Check shapes, column stochasticity and coupling-row normalization."""
-    s, m = model.space.num_sequences, model.space.num_states
-    problems = []
-    if model.transitions.shape != (s, s, m, m):
-        problems.append(
-            f"transitions have shape {model.transitions.shape}, expected {(s, s, m, m)}"
-        )
-    if model.weights.shape != (s, s):
-        problems.append(f"weights have shape {model.weights.shape}, expected {(s, s)}")
-    if problems:
-        return ValidationReport(False, tuple(problems))
-
-    if np.any(model.transitions < -STOCHASTIC_TOL) or np.any(
-        model.transitions > 1 + STOCHASTIC_TOL
-    ):
-        problems.append("transition entries outside [0, 1]")
-    for j in range(s):
-        for k in range(s):
-            cols = model.transitions[j, k].sum(axis=0)
-            for a in np.nonzero(np.abs(cols - 1.0) > STOCHASTIC_TOL)[0]:
-                problems.append(f"column {a} of P[{j}][{k}] sums to {cols[a]:.10g}")
-    if np.any(model.weights < -STOCHASTIC_TOL):
-        problems.append("negative coupling weight")
-    rows = model.weights.sum(axis=1)
-    for j in np.nonzero(np.abs(rows - 1.0) > STOCHASTIC_TOL)[0]:
-        problems.append(f"coupling row {j} sums to {rows[j]:.10g}")
-    return ValidationReport(not problems, tuple(problems))
-
-
-def _require_valid(model: CmcModel) -> None:
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelError("invalid model: " + "; ".join(report.violations))
+        for name in ("transitions", "weights"):
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"{name}: not a numeric array: {exc}") from None
+            object.__setattr__(self, name, _read_only(arr))
+        s, m = self.space.num_sequences, self.space.num_states
+        P, W = self.transitions, self.weights
+        problems = []
+        if P.shape != (s, s, m, m):
+            problems.append(f"transitions have shape {P.shape}, expected {(s, s, m, m)}")
+        if W.shape != (s, s):
+            problems.append(f"weights have shape {W.shape}, expected {(s, s)}")
+        if not problems:
+            # each test is written so that a NaN fails it
+            if not np.all((P >= -STOCHASTIC_TOL) & (P <= 1 + STOCHASTIC_TOL)):
+                problems.append("transition entries outside [0, 1]")
+            cols = P.sum(axis=2)  # cols[j, k, a]: the sum of column a of P[j][k]
+            problems += [f"column {a} of P[{j}][{k}] sums to {cols[j, k, a]:.10g}"
+                         for j, k, a in zip(*np.nonzero(~(abs(cols - 1.0) <= STOCHASTIC_TOL)))]
+            if not np.all(W >= -STOCHASTIC_TOL):
+                problems.append("negative coupling weight")
+            rows = W.sum(axis=1)
+            problems += [f"coupling row {j} sums to {rows[j]:.10g}"
+                         for j in np.flatnonzero(~(abs(rows - 1.0) <= STOCHASTIC_TOL))]
+        if problems:
+            raise ModelError("invalid model: " + "; ".join(problems))
 
 
 def build_block_matrix(model: CmcModel) -> np.ndarray:
     """The (s*m) x (s*m) block matrix Q with block (j, k) = lam[j, k] * P[j][k]."""
-    _require_valid(model)
     s = model.space.num_sequences
     blocks = [
         [model.weights[j, k] * model.transitions[j, k] for k in range(s)]
@@ -157,7 +207,6 @@ def as_blocks(pi, space: StateSpace) -> np.ndarray:
 
 def evolve_distribution(model: CmcModel, pi) -> np.ndarray:
     """One step of the marginal evolution; returns per-sequence blocks (s, m)."""
-    _require_valid(model)
     blocks = as_blocks(pi, model.space)
     s = model.space.num_sequences
     out = np.zeros_like(blocks)
@@ -182,7 +231,6 @@ def stationary_distribution(
     (periodic chains oscillate instead of converging and are reported as
     such rather than Cesaro-averaged).
     """
-    _require_valid(model)
     s, m = model.space.num_sequences, model.space.num_states
     for j in range(s):
         for k in range(s):
@@ -264,7 +312,6 @@ class SpectralReport:
 
 def spectral_check(model: CmcModel, tol: float = 1e-6) -> SpectralReport:
     """Eigenvalue moduli of the block matrix Q."""
-    _require_valid(model)
     try:
         eig = np.linalg.eigvals(build_block_matrix(model))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -284,7 +331,7 @@ def spectral_check(model: CmcModel, tol: float = 1e-6) -> SpectralReport:
 
 
 def load_model(path) -> CmcModel:
-    """Read a model from YAML, validating on load.
+    """Read a model from YAML; the model refuses invalid contents by name.
 
     Expected layout::
 
@@ -307,21 +354,12 @@ def load_model(path) -> CmcModel:
     if orientation != "column-stochastic":
         raise ModelError(f"orientation: unsupported value '{orientation}'")
     space = StateSpace(int(doc["num_sequences"]), int(doc["num_states"]))
-    s, m = space.num_sequences, space.num_states
-    trans = np.asarray(doc["transitions"], float)
-    if trans.shape != (s, s, m, m):
-        raise ModelError(f"transitions: shape {trans.shape} does not match ({s}, {s}, {m}, {m})")
     # matrices are written row-major with rows = next state, i.e. exactly the
     # column-stochastic layout used internally
-    model = CmcModel(space, trans, np.asarray(doc["coupling"], float))
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelError(f"model file invalid: {report.violations[0]}")
-    return model
+    return CmcModel(space, doc["transitions"], doc["coupling"])
 
 
 def save_model(model: CmcModel, path) -> None:
-    _require_valid(model)
     doc = {
         "num_sequences": model.space.num_sequences,
         "num_states": model.space.num_states,
@@ -342,6 +380,5 @@ def two_user_model(lam: float, p: float = 0.3) -> CmcModel:
     if not 0.0 <= lam <= 1.0:
         raise ModelError(f"self-coupling weight must be in [0, 1], got {lam}")
     P = np.array([[1 - p, p], [p, 1 - p]])
-    transitions = np.broadcast_to(P, (2, 2, 2, 2)).copy()
-    weights = np.array([[lam, 1 - lam], [1 - lam, lam]])
-    return CmcModel(StateSpace(2, 2), transitions, weights)
+    weights = [[lam, 1 - lam], [1 - lam, lam]]
+    return CmcModel(StateSpace(2, 2), np.broadcast_to(P, (2, 2, 2, 2)), weights)

@@ -8,7 +8,6 @@ together.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,8 +83,7 @@ def brute_force_profile(query: QuerySpec, upto: int) -> list:
 
     Only feasible on small spaces; used to certify the declared profiles.
     """
-    s, m = query.space.num_sequences, query.space.num_states
-    states = list(itertools.product(range(m), repeat=s))
+    states = query.space.states
     worst = [0.0] * (upto + 1)
     for a in states:
         fa = query.evaluate(a)

@@ -123,6 +123,9 @@ class ExperimentConfig:
         unknown = [key for key in self.grids if key not in keys]
         if unknown:
             raise ModelError(f"grids: unknown key(s) {unknown}; {self.sweep} takes {tuple(keys)}")
+        if self.model_path and "lambda" in self.grids:
+            raise ModelError("grids: lambda: a sweep with a model file takes no lambda grid; "
+                             "the model file fixes the coupling")
         for key, value in self.grids.items():
             # a frontier's ages may be age vectors too, as a utility sweep's are
             if not (_fits(value, keys[key]) or key == "age" and _fits(value, ((0,),))):
@@ -133,7 +136,11 @@ class ExperimentConfig:
             raise ModelError(f"threads: must be >= 1, got {self.threads}")
 
     def grid(self, key: str):
-        """The grid `key` as the config gives it, else the sweep kind's default."""
+        """The grid `key` as the config gives it, else the sweep kind's default.
+        With a model file, which fixes the coupling, the lambda grid is the
+        default's first value: one cell, whose rows leave lambda empty."""
+        if key == "lambda" and self.model_path:
+            return GRID_DEFAULTS[self.sweep][key][:1]
         return self.grids.get(key, GRID_DEFAULTS[self.sweep][key])
 
     def single(self, key: str):
@@ -212,17 +219,18 @@ def load_config(source) -> ExperimentConfig:
 
 
 def _field(doc: dict, key: str, kind, default):
-    """doc[key] as `kind`, or `default` when the key is absent or left empty;
-    a value that is not of that kind (or, for an int, text of one) is refused."""
+    """doc[key] as `kind`, or `default` when the key is absent or left empty.
+    A str field takes a str; an int field takes an int that is not a bool,
+    or the text of an int.  Any other value is refused."""
     value = doc.get(key)
     if value is None:
         return default
     if kind is str and isinstance(value, str):
         return value
-    if kind is int:
+    if kind is int and isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except ValueError:
             pass
     raise ModelError(f"{key}: expected {kind.__name__}, got {value!r}")
 
@@ -261,7 +269,7 @@ def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
             lin, logf = loose_bound(delta_k, dk, eps)
             dp, ddp = baseline_bounds(eps, k, query)
             row = {
-                "lambda": lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
+                "lambda": "" if config.model_path else lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
                 "delta_k": delta_k, "delta_bar": delta_bar,
                 "loose_linear": lin, "loose_log": logf,
                 "tight": tight_bound(delta_bar, eps),
@@ -339,7 +347,8 @@ def run_sweep(config: ExperimentConfig):
                                         derive_seed(config.seed, "mse", lam, age, eps))
                 # mse_exact's sum; mse_simulated has checked eps by now
                 exact = aging + noise_variance(query, eps)
-                rows.append({"lambda": lam, "age": label, "eps_c": eps, "mse_exact": exact,
+                rows.append({"lambda": "" if config.model_path else lam, "age": label,
+                             "eps_c": eps, "mse_exact": exact,
                              "mse_simulated": est, "mse_stderr": se, "samples": samples,
                              "seed": config.seed})
             return rows

@@ -145,20 +145,20 @@ def mse_simulated(
     if samples < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
     check_eps(eps_c)
-    s, m = kernel.space.num_sequences, kernel.space.num_states
+    m = kernel.space.num_states
     ages = np.array(validate_ages(age, kernel.space))
     T = int(ages.max())
     n = int(samples)
     rng = generator(seed)
-    nstates = len(kernel.states)
+    nstates = kernel.space.product_size
     f = state_values(kernel, query)
 
     cur = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n), side="right")
     np.clip(cur, 0, nstates - 1, out=cur)
     table = _threshold_table(kernel.matrix)
-    # the aged snapshots' joint indices (big-endian, as kernel.states),
-    # each sequence's digit taken from `cur` when its lag is reached
-    place = m ** np.arange(s - 1, -1, -1)
+    # the aged snapshots' joint indices, each sequence's digit taken from
+    # `cur` when its lag is reached
+    place = kernel.space.place
     aged = np.zeros(n, dtype=np.intp)
     for step in range(T + 1):
         lagged = (T - ages) == step

@@ -2,7 +2,9 @@
 
 The package builds the joint kernel, the heterogeneous-age aged joint law,
 the Hamming-1 neighbour pairs, the subset marginals of Delta_k and the
-exact oracle's pair maximum with NumPy index arithmetic.  These are the
+exact oracle's pair maximum with NumPy index arithmetic on the encoding
+that `StateSpace` owns (its digit table, place values, subset codes and
+neighbour pairs).  These are the
 nested-loop forms they replaced, one state at a time.  The exact oracle
 here also sums each state's Laplace mixture with its own `logsumexp`; the
 package forms all states' sums as one row-scaled matrix product, which
@@ -47,7 +49,6 @@ from csdp import (
     laplace_sample,
 )
 from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
-from csdp.kernel import _digits
 from csdp.rng import generator, laplace
 from csdp.utility import TradeoffSolution, _better
 
@@ -100,7 +101,7 @@ def aged_joint(kernel, age) -> np.ndarray:
     def record(dist, seqs):
         reps = m ** len(seqs)
         out = np.zeros((n, dist.shape[1] * reps))
-        for w, state in enumerate(kernel.states):
+        for w, state in enumerate(kernel.space.states):
             offset = 0
             for v in (state[i] for i in seqs):
                 offset = offset * m + v
@@ -134,6 +135,17 @@ def neighbour_pairs(states) -> list:
     return pairs
 
 
+def subset_code(states, coords, m: int) -> list:
+    """Each state's big-endian code of its values at `coords`, in that order."""
+    codes = []
+    for state in states:
+        code = 0
+        for c in coords:
+            code = code * m + state[c]
+        codes.append(code)
+    return codes
+
+
 def hamming_costs(states) -> np.ndarray:
     return np.array(
         [[sum(a != b for a, b in zip(z, w)) for w in states] for z in states],
@@ -143,7 +155,7 @@ def hamming_costs(states) -> np.ndarray:
 
 def hamming_costs_from_digits(s: int, m: int) -> np.ndarray:
     """The Hamming cost matrix by digit comparison, one coordinate at a time."""
-    digits = _digits(s, m)
+    digits = StateSpace(s, m).digits
     costs = np.zeros((len(digits), len(digits)))
     for col in digits.T:
         costs += col[:, None] != col[None, :]
@@ -182,7 +194,7 @@ def bounded_aged_correlation(kernel, age) -> float:
     B = backward_conditional(kernel, age)
     costs = hamming_costs_from_digits(kernel.space.num_sequences, kernel.space.num_states)
     best = 0.0
-    for ai, bi in neighbour_pairs(kernel.states):
+    for ai, bi in neighbour_pairs(kernel.space.states):
         best = max(best, transport_distance(B[:, ai], B[:, bi], costs))
     return best
 
@@ -209,9 +221,9 @@ def aged_tv_distance(kernel, age, degree: int) -> float:
     sub_index = {st: i for i, st in enumerate(substates)}
     for subset in itertools.combinations(range(s), size):
         M = np.zeros((len(substates), len(substates)))
-        for zi, z in enumerate(kernel.states):
+        for zi, z in enumerate(kernel.space.states):
             zk = sub_index[tuple(z[i] for i in subset)]
-            for xi, x in enumerate(kernel.states):
+            for xi, x in enumerate(kernel.space.states):
                 xk = sub_index[tuple(x[i] for i in subset)]
                 M[zk, xk] += J[zi, xi]
         totals = M.sum(axis=0)
@@ -224,7 +236,7 @@ def aged_tv_distance(kernel, age, degree: int) -> float:
 def exact_oracle(kernel, params) -> float:
     query = params.query
     B = backward_conditional(kernel, params.age)
-    f_values = np.array([query.evaluate(z) for z in kernel.states])
+    f_values = np.array([query.evaluate(z) for z in kernel.space.states])
     b = query.sensitivity(1) / params.eps_c
     thetas = _theta_grid(f_values, b)
     with np.errstate(divide="ignore"):
@@ -235,7 +247,7 @@ def exact_oracle(kernel, params) -> float:
     # log Pr[M <= theta | x] and log Pr[M > theta | x], one logsumexp each
     F = [logsumexp(lc + logB[None, :, x], axis=1) for x in range(len(f_values))]
     S = [logsumexp(ls + logB[None, :, x], axis=1) for x in range(len(f_values))]
-    for ai, bi in neighbour_pairs(kernel.states):
+    for ai, bi in neighbour_pairs(kernel.space.states):
         best = max(best, float(np.abs(F[ai] - F[bi]).max()),
                    float(np.abs(S[ai] - S[bi]).max()))
     return best
@@ -307,11 +319,11 @@ def mse_simulated(kernel, age, query, eps_c, samples, seed, evaluate) -> tuple:
     T = int(ages.max())
     n = int(samples)
     rng = generator(seed)
-    nstates = len(kernel.states)
-    f = np.array([evaluate(x) for x in kernel.states])
+    nstates = len(kernel.space.states)
+    f = np.array([evaluate(x) for x in kernel.space.states])
     cur = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n), side="right")
     np.clip(cur, 0, nstates - 1, out=cur)
-    state_arr = np.array(kernel.states)
+    state_arr = np.array(kernel.space.states)
     recorded = np.empty((n, kernel.space.num_sequences), dtype=np.int64)
     cum = np.cumsum(kernel.matrix, axis=0)
     for step in range(T + 1):

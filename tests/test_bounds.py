@@ -45,11 +45,10 @@ def random_model(s, m, seed):
 
 def open_blocks(kern, ages) -> int:
     """Transport blocks, over all ages, that their bounds leave to an LP."""
-    s, m = kern.space.num_sequences, kern.space.num_states
     opened = 0
     for D in bounds._transport_blocks(kern, ages):
         if len(D):
-            lo, hi = bounds._transport_bounds(D, s, m)
+            lo, hi = bounds._transport_bounds(D, kern.space)
             opened += int((hi > lo.max() * (1 + bounds._SETTLE_SLACK)).sum())
     return opened
 
@@ -318,7 +317,7 @@ class TestTransportBounds:
         d = np.zeros(16)
         d[[0b0000, 0b1111]] = 0.5
         d[[0b0011, 0b1100]] = -0.5
-        lo, hi = bounds._transport_bounds(d[None], 4, 2)
+        lo, hi = bounds._transport_bounds(d[None], StateSpace(4, 2))
         assert (lo[0], hi[0]) == (1.0, 2.0)
         costs = ref.hamming_costs_from_digits(4, 2)
         assert ref.transport_distance(np.maximum(d, 0), np.maximum(-d, 0), costs) == \
@@ -329,7 +328,7 @@ class TestTransportBounds:
         # block's lower bound, so only its LP finds Delta_bar
         kern = joint_kernel(random_model(3, 3, seed=32))
         D = np.concatenate(bounds._transport_blocks(kern, [(1, 1, 1)]))
-        tau = bounds._transport_bounds(D, 3, 3)[0].max()
+        tau = bounds._transport_bounds(D, kern.space)[0].max()
         value = bounded_aged_correlation(kern, (1, 1, 1))
         assert value > tau * 1.003
         assert value == pytest.approx(ref.bounded_aged_correlation(kern, (1, 1, 1)), abs=1e-12)
@@ -353,7 +352,7 @@ class TestTransportBounds:
         assert D.shape == (1024, 256)
         tracemalloc.start()
         try:
-            bounds._transport_bounds(D, 8, 2)
+            bounds._transport_bounds(D, kern.space)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

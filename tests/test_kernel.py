@@ -31,13 +31,13 @@ def single_chain(P):
 def kernel_marginals(kernel, blocks: np.ndarray) -> np.ndarray:
     """One joint step from a product distribution, marginalized per sequence."""
     s, m = kernel.space.num_sequences, kernel.space.num_states
-    joint = np.ones(len(kernel.states))
-    for idx, state in enumerate(kernel.states):
+    joint = np.ones(len(kernel.space.states))
+    for idx, state in enumerate(kernel.space.states):
         for j in range(s):
             joint[idx] *= blocks[j][state[j]]
     nxt = kernel.matrix @ joint
     out = np.zeros((s, m))
-    for idx, state in enumerate(kernel.states):
+    for idx, state in enumerate(kernel.space.states):
         for j in range(s):
             out[j, state[j]] += nxt[idx]
     return out
@@ -50,7 +50,7 @@ class TestJointKernel:
 
     def test_benchmark_column_from_00(self):
         kern = joint_kernel(two_user_model(0.75))
-        col = kern.matrix[:, kern.index((0, 0))]
+        col = kern.matrix[:, kern.space.index((0, 0))]
         # both sequences draw 0.7/0.3 mixtures from source state 0
         np.testing.assert_allclose(col, [0.49, 0.21, 0.21, 0.09])
 
@@ -146,7 +146,7 @@ class TestAgedJoint:
                 * kern.matrix[w1, w0]
                 * kern.matrix[w2, w1]
             )
-            z = kern.index((kern.states[w0][0], kern.states[w1][1]))
+            z = kern.space.index((kern.space.states[w0][0], kern.space.states[w1][1]))
             expected[z, w2] += p
         np.testing.assert_allclose(J, expected, atol=1e-12)
 
@@ -191,7 +191,7 @@ class TestSampling:
 
         kern = joint_kernel(two_user_model(0.75))
         traj = sample_trajectory(kern, "stationary", horizon=10**5, seed=5)
-        idx = [kern.index(tuple(row)) for row in traj]
+        idx = [kern.space.index(tuple(row)) for row in traj]
         counts = np.zeros((4, 4))
         for a, b in zip(idx, idx[1:]):
             counts[b, a] += 1
@@ -209,7 +209,7 @@ class TestSampling:
 
     def test_stationary_start_when_cumsum_rounds_below_one(self):
         # a start draw above the stationary law's total lands on the last state
-        kern = JointKernel(StateSpace(1, 2), np.eye(2), ((0,), (1,)), np.array([0.5, 0.499]))
+        kern = JointKernel(StateSpace(1, 2), np.eye(2), np.array([0.5, 0.499]))
         seed = 1874
         assert generator(seed).random() > 0.999
         traj = sample_trajectory(kern, "stationary", horizon=3, seed=seed)
@@ -224,7 +224,7 @@ class TestSampling:
 
         monkeypatch.setattr(kernel_module, "generator", lambda seed: Zeros())
         K = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [1.0, 0.5, 0.5]])
-        kern = JointKernel(StateSpace(1, 3), K, ((0,), (1,), (2,)), np.array([0.0, 0.5, 0.5]))
+        kern = JointKernel(StateSpace(1, 3), K, np.array([0.0, 0.5, 0.5]))
         traj = sample_trajectory(kern, "stationary", horizon=3, seed=0)
         assert traj.tolist() == [[1], [1], [1]]
 

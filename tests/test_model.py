@@ -17,7 +17,6 @@ from csdp import (
     spectral_check,
     stationary_distribution,
     two_user_model,
-    validate_model,
 )
 from csdp.model import _support_period
 
@@ -36,37 +35,60 @@ def random_model(s, m, seed):
 
 
 class TestValidation:
+    """A model is checked when it is built: an invalid one is never made."""
+
     def test_identity_matrices_pass(self):
         model = CmcModel(
             StateSpace(2, 2),
             np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy(),
             np.full((2, 2), 0.5),
         )
-        assert validate_model(model).ok
+        assert model.transitions.shape == (2, 2, 2, 2)
 
     def test_bad_column_named(self):
         trans = np.broadcast_to(FLIP, (2, 2, 2, 2)).copy()
         trans[0, 0, 0, 0] = 0.6  # column 0 now sums to 0.9
-        model = CmcModel(StateSpace(2, 2), trans, np.full((2, 2), 0.5))
-        report = validate_model(model)
-        assert not report.ok
-        assert any("column 0 of P[0][0]" in v and "0.9" in v for v in report.violations)
+        with pytest.raises(ModelError, match=r"column 0 of P\[0\]\[0\] sums to 0\.9"):
+            CmcModel(StateSpace(2, 2), trans, np.full((2, 2), 0.5))
 
     def test_benchmark_setup_passes(self):
-        assert validate_model(two_user_model(0.75)).ok
+        assert two_user_model(0.75).weights.tolist() == [[0.75, 0.25], [0.25, 0.75]]
 
     def test_bad_weight_row(self):
-        model = CmcModel(
-            StateSpace(2, 2),
-            np.broadcast_to(FLIP, (2, 2, 2, 2)).copy(),
-            np.array([[0.8, 0.3], [0.25, 0.75]]),
-        )
-        report = validate_model(model)
-        assert any("coupling row 0" in v for v in report.violations)
+        with pytest.raises(ModelError, match="coupling row 0 sums to 1.1"):
+            CmcModel(
+                StateSpace(2, 2),
+                np.broadcast_to(FLIP, (2, 2, 2, 2)).copy(),
+                np.array([[0.8, 0.3], [0.25, 0.75]]),
+            )
 
     def test_shape_mismatch(self):
-        model = CmcModel(StateSpace(2, 2), np.zeros((2, 2, 3, 3)), np.full((2, 2), 0.5))
-        assert not validate_model(model).ok
+        with pytest.raises(ModelError, match=r"transitions have shape \(2, 2, 3, 3\), "
+                                             r"expected \(2, 2, 2, 2\)"):
+            CmcModel(StateSpace(2, 2), np.zeros((2, 2, 3, 3)), np.full((2, 2), 0.5))
+
+    def test_every_violation_is_named(self):
+        trans = np.broadcast_to(FLIP, (2, 2, 2, 2)).copy()
+        trans[1, 0, :, 1] = [1.5, -0.5]  # sums to 1, entries outside [0, 1]
+        trans[0, 1, 0, 0] = 0.5  # column 0 of P[0][1] sums to 0.8
+        with pytest.raises(ModelError) as err:
+            CmcModel(StateSpace(2, 2), trans, np.array([[1.2, -0.1], [0.5, 0.6]]))
+        assert str(err.value) == (
+            "invalid model: transition entries outside [0, 1]; "
+            "column 0 of P[0][1] sums to 0.8; negative coupling weight; "
+            "coupling row 0 sums to 1.1; coupling row 1 sums to 1.1")
+
+    def test_nan_entries_are_refused(self):
+        trans = np.broadcast_to(FLIP, (2, 2, 2, 2)).copy()
+        trans[0, 1, 1, 0] = np.nan
+        with pytest.raises(ModelError, match=r"invalid model: transition entries outside "
+                                             r"\[0, 1\]; column 0 of P\[0\]\[1\] sums to nan; "
+                                             "negative coupling weight; coupling row 1 sums to nan"):
+            CmcModel(StateSpace(2, 2), trans, np.array([[0.5, 0.5], [np.nan, 0.5]]))
+
+    def test_non_numeric_arrays_are_named(self):
+        with pytest.raises(ModelError, match="weights: not a numeric array"):
+            CmcModel(StateSpace(1, 2), FLIP[None, None], [["a"]])
 
 
 class TestBlockMatrix:
@@ -87,9 +109,8 @@ class TestBlockMatrix:
         np.testing.assert_allclose(Q @ stacked, np.concatenate([FLIP @ v, FLIP @ v]))
 
     def test_invalid_model_rejected(self):
-        bad = CmcModel(StateSpace(2, 2), np.zeros((2, 2, 2, 2)), np.full((2, 2), 0.5))
-        with pytest.raises(ModelError):
-            build_block_matrix(bad)
+        with pytest.raises(ModelError, match=r"column 0 of P\[0\]\[0\] sums to 0"):
+            CmcModel(StateSpace(2, 2), np.zeros((2, 2, 2, 2)), np.full((2, 2), 0.5))
 
 
 class TestEvolve:
@@ -242,6 +263,14 @@ class TestModelFiles:
         with pytest.raises(ModelError, match="coupling row 0"):
             load_model(path)
 
+    def test_file_of_wrong_shape_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "model.yaml"
+        save_model(two_user_model(0.75), path)
+        path.write_text(path.read_text().replace("num_states: 2", "num_states: 3"))
+        with pytest.raises(ModelError, match=r"invalid model: transitions have shape "
+                                             r"\(2, 2, 2, 2\), expected \(2, 2, 3, 3\)"):
+            load_model(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "model.yaml"
         path.write_text("num_sequences: 2\nnum_states: 2\n")
@@ -255,4 +284,4 @@ class TestModelFiles:
             resources.files("csdp").joinpath("data/two_user_benchmark.yaml")
         ) as path:
             model = load_model(path)
-        assert validate_model(model).ok
+        assert model.space == StateSpace(2, 2)

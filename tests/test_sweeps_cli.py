@@ -5,12 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdp import sweeps, utility
 from csdp.cli import main
 from csdp.kernel import joint_kernel
-from csdp.model import DEFAULT_ENUMERATION_CAP, ModelError, two_user_model
+from csdp.model import DEFAULT_ENUMERATION_CAP, ModelError, save_model, two_user_model
 from csdp.queries import builtin_queries
+from csdp.rng import derive_seed
 from csdp.sweeps import (
     PRESETS,
     ExperimentConfig,
@@ -20,7 +23,7 @@ from csdp.sweeps import (
     run,
     run_sweep,
 )
-from csdp.utility import TradeoffSolution, aging_error, mse_exact
+from csdp.utility import TradeoffSolution, aging_error, mse_exact, mse_simulated
 
 
 class TestConfig:
@@ -125,6 +128,27 @@ class TestSweeps:
                 threaded[0], threaded[1], "csv"
             )
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_thread_count_never_moves_a_byte(self, data):
+        """Random small grids of the leakage and utility kinds render the same
+        table on 1, 2 and 3 threads."""
+        lams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=3)
+        eps = st.lists(st.sampled_from([0.5, 1.0, 2.0, 10.0]), min_size=1, max_size=2)
+        sweep = data.draw(st.sampled_from(["leakage-vs-age", "oracle-validate", "utility-sweep"]))
+        if sweep == "utility-sweep":
+            ages = st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2),
+                            min_size=1, max_size=3)
+            grids = {"lambda": data.draw(lams), "age": data.draw(ages),
+                     "eps_c": data.draw(eps), "samples": 100}
+        else:
+            grids = {"lambda": data.draw(lams), "eps_c": data.draw(eps),
+                     "t": data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))}
+        config = ExperimentConfig(sweep, grids, seed=data.draw(st.integers(0, 2**32 - 1)))
+        tables = {render_table(*run_sweep(replace(config, threads=threads))[:2], "csv")
+                  for threads in (1, 2, 3)}
+        assert len(tables) == 1
+
     def test_utility_sweep_one_aging_term_per_lambda_and_age(self, monkeypatch):
         calls = []
 
@@ -147,6 +171,45 @@ class TestSweeps:
             age = tuple(int(a) for a in row["age"].split("|"))
             query = builtin_queries(kernel.space)["mean"]
             assert row["mse_exact"] == mse_exact(kernel, age, query, row["eps_c"])
+
+
+class TestModelFileSweeps:
+    """A model file fixes the coupling: its sweeps take no lambda grid, run
+    one cell and leave lambda empty in their rows."""
+
+    @pytest.fixture
+    def model_path(self, tmp_path):
+        path = tmp_path / "model.yaml"
+        save_model(two_user_model(0.75), path)
+        return str(path)
+
+    @pytest.mark.parametrize("sweep", ["leakage-vs-age", "utility-sweep"])
+    def test_lambda_grid_is_refused(self, tmp_path, capsys, model_path, sweep):
+        code, err = TestCli.run_yaml(tmp_path, capsys, f"sweep: {sweep}\nmodel: {model_path}\n"
+                                     "grids:\n  lambda: [0.1, 0.9]\n")
+        assert code == 2 and "grids: lambda: a sweep with a model file takes no lambda grid" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep", ["leakage-vs-age", "oracle-validate"])
+    def test_leakage_rows_leave_lambda_empty(self, model_path, sweep):
+        grids = {"t": [0, 2], "eps_c": [1.0, 2.0]}
+        _, rows, _ = run_sweep(ExperimentConfig(sweep, grids, model_path=model_path))
+        _, builtin, _ = run_sweep(ExperimentConfig(sweep, {**grids, "lambda": [0.75]}))
+        assert rows == [{**row, "lambda": ""} for row in builtin]
+
+    def test_utility_rows_leave_lambda_empty_and_keep_their_seeds(self, model_path):
+        grids = {"age": [[0, 0], [3, 1]], "eps_c": [1.0, 2.0], "samples": 200}
+        _, rows, _ = run_sweep(ExperimentConfig("utility-sweep", grids, model_path=model_path,
+                                                seed=4))
+        kernel = joint_kernel(two_user_model(0.75))
+        query = builtin_queries(kernel.space)["mean"]
+        assert [r["lambda"] for r in rows] == [""] * 4
+        for row, (age, eps) in zip(rows, [((0, 0), 1.0), ((0, 0), 2.0), ((3, 1), 1.0),
+                                          ((3, 1), 2.0)]):
+            # the derived seed still names the lambda grid's default, 0.5
+            seed = derive_seed(4, "mse", 0.5, age, eps)
+            assert (row["mse_simulated"], row["mse_stderr"]) == mse_simulated(
+                kernel, age, query, eps, 200, seed)
 
 
 class TestViolationMessages:
@@ -274,6 +337,10 @@ class TestCli:
     @pytest.mark.parametrize("doc, named", [
         ("sweep: leakage-vs-age\nseed: abc\n", "seed: expected int, got 'abc'"),
         ("sweep: leakage-vs-age\nthreads: two\n", "threads: expected int, got 'two'"),
+        # numbers and bools that int() would have truncated or read as 1
+        ("sweep: leakage-vs-age\nseed: 1.7\n", "seed: expected int, got 1.7"),
+        ("sweep: leakage-vs-age\nthreads: 2.5\n", "threads: expected int, got 2.5"),
+        ("sweep: leakage-vs-age\nseed: true\n", "seed: expected int, got True"),
         ("sweep: leakage-vs-age\ngrids: [1, 2]\n", "grids: expected a mapping, got [1, 2]"),
         ("sweep: leakage-vs-age\nout: 5\n", "out: expected str, got 5"),
         ("sweep: leakage-vs-age\nmodel: [a]\n", "model: expected str, got ['a']"),
@@ -319,6 +386,12 @@ class TestCli:
         cfg.write_text("sweep: reduce-check\nmodel:\nout:\nformat:\nseed:\n")
         config = load_config(str(cfg))
         assert (config.model_path, config.out_dir, config.fmt, config.seed) == ("", ".", "csv", 0)
+
+    def test_int_fields_take_the_text_of_an_int(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("sweep: reduce-check\nseed: '7'\nthreads: '2'\ncap: 64\n")
+        config = load_config(str(cfg))
+        assert (config.seed, config.threads, config.cap) == (7, 2, 64)
 
     def test_bad_flag_exit_code(self):
         assert main(["run", "--config", "reduce-check", "--format", "xml"]) == 2

@@ -15,6 +15,8 @@ the simulated MSE also at lags up to 20, and its chain step with the
 comparison sum it replaced on hand-picked uniforms at every threshold.
 The P1 solver and the four-mechanism frontier equal a plain scan that
 recomputes every grid point, on grids with repeated and mixed ages.
+The joint encoding that `StateSpace` owns (s <= 4, m <= 3) equals the
+loop encoding, and its tables and a model's arrays are read-only.
 """
 
 import itertools
@@ -51,8 +53,7 @@ from csdp import (
     tradeoff_frontier,
     two_user_model,
 )
-from csdp.bounds import _neighbour_pairs, _transport_bounds
-from csdp.kernel import _digits
+from csdp.bounds import _transport_bounds
 from csdp.queries import QuerySpec
 from csdp.sweeps import EPS_GRID_DEFAULT
 from csdp.utility import LEAKAGE_KINDS, _next_states, _threshold_table
@@ -132,8 +133,44 @@ def test_joint_kernel_matches_loops(model):
 @pytest.mark.parametrize("s, m", [(s, m) for s in range(1, 5) for m in range(2, 5)])
 def test_neighbour_pairs_and_costs_match_loops(s, m):
     states = list(itertools.product(range(m), repeat=s))
-    assert _neighbour_pairs(s, m).tolist() == [list(p) for p in ref.neighbour_pairs(states)]
+    assert StateSpace(s, m).neighbour_pairs.tolist() == [list(p) for p in ref.neighbour_pairs(states)]
     assert np.array_equal(ref.hamming_costs_from_digits(s, m), ref.hamming_costs(states))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 3), st.data())
+def test_state_space_owns_the_encoding(s, m, data):
+    """StateSpace's tables equal the loop encoding, are computed once per
+    (s, m) and are read-only; a model keeps read-only copies of its arrays."""
+    space = StateSpace(s, m)
+    states = tuple(itertools.product(range(m), repeat=s))
+    n = len(states)
+    assert space.states == states
+    assert [space.index(x) for x in space.states] == list(range(n))
+    assert np.array_equal(space.digits @ space.place, np.arange(n))
+    assert space.neighbour_pairs.tolist() == [list(p) for p in ref.neighbour_pairs(states)]
+    coords = data.draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=s, unique=True))
+    assert space.subset_code(coords).tolist() == ref.subset_code(states, coords, m)
+    again = StateSpace(s, m)
+    assert again.digits is space.digits and again.neighbour_pairs is space.neighbour_pairs
+    assert again.states is space.states and again.place is space.place
+    for table in (space.place, space.digits, space.neighbour_pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    with pytest.raises(TypeError):
+        space.states[0] = states[0]
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    transitions = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2).copy()
+    weights = rng.dirichlet(np.ones(s), size=s)
+    model = CmcModel(space, transitions, weights)
+    kept = model.transitions.copy(), model.weights.copy()
+    transitions[...] = 0.0
+    weights[...] = 0.0
+    assert np.array_equal(model.transitions, kept[0]) and np.array_equal(model.weights, kept[1])
+    for arr in (model.transitions, model.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
 
 
 @PROPERTY
@@ -227,8 +264,8 @@ def test_transport_bounds_bracket_dense_lp(case):
     kern = joint_kernel(model)
     s, m = model.space.num_sequences, model.space.num_states
     B = backward_conditional(kern, age)
-    pairs = ref.neighbour_pairs(kern.states)
-    lo, hi = _transport_bounds(np.array([B[:, a] - B[:, b] for a, b in pairs]), s, m)
+    pairs = ref.neighbour_pairs(kern.space.states)
+    lo, hi = _transport_bounds(np.array([B[:, a] - B[:, b] for a, b in pairs]), kern.space)
     costs = ref.hamming_costs_from_digits(s, m)
     for (a, b), low, high in zip(pairs, lo, hi):
         w1 = ref.transport_distance(B[:, a], B[:, b], costs)
@@ -500,7 +537,7 @@ def test_release_values_match_release(t, age, name, eps, seeds):
 @pytest.mark.parametrize(
     "s, m", [(s, m) for s in range(1, 11) for m in (2, 3, 4) if m**s <= 1024])
 def test_builtin_evaluate_matches_numpy(s, m):
-    rows = _digits(s, m)
+    rows = StateSpace(s, m).digits
     for name, query in builtin_queries(StateSpace(s, m)).items():
         numpy_evaluate = ref.NUMPY_EVALUATE[name]
         for row in rows:
