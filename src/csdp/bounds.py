@@ -58,7 +58,7 @@ from .kernel import (
     joint_kernel,
     state_values,
 )
-from .model import CmcModel, ModelError, StateSpace, check_eps
+from .model import CmcModel, ModelError, StateSpace, check_positive
 from .queries import QuerySpec, builtin_queries, k_sensitivity
 from .rng import derive_seed, generator, laplace
 
@@ -76,7 +76,7 @@ class LeakageParams:
     query: QuerySpec
 
     def __post_init__(self):
-        check_eps(self.eps_c)
+        check_positive("eps_c", self.eps_c)
         if not 1 <= self.degree <= self.query.space.num_sequences:
             raise ModelError(f"correlation degree {self.degree} out of range")
 
@@ -141,7 +141,7 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
         raise ModelError(f"delta_k must lie in [0, 1], got {delta_k}")
     if dk < 1.0 - 1e-12:
         raise ModelError(f"k-sensitivity must be >= 1, got {dk}")
-    check_eps(eps_c)
+    check_positive("eps_c", eps_c)
     linear = dk * delta_k * eps_c
     log_form = math.log1p(delta_k * math.expm1(dk * eps_c))
     return linear, log_form
@@ -312,7 +312,7 @@ def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
 def tight_bound(delta_bar: float, eps_c: float) -> float:
     if delta_bar < 0:
         raise ModelError(f"delta_bar must be nonnegative, got {delta_bar}")
-    check_eps(eps_c)
+    check_positive("eps_c", eps_c)
     return delta_bar * eps_c
 
 
@@ -320,7 +320,7 @@ def adp_leakage(delta_t: float, eps_c: float) -> float:
     """Single-sequence age-dependent budget ln(1 + Delta(t)(e^eps - 1))."""
     if not 0.0 <= delta_t <= 1.0 + 1e-12:
         raise ModelError(f"delta_t must lie in [0, 1], got {delta_t}")
-    check_eps(eps_c)
+    check_positive("eps_c", eps_c)
     return math.log1p(delta_t * math.expm1(eps_c))
 
 
@@ -341,7 +341,7 @@ def single_chain_tv(model: CmcModel, t: int) -> float:
 def baseline_bounds(eps_c: float, degree: int, query: QuerySpec) -> tuple:
     """(dp, ddp): the correlation-blind budget and the sensitivity-scaled
     spatial-only budget, both at age zero."""
-    check_eps(eps_c)
+    check_positive("eps_c", eps_c)
     return eps_c, k_sensitivity(query, degree) * eps_c
 
 

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .model import ModelError
-from .sweeps import PRESETS, load_config, run
+from .sweeps import FIELD_KEYS, PRESETS, load_config, run
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -33,12 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a sweep from a preset or config file")
     run_p.add_argument("--config", required=True,
                        help=f"preset name ({', '.join(sorted(PRESETS))}) or YAML path")
-    run_p.add_argument("--seed", type=int, default=None, help="root seed override")
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--threads", type=int, default=None)
-    run_p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap on the product state space")
-    run_p.add_argument("--format", choices=("csv", "json"), default=None)
+    # each flag is a key of sweeps.FIELD_KEYS, checked as its YAML value is
+    run_p.add_argument("--seed", help="root seed override")
+    run_p.add_argument("--out", help="output directory")
+    run_p.add_argument("--threads")
+    run_p.add_argument("--cap", help="enumeration cap on the product state space")
+    run_p.add_argument("--format", help="csv or json")
 
     acc_p = sub.add_parser("acceptance", help="run the release-gate criteria")
     acc_p.add_argument("--seed", type=int, default=0)
@@ -47,25 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    flags = vars(args)
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.cap is not None:
-            overrides["cap"] = args.cap
-        if args.format is not None:
-            overrides["fmt"] = args.format
-        if overrides:
-            config = replace(config, **overrides)
-    except (ModelError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        config = replace(load_config(args.config), **{
+            name: flags[key] for key, name in FIELD_KEYS.items() if flags.get(key) is not None
+        })
         code, paths, violations = run(config)
     except (ModelError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -10,13 +10,12 @@ bounds), not by inflating the noise.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import validate_ages
-from .model import ModelError, StateSpace, check_eps
+from .model import ModelError, StateSpace, check_positive
 from .queries import QuerySpec
 from .rng import first_laplace, generator, laplace
 
@@ -29,7 +28,9 @@ class SequenceDatabase:
     snapshots: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.snapshots, dtype=np.int64)
+        arr = np.asarray(self.snapshots)
+        if arr.dtype.kind not in "iu":  # the dtype alone decides: O(1) at any size
+            raise ModelError(f"state values must be integers, got an array of {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != self.space.num_sequences:
             raise ModelError(
                 f"database shape {arr.shape} does not match s={self.space.num_sequences}"
@@ -40,7 +41,7 @@ class SequenceDatabase:
             raise ModelError(
                 f"state values must lie in [0, {self.space.num_states - 1}]"
             )
-        object.__setattr__(self, "snapshots", arr)
+        object.__setattr__(self, "snapshots", arr.astype(np.int64, copy=False))
 
     @property
     def horizon(self) -> int:
@@ -51,7 +52,10 @@ class SequenceDatabase:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            rows = [[int(v) for v in row] for row in reader if row]
+            try:
+                rows = [[int(v) for v in row] for row in reader if row]
+            except ValueError as exc:
+                raise ModelError(f"database file '{path}', line {reader.line_num}: {exc}") from None
         if len(header) != space.num_sequences:
             raise ModelError(
                 f"database file has {len(header)} columns, expected {space.num_sequences}"
@@ -89,27 +93,19 @@ def age_data(db: SequenceDatabase, t: int, age) -> tuple:
     return tuple(snapshot)
 
 
-def _check_scale(scale: float) -> None:
-    """Reject a noise scale that is not a finite positive number."""
-    if scale <= 0:
-        raise ModelError(f"noise scale must be positive, got {scale}")
-    if not scale < math.inf:  # also catches NaN, which fails every comparison
-        raise ModelError(f"noise scale must be finite, got {scale}")
-
-
 def laplace_sample(scale: float, dim: int | None, seed: int) -> np.ndarray | float:
     """dim i.i.d. Laplace(0, scale) draws, deterministic given seed.
 
     With dim=None the one draw is returned as a scalar, equal to the
     element of the dim=1 array.
     """
-    _check_scale(scale)
+    check_positive("noise scale", scale)
     return laplace(generator(seed), scale, dim)
 
 
 def _aged_request(db: SequenceDatabase, t: int, age, query: QuerySpec, eps_c: float):
     """(aged snapshot, noise scale) of a release request, eps_c checked first."""
-    check_eps(eps_c)
+    check_positive("eps_c", eps_c)
     return age_data(db, t, age), query.sensitivity(1) / eps_c
 
 
@@ -133,5 +129,5 @@ def release_values(
     """`release(db, t, age, query, eps_c, seed).value` for every seed of the
     1-D sequence seeds, bit for bit, drawn in one array pass (rng.first_laplace)."""
     snapshot, scale = _aged_request(db, t, age, query, eps_c)
-    _check_scale(scale)
+    check_positive("noise scale", scale)
     return query.evaluate(snapshot) + first_laplace(seeds, scale)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,12 @@ class ModelError(ValueError):
     """Raised for structurally invalid models or inputs."""
 
 
-def check_eps(eps_c) -> None:
-    """Reject a privacy budget eps_c that is not a finite positive number."""
-    if eps_c <= 0:
-        raise ModelError(f"eps_c must be positive, got {eps_c}")
-    if not eps_c < math.inf:  # also catches NaN, which fails every comparison
-        raise ModelError(f"eps_c must be finite, got {eps_c}")
+def check_positive(name: str, value) -> None:
+    """Reject a `name`, such as eps_c, that is not a finite positive number."""
+    if value <= 0:
+        raise ModelError(f"{name} must be positive, got {value}")
+    if not value < math.inf:  # also catches NaN, which fails every comparison
+        raise ModelError(f"{name} must be finite, got {value}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -63,6 +64,12 @@ class StateSpace:
     num_states: int
 
     def __post_init__(self):
+        if type(self.num_sequences) is not int or type(self.num_states) is not int:
+            for name in ("num_sequences", "num_states"):  # a NumPy int is kept as a Python int
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ModelError(f"{name}: expected an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.num_sequences < 1:
             raise ModelError(f"need at least one sequence, got {self.num_sequences}")
         if self.num_states < 2:
@@ -327,11 +334,31 @@ def spectral_check(model: CmcModel, tol: float = 1e-6) -> SpectralReport:
 
 
 # ---------------------------------------------------------------------------
-# model files
+# YAML files
+
+
+def read_yaml_fields(path, kind: str, required, optional=()) -> dict:
+    """The top-level mapping of YAML file `path` (empty if the file is), else a
+    ModelError naming `kind` ("config", ...) and the file: for invalid YAML, a
+    non-mapping, a required key absent or left empty, or any key not listed."""
+    try:
+        with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes are a YAMLError
+            doc = yaml.safe_load(fh) or {}
+    except yaml.YAMLError as exc:
+        raise ModelError(f"{kind}: '{path}' is not valid YAML: {exc}") from None
+    fields = doc if isinstance(doc, dict) else {}
+    problems = [] if doc is fields else [f"has a top-level {type(doc).__name__}, not a mapping"]
+    problems += [f"missing field '{key}'" for key in required if fields.get(key) is None]
+    unknown = [key for key in fields if key not in (*required, *optional)]
+    if unknown:
+        problems.append(f"unknown key(s) {unknown}; expected {(*required, *optional)}")
+    if problems:
+        raise ModelError(f"{kind}: '{path}' " + "; ".join(problems))
+    return fields
 
 
 def load_model(path) -> CmcModel:
-    """Read a model from YAML; the model refuses invalid contents by name.
+    """Read a model from YAML; the reader, StateSpace and CmcModel refuse bad contents by name.
 
     Expected layout::
 
@@ -345,15 +372,12 @@ def load_model(path) -> CmcModel:
           - [0.75, 0.25]
           - [0.25, 0.75]
     """
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    for key in ("num_sequences", "num_states", "transitions", "coupling"):
-        if key not in doc:
-            raise ModelError(f"model file missing field '{key}'")
-    orientation = doc.get("orientation", "column-stochastic")
-    if orientation != "column-stochastic":
-        raise ModelError(f"orientation: unsupported value '{orientation}'")
-    space = StateSpace(int(doc["num_sequences"]), int(doc["num_states"]))
+    doc = read_yaml_fields(path, "model file",
+                           ("num_sequences", "num_states", "transitions", "coupling"),
+                           ("orientation",))
+    if doc.get("orientation", "column-stochastic") != "column-stochastic":
+        raise ModelError(f"orientation: unsupported value '{doc['orientation']}'")
+    space = StateSpace(doc["num_sequences"], doc["num_states"])
     # matrices are written row-major with rows = next state, i.e. exactly the
     # column-stochastic layout used internally
     return CmcModel(space, doc["transitions"], doc["coupling"])

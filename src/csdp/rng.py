@@ -58,7 +58,7 @@ _PHILOX_ROUNDS = 10
 
 def derive_seed(root_seed: int, *coords) -> int:
     """Derive a child seed from a root seed and hashable grid coordinates."""
-    payload = repr((int(root_seed),) + tuple(coords)).encode("utf-8")
+    payload = repr((_integer("root seed", root_seed),) + tuple(coords)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -69,7 +69,7 @@ def derive_seeds(root_seed: int, *coords, count: int) -> list:
     The payloads share the repr prefix "(root_seed, *coords, ", so it is
     hashed once and each child copies that SHA-256 state and adds "i)".
     """
-    head = repr((int(root_seed),) + tuple(coords) + (0,))[: -len("0)")]
+    head = repr((_integer("root seed", root_seed),) + tuple(coords) + (0,))[: -len("0)")]
     prefix = hashlib.sha256(head.encode("utf-8"))
     seeds = []
     for i in range(count):
@@ -79,12 +79,17 @@ def derive_seeds(root_seed: int, *coords, count: int) -> list:
     return seeds
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, rejected by `name` unless operator.index takes it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ModelError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed) -> int:
     """seed as an int, rejected by name unless it is an integer in [0, 2**64)."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise ModelError(f"seed must be an integer, got {seed!r}") from None
+    value = _integer("seed", seed)
     if not 0 <= value < 2**64:
         raise ModelError(f"seed must lie in [0, 2**64), got {value}")
     return value

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-import yaml
 
 from . import __version__
 from .bounds import (
@@ -41,7 +40,8 @@ from .bounds import (
     verify_reductions,
 )
 from .kernel import joint_kernel
-from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, two_user_model
+from .model import (DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, read_yaml_fields,
+                    two_user_model)
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed
 from .utility import (
@@ -82,7 +82,7 @@ GRID_DEFAULTS = {
 
 
 def _fits(value, default) -> bool:
-    """Whether a grid value has the shape of its default: a list (or tuple)
+    """Whether a value has the shape of its default: a list (or tuple)
     of elements each fitting the default's first for a tuple, an int for an
     int, a number for a float and a str for a str.  A bool is none of these."""
     if isinstance(default, tuple):
@@ -101,8 +101,17 @@ def _shape(default) -> str:
     return {int: "int", float: "number", str: "str"}[type(default)]
 
 
+# YAML key (also the `csdp run` flag) -> ExperimentConfig field, but for sweep and grids
+FIELD_KEYS = {"model": "model_path", "seed": "seed", "out": "out_dir", "cap": "cap",
+              "format": "fmt", "threads": "threads"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep, valid by construction.  A field of FIELD_KEYS must fit its
+    default (`_fits`), an int field also taking the text of an int, which it
+    stores as an int; a ModelError names the YAML key of a field that does not."""
+
     sweep: str
     grids: dict = field(default_factory=dict)
     model_path: str = ""  # empty: built-in two-user benchmark model
@@ -113,10 +122,20 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.sweep not in GRID_DEFAULTS:
+        if not isinstance(self.sweep, str) or self.sweep not in GRID_DEFAULTS:
             raise ModelError(
                 f"sweep: unknown kind '{self.sweep}'; expected one of {tuple(GRID_DEFAULTS)}"
             )
+        for key, name in FIELD_KEYS.items():
+            value, default = getattr(self, name), getattr(ExperimentConfig, name)
+            if isinstance(default, int) and isinstance(value, str):
+                try:
+                    value = int(value)
+                except ValueError:
+                    pass
+            if not _fits(value, default):
+                raise ModelError(f"{key}: expected {_shape(default)}, got {value!r}")
+            object.__setattr__(self, name, int(value) if isinstance(default, int) else value)
         if not isinstance(self.grids, dict):
             raise ModelError(f"grids: expected a mapping, got {self.grids!r}")
         keys = GRID_DEFAULTS[self.sweep]
@@ -132,8 +151,9 @@ class ExperimentConfig:
                 raise ModelError(f"grids: {key}: expected {_shape(keys[key])}, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ModelError(f"format: unknown value '{self.fmt}'")
-        if self.threads < 1:
-            raise ModelError(f"threads: must be >= 1, got {self.threads}")
+        for key in ("threads", "cap"):
+            if getattr(self, key) < 1:
+                raise ModelError(f"{key}: must be >= 1, got {getattr(self, key)}")
 
     def grid(self, key: str):
         """The grid `key` as the config gives it, else the sweep kind's default.
@@ -191,7 +211,8 @@ PRESETS = {
 
 
 def load_config(source) -> ExperimentConfig:
-    """Resolve a preset name or read a YAML config file."""
+    """Resolve a preset name or read a YAML config file, whose keys are `sweep`,
+    `grids` and those of FIELD_KEYS; a key left empty takes its default."""
     if source in PRESETS:
         return PRESETS[source]
     if not os.path.exists(source):
@@ -199,40 +220,9 @@ def load_config(source) -> ExperimentConfig:
             f"config: '{source}' is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor a readable file"
         )
-    with open(source) as fh:
-        try:
-            doc = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise ModelError(f"config: '{source}' is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict) or "sweep" not in doc:
-        raise ModelError("config: missing field 'sweep'")
-    return ExperimentConfig(
-        sweep=doc["sweep"],
-        grids=doc.get("grids", {}),
-        model_path=_field(doc, "model", str, ""),
-        seed=_field(doc, "seed", int, 0),
-        out_dir=_field(doc, "out", str, "."),
-        cap=_field(doc, "cap", int, DEFAULT_ENUMERATION_CAP),
-        fmt=_field(doc, "format", str, "csv"),
-        threads=_field(doc, "threads", int, 1),
-    )
-
-
-def _field(doc: dict, key: str, kind, default):
-    """doc[key] as `kind`, or `default` when the key is absent or left empty.
-    A str field takes a str; an int field takes an int that is not a bool,
-    or the text of an int.  Any other value is refused."""
-    value = doc.get(key)
-    if value is None:
-        return default
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is int and isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ModelError(f"{key}: expected {kind.__name__}, got {value!r}")
+    doc = read_yaml_fields(source, "config", ("sweep",), ("grids", *FIELD_KEYS))
+    return ExperimentConfig(**{FIELD_KEYS.get(key, key): value
+                               for key, value in doc.items() if value is not None})
 
 
 def _model_for(config: ExperimentConfig, lam: float) -> CmcModel:
@@ -392,19 +382,16 @@ def run_sweep(config: ExperimentConfig):
             ]
         return FRONTIER_FIELDS, rows, violations
 
-    if config.sweep == "reduce-check":
-        fields = ("case", "applicable", "passed", "detail")
-        cases = verify_reductions(config.single("eps_c"), config.grid("max_age"))
-        rows = [
-            {"case": c.name, "applicable": c.applicable, "passed": c.passed,
-             "detail": c.detail}
-            for c in cases
-        ]
-        violations = [f"reduction case '{c.name}' failed" for c in cases
-                      if c.applicable and not c.passed]
-        return fields, rows, violations
-
-    raise ModelError(f"sweep: unknown kind '{config.sweep}'")
+    # reduce-check, the one kind left: ExperimentConfig refuses any other
+    fields = ("case", "applicable", "passed", "detail")
+    cases = verify_reductions(config.single("eps_c"), config.grid("max_age"))
+    rows = [
+        {"case": c.name, "applicable": c.applicable, "passed": c.passed, "detail": c.detail}
+        for c in cases
+    ]
+    violations = [f"reduction case '{c.name}' failed" for c in cases
+                  if c.applicable and not c.passed]
+    return fields, rows, violations
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ are its DDP rows: both are pinned to age zero with the same budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .bounds import (
     tight_bound,
 )
 from .kernel import JointKernel, aged_joint, joint_kernel, state_values, validate_ages
-from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_eps
+from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_positive
 from .queries import QuerySpec, k_sensitivity
 from .rng import generator, laplace
 
@@ -50,7 +50,8 @@ def _better(candidate, incumbent) -> bool:
 @dataclass(frozen=True)
 class UtilitySpec:
     """A P1 problem: the leakage budget of `leakage_kind` at degree s, the
-    number of sequences, minimized over the grids subject to `mse_cap`."""
+    number of sequences, minimized over the grids subject to `mse_cap`.
+    `mse_cap` is a positive number; +inf means no cap."""
 
     query: QuerySpec
     mse_cap: float
@@ -59,12 +60,12 @@ class UtilitySpec:
     leakage_kind: str = "loose_linear"
 
     def __post_init__(self):
-        if self.mse_cap <= 0:
+        if not self.mse_cap > 0:  # also NaN, under which `_select` finds every row feasible
             raise ModelError(f"mse_cap must be positive, got {self.mse_cap}")
         if not len(self.age_grid) or not len(self.eps_grid):
             raise ModelError("age and eps grids must be non-empty")
         for eps in self.eps_grid:
-            check_eps(eps)
+            check_positive("eps_c", eps)
         if self.leakage_kind not in LEAKAGE_KINDS:
             raise ModelError(
                 f"leakage_kind '{self.leakage_kind}' not one of {LEAKAGE_KINDS}"
@@ -92,7 +93,7 @@ def noise_variance(query: QuerySpec, eps_c: float) -> float:
 
 
 def mse_exact(kernel: JointKernel, age, query: QuerySpec, eps_c: float) -> float:
-    check_eps(eps_c)
+    check_positive("eps_c", eps_c)
     return aging_error(kernel, age, query) + noise_variance(query, eps_c)
 
 
@@ -144,7 +145,7 @@ def mse_simulated(
     """
     if samples < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
-    check_eps(eps_c)
+    check_positive("eps_c", eps_c)
     m = kernel.space.num_states
     ages = np.array(validate_ages(age, kernel.space))
     T = int(ages.max())
@@ -262,8 +263,7 @@ def tradeoff_frontier(model: CmcModel, spec: UtilitySpec, caps,
     `joint_kernel`.
     """
     for cap in caps:
-        if cap <= 0:
-            raise ModelError(f"mse_cap must be positive, got {cap}")
+        replace(spec, mse_cap=cap)  # checks the cap as the spec checks its own
     kernel = joint_kernel(model, enumeration_cap)
     out = {mech: [(float(cap), _select(rows, cap)) for cap in caps]
            for mech, rows in _grid_rows(kernel, model, spec, baselines=True).items()}

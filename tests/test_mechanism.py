@@ -192,3 +192,27 @@ class TestDatabaseIO:
         path.write_text("seq0\n0\n1\n")
         with pytest.raises(ModelError, match="columns"):
             SequenceDatabase.from_csv(path, SPACE)
+
+
+class TestDatabaseStates:
+    @pytest.mark.parametrize("states", [
+        [[0.7, 1.9], [1, 0]],
+        [[1.0, 0.0]],
+        [[np.nan, 0]],
+        [[True, False]],
+        np.array([["0", "1"]]),
+    ])
+    def test_non_integer_states_are_refused(self, states):
+        with pytest.raises(ModelError, match="state values must be integers, got an array of"):
+            SequenceDatabase(SPACE, states)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_integer_arrays_are_taken_as_int64(self, dtype):
+        db = SequenceDatabase(SPACE, np.array([[0, 1], [1, 1]], dtype=dtype))
+        assert db.snapshots.dtype == np.int64 and db.snapshots.tolist() == [[0, 1], [1, 1]]
+
+    def test_csv_cell_that_is_not_an_int_names_file_and_line(self, tmp_path):
+        path = tmp_path / "db.csv"
+        path.write_text("seq0,seq1\n0,1\n\n0.7,1\n")
+        with pytest.raises(ModelError, match=f"database file '{path}', line 4: .*'0.7'"):
+            SequenceDatabase.from_csv(path, SPACE)

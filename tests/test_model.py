@@ -91,6 +91,25 @@ class TestValidation:
             CmcModel(StateSpace(1, 2), FLIP[None, None], [["a"]])
 
 
+class TestStateSpaceSizes:
+    @pytest.mark.parametrize("sizes, message", [
+        ((1.9, 2.6), "num_sequences: expected an integer, got 1.9"),
+        ((2, 2.0), "num_states: expected an integer, got 2.0"),
+        ((True, 2), "num_sequences: expected an integer, got True"),
+        ((2, np.bool_(True)), "num_states: expected an integer, got np.True_"),
+        ((2, "3"), "num_states: expected an integer, got '3'"),
+    ])
+    def test_non_integer_sizes_are_refused(self, sizes, message):
+        with pytest.raises(ModelError) as raised:
+            StateSpace(*sizes)
+        assert str(raised.value) == message
+
+    def test_numpy_int_sizes_are_python_ints(self):
+        space = StateSpace(np.int64(64), np.uint8(2))
+        assert space == StateSpace(64, 2) and type(space.num_sequences) is int
+        assert space.product_size == 2**64  # exact, as NumPy int64 arithmetic would not be
+
+
 class TestBlockMatrix:
     def test_single_sequence_is_p_itself(self):
         Q = build_block_matrix(single_chain(FLIP))

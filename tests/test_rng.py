@@ -8,6 +8,7 @@ are not integers in [0, 2**64) are rejected by name on both paths.
 `derive_seeds` is compared with `derive_seed` child by child.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -104,3 +105,22 @@ COORDS = st.lists(st.one_of(
 def test_batch_children_equal_derive_seed(root, coords, count):
     want = [derive_seed(root, *coords, i) for i in range(count)]
     assert derive_seeds(root, *coords, count=count) == want
+
+
+@pytest.mark.parametrize("root", [1.5, 1.0, "1", None])
+def test_root_seed_that_is_not_an_integer_is_refused(root):
+    message = f"root seed must be an integer, got {root!r}"
+    with pytest.raises(ModelError) as raised:
+        derive_seed(root, "mse")
+    assert str(raised.value) == message
+    with pytest.raises(ModelError) as raised:
+        derive_seeds(root, "mse", count=2)
+    assert str(raised.value) == message
+
+
+def test_integer_types_derive_alike():
+    assert derive_seed(np.int64(7), "mse", 0.5) == derive_seed(7, "mse", 0.5)
+    assert derive_seeds(np.uint64(7), "ks", count=3) == derive_seeds(7, "ks", count=3)
+    # the payload of an int root is unchanged: repr((7, "mse", 0.5))
+    digest = hashlib.sha256(repr((7, "mse", 0.5)).encode("utf-8")).digest()
+    assert derive_seed(7, "mse", 0.5) == int.from_bytes(digest[:8], "big")

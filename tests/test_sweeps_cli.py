@@ -5,16 +5,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdp import sweeps, utility
 from csdp.cli import main
 from csdp.kernel import joint_kernel
-from csdp.model import DEFAULT_ENUMERATION_CAP, ModelError, save_model, two_user_model
+from csdp.model import (
+    DEFAULT_ENUMERATION_CAP,
+    ModelError,
+    load_model,
+    save_model,
+    two_user_model,
+)
 from csdp.queries import builtin_queries
 from csdp.rng import derive_seed
 from csdp.sweeps import (
+    FIELD_KEYS,
     PRESETS,
     ExperimentConfig,
     _check_leakage_row,
@@ -409,3 +417,154 @@ class TestCli:
         assert code == 0
         rows = json.loads((tmp_path / "leakage-vs-age.json").read_text())
         assert all(r["seed"] == 9 for r in rows)
+
+
+# (YAML key, bad value, message): every entry point must refuse the value
+# with this message.  The `csdp run` flag takes text, so it meets the cases
+# whose value a flag can give as it is: a str, or an int field's int as text.
+FIELD_CASES = [
+    ("seed", 1.7, "seed: expected int, got 1.7"),
+    ("seed", True, "seed: expected int, got True"),
+    ("seed", "abc", "seed: expected int, got 'abc'"),
+    ("seed", "1.5", "seed: expected int, got '1.5'"),
+    ("threads", 2.5, "threads: expected int, got 2.5"),
+    ("threads", 0, "threads: must be >= 1, got 0"),
+    ("cap", 0, "cap: must be >= 1, got 0"),
+    ("cap", "0", "cap: must be >= 1, got 0"),
+    ("cap", [64], "cap: expected int, got [64]"),
+    ("out", 5, "out: expected str, got 5"),
+    ("model", ["a"], "model: expected str, got ['a']"),
+    ("format", "xml", "format: unknown value 'xml'"),
+    ("format", 1, "format: expected str, got 1"),
+]
+
+
+def _entry_points(case):
+    key, value, _ = case
+    yield "yaml"
+    int_field = isinstance(getattr(ExperimentConfig, FIELD_KEYS[key]), int)
+    if key != "model" and (isinstance(value, str) or type(value) is int and int_field):
+        yield "flag"
+    yield "construct"
+    yield "replace"
+
+
+class TestOneRule:
+    """A YAML file, a `csdp run` flag, ExperimentConfig(...) and replace(...)
+    refuse a bad field with one message, naming its YAML key."""
+
+    @pytest.mark.parametrize("entry, case", [
+        (entry, case) for case in FIELD_CASES for entry in _entry_points(case)
+    ])
+    def test_bad_field(self, tmp_path, capsys, entry, case):
+        key, value, message = case
+        out = str(tmp_path / "out")
+        if entry in ("yaml", "flag"):
+            cfg = tmp_path / "c.yaml"
+            cfg.write_text("sweep: reduce-check\n"
+                           + (yaml.safe_dump({key: value}) if entry == "yaml" else ""))
+            flags = [f"--{key}", str(value)] if entry == "flag" else []
+            assert main(["run", "--config", str(cfg), "--out", out, *flags]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+            return
+        fields = {FIELD_KEYS[key]: value}
+        with pytest.raises(ModelError) as raised:
+            if entry == "construct":
+                ExperimentConfig("reduce-check", **fields)
+            else:
+                replace(PRESETS["reduce-check"], **fields)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("value", ["7", " 7 ", np.int64(7), 7])
+    def test_int_fields_store_an_int(self, value):
+        for name in ("seed", "cap", "threads"):
+            got = getattr(replace(PRESETS["reduce-check"], **{name: value}), name)
+            assert got == 7 and type(got) is int
+
+    def test_flags_take_the_text_of_an_int(self, tmp_path):
+        code = main(["run", "--config", "reduce-check", "--out", str(tmp_path), "--seed", "7",
+                     "--threads", "2", "--cap", "64", "--format", "json"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "reduce-check.manifest.json").read_text())
+        assert (manifest["seed"], manifest["threads"], manifest["cap"]) == (7, 2, 64)
+        assert (tmp_path / "reduce-check.json").exists()
+
+    def test_unknown_top_level_keys_are_named(self, tmp_path, capsys):
+        code, err = TestCli.run_yaml(tmp_path, capsys, "sweep: reduce-check\nseeds: 7\nthread: 4\n")
+        assert code == 2 and "unknown key(s) ['seeds', 'thread']" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_grids_take_their_default(self, tmp_path, capsys):
+        code, _ = TestCli.run_yaml(tmp_path, capsys, "sweep: reduce-check\ngrids:\n")
+        assert code == 0
+        cfg = load_config(str(tmp_path / "c.yaml"))
+        assert cfg.grids == {} and cfg.grid("max_age") == sweeps.GRID_DEFAULTS["reduce-check"]["max_age"]
+
+    def test_empty_sweep_is_missing(self, tmp_path, capsys):
+        code, err = TestCli.run_yaml(tmp_path, capsys, "sweep:\n")
+        assert code == 2 and "missing field 'sweep'" in err
+
+    @pytest.mark.parametrize("sweep", [["leakage-vs-age"], {"a": 1}, 5])
+    def test_sweep_that_is_not_a_str_is_named(self, sweep):
+        with pytest.raises(ModelError, match="sweep: unknown kind"):
+            ExperimentConfig(sweep)
+
+    @pytest.mark.parametrize("caps", ["[.nan, 0.4]", "[0.4, .nan]", "[0.0]"])
+    def test_frontier_refuses_a_nan_or_zero_cap(self, tmp_path, capsys, caps):
+        code, err = TestCli.run_yaml(tmp_path, capsys,
+                                     f"sweep: frontier\ngrids:\n  caps: {caps}\n")
+        assert code == 2 and "mse_cap must be positive, got" in err
+        assert not (tmp_path / "out").exists()
+
+
+def _model_text(tmp_path, edit):
+    path = tmp_path / "m.yaml"
+    save_model(two_user_model(0.75), path)
+    return edit(path.read_text())
+
+
+# (name, file contents from the saved two-user model's text, message)
+MODEL_FILE_CASES = [
+    ("empty", lambda text: "", "missing field 'num_sequences'"),
+    ("scalar", lambda text: "5\n", "has a top-level int, not a mapping"),
+    ("list", lambda text: "- 2\n", "has a top-level list, not a mapping"),
+    ("invalid YAML", lambda text: "num_sequences: [2\n", "is not valid YAML"),
+    ("bad bytes", lambda text: text.replace("column", "col\udcffumn"), "is not valid YAML"),
+    ("fractional sizes",
+     lambda text: text.replace("num_sequences: 2", "num_sequences: 1.9")
+     .replace("num_states: 2", "num_states: 2.6"),
+     "num_sequences: expected an integer, got 1.9"),
+    ("bool size", lambda text: text.replace("num_sequences: 2", "num_sequences: true"),
+     "num_sequences: expected an integer, got True"),
+    ("text size", lambda text: text.replace("num_states: 2", "num_states: '2'"),
+     "num_states: expected an integer, got '2'"),
+    ("misspelled key", lambda text: text.replace("orientation:", "orientaton:"),
+     "unknown key(s) ['orientaton']"),
+    ("empty field", lambda text: text.replace("num_states: 2", "num_states:"),
+     "missing field 'num_states'"),
+]
+
+
+class TestModelFileErrors:
+    """load_model and a sweep given the file both refuse a bad model file by
+    name: ModelError from the one, exit 2 from the other."""
+
+    @pytest.mark.parametrize("name, edit, message", MODEL_FILE_CASES,
+                             ids=[case[0] for case in MODEL_FILE_CASES])
+    def test_bad_model_file(self, tmp_path, capsys, name, edit, message):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(_model_text(tmp_path, edit).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ModelError) as raised:
+            load_model(path)
+        assert message in str(raised.value)
+        code, err = TestCli.run_yaml(tmp_path, capsys,
+                                     f"sweep: leakage-vs-age\nmodel: {path}\n")
+        assert code == 2 and message in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("5\n")
+        with pytest.raises(ModelError, match=f"model file: '{path}'"):
+            load_model(path)

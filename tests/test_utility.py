@@ -274,3 +274,24 @@ class TestFrontier:
         caps, table = frontier
         i = caps.index(0.8)
         assert table["csdp"][i][1].age == (20, 20)
+
+
+@pytest.mark.parametrize("cap", [np.nan, 0.0, -1.0, -np.inf])
+def test_nan_or_non_positive_mse_cap_is_refused(cap):
+    """A NaN cap would pass every row's `mse > cap` test as feasible."""
+    model = two_user_model(0.5)
+    message = f"mse_cap must be positive, got {cap}"
+    with pytest.raises(ModelError, match=message):
+        solve_p1(model, UtilitySpec(mean_query(), mse_cap=cap, age_grid=((0, 0),),
+                                    eps_grid=(1.0,)))
+    spec = UtilitySpec(mean_query(), mse_cap=1.0, age_grid=((0, 0),), eps_grid=(1.0,))
+    with pytest.raises(ModelError, match=message):
+        tradeoff_frontier(model, spec, [0.4, cap])
+
+
+def test_infinite_mse_cap_is_no_cap():
+    model = two_user_model(0.5)
+    spec = UtilitySpec(mean_query(), mse_cap=np.inf, age_grid=((0, 0), (5, 5)),
+                       eps_grid=(0.5, 1.0), leakage_kind="tight")
+    assert solve_p1(model, spec) == solve_p1(model, replace(spec, mse_cap=1e300))
+    assert all(sol.feasible for _, sol in tradeoff_frontier(model, spec, [np.inf])["csdp"])
