@@ -19,6 +19,7 @@ from .bounds import (
     loose_bound,
     oracle_leakage,
     single_chain_tv,
+    single_chain_tvs,
     tight_bound,
     verify_reductions,
 )

@@ -15,17 +15,19 @@ Three analytic quantities drive everything:
   conditionals differ, at each age, is one block.  Closed-form bounds
   lo <= W1 <= hi settle most blocks: lo from two Kantorovich-Rubinstein
   potentials (the TV and the summed coordinate-marginal TVs), hi from an
-  explicit flow that collapses one coordinate at a time.  With tau the
-  age's largest lo, a block with hi <= tau * (1 + 1e-12) is settled; only
-  the others get an LP.  Those go to the Kantorovich-Rubinstein dual on the
-  Hamming graph (potentials that change by at most 1 across each of the
+  explicit flow that collapses one coordinate at a time onto the target
+  state that is cheapest for the block.  With tau the age's largest lo, a
+  block with hi <= tau * (1 + 1e-12) is settled; only the others get an
+  LP.  Those go to the Kantorovich-Rubinstein dual on the Hamming graph
+  (potentials that change by at most 1 across each of the
   E = n*s*(m-1)/2 neighbour edges): one block of n potentials and 2*E rows
   each, packed in order into block-diagonal LPs of at most about a
   thousand potentials.  Packing saves the solver's per-call overhead,
   which dominates tiny LPs; the bound on size keeps the solver's time,
   which grows faster than the LP, from dominating large ones.  Each age's
   Delta_bar is an LP value or tau, and tau is within the 1e-12 relative
-  slack of the exact maximum whenever it is returned.
+  slack of the exact maximum whenever it is returned.  On the two-user
+  presets every block settles, so they solve no LP.
 * d(k) -- the query's k-sensitivity.
 
 The certified loose budget is min(d(k)*Delta_k*eps_c,
@@ -170,16 +172,19 @@ def _transport_bounds(D: np.ndarray, space: StateSpace) -> tuple:
     at most 1 along each Hamming edge, so both are Kantorovich-Rubinstein
     dual values.
 
-    hi is the cost of one explicit flow.  It collapses the coordinates onto
-    state 0 one at a time, largest marginal TV first.  Collapsing a
-    coordinate moves each line of states that differ only there onto its
-    state-0 entry at unit cost per moved mass: for a line x with sum sigma
-    that costs 0.5 * (|sigma - x_0| + sum_{a != 0} |x_a|), the
-    discrete-metric distance from x to sigma at state 0 (for m = 2, the
-    mass |x_1| off state 0).  The lines' sums are the next coordinate's
-    input, and after the last coordinate the measure is zero.
-    Rows are bounded in chunks of about `_BOUND_ENTRIES` entries, so
-    temporaries stay within a few times D.
+    hi is the cost of one explicit flow.  It collapses the coordinates one
+    at a time, largest marginal TV first, each onto the target state that
+    is cheapest for that row.  Collapsing a coordinate onto state a moves
+    each line of states that differ only there onto its entry a at unit
+    cost per moved mass: for a line x with sum sigma that costs
+    0.5 * (|sigma - x_a| + sum_{b != a} |x_b|), the discrete-metric distance
+    from x to sigma at state a.  Summed over the lines, that is
+    0.5 * (sum |sigma - x_a| + sum |x| - sum |x_a|), minimised over a.  The
+    lines' sums are the next coordinate's input whatever a is, so this
+    cost is never above the collapse onto state 0; after the last
+    coordinate the measure is zero.  Rows are bounded in chunks of about
+    `_BOUND_ENTRIES` entries, and each target's temporaries have one entry
+    per row and line, so temporaries stay within a few times D.
     """
     N, n = D.shape
     s, m = space.num_sequences, space.num_states
@@ -209,9 +214,12 @@ def _transport_bounds(D: np.ndarray, space: StateSpace) -> tuple:
         cost = np.zeros(c)
         for _ in range(s):
             Y = Y.reshape(c, m, -1)  # lines along the next coordinate
-            rest = Y[:, 1:]  # sigma - x_0 is their sum
-            cost += (np.abs(rest.sum(axis=1)).sum(axis=1) + np.abs(rest).sum(axis=(1, 2))) * 0.5
-            Y = Y.sum(axis=1)
+            sigma = Y.sum(axis=1)
+            # per target a: sum over lines of |x_a| and of |sigma - x_a|
+            on = np.stack([np.abs(Y[:, a]).sum(axis=1) for a in range(m)])
+            off = np.stack([np.abs(sigma - Y[:, a]).sum(axis=1) for a in range(m)])
+            cost += (off + on.sum(axis=0) - on).min(axis=0) * 0.5
+            Y = sigma
         hi[start : start + c] = cost
     return lo, hi
 
@@ -328,14 +336,18 @@ def single_chain_tv(model: CmcModel, t: int) -> float:
     """Worst per-sequence aged TV when each sequence is viewed as an
     isolated chain with its own self-transition matrix (the baseline that
     ignores coupling)."""
+    return single_chain_tvs(model, [t])[0]
+
+
+def single_chain_tvs(model: CmcModel, ts) -> list:
+    """`single_chain_tv` at each age in `ts`.  Each distinct self-transition
+    matrix gets one kernel and one stationary law, shared by every age."""
     space = StateSpace(1, model.space.num_states)
-    best = 0.0
-    for i in range(model.space.num_sequences):
-        # the one-sequence joint kernel is the self-transition matrix itself
-        P = model.transitions[i, i]
-        solo = JointKernel(space, P, _joint_stationary(P))
-        best = max(best, aged_tv_distance(solo, [t], 1))
-    return best
+    # the one-sequence joint kernel is the self-transition matrix itself
+    selves = model.transitions[np.diag_indices(model.space.num_sequences)]
+    solos = [JointKernel(space, P, _joint_stationary(P))
+             for P in {P.tobytes(): P for P in selves}.values()]
+    return [max(aged_tv_distance(solo, [t], 1) for solo in solos) for t in ts]
 
 
 def baseline_bounds(eps_c: float, degree: int, query: QuerySpec) -> tuple:

@@ -22,6 +22,7 @@ from .model import (
     ModelError,
     StateSpace,
     _power_iteration,
+    integer_values,
 )
 from .rng import generator
 
@@ -73,20 +74,11 @@ def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKe
 def validate_ages(age, space: StateSpace) -> tuple:
     """The age vector as a tuple of one nonnegative int per sequence.
 
-    A scalar (or length-1) age applies to every sequence.  Tuples and lists
-    of ints are checked in plain Python; any other input is read through
-    ``np.asarray(age)``, so its shape is numpy's, and refused unless it
-    holds integers: 1.5, 2.0, True and "2" are not ages.
+    A scalar (or length-1) age applies to every sequence.  Ages must be
+    integers by the rule of `integer_values`: 1.5, 2.0, True and "2" are
+    not ages.
     """
-    if isinstance(age, (tuple, list)) and all(type(a) is int for a in age):
-        shape, ages = (len(age),), list(age)
-    else:
-        arr = np.atleast_1d(np.asarray(age))
-        bools = isinstance(age, (tuple, list)) and any(
-            isinstance(a, (bool, np.bool_)) for a in age)
-        if arr.dtype.kind not in "iu" or bools:
-            raise ModelError(f"ages must be integers, got {age!r}")
-        shape, ages = arr.shape, arr.tolist()
+    shape, ages = integer_values(age, "ages")
     s = space.num_sequences
     if shape == (1,) and s > 1:
         shape, ages = (s,), ages * s
@@ -162,8 +154,9 @@ def backward_conditional(kernel: JointKernel, age) -> np.ndarray:
 def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> np.ndarray:
     """Sample `horizon` joint snapshots; returns an array of shape (T, s).
 
-    `initial` is a joint state tuple/index, or the string "stationary" to
-    draw the start from the stationary law.  Deterministic given seed.
+    `initial` is a joint state tuple, an int joint index, or the string
+    "stationary" to draw the start from the stationary law.  Deterministic
+    given seed.
     """
     if horizon < 1:
         raise ModelError(f"horizon must be >= 1, got {horizon}")
@@ -176,7 +169,7 @@ def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> 
         cur = min(int(np.searchsorted(np.cumsum(kernel.stationary), rng.random(),
                                       side="right")), n - 1)
     elif np.isscalar(initial):
-        cur = int(initial)
+        (cur,) = integer_values(initial, "initial state index")[1]
         if not 0 <= cur < n:
             raise ModelError(f"initial state index {cur} out of range")
     else:

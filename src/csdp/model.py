@@ -45,6 +45,27 @@ def check_positive(name: str, value) -> None:
         raise ModelError(f"{name} must be finite, got {value}")
 
 
+def integer_values(value, what: str) -> tuple:
+    """(shape, values) of an int or an array-like of ints, the values as a list.
+
+    Tuples and lists of ints are read in plain Python; any other input is
+    read through ``np.atleast_1d(np.asarray(value))``, so its shape is
+    numpy's, and refused by `what` unless it holds integers: 1.5, 2.0,
+    True, "2" and ragged nestings such as [1, [2]] are not.
+    """
+    if isinstance(value, (tuple, list)) and all(type(v) is int for v in value):
+        return (len(value),), list(value)
+    try:
+        arr = np.atleast_1d(np.asarray(value))
+    except ValueError:  # a ragged nesting
+        arr = None
+    bools = isinstance(value, (tuple, list)) and any(
+        isinstance(v, (bool, np.bool_)) for v in value)
+    if arr is None or arr.dtype.kind not in "iu" or bools:
+        raise ModelError(f"{what} must be integers, got {value!r}")
+    return arr.shape, arr.tolist()
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -108,12 +129,13 @@ class StateSpace:
         return tuple(map(tuple, self.digits.tolist()))
 
     def index(self, state) -> int:
-        """The joint index of a tuple of per-sequence states."""
+        """The joint index of a tuple of per-sequence states, which must be
+        integers (see `integer_values`)."""
         s, m = self.num_sequences, self.num_states
-        state = tuple(int(v) for v in state)
-        if len(state) != s or any(not 0 <= v < m for v in state):
+        shape, values = integer_values(state, "states")
+        if shape != (s,) or any(not 0 <= v < m for v in values):
             raise ModelError(f"{state} is not a valid joint state for s={s}, m={m}")
-        return sum(v * p for v, p in zip(state, self.place.tolist()))
+        return sum(v * p for v, p in zip(values, self.place.tolist()))
 
     def subset_code(self, coords) -> np.ndarray:
         """For every joint index, the big-endian code of its states at the
@@ -358,7 +380,8 @@ def read_yaml_fields(path, kind: str, required, optional=()) -> dict:
 
 
 def load_model(path) -> CmcModel:
-    """Read a model from YAML; the reader, StateSpace and CmcModel refuse bad contents by name.
+    """Read a model from YAML; the reader, StateSpace and CmcModel refuse bad
+    contents by name, and every such error names the file.
 
     Expected layout::
 
@@ -375,12 +398,15 @@ def load_model(path) -> CmcModel:
     doc = read_yaml_fields(path, "model file",
                            ("num_sequences", "num_states", "transitions", "coupling"),
                            ("orientation",))
-    if doc.get("orientation", "column-stochastic") != "column-stochastic":
-        raise ModelError(f"orientation: unsupported value '{doc['orientation']}'")
-    space = StateSpace(doc["num_sequences"], doc["num_states"])
-    # matrices are written row-major with rows = next state, i.e. exactly the
-    # column-stochastic layout used internally
-    return CmcModel(space, doc["transitions"], doc["coupling"])
+    try:
+        if doc.get("orientation", "column-stochastic") != "column-stochastic":
+            raise ModelError(f"orientation: unsupported value '{doc['orientation']}'")
+        space = StateSpace(doc["num_sequences"], doc["num_states"])
+        # matrices are written row-major with rows = next state, i.e. exactly
+        # the column-stochastic layout used internally
+        return CmcModel(space, doc["transitions"], doc["coupling"])
+    except ModelError as exc:
+        raise ModelError(f"model file: '{path}' {exc}") from None
 
 
 def save_model(model: CmcModel, path) -> None:

@@ -35,7 +35,7 @@ from .bounds import (
     bounded_aged_correlations,
     loose_bound,
     oracle_leakage,
-    single_chain_tv,
+    single_chain_tvs,
     tight_bound,
     verify_reductions,
 )
@@ -241,9 +241,9 @@ def _map_cells(fn, cells, threads: int) -> list:
 def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
     """Rows of one lambda cell, one per (t, eps_c) in `ts` x `eps_grid`.
 
-    The kernel and the Delta_bar of every t are computed once per cell, and
-    Delta_k and the single-chain TV once per t; only the budgets and the
-    oracle are evaluated per eps_c.
+    The kernel, the single-chain kernels and the Delta_bar of every t are
+    computed once per cell, and Delta_k and the single-chain TV once per t;
+    only the budgets and the oracle are evaluated per eps_c.
     """
     model = _model_for(config, lam)
     kernel = joint_kernel(model, config.cap)
@@ -252,9 +252,9 @@ def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
     dk = k_sensitivity(query, k)
     ages = [(t,) * k for t in ts]
     rows = []
-    for t, age, delta_bar in zip(ts, ages, bounded_aged_correlations(kernel, ages)):
+    for t, age, delta_bar, delta_t in zip(ts, ages, bounded_aged_correlations(kernel, ages),
+                                          single_chain_tvs(model, ts)):
         delta_k = aged_tv_distance(kernel, age, k)
-        delta_t = single_chain_tv(model, t)
         for eps in eps_grid:
             lin, logf = loose_bound(delta_k, dk, eps)
             dp, ddp = baseline_bounds(eps, k, query)

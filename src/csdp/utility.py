@@ -22,7 +22,7 @@ from .bounds import (
     baseline_bounds,
     bounded_aged_correlations,
     loose_bound,
-    single_chain_tv,
+    single_chain_tvs,
     tight_bound,
 )
 from .kernel import JointKernel, aged_joint, joint_kernel, state_values, validate_ages
@@ -221,7 +221,7 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
         delta = {a: aged_tv_distance(kernel, a, s) for a in ages}
     budgets = {"csdp": (grid, lambda a, eps: _leakage(kind, delta[a], eps, dk))}
     if baselines:
-        chain_tv = {a: single_chain_tv(model, max(a)) for a in ages}
+        chain_tv = dict(zip(ages, single_chain_tvs(model, [max(a) for a in ages])))
         budgets["adp"] = (grid, lambda a, eps: adp_leakage(chain_tv[a], eps))
         budgets["ddp"] = ([(0,) * s], lambda a, eps: baseline_bounds(eps, s, query)[1])
     aging = {a: aging_error(kernel, a, query)

@@ -21,9 +21,13 @@ results.
 
 Delta_bar is one Kantorovich-Rubinstein LP per kernel in the package; the
 dense coupling LP per neighbour pair it replaced is kept here as its
-reference, which agrees to rounding, not bit for bit.  `single_chain_tv`
-builds each one-sequence kernel directly; the form through a one-sequence
-`CmcModel` and `joint_kernel` is kept here and must give the same bits.
+reference, which agrees to rounding, not bit for bit.  The package's flow
+bound collapses each coordinate onto the row's cheapest target state; the
+collapse onto state 0 it replaced is kept here, and the package's bound
+must never exceed it.  `single_chain_tvs` builds one kernel per distinct
+self-transition matrix directly; the form through a one-sequence
+`CmcModel` and `joint_kernel` per sequence and age is kept here and must
+give the same bits.
 
 The P1 / frontier optimiser works out each distinct age's leakage
 coefficient and aging error once and shares them across mechanisms and
@@ -187,6 +191,31 @@ def transport_distance(p: np.ndarray, q: np.ndarray, costs: np.ndarray) -> float
     if not res.success:
         raise ModelError(f"transport LP failed: {res.message}")
     return float(res.fun) * mass
+
+
+def state_zero_flow_cost(D: np.ndarray, space) -> np.ndarray:
+    """For every row d of D, the cost of the flow that collapses the
+    coordinates onto state 0 one at a time, largest marginal TV first: the
+    package's upper bound on W1 before it took each row's cheapest target
+    state.  A line x with sum sigma costs 0.5 * (|sigma - x_0| +
+    sum_{a != 0} |x_a|), and the coordinates are ordered as the package
+    orders them."""
+    N, n = D.shape
+    s, m = space.num_sequences, space.num_states
+    cube = D.reshape((N,) + (m,) * s)
+    marginal_tv = np.stack(
+        [np.abs(cube.sum(axis=tuple(k + 1 for k in range(s) if k != j))).sum(axis=1)
+         for j in range(s)], axis=1) * 0.5
+    order = np.argsort(-marginal_tv, axis=1, kind="stable")
+    cost = np.zeros(N)
+    for r in range(N):
+        Y = cube[r].transpose(order[r])
+        for _ in range(s):
+            Y = Y.reshape(m, -1)
+            rest = Y[1:]  # sigma - x_0 is their sum
+            cost[r] += (np.abs(rest.sum(axis=0)).sum() + np.abs(rest).sum()) * 0.5
+            Y = Y.sum(axis=0)
+    return cost
 
 
 def bounded_aged_correlation(kernel, age) -> float:

@@ -22,6 +22,7 @@ from csdp import (
     loose_bound,
     oracle_leakage,
     single_chain_tv,
+    single_chain_tvs,
     tight_bound,
     two_user_model,
     verify_reductions,
@@ -226,20 +227,22 @@ class TestBoundedAgedCorrelation:
         assert calls == []
 
     def test_one_lp_per_call(self, monkeypatch):
-        cases = [(joint_kernel(two_user_model(lam)), (t, t)) for lam, t in [(0.5, 1), (0.75, 3)]]
+        cases = [(joint_kernel(random_model(3, 2, seed=48)), (1, 1, 1)),
+                 (joint_kernel(two_user_model(0.75)), (3, 3))]
         kern = joint_kernel(CmcModel(StateSpace(3, 2), np.broadcast_to(FLIP, (3, 3, 2, 2)).copy(),
                                      np.full((3, 3), 1 / 3)))
         cases.append((kern, (1, 2, 0)))
         calls = self.count_lps(monkeypatch)
-        # one LP for a call with an open block (only lambda = 0.5, t = 1),
-        # none for a call whose bounds settle every block; slack -1 opens
-        # every block, and each call is still one LP
-        for slack, lps in ((bounds._SETTLE_SLACK, 1), (-1.0, 3)):
+        # one LP for a call with open blocks (only the seed-48 kernel's 4 of
+        # 12 stay open), none for a call whose bounds settle every block;
+        # slack -1 opens every block, and each call is still one LP
+        for slack, lps in ((bounds._SETTLE_SLACK, [1, 0, 0]), (-1.0, [1, 1, 1])):
             monkeypatch.setattr(bounds, "_SETTLE_SLACK", slack)
             calls.clear()
             for k, a in cases:
                 bounded_aged_correlation(k, a)
-            assert len(calls) == sum(lps_for(k, [a]) for k, a in cases) == lps
+            assert [lps_for(k, [a]) for k, a in cases] == lps
+            assert len(calls) == sum(lps)
 
     @staticmethod
     def count_lps(monkeypatch):
@@ -258,7 +261,7 @@ class TestBoundedAgedCorrelation:
         ages = [(0,) * 4, (1,) * 4, (2, 0, 1, 3), (3,) * 4]
         default = bounded_aged_correlations(kern, ages)
         opened = open_blocks(kern, ages)
-        assert opened == 13
+        assert opened == 3
         calls = self.count_lps(monkeypatch)
         results = []
         # n potentials per LP: one LP per open block, or per each of the
@@ -282,7 +285,8 @@ class TestBoundedAgedCorrelation:
                            for lam in grids["lambda"])
         calls = self.count_lps(monkeypatch)
         run_sweep(PRESETS["fig3a"])
-        assert len(calls) == open_lambdas == 5
+        # the cheapest-target flow bound settles every fig3a block
+        assert len(calls) == open_lambdas == 0
         # with every block open, still one LP per lambda
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
         calls.clear()
@@ -290,10 +294,12 @@ class TestBoundedAgedCorrelation:
         assert len(calls) == len(grids["lambda"]) == 21
 
     def test_large_kernel_is_chunked(self, monkeypatch):
-        # n = 64: 192 blocks of 64 potentials, 16 blocks per LP
-        kern = joint_kernel(random_model(6, 2, seed=0))
+        # n = 64: 192 blocks of 64 potentials, 16 blocks per LP, of which
+        # 24 stay open on this kernel
+        kern = joint_kernel(random_model(6, 2, seed=5))
         calls = self.count_lps(monkeypatch)
         bounded_aged_correlation(kern, (1,) * 6)
+        assert open_blocks(kern, [(1,) * 6]) == 24
         assert len(calls) == lps_for(kern, [(1,) * 6]) == 2
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
         calls.clear()
@@ -303,8 +309,10 @@ class TestBoundedAgedCorrelation:
     def test_failed_lp_is_named(self, monkeypatch):
         monkeypatch.setattr(bounds, "linprog",
                             lambda *a, **k: SimpleNamespace(success=False, message="boom"))
+        # this kernel's maximum exceeds every block's lower bound by 0.33%,
+        # so no valid flow bound can settle its blocks
         with pytest.raises(ModelError, match="transport LP failed: boom"):
-            bounded_aged_correlation(joint_kernel(two_user_model(0.5)), (1, 1))
+            bounded_aged_correlation(joint_kernel(random_model(3, 3, seed=32)), (1, 1, 1))
 
 
 class TestTransportBounds:
@@ -344,6 +352,14 @@ class TestTransportBounds:
         calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
         assert bounded_aged_correlation(joint_kernel(two_user_model(0.75)), (3, 3)) == \
             pytest.approx(0.4**3, abs=1e-12)
+        assert calls == []
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig5", "oracle-validate"])
+    def test_two_user_presets_need_no_lp(self, monkeypatch, preset):
+        from csdp.sweeps import PRESETS, run_sweep
+
+        calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
+        assert run_sweep(PRESETS[preset])[2] == []
         assert calls == []
 
     def test_temporaries_stay_within_three_times_d(self):
@@ -414,6 +430,23 @@ class TestAdpAndBaselines:
         model = two_user_model(0.25)
         for t in range(5):
             assert single_chain_tv(model, t) == pytest.approx(0.4**t, abs=1e-10)
+
+    def test_one_solo_kernel_per_distinct_self_matrix(self, monkeypatch):
+        builds = []
+        stationary = bounds._joint_stationary
+        monkeypatch.setattr(bounds, "_joint_stationary",
+                            lambda P: builds.append(P) or stationary(P))
+        ts = [0, 1, 2, 5, 1]
+        # both users of the benchmark share one self matrix
+        assert single_chain_tvs(two_user_model(0.25), ts) == pytest.approx(
+            [0.4**t for t in ts], abs=1e-10)
+        assert len(builds) == 1
+        builds.clear()
+        model = random_model(3, 2, seed=4)  # three different self matrices
+        got = single_chain_tvs(model, ts)
+        assert len(builds) == 3
+        assert got == [single_chain_tv(model, t) for t in ts]
+        assert single_chain_tvs(model, []) == []
 
     def test_baselines(self):
         q = builtin_queries(StateSpace(2, 2))["mean"]

@@ -202,6 +202,21 @@ class TestSampling:
             # 3 degrees of freedom; fail only on gross disagreement
             assert chi2 < stats.chi2.ppf(0.9999, df=3)
 
+    @pytest.mark.parametrize("initial", [1.7, 1.0, True, np.float64(2.0), np.True_])
+    def test_non_integer_start_index_is_refused(self, initial):
+        kern = joint_kernel(two_user_model(0.75))
+        with pytest.raises(ModelError, match="initial state index must be integers, got"):
+            sample_trajectory(kern, initial, horizon=3, seed=1)
+
+    def test_integer_start_index_and_state_agree(self):
+        kern = joint_kernel(two_user_model(0.75))
+        runs = [sample_trajectory(kern, initial, horizon=20, seed=3)
+                for initial in (2, np.int64(2), (1, 0), np.array([1, 0]))]
+        assert runs[0][0].tolist() == [1, 0]
+        assert all((run == runs[0]).all() for run in runs)
+        with pytest.raises(ModelError, match="initial state index 4 out of range"):
+            sample_trajectory(kern, 4, horizon=3, seed=1)
+
     def test_horizon_precondition(self):
         kern = joint_kernel(two_user_model(0.75))
         with pytest.raises(ModelError, match="horizon"):
@@ -234,7 +249,7 @@ class TestValidateAges:
 
     @pytest.mark.parametrize("age", [
         1.5, 2.0, True, "2", [1.5, 2], (2.0, 2), [True, 1], (1, "2"),
-        np.array([1.0, 2.0]), np.array([True, False]), np.float64(2.0),
+        np.array([1.0, 2.0]), np.array([True, False]), np.float64(2.0), [1, [2]],
     ])
     def test_non_integer_ages_are_refused(self, age):
         with pytest.raises(ModelError, match="ages must be integers, got"):

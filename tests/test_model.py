@@ -110,6 +110,30 @@ class TestStateSpaceSizes:
         assert space.product_size == 2**64  # exact, as NumPy int64 arithmetic would not be
 
 
+class TestStateIndex:
+    SPACE = StateSpace(2, 2)
+
+    @pytest.mark.parametrize("state", [
+        (0.7, 1.9), (True, 1), (1, np.True_), (1.0, 0), ("0", 1), np.array([0.5, 1.0]),
+        np.array([True, False]), [[0, 1], [1]],
+    ])
+    def test_non_integer_states_are_refused(self, state):
+        with pytest.raises(ModelError, match="states must be integers, got"):
+            self.SPACE.index(state)
+
+    @pytest.mark.parametrize("state, index", [
+        ((1, 0), 2), ([0, 1], 1), (np.array([1, 1]), 3), ((np.int64(1), np.uint8(1)), 3),
+    ])
+    def test_integer_states_are_read(self, state, index):
+        got = self.SPACE.index(state)
+        assert got == index and type(got) is int
+
+    @pytest.mark.parametrize("state", [(0, 2), (0, -1), (1,), (0, 1, 0), np.array([[0, 1], [1, 0]])])
+    def test_invalid_states_are_named(self, state):
+        with pytest.raises(ModelError, match="is not a valid joint state for s=2, m=2"):
+            self.SPACE.index(state)
+
+
 class TestBlockMatrix:
     def test_single_sequence_is_p_itself(self):
         Q = build_block_matrix(single_chain(FLIP))

@@ -189,7 +189,7 @@ def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
     """A frontier computes each distinct age's coefficients and aging error
     once, for every mechanism and eps; `solve_p1` computes no ADP term."""
     calls = {name: [] for name in ("bounded_aged_correlations", "aged_tv_distance",
-                                   "single_chain_tv", "aging_error")}
+                                   "single_chain_tvs", "aging_error")}
     for name in calls:
         def counted(*args, name=name, fn=getattr(utility, name)):
             calls[name].append(args[1])
@@ -202,13 +202,14 @@ def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
     coefficients = {"bounded_aged_correlations": [distinct] if kind == "tight" else [],
                     "aged_tv_distance": [] if kind == "tight" else distinct}
     tradeoff_frontier(two_user_model(0.5), spec, [0.4, 0.8])
-    # single_chain_tv takes each age's largest entry; DDP adds age zero's aging
-    assert calls == {**coefficients, "single_chain_tv": [2, 3, 3],
+    # one single_chain_tvs call takes each distinct age's largest entry; DDP
+    # adds age zero's aging
+    assert calls == {**coefficients, "single_chain_tvs": [[2, 3, 3]],
                      "aging_error": distinct + [(0, 0)]}
     for got in calls.values():
         got.clear()
     solve_p1(two_user_model(0.5), spec)
-    assert calls == {**coefficients, "single_chain_tv": [], "aging_error": distinct}
+    assert calls == {**coefficients, "single_chain_tvs": [], "aging_error": distinct}
 
 
 def test_duplicate_ages_keep_their_rows(monkeypatch):

@@ -7,7 +7,8 @@ references in `loop_reference.py` with exact equality; Delta_bar, whose
 LP changed form, is compared with the dense coupling LP to 1e-12, and the
 exact oracle, whose sums are one matrix product, with the per-state
 `logsumexp` loop to 1e-12 * max(1, |value|).  The closed-form transport
-bounds that settle most Delta_bar blocks must bracket the dense LP.  One more
+bounds that settle most Delta_bar blocks must bracket the dense LP, and the
+flow bound must not exceed the collapse onto state 0 it replaced.  One more
 property checks that the current-snapshot marginal of the aged joint law is
 the stationary law.  The release path, the simulated MSE and the built-in
 query evaluates are compared with their per-sample NumPy forms the same way,
@@ -49,6 +50,7 @@ from csdp import (
     release_values,
     sample_trajectory,
     single_chain_tv,
+    single_chain_tvs,
     solve_p1,
     tradeoff_frontier,
     two_user_model,
@@ -272,6 +274,21 @@ def test_transport_bounds_bracket_dense_lp(case):
         assert low <= w1 + 1e-12 and w1 <= high + 1e-12, (a, b, low, w1, high)
 
 
+@PROPERTY
+@given(small_models_and_ages())
+def test_cheapest_target_never_above_state_zero_collapse(case):
+    """Row by row, the flow bound is at most the collapse onto state 0 (to
+    1e-15 relative: the two sum their lines in different orders)."""
+    model, age = case
+    kern = joint_kernel(model)
+    B = backward_conditional(kern, age)
+    pairs = kern.space.neighbour_pairs
+    D = (B[:, pairs[:, 0]] - B[:, pairs[:, 1]]).T
+    hi = _transport_bounds(D, kern.space)[1]
+    state_zero = ref.state_zero_flow_cost(D, kern.space)
+    assert np.all(hi <= state_zero * (1 + 1e-15)), (hi - state_zero).max()
+
+
 def test_batched_delta_bar_with_equal_conditionals():
     """With uniform transition columns every age >= 1 leaves all backward
     conditionals equal (Delta_bar 0, no blocks) while age zero gives 1; a
@@ -302,6 +319,12 @@ def test_oracle_matches_loops_six_users():
 @given(models(), st.integers(0, 6))
 def test_single_chain_tv_matches_solo_models(model, t):
     assert single_chain_tv(model, t) == ref.single_chain_tv(model, t)
+
+
+@PROPERTY
+@given(models(), st.lists(st.integers(0, 6), max_size=5))
+def test_single_chain_tvs_match_solo_models(model, ts):
+    assert single_chain_tvs(model, ts) == [ref.single_chain_tv(model, t) for t in ts]
 
 
 @PROPERTY
