@@ -11,10 +11,12 @@ from .bounds import (
     LeakageParams,
     OracleEstimate,
     adp_leakage,
+    aged_tv,
     aged_tv_distance,
     baseline_bounds,
     bounded_aged_correlation,
     bounded_aged_correlations,
+    half_line_oracle,
     k_sensitivity,
     loose_bound,
     oracle_leakage,
@@ -23,13 +25,7 @@ from .bounds import (
     tight_bound,
     verify_reductions,
 )
-from .kernel import (
-    JointKernel,
-    aged_joint,
-    backward_conditional,
-    joint_kernel,
-    sample_trajectory,
-)
+from .kernel import AgedLaw, JointKernel, aged_joint, joint_kernel, sample_trajectory
 from .mechanism import (
     MechanismOutput,
     SequenceDatabase,

@@ -19,14 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import stats
 
-from .bounds import (
-    LeakageParams,
-    aged_tv_distance,
-    loose_bound,
-    oracle_leakage,
-    verify_reductions,
-)
-from .kernel import joint_kernel
+from .bounds import aged_tv_distance, half_line_oracle, loose_bound, verify_reductions
+from .kernel import aged_joint, joint_kernel
 from .mechanism import SequenceDatabase, laplace_sample, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
@@ -216,13 +210,11 @@ def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
     ok = True
     notes = []
     for model, age, eps, label in configs:
-        kern = joint_kernel(model)
+        law = aged_joint(joint_kernel(model), age)
         query = builtin_queries(model.space)["mean"]
-        params = LeakageParams(age, eps, model.space.num_sequences, query)
-        exact = oracle_leakage(kern, params).estimate
-        sampled = oracle_leakage(kern, params, samples=10**5,
-                                 seed=derive_seed(seed, "oracle", label),
-                                 method="sampling")
+        exact = half_line_oracle(law, query, eps).estimate
+        sampled = half_line_oracle(law, query, eps, samples=10**5,
+                                   seed=derive_seed(seed, "oracle", label), method="sampling")
         gap = abs(exact - sampled.estimate)
         limit = tol["oracle_sigmas"] * sampled.half_width
         if gap > limit:

@@ -52,14 +52,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from .kernel import (
-    JointKernel,
-    _joint_stationary,
-    aged_joint,
-    backward_conditional,
-    joint_kernel,
-    state_values,
-)
+from .kernel import AgedLaw, JointKernel, _joint_stationary, aged_joint, joint_kernel, state_values
 from .model import CmcModel, ModelError, StateSpace, check_positive
 from .queries import QuerySpec, builtin_queries, k_sensitivity
 from .rng import derive_seed, generator, laplace
@@ -102,6 +95,11 @@ def _max_pair_tv(M: np.ndarray, totals: np.ndarray, pairs: np.ndarray) -> float:
 
 
 def aged_tv_distance(kernel: JointKernel, age, degree: int) -> float:
+    """Delta_k at one age; see `aged_tv`."""
+    return aged_tv(aged_joint(kernel, age), degree)
+
+
+def aged_tv(law: AgedLaw, degree: int) -> float:
     """Delta_k: worst-case TV between aged-state conditionals.
 
     The maximization ranges over user subsets of size min(k, s) and, within
@@ -109,25 +107,23 @@ def aged_tv_distance(kernel: JointKernel, age, degree: int) -> float:
     one coordinate (one changed user; the other members are the correlated
     partners whose values are held equal).  TV is half the l1 distance.
     """
-    s, m = kernel.space.num_sequences, kernel.space.num_states
+    s, m = law.space.num_sequences, law.space.num_states
     if not 1 <= degree <= s:
         raise ModelError(f"correlation degree {degree} out of range [1, {s}]")
-    # C order, so that column totals are summed row by row, as for the
-    # subset marginals built below
-    J = np.ascontiguousarray(aged_joint(kernel, age))
     size = min(degree, s)
     sub = StateSpace(size, m)
     best = 0.0
     for subset in itertools.combinations(range(s), size):
         # joint law of (z restricted to subset, x restricted to subset);
-        # np.add.at sums in the order of the (z, x) loop it replaces
+        # np.add.at sums in the order of the (z, x) loop it replaces, and
+        # M.sum(axis=0) sums rows in order, as the law's totals are summed
         if size == s:
-            M = J
+            M, totals = law.joint, law.totals
         else:
-            code = kernel.space.subset_code(subset)
+            code = law.space.subset_code(subset)
             M = np.zeros((m**size, m**size))
-            np.add.at(M, (code[:, None], code[None, :]), J)
-        totals = M.sum(axis=0)
+            np.add.at(M, (code[:, None], code[None, :]), law.joint)
+            totals = M.sum(axis=0)
         if np.any(totals <= 0):
             dead = sub.states[int(np.argmin(totals))]
             raise ModelError(
@@ -258,26 +254,14 @@ def _transport_lps(D: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return values * mass
 
 
-def _transport_blocks(kernel: JointKernel, ages) -> list:
-    """Per age, the rows d = p - q, p != q, of the backward conditionals of
-    every neighbour pair, as one (rows, n) array."""
-    edges = kernel.space.neighbour_pairs
-    blocks = []
-    for age in ages:
-        B = backward_conditional(kernel, age)
-        D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
-        blocks.append(D[np.abs(D).sum(axis=1) >= 1e-15])
-    return blocks
-
-
 def bounded_aged_correlation(kernel: JointKernel, age) -> float:
     """Delta_bar at one age; see `bounded_aged_correlations`."""
-    return bounded_aged_correlations(kernel, [age])[0]
+    return bounded_aged_correlations([aged_joint(kernel, age)])[0]
 
 
-def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
-    """Delta_bar at each age: max over neighbouring snapshots of the
-    Hamming-cost transport distance between their backward conditionals.
+def bounded_aged_correlations(laws) -> list:
+    """Delta_bar of each aged law (all of one kernel): max over neighbouring
+    snapshots of the Hamming-cost transport distance between their conditionals.
 
     Each unit of transport moves one aged coordinate, which shifts the
     query by at most one one-record sensitivity.  The resulting budget
@@ -286,7 +270,7 @@ def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
 
     Hamming cost is the shortest-path metric of the Hamming graph, whose
     E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  Every pair
-    with p != q, at every age, is a block.  `_transport_bounds` gives each
+    with p != q, of every law, is a block.  `_transport_bounds` gives each
     block closed-form bounds lo <= W1 <= hi.  With tau the largest lo of an
     age, a block with hi <= tau * (1 + 1e-12) is settled: it cannot raise
     the age's maximum by more than that relative slack.  The open blocks of
@@ -301,18 +285,23 @@ def bounded_aged_correlations(kernel: JointKernel, ages) -> list:
     measured) with the other ages in the call; the tests compare `tight`
     values across grids to 1e-12 for that reason.
     """
-    blocks = _transport_blocks(kernel, ages)
+    blocks = []
+    for law in laws:
+        B = law.conditional()
+        edges = law.space.neighbour_pairs
+        D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
+        blocks.append(D[np.abs(D).sum(axis=1) >= 1e-15])
     if not blocks:
         return []
     counts = [len(b) for b in blocks]
     D = np.concatenate(blocks)
-    lo, hi = _transport_bounds(D, kernel.space)
+    lo, hi = _transport_bounds(D, law.space)
     ends = np.cumsum(counts)[:-1]
     taus = [v.max() if len(v) else 0.0 for v in np.split(lo, ends)]
     open_ = np.flatnonzero(hi > np.repeat(taus, counts) * (1 + _SETTLE_SLACK))
     values = lo
     if len(open_):
-        lp = _transport_lps(D[open_], kernel.space.neighbour_pairs)
+        lp = _transport_lps(D[open_], edges)
         values[open_] = np.maximum(values[open_], lp)
     return [float(v.max()) if len(v) else 0.0 for v in np.split(values, ends)]
 
@@ -325,11 +314,9 @@ def tight_bound(delta_bar: float, eps_c: float) -> float:
 
 
 def adp_leakage(delta_t: float, eps_c: float) -> float:
-    """Single-sequence age-dependent budget ln(1 + Delta(t)(e^eps - 1))."""
-    if not 0.0 <= delta_t <= 1.0 + 1e-12:
-        raise ModelError(f"delta_t must lie in [0, 1], got {delta_t}")
-    check_positive("eps_c", eps_c)
-    return math.log1p(delta_t * math.expm1(eps_c))
+    """Single-sequence age-dependent budget ln(1 + Delta(t)(e^eps - 1)): the
+    log-form loose budget at unit sensitivity."""
+    return loose_bound(delta_t, 1.0, eps_c)[1]
 
 
 def single_chain_tv(model: CmcModel, t: int) -> float:
@@ -410,9 +397,15 @@ def _log_mixtures(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_leakage(
-    kernel: JointKernel,
-    params: LeakageParams,
+def oracle_leakage(kernel: JointKernel, params: LeakageParams) -> OracleEstimate:
+    """The exact oracle at `params`; see `half_line_oracle`."""
+    return half_line_oracle(aged_joint(kernel, params.age), params.query, params.eps_c)
+
+
+def half_line_oracle(
+    law: AgedLaw,
+    query: QuerySpec,
+    eps_c: float,
     samples: int = 0,
     seed: int = 0,
     method: str = "exact",
@@ -431,12 +424,12 @@ def oracle_leakage(
     25 hits in either arm (skips are reported as diagnostics, and the
     interval is widened to infinity if nothing stable remains).
     """
-    query = params.query
-    B = backward_conditional(kernel, params.age)
-    f_values = state_values(kernel, query)
-    b = query.sensitivity(1) / params.eps_c
+    check_positive("eps_c", eps_c)
+    B = law.conditional()
+    f_values = state_values(law.space, query)
+    b = query.sensitivity(1) / eps_c
     thetas = _theta_grid(f_values, b)
-    pairs = kernel.space.neighbour_pairs
+    pairs = law.space.neighbour_pairs
 
     if method == "exact":
         u = thetas[:, None] - f_values[None, :]

@@ -6,13 +6,11 @@ current snapshot a = (a_1, ..., a_s), next-step states are conditionally
 independent, with sequence j drawn from the mixture
 
     sum_k  lam[j, k] * P[j][k][. , a_k]
-
-Backward (aged) conditionals are always evaluated at stationarity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,13 +87,45 @@ def validate_ages(age, space: StateSpace) -> tuple:
     return tuple(ages)
 
 
-def state_values(kernel: JointKernel, query) -> np.ndarray:
-    """f[i] = query.evaluate(kernel.space.states[i]): the query on every joint state."""
-    return np.array([query.evaluate(x) for x in kernel.space.states])
+def state_values(space: StateSpace, query) -> np.ndarray:
+    """f[i] = query.evaluate(space.states[i]): the query on every joint state."""
+    return np.array([query.evaluate(x) for x in space.states])
 
 
-def aged_joint(kernel: JointKernel, age) -> np.ndarray:
-    """Joint law J[z, x] of (aged snapshot z, current snapshot x) at stationarity.
+@dataclass(frozen=True)
+class AgedLaw:
+    """The joint law J[z, x] of (aged snapshot z, current snapshot x) for one
+    (kernel, age), held in C order, with its column totals, the law of x.
+
+    Its prior is the stationary law: the aged snapshot's trajectory starts
+    from the kernel's stationary distribution, as the paper's bounds assume.
+    Every consumer reads the same J and totals, so their sums round alike.
+    """
+
+    space: StateSpace
+    joint: np.ndarray  # (m^s, m^s)
+    totals: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        # C order fixes how every sum over J rounds (tests/test_vectorised.py
+        # pins it against the loop form)
+        object.__setattr__(self, "joint", np.ascontiguousarray(self.joint))
+        object.__setattr__(self, "totals", self.joint.sum(axis=0))
+
+    def conditional(self) -> np.ndarray:
+        """B[z, x] = Pr[aged snapshot z | current snapshot x], formed anew on
+        each call.  A current state of zero mass is refused by name."""
+        dead = np.flatnonzero(self.totals <= 0)
+        if dead.size:
+            raise ModelError(
+                f"cannot condition on state {self.space.states[dead[0]]}: "
+                "zero probability under the stationary law"
+            )
+        return self.joint / self.totals
+
+
+def aged_joint(kernel: JointKernel, age) -> AgedLaw:
+    """The aged law of `kernel` at `age`.
 
     z_i is the state of sequence i at `age[i]` steps before x.  With a
     uniform age the law is pi[z] * K^t[x, z]; heterogeneous ages are
@@ -106,8 +136,8 @@ def aged_joint(kernel: JointKernel, age) -> np.ndarray:
     n = kernel.matrix.shape[0]
     T = int(ages.max())
     if np.all(ages == ages[0]):
-        Kt = np.linalg.matrix_power(kernel.matrix, T)
-        return (Kt * kernel.stationary[None, :]).T
+        J = (np.linalg.matrix_power(kernel.matrix, T) * kernel.stationary[None, :]).T
+        return AgedLaw(kernel.space, J)
 
     s, m = kernel.space.num_sequences, kernel.space.num_states
     # dist[w, r] = Pr[current joint state w, recorded coordinates r], where r
@@ -127,28 +157,9 @@ def aged_joint(kernel: JointKernel, age) -> np.ndarray:
             recorded.extend(seqs)
         if step < T:
             dist = kernel.matrix @ dist
-    # J[z, x] with the recorded coordinates back in sequence order.  J is
-    # returned in C order, which fixes how sums over it round
-    # (tests/test_vectorised.py pins it against the loop form)
+    # J[z, x] with the recorded coordinates back in sequence order
     J = dist.T.reshape((m,) * s + (n,)).transpose(list(np.argsort(recorded)) + [s])
-    return np.ascontiguousarray(J).reshape(n, n)
-
-
-def backward_conditional(kernel: JointKernel, age) -> np.ndarray:
-    """Conditional table B[z, x] = Pr[aged snapshot z | current snapshot x].
-
-    Columns are probability vectors.  Conditioning states with zero mass
-    under the stationary law are rejected by name.
-    """
-    J = aged_joint(kernel, age)
-    px = J.sum(axis=0)
-    dead = np.nonzero(px <= 0)[0]
-    if dead.size:
-        raise ModelError(
-            f"cannot condition on state {kernel.space.states[dead[0]]}: "
-            "zero probability under the stationary law"
-        )
-    return J / px[None, :]
+    return AgedLaw(kernel.space, J.reshape(n, n))
 
 
 def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> np.ndarray:

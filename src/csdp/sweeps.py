@@ -5,10 +5,10 @@ column order), a run manifest, and a list of invariant violations.  Rows
 always carry every parameter needed to regenerate them, including the
 seed.  Cells are independent; with threads > 1 they are evaluated in a
 pool and merged in grid order, so output bytes never depend on scheduling.
-A leakage sweep's cell is one lambda: one model and kernel, and one
-Delta_bar call for all its ages; its rows are (t, eps_c) in grid order.
-A utility sweep's cell is one (lambda, age): one aging term, and one row
-per eps_c in grid order.
+A leakage sweep's cell is one lambda: one model and kernel, one aged law
+per t, and one Delta_bar call for all its ages; its rows are (t, eps_c) in
+grid order.  A utility sweep's cell is one (lambda, age): one aged law and
+aging term, and one row per eps_c in grid order.
 """
 
 from __future__ import annotations
@@ -28,18 +28,17 @@ import scipy
 
 from . import __version__
 from .bounds import (
-    LeakageParams,
     adp_leakage,
-    aged_tv_distance,
+    aged_tv,
     baseline_bounds,
     bounded_aged_correlations,
+    half_line_oracle,
     loose_bound,
-    oracle_leakage,
     single_chain_tvs,
     tight_bound,
     verify_reductions,
 )
-from .kernel import joint_kernel
+from .kernel import aged_joint, joint_kernel
 from .model import (DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, read_yaml_fields,
                     two_user_model)
 from .queries import builtin_queries, k_sensitivity
@@ -242,19 +241,19 @@ def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
     """Rows of one lambda cell, one per (t, eps_c) in `ts` x `eps_grid`.
 
     The kernel, the single-chain kernels and the Delta_bar of every t are
-    computed once per cell, and Delta_k and the single-chain TV once per t;
-    only the budgets and the oracle are evaluated per eps_c.
+    computed once per cell, and the aged law, Delta_k and the single-chain
+    TV once per t; only the budgets and the oracle are evaluated per eps_c.
     """
     model = _model_for(config, lam)
     kernel = joint_kernel(model, config.cap)
     query = builtin_queries(model.space)["mean"]
     k = model.space.num_sequences
     dk = k_sensitivity(query, k)
-    ages = [(t,) * k for t in ts]
+    laws = [aged_joint(kernel, (t,) * k) for t in ts]
     rows = []
-    for t, age, delta_bar, delta_t in zip(ts, ages, bounded_aged_correlations(kernel, ages),
+    for t, law, delta_bar, delta_t in zip(ts, laws, bounded_aged_correlations(laws),
                                           single_chain_tvs(model, ts)):
-        delta_k = aged_tv_distance(kernel, age, k)
+        delta_k = aged_tv(law, k)
         for eps in eps_grid:
             lin, logf = loose_bound(delta_k, dk, eps)
             dp, ddp = baseline_bounds(eps, k, query)
@@ -268,7 +267,7 @@ def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
                 "oracle": "", "oracle_hw": "", "seed": config.seed,
             }
             if with_oracle:
-                est = oracle_leakage(kernel, LeakageParams(age, eps, k, query))
+                est = half_line_oracle(law, query, eps)
                 row["oracle"] = est.estimate
                 row["oracle_hw"] = est.half_width
             rows.append(row)
@@ -329,7 +328,7 @@ def run_sweep(config: ExperimentConfig):
         def cell(c):
             lam, age = c
             kernel, query = kernels[lam]
-            aging = aging_error(kernel, age, query)
+            aging = aging_error(aged_joint(kernel, age), query)
             label = "|".join(str(a) for a in age)
             rows = []
             for eps in eps_grid:

@@ -18,14 +18,14 @@ import numpy as np
 
 from .bounds import (
     adp_leakage,
-    aged_tv_distance,
+    aged_tv,
     baseline_bounds,
     bounded_aged_correlations,
     loose_bound,
     single_chain_tvs,
     tight_bound,
 )
-from .kernel import JointKernel, aged_joint, joint_kernel, state_values, validate_ages
+from .kernel import AgedLaw, JointKernel, aged_joint, joint_kernel, state_values, validate_ages
 from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_positive
 from .queries import QuerySpec, k_sensitivity
 from .rng import generator, laplace
@@ -81,11 +81,10 @@ class TradeoffSolution:
     feasible: bool
 
 
-def aging_error(kernel: JointKernel, age, query: QuerySpec) -> float:
-    """E[(f(aged snapshot) - f(current snapshot))^2] at stationarity."""
-    J = aged_joint(kernel, age)
-    f = state_values(kernel, query)
-    return float((J * (f[:, None] - f[None, :]) ** 2).sum())
+def aging_error(law: AgedLaw, query: QuerySpec) -> float:
+    """E[(f(aged snapshot) - f(current snapshot))^2] under an aged law."""
+    f = state_values(law.space, query)
+    return float((law.joint * (f[:, None] - f[None, :]) ** 2).sum())
 
 
 def noise_variance(query: QuerySpec, eps_c: float) -> float:
@@ -94,7 +93,7 @@ def noise_variance(query: QuerySpec, eps_c: float) -> float:
 
 def mse_exact(kernel: JointKernel, age, query: QuerySpec, eps_c: float) -> float:
     check_positive("eps_c", eps_c)
-    return aging_error(kernel, age, query) + noise_variance(query, eps_c)
+    return aging_error(aged_joint(kernel, age), query) + noise_variance(query, eps_c)
 
 
 def _threshold_table(matrix: np.ndarray) -> np.ndarray:
@@ -152,7 +151,7 @@ def mse_simulated(
     n = int(samples)
     rng = generator(seed)
     nstates = kernel.space.product_size
-    f = state_values(kernel, query)
+    f = state_values(kernel.space, query)
 
     cur = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n), side="right")
     np.clip(cur, 0, nstates - 1, out=cur)
@@ -207,25 +206,33 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     cost once correlated records are accounted for, which is exactly the
     DDP certified budget -- the two frontiers coincide, so DP reads DDP's
     rows and is not evaluated.  The degree is s.  Each distinct age's
-    leakage coefficients and aging error are computed once and shared by
-    every mechanism; none of this depends on the MSE cap.
+    leakage coefficients and aging error are computed once, from one aged
+    law, and shared by every mechanism; none of this depends on the MSE cap.
     """
     s = kernel.space.num_sequences
     query, kind = spec.query, spec.leakage_kind
     dk = k_sensitivity(query, s)
     grid = [validate_ages(age, kernel.space) for age in spec.age_grid]
     ages = list(dict.fromkeys(grid))
-    if kind == "tight":  # one call packs every age's transport LPs
-        delta = dict(zip(ages, bounded_aged_correlations(kernel, ages)))
-    else:
-        delta = {a: aged_tv_distance(kernel, a, s) for a in ages}
+    # one law per age a row reads, DDP's age zero last
+    needed = list(dict.fromkeys(ages + ([(0,) * s] if baselines else [])))
+    delta, aging = {}, {}
+    if kind == "tight":  # one call packs every age's transport LPs, so it holds every law
+        laws = [aged_joint(kernel, a) for a in needed]
+        delta = dict(zip(ages, bounded_aged_correlations(laws[: len(ages)])))
+        aging = {a: aging_error(law, query) for a, law in zip(needed, laws)}
+    else:  # one law at a time
+        for a in needed:
+            law = aged_joint(kernel, a)
+            aging[a] = aging_error(law, query)
+            if a in grid:
+                delta[a] = aged_tv(law, s)
+            del law  # before the next law is built
     budgets = {"csdp": (grid, lambda a, eps: _leakage(kind, delta[a], eps, dk))}
     if baselines:
         chain_tv = dict(zip(ages, single_chain_tvs(model, [max(a) for a in ages])))
         budgets["adp"] = (grid, lambda a, eps: adp_leakage(chain_tv[a], eps))
         budgets["ddp"] = ([(0,) * s], lambda a, eps: baseline_bounds(eps, s, query)[1])
-    aging = {a: aging_error(kernel, a, query)
-             for a in dict.fromkeys(a for mech_ages, _ in budgets.values() for a in mech_ages)}
     return {mech: [(a, eps, budget(a, eps), aging[a] + noise_variance(query, eps))
                    for a in mech_ages for eps in spec.eps_grid]
             for mech, (mech_ages, budget) in budgets.items()}

@@ -5,7 +5,13 @@ the Hamming-1 neighbour pairs, the subset marginals of Delta_k and the
 exact oracle's pair maximum with NumPy index arithmetic on the encoding
 that `StateSpace` owns (its digit table, place values, subset codes and
 neighbour pairs).  These are the
-nested-loop forms they replaced, one state at a time.  The exact oracle
+nested-loop forms they replaced, one state at a time.  The aged joint law
+here steps every age, uniform ones too, where the package squares K for a
+uniform age; the two agree to rounding there and bit for bit on mixed
+ages.  The package's `AgedLaw` divides J by its column totals; the
+backward conditional here divides each column of the loop law by its own
+sum, so the Delta_bar and oracle references that read it are independent
+of the package's law and agree with it to rounding.  The exact oracle
 here also sums each state's Laplace mixture with its own `logsumexp`; the
 package forms all states' sums as one row-scaled matrix product, which
 rounds differently, so the two agree to rounding, not bit for bit.  The
@@ -49,7 +55,6 @@ from csdp import (
     MechanismOutput,
     ModelError,
     StateSpace,
-    backward_conditional,
     laplace_sample,
 )
 from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
@@ -128,6 +133,16 @@ def aged_joint(kernel, age) -> np.ndarray:
             zi = zi * m + v
         J[zi, :] += dist[:, r]
     return J
+
+
+def backward_conditional(kernel, age) -> np.ndarray:
+    """B[z, x] = J[z, x] / Pr[x] from the loop aged joint law, one column at
+    a time."""
+    J = aged_joint(kernel, age)
+    B = np.empty_like(J)
+    for x in range(J.shape[1]):
+        B[:, x] = J[:, x] / J[:, x].sum()
+    return B
 
 
 def neighbour_pairs(states) -> list:
@@ -243,7 +258,7 @@ def single_chain_tv(model, t: int) -> float:
 
 def aged_tv_distance(kernel, age, degree: int) -> float:
     s, m = kernel.space.num_sequences, kernel.space.num_states
-    J = csdp.aged_joint(kernel, age)
+    J = csdp.aged_joint(kernel, age).joint
     size = min(degree, s)
     best = 0.0
     substates = list(itertools.product(range(m), repeat=size))

@@ -11,12 +11,13 @@ from csdp import (
     ModelError,
     StateSpace,
     adp_leakage,
+    aged_joint,
     aged_tv_distance,
-    backward_conditional,
     baseline_bounds,
     bounded_aged_correlation,
     bounded_aged_correlations,
     builtin_queries,
+    half_line_oracle,
     joint_kernel,
     k_sensitivity,
     loose_bound,
@@ -44,10 +45,22 @@ def random_model(s, m, seed):
     return CmcModel(StateSpace(s, m), transitions, rng.dirichlet(np.ones(s), size=s))
 
 
+def transport_blocks(kern, ages) -> list:
+    """Per age, the rows d = p - q, p != q, of the backward conditionals of
+    every neighbour pair: the blocks `bounded_aged_correlations` bounds."""
+    edges = kern.space.neighbour_pairs
+    blocks = []
+    for age in ages:
+        B = aged_joint(kern, age).conditional()
+        D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
+        blocks.append(D[np.abs(D).sum(axis=1) >= 1e-15])
+    return blocks
+
+
 def open_blocks(kern, ages) -> int:
     """Transport blocks, over all ages, that their bounds leave to an LP."""
     opened = 0
-    for D in bounds._transport_blocks(kern, ages):
+    for D in transport_blocks(kern, ages):
         if len(D):
             lo, hi = bounds._transport_bounds(D, kern.space)
             opened += int((hi > lo.max() * (1 + bounds._SETTLE_SLACK)).sum())
@@ -55,7 +68,7 @@ def open_blocks(kern, ages) -> int:
 
 
 def lps_for(kern, ages) -> int:
-    """LPs one `bounded_aged_correlations(kern, ages)` call makes."""
+    """LPs one `bounded_aged_correlations` call on the laws of `ages` makes."""
     per_lp = max(1, bounds._LP_VARIABLES // kern.space.product_size)
     return -(-open_blocks(kern, ages) // per_lp)
 
@@ -115,7 +128,10 @@ class TestAgedTV:
     lambda eps: tight_bound(0.5, eps),
     lambda eps: adp_leakage(0.3, eps),
     lambda eps: baseline_bounds(eps, 2, builtin_queries(StateSpace(2, 2))["mean"]),
-], ids=["LeakageParams", "loose_bound", "tight_bound", "adp_leakage", "baseline_bounds"])
+    lambda eps: half_line_oracle(aged_joint(joint_kernel(two_user_model(0.5)), (1, 1)),
+                                 builtin_queries(StateSpace(2, 2))["mean"], eps),
+], ids=["LeakageParams", "loose_bound", "tight_bound", "adp_leakage", "baseline_bounds",
+        "half_line_oracle"])
 def test_non_finite_eps_rejected(entry, eps):
     with pytest.raises(ModelError, match="eps_c must be (finite|positive), got -?(nan|inf)$"):
         entry(eps)
@@ -203,7 +219,7 @@ class TestBoundedAgedCorrelation:
         kern = joint_kernel(two_user_model(lam))
         cycle = [0, 1, 3, 2]  # (0,0), (0,1), (1,1), (1,0)
         for t in range(21):
-            B = backward_conditional(kern, (t, t))
+            B = aged_joint(kern, (t, t)).conditional()
             w1 = []
             for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
                 F = np.cumsum((B[:, a] - B[:, b])[cycle])
@@ -259,7 +275,8 @@ class TestBoundedAgedCorrelation:
     def test_chunk_size_does_not_move_values(self, monkeypatch):
         kern = joint_kernel(random_model(4, 2, seed=3))  # n = 16, 32 Hamming edges
         ages = [(0,) * 4, (1,) * 4, (2, 0, 1, 3), (3,) * 4]
-        default = bounded_aged_correlations(kern, ages)
+        laws = [aged_joint(kern, age) for age in ages]
+        default = bounded_aged_correlations(laws)
         opened = open_blocks(kern, ages)
         assert opened == 3
         calls = self.count_lps(monkeypatch)
@@ -271,7 +288,7 @@ class TestBoundedAgedCorrelation:
             for size, lps in ((16, blocks), (10**9, 1)):
                 monkeypatch.setattr(bounds, "_LP_VARIABLES", size)
                 calls.clear()
-                results.append(bounded_aged_correlations(kern, ages))
+                results.append(bounded_aged_correlations(laws))
                 assert len(calls) == lps
         for value in results:
             assert np.allclose(value, default, rtol=0, atol=1e-12)
@@ -335,7 +352,7 @@ class TestTransportBounds:
         # the maximum sits in an open block whose W1 is 0.33% above every
         # block's lower bound, so only its LP finds Delta_bar
         kern = joint_kernel(random_model(3, 3, seed=32))
-        D = np.concatenate(bounds._transport_blocks(kern, [(1, 1, 1)]))
+        D = np.concatenate(transport_blocks(kern, [(1, 1, 1)]))
         tau = bounds._transport_bounds(D, kern.space)[0].max()
         value = bounded_aged_correlation(kern, (1, 1, 1))
         assert value > tau * 1.003
@@ -364,7 +381,7 @@ class TestTransportBounds:
 
     def test_temporaries_stay_within_three_times_d(self):
         kern = joint_kernel(random_model(8, 2, seed=1))
-        D = np.concatenate(bounds._transport_blocks(kern, [(1,) * 8]))
+        D = np.concatenate(transport_blocks(kern, [(1,) * 8]))
         assert D.shape == (1024, 256)
         tracemalloc.start()
         try:
@@ -489,35 +506,32 @@ class TestOracle:
         model = independent_pair()
         q = builtin_queries(StateSpace(2, 2))["mean"]
         for t in (1, 2):
-            params = LeakageParams((t, t), 1.0, 2, q)
-            sampled = oracle_leakage(kern, params, samples=10**5, seed=13,
-                                     method="sampling")
+            sampled = half_line_oracle(aged_joint(kern, (t, t)), q, 1.0, samples=10**5,
+                                       seed=13, method="sampling")
             pred = adp_leakage(single_chain_tv(model, t), 1.0)
             assert abs(sampled.estimate - pred) <= 3 * sampled.half_width + 0.02
 
     def test_sampling_matches_exact(self):
         kern = joint_kernel(two_user_model(0.5))
         q = builtin_queries(StateSpace(2, 2))["mean"]
-        params = LeakageParams((1, 1), 1.0, 2, q)
-        exact = oracle_leakage(kern, params).estimate
-        sampled = oracle_leakage(kern, params, samples=10**5, seed=21,
-                                 method="sampling")
+        law = aged_joint(kern, (1, 1))
+        exact = half_line_oracle(law, q, 1.0).estimate
+        sampled = half_line_oracle(law, q, 1.0, samples=10**5, seed=21, method="sampling")
         assert abs(sampled.estimate - exact) <= 3 * sampled.half_width
 
     def test_sampling_deterministic(self):
         kern = joint_kernel(two_user_model(0.5))
         q = builtin_queries(StateSpace(2, 2))["mean"]
-        params = LeakageParams((1, 1), 1.0, 2, q)
-        a = oracle_leakage(kern, params, samples=5000, seed=4, method="sampling")
-        b = oracle_leakage(kern, params, samples=5000, seed=4, method="sampling")
+        law = aged_joint(kern, (1, 1))
+        a = half_line_oracle(law, q, 1.0, samples=5000, seed=4, method="sampling")
+        b = half_line_oracle(law, q, 1.0, samples=5000, seed=4, method="sampling")
         assert a == b
 
     def test_insufficient_samples_rejected(self):
         kern = joint_kernel(two_user_model(0.5))
         q = builtin_queries(StateSpace(2, 2))["mean"]
         with pytest.raises(ModelError, match="samples"):
-            oracle_leakage(kern, LeakageParams((1, 1), 1.0, 2, q), samples=10,
-                           method="sampling")
+            half_line_oracle(aged_joint(kern, (1, 1)), q, 1.0, samples=10, method="sampling")
 
 
 class TestReductions:

@@ -7,12 +7,17 @@ import pytest
 from csdp import (
     CmcModel,
     JointKernel,
+    LeakageParams,
     ModelError,
     StateSpace,
     aged_joint,
-    backward_conditional,
+    aged_tv_distance,
+    bounded_aged_correlation,
+    builtin_queries,
     evolve_distribution,
     joint_kernel,
+    mse_exact,
+    oracle_leakage,
     sample_trajectory,
     two_user_model,
 )
@@ -95,48 +100,61 @@ class TestJointKernel:
 class TestBackwardConditional:
     def test_age_zero_identity(self):
         kern = joint_kernel(two_user_model(0.75))
-        B = backward_conditional(kern, (0, 0))
+        B = aged_joint(kern, (0, 0)).conditional()
         np.testing.assert_allclose(B, np.eye(4), atol=1e-12)
 
     def test_single_chain_age_one(self):
         kern = joint_kernel(single_chain(FLIP))
-        B = backward_conditional(kern, (1,))
+        B = aged_joint(kern, (1,)).conditional()
         # symmetric chain: backward equals forward
         assert B[0, 0] == pytest.approx(0.7, abs=1e-9)
 
     def test_single_chain_age_t_eigenvalue_form(self):
         kern = joint_kernel(single_chain(FLIP))
         for t in range(6):
-            B = backward_conditional(kern, (t,))
+            B = aged_joint(kern, (t,)).conditional()
             assert B[0, 0] == pytest.approx((1 + 0.4**t) / 2, abs=1e-9)
 
     def test_columns_are_distributions(self):
         kern = joint_kernel(two_user_model(0.4))
         for age in ((3, 3), (2, 5), (0, 4)):
-            B = backward_conditional(kern, age)
+            B = aged_joint(kern, age).conditional()
             np.testing.assert_allclose(B.sum(axis=0), np.ones(4), atol=1e-9)
             assert B.min() >= -1e-15
 
+    # chain where state 1 is never entered: stationary mass is all on 0
+    NEVER_ENTERED = CmcModel(StateSpace(1, 2), np.array([[[[1.0, 1.0], [0.0, 0.0]]]]),
+                             np.ones((1, 1)))
+
     def test_zero_probability_state_named(self):
-        # chain where state 1 is never entered: stationary mass is all on 0
-        P = np.array([[1.0, 1.0], [0.0, 0.0]])
-        model = CmcModel(StateSpace(1, 2), P[None, None], np.ones((1, 1)))
-        kern = joint_kernel(model)
+        kern = joint_kernel(self.NEVER_ENTERED)
         with pytest.raises(ModelError, match=r"\(1,\)"):
-            backward_conditional(kern, (1,))
+            aged_joint(kern, (1,)).conditional()
+
+    def test_zero_probability_state_refused_by_every_conditioning_consumer(self):
+        """Delta_k at degree s, Delta_bar and the oracle condition on the
+        current state and refuse it by name; the MSE does not condition."""
+        kern = joint_kernel(self.NEVER_ENTERED)
+        query = builtin_queries(kern.space)["mean"]
+        for consume in (lambda: aged_tv_distance(kern, (1,), 1),
+                        lambda: bounded_aged_correlation(kern, (1,)),
+                        lambda: oracle_leakage(kern, LeakageParams((1,), 1.0, 1, query))):
+            with pytest.raises(ModelError, match=r"\(1,\)"):
+                consume()
+        assert np.isfinite(mse_exact(kern, (1,), query, 1.0))
 
 
 class TestAgedJoint:
     def test_uniform_age_matches_matrix_power(self):
         kern = joint_kernel(two_user_model(0.75))
-        J = aged_joint(kern, (2, 2))
+        J = aged_joint(kern, (2, 2)).joint
         K2 = kern.matrix @ kern.matrix
         np.testing.assert_allclose(J, (K2 * kern.stationary[None, :]).T, atol=1e-14)
 
     def test_heterogeneous_age_matches_path_enumeration(self):
         kern = joint_kernel(two_user_model(0.6))
         ages = (2, 1)
-        J = aged_joint(kern, ages)
+        J = aged_joint(kern, ages).joint
         # brute force: sum over trajectories (w0, w1, w2); z = (w0[0], w1[1])
         n = 4
         expected = np.zeros((n, n))
@@ -153,7 +171,7 @@ class TestAgedJoint:
     def test_joint_sums_to_one(self):
         kern = joint_kernel(two_user_model(0.25))
         for age in ((0, 3), (4, 1), (2, 2)):
-            assert aged_joint(kern, age).sum() == pytest.approx(1.0, abs=1e-12)
+            assert aged_joint(kern, age).joint.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_age_rejected(self):
         kern = joint_kernel(two_user_model(0.5))

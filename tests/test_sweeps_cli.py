@@ -9,12 +9,16 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdp import sweeps, utility
+from csdp import bounds, sweeps, utility
+from csdp.bounds import (LeakageParams, aged_tv_distance, bounded_aged_correlation,
+                         oracle_leakage, tight_bound)
 from csdp.cli import main
-from csdp.kernel import joint_kernel
+from csdp.kernel import aged_joint, joint_kernel
 from csdp.model import (
     DEFAULT_ENUMERATION_CAP,
+    CmcModel,
     ModelError,
+    StateSpace,
     load_model,
     save_model,
     two_user_model,
@@ -31,7 +35,7 @@ from csdp.sweeps import (
     run,
     run_sweep,
 )
-from csdp.utility import TradeoffSolution, aging_error, mse_exact, mse_simulated
+from csdp.utility import TradeoffSolution, mse_exact, mse_simulated
 
 
 class TestConfig:
@@ -160,11 +164,11 @@ class TestSweeps:
     def test_utility_sweep_one_aging_term_per_lambda_and_age(self, monkeypatch):
         calls = []
 
-        def counting(kernel, age, query):
+        def counting(kernel, age):
             calls.append(age)
-            return aging_error(kernel, age, query)
+            return aged_joint(kernel, age)
 
-        monkeypatch.setattr(sweeps, "aging_error", counting)
+        monkeypatch.setattr(sweeps, "aged_joint", counting)
         config = ExperimentConfig(
             "utility-sweep", {"lambda": [0.25, 0.75], "age": [[0, 0], [2, 2], [5, 2]],
                               "eps_c": [0.5, 1.0, 5.0], "samples": 200}
@@ -218,6 +222,38 @@ class TestModelFileSweeps:
             seed = derive_seed(4, "mse", 0.5, age, eps)
             assert (row["mse_simulated"], row["mse_stderr"]) == mse_simulated(
                 kernel, age, query, eps, 200, seed)
+
+    def test_one_law_per_t_changes_no_value(self, tmp_path, monkeypatch):
+        """An oracle-validate sweep on a random three-user model builds one
+        aged law per t of the joint kernel and reads Delta_k, Delta_bar and
+        every eps_c's oracle from it.  Each row equals one call per quantity
+        through the (kernel, age) functions: Delta_k and the oracle exactly,
+        and `tight` to 1e-12, since a cell packs its ages' transport LPs."""
+        rng = np.random.default_rng(5)
+        model = CmcModel(StateSpace(3, 2),
+                         rng.dirichlet(np.ones(2), size=(3, 3, 2)).transpose(0, 1, 3, 2),
+                         rng.dirichlet(np.ones(3), size=3))
+        path = tmp_path / "model.yaml"
+        save_model(model, path)
+        built = []  # (space, age) of every law built, the single-chain ones too
+        for module in (sweeps, bounds):
+            def counting(kernel, age, fn=module.aged_joint):
+                built.append((kernel.space, tuple(age)))
+                return fn(kernel, age)
+            monkeypatch.setattr(module, "aged_joint", counting)
+        _, rows, _ = run_sweep(ExperimentConfig("oracle-validate", {}, model_path=str(path)))
+        ts = PRESETS["oracle-validate"].grid("t")
+        assert [age for space, age in built if space == model.space] == [(t,) * 3 for t in ts]
+        kernel = joint_kernel(load_model(path))
+        query = builtin_queries(kernel.space)["mean"]
+        assert len(rows) == len(ts) * 3
+        for row in rows:
+            age, eps = (row["t"],) * 3, row["eps_c"]
+            oracle = oracle_leakage(kernel, LeakageParams(age, eps, 3, query)).estimate
+            tight = tight_bound(bounded_aged_correlation(kernel, age), eps)
+            assert row["delta_k"] == aged_tv_distance(kernel, age, 3)
+            assert row["oracle"] == oracle
+            assert abs(row["tight"] - tight) <= 1e-12
 
 
 class TestViolationMessages:

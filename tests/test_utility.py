@@ -8,6 +8,7 @@ from csdp import (
     ModelError,
     StateSpace,
     UtilitySpec,
+    aged_joint,
     builtin_queries,
     joint_kernel,
     mse_exact,
@@ -72,7 +73,7 @@ class TestMseExact:
     def test_aging_error_nondecreasing_in_uniform_age(self):
         kern = joint_kernel(two_user_model(0.5))
         q = mean_query()
-        vals = [aging_error(kern, (t, t), q) for t in range(10)]
+        vals = [aging_error(aged_joint(kern, (t, t)), q) for t in range(10)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_eps(self):
@@ -186,30 +187,40 @@ class TestSolveP1:
 
 @pytest.mark.parametrize("kind", LEAKAGE_KINDS)
 def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
-    """A frontier computes each distinct age's coefficients and aging error
-    once, for every mechanism and eps; `solve_p1` computes no ADP term."""
-    calls = {name: [] for name in ("bounded_aged_correlations", "aged_tv_distance",
-                                   "single_chain_tvs", "aging_error")}
+    """A frontier builds one aged law per distinct age and reads its
+    coefficients and aging error from it, for every mechanism and eps;
+    `solve_p1` computes no ADP term."""
+    age_of = {}  # id of each law built -> its age
+    keys = {"aged_joint": lambda kernel, age: age,
+            "bounded_aged_correlations": lambda laws: [age_of[id(law)] for law in laws],
+            "aged_tv": lambda law, degree: age_of[id(law)],
+            "aging_error": lambda law, query: age_of[id(law)],
+            "single_chain_tvs": lambda model, ts: ts}
+    calls = {name: [] for name in keys}
     for name in calls:
         def counted(*args, name=name, fn=getattr(utility, name)):
-            calls[name].append(args[1])
-            return fn(*args)
+            out = fn(*args)
+            if name == "aged_joint":
+                age_of[id(out)] = args[1]
+            calls[name].append(keys[name](*args))
+            return out
         monkeypatch.setattr(utility, name, counted)
     spec = UtilitySpec(mean_query(), mse_cap=1.0,
                        age_grid=((2, 2), 3, (1, 3), (2, 2), [1, 3]),
                        eps_grid=(0.5, 1.0, 2.0), leakage_kind=kind)
     distinct = [(2, 2), (3, 3), (1, 3)]
     coefficients = {"bounded_aged_correlations": [distinct] if kind == "tight" else [],
-                    "aged_tv_distance": [] if kind == "tight" else distinct}
+                    "aged_tv": [] if kind == "tight" else distinct}
     tradeoff_frontier(two_user_model(0.5), spec, [0.4, 0.8])
     # one single_chain_tvs call takes each distinct age's largest entry; DDP
-    # adds age zero's aging
+    # adds age zero's law and aging
     assert calls == {**coefficients, "single_chain_tvs": [[2, 3, 3]],
-                     "aging_error": distinct + [(0, 0)]}
+                     "aged_joint": distinct + [(0, 0)], "aging_error": distinct + [(0, 0)]}
     for got in calls.values():
         got.clear()
     solve_p1(two_user_model(0.5), spec)
-    assert calls == {**coefficients, "single_chain_tvs": [], "aging_error": distinct}
+    assert calls == {**coefficients, "single_chain_tvs": [], "aged_joint": distinct,
+                     "aging_error": distinct}
 
 
 def test_duplicate_ages_keep_their_rows(monkeypatch):
@@ -218,7 +229,15 @@ def test_duplicate_ages_keep_their_rows(monkeypatch):
     and 1, each younger age ties with the one before it and wins on age,
     and the repeated age 3 then beats age 1 outright."""
     delta = {(3, 3): 0.5, (2, 2): 0.5 * (1 + 0.9e-12), (1, 1): 0.5 * (1 + 1.8e-12)}
-    monkeypatch.setattr(utility, "aged_tv_distance", lambda kernel, age, degree: delta[age])
+    built = []  # the age of each law built, in order
+
+    def aged_joint(kernel, age, fn=utility.aged_joint):
+        built.append(age)
+        return fn(kernel, age)
+
+    monkeypatch.setattr(utility, "aged_joint", aged_joint)
+    # Delta_k is read from the law built last
+    monkeypatch.setattr(utility, "aged_tv", lambda law, degree: delta[built[-1]])
     spec = UtilitySpec(mean_query(), mse_cap=1e9, age_grid=((3, 3), (2, 2), (1, 1), (3, 3)),
                        eps_grid=(1.0,), leakage_kind="loose_linear")
     assert solve_p1(two_user_model(0.5), spec).age == (3, 3)
