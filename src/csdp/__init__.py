@@ -16,6 +16,7 @@ from .bounds import (
     baseline_bounds,
     bounded_aged_correlation,
     bounded_aged_correlations,
+    half_line_log_probs,
     half_line_oracle,
     k_sensitivity,
     loose_bound,

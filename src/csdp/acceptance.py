@@ -13,14 +13,15 @@ checks the tables that users run, not a copy of the code behind them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
 
-from .bounds import aged_tv_distance, half_line_oracle, loose_bound, verify_reductions
-from .kernel import aged_joint, joint_kernel
+from .bounds import aged_tv_distance, half_line_log_probs, loose_bound, verify_reductions
+from .kernel import aged_joint, joint_kernel, state_values
 from .mechanism import SequenceDatabase, laplace_sample, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
@@ -40,7 +41,7 @@ DEFAULT_TOLERANCES = {
     "ks_pvalue": 0.01,
     "mse_sigmas": 3.0,
     "decomposition": 1e-12,
-    "oracle_sigmas": 3.0,
+    "oracle_alpha": 1e-6,
 }
 
 
@@ -197,31 +198,63 @@ def criterion_mse(tol, seed=0) -> CriterionResult:
     )
 
 
+def half_line_gap(law, query, eps_c, samples: int, seed: int) -> float:
+    """Largest gap between the exact half-line probabilities of
+    `half_line_log_probs` and their empirical values over `samples` seeded
+    releases per current snapshot x, over every theta of its grid and every x.
+
+    Each release draws the aged snapshot from the backward conditional and
+    adds Laplace noise of scale sensitivity / eps_c; x's draws come from
+    `derive_seed(seed, "oracle", x)`.
+    """
+    thetas, F, S = half_line_log_probs(law, query, eps_c)
+    B = law.conditional()
+    f_values = state_values(law.space, query)
+    b = query.sensitivity(1) / eps_c
+    worst = 0.0
+    for x in range(B.shape[1]):
+        rng = generator(derive_seed(seed, "oracle", x))
+        z = np.searchsorted(np.cumsum(B[:, x]), rng.random(samples), side="right")
+        np.clip(z, 0, len(f_values) - 1, out=z)
+        y = np.sort(f_values[z] + laplace(rng, b, samples))
+        below = np.searchsorted(y, thetas, side="right") / samples
+        worst = max(worst, float(np.abs(below - np.exp(F[:, x])).max()),
+                    float(np.abs(1.0 - below - np.exp(S[:, x])).max()))
+    return worst
+
+
+def dkw_bound(samples: int, laws: int, alpha: float) -> float:
+    """The gap that `laws` empirical cdfs of `samples` draws each all stay
+    within with probability at least 1 - alpha: the Dvoretzky-Kiefer-Wolfowitz
+    inequality with Massart's constant, Pr[sup |F_n - F| > e] <= 2 exp(-2 n e^2),
+    and a union bound over the cdfs."""
+    return math.sqrt(math.log(2 * laws / alpha) / (2 * samples))
+
+
 def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
-    configs = []
-    for lam, t, eps in ((0.5, 1, 1.0), (0.5, 2, 1.0), (0.75, 1, 1.0), (0.75, 3, 2.0)):
-        configs.append((two_user_model(lam), (t, t), eps, f"two-user lam={lam} t={t}"))
+    cases = [(two_user_model(lam), (t, t), eps, f"two-user lam={lam} t={t}")
+             for lam, t, eps in ((0.5, 1, 1.0), (0.5, 2, 1.0), (0.75, 1, 1.0), (0.75, 3, 2.0))]
     three = CmcModel(
         StateSpace(3, 2),
         np.broadcast_to(np.array([[0.7, 0.3], [0.3, 0.7]]), (3, 3, 2, 2)),
         np.full((3, 3), 1.0 / 3),
     )
-    configs.append((three, (1, 1, 1), 1.0, "three-user uniform coupling t=1"))
-    ok = True
-    notes = []
-    for model, age, eps, label in configs:
+    cases.append((three, (1, 1, 1), 1.0, "three-user uniform coupling t=1"))
+    n = 10**5  # releases per current snapshot
+    laws = sum(model.space.product_size for model, *_ in cases)
+    bound = dkw_bound(n, laws, tol["oracle_alpha"])
+    worst, notes = 0.0, []
+    for model, age, eps, label in cases:
         law = aged_joint(joint_kernel(model), age)
         query = builtin_queries(model.space)["mean"]
-        exact = half_line_oracle(law, query, eps).estimate
-        sampled = half_line_oracle(law, query, eps, samples=10**5,
-                                   seed=derive_seed(seed, "oracle", label), method="sampling")
-        gap = abs(exact - sampled.estimate)
-        limit = tol["oracle_sigmas"] * sampled.half_width
-        if gap > limit:
-            ok = False
-        notes.append(f"{label}: |exact-sampled|={gap:.4f} vs {limit:.4f}")
-    return CriterionResult(8, "oracle cross-validation", ok, "; ".join(notes),
-                           f"within {tol['oracle_sigmas']} half-widths at 1e5 samples")
+        gap = half_line_gap(law, query, eps, n, derive_seed(seed, "oracle", label))
+        worst = max(worst, gap)
+        notes.append(f"{label}: gap {gap:.4f}")
+    return CriterionResult(
+        8, "oracle cross-validation", worst <= bound, "; ".join(notes),
+        f"every half-line probability within the DKW bound {bound:.4f} "
+        f"({laws} laws x {n:.0e} releases, alpha {tol['oracle_alpha']:.0e})",
+    )
 
 
 def criterion_determinism(tol, seed=0) -> CriterionResult:

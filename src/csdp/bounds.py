@@ -35,17 +35,21 @@ ln(1 + Delta_k*(e^{d(k) eps_c} - 1))).  The paper's tight budget is
 Delta_bar*eps_c; it is not certified: it is the small-eps slope of the
 leakage and falls below the pure-DP leakage at some (age, eps_c).
 
-A likelihood-ratio oracle cross-checks the bounds.  It takes the supremum
-over the Laplace half-line events {M <= theta} and {M > theta} on a
-101-point theta grid only, so it is a lower estimate of the pure-DP
-leakage (the supremum over all events) and can under-report it.
+A likelihood-ratio oracle cross-checks the bounds.  `half_line_log_probs`
+gives, in closed form, the log-probabilities of the Laplace half-line
+events {M <= theta} and {M > theta} on a 101-point theta grid, and
+`half_line_oracle` their largest log-ratio over neighbouring snapshots.
+That is a supremum over those events only, so it is a lower estimate of
+the pure-DP leakage (the supremum over all events) and can under-report
+it.  The acceptance gate checks the probabilities themselves against
+sampled releases (criterion 8).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -55,10 +59,7 @@ from scipy.special import logsumexp
 from .kernel import AgedLaw, JointKernel, _joint_stationary, aged_joint, joint_kernel, state_values
 from .model import CmcModel, ModelError, StateSpace, check_positive
 from .queries import QuerySpec, builtin_queries, k_sensitivity
-from .rng import derive_seed, generator, laplace
 
-CONFIDENCE_Z = 1.959963984540054  # two-sided 95%
-MIN_CELL_COUNT = 25
 THETA_POINTS = 101
 THETA_SPAN = 6.0  # noise scales beyond the query range
 
@@ -351,8 +352,6 @@ def baseline_bounds(eps_c: float, degree: int, query: QuerySpec) -> tuple:
 @dataclass(frozen=True)
 class OracleEstimate:
     estimate: float
-    half_width: float
-    diagnostics: tuple = field(default_factory=tuple)
 
 
 def _laplace_logcdf(u: np.ndarray, b: float) -> np.ndarray:
@@ -398,89 +397,40 @@ def _log_mixtures(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def oracle_leakage(kernel: JointKernel, params: LeakageParams) -> OracleEstimate:
-    """The exact oracle at `params`; see `half_line_oracle`."""
+    """The oracle at `params`; see `half_line_oracle`."""
     return half_line_oracle(aged_joint(kernel, params.age), params.query, params.eps_c)
 
 
-def half_line_oracle(
-    law: AgedLaw,
-    query: QuerySpec,
-    eps_c: float,
-    samples: int = 0,
-    seed: int = 0,
-    method: str = "exact",
-) -> OracleEstimate:
-    """Supremum of |ln Pr[M in S | x] - ln Pr[M in S | x']| over half-line
-    events S, computed in closed form ("exact") or estimated by sampling.
+def half_line_log_probs(law: AgedLaw, query: QuerySpec, eps_c: float) -> tuple:
+    """(thetas, F, S) with F[i, x] = log Pr[M <= thetas[i] | x] and
+    S[i, x] = log Pr[M > thetas[i] | x] for every current snapshot x.
 
-    The supremum ranges over neighbouring snapshot pairs and half-line
-    events {M <= theta} and {M > theta} on a 101-point theta grid spanning
-    the query range plus six noise scales.  Other events can separate the
-    two output laws further, so this is a lower estimate of the pure-DP
-    leakage.  The exact path mixes the Laplace output law over the backward
-    conditional in closed form, all states x at once; the
-    sampling path estimates event probabilities by Monte Carlo and reports
-    a 95% normal-approximation half-width, skipping cells with fewer than
-    25 hits in either arm (skips are reported as diagnostics, and the
-    interval is widened to infinity if nothing stable remains).
+    M is the query on the aged snapshot plus Laplace noise of scale
+    sensitivity / eps_c.  thetas is a 101-point grid spanning the query
+    range plus six noise scales.  Each column mixes the Laplace cdf (sf)
+    over the backward conditional in closed form, all states at once.
     """
     check_positive("eps_c", eps_c)
     B = law.conditional()
     f_values = state_values(law.space, query)
     b = query.sensitivity(1) / eps_c
     thetas = _theta_grid(f_values, b)
-    pairs = law.space.neighbour_pairs
+    u = thetas[:, None] - f_values[None, :]
+    return (thetas, _log_mixtures(_laplace_logcdf(u, b), B),
+            _log_mixtures(_laplace_logsf(u, b), B))
 
-    if method == "exact":
-        u = thetas[:, None] - f_values[None, :]
-        # log Pr[M <= theta | x] and log Pr[M > theta | x], columns over x
-        F = _log_mixtures(_laplace_logcdf(u, b), B)
-        S = _log_mixtures(_laplace_logsf(u, b), B)
-        a, c = pairs.T
-        best = max(0.0, float(np.abs(F[:, a] - F[:, c]).max()),
-                   float(np.abs(S[:, a] - S[:, c]).max()))
-        return OracleEstimate(best, 0.0)
 
-    if method != "sampling":
-        raise ModelError(f"unknown oracle method '{method}'")
-    if samples < MIN_CELL_COUNT * 4:
-        raise ModelError(f"need at least {MIN_CELL_COUNT * 4} samples, got {samples}")
+def half_line_oracle(law: AgedLaw, query: QuerySpec, eps_c: float) -> OracleEstimate:
+    """Supremum of |ln Pr[M in S | x] - ln Pr[M in S | x']| over neighbouring
+    snapshot pairs and the half-line events S of `half_line_log_probs`.
 
-    n = int(samples)
-    pairs = pairs.tolist()
-    cum = {}
-    for idx in {i for pair in pairs for i in pair}:
-        rng = generator(derive_seed(seed, "oracle", idx))
-        z = np.searchsorted(np.cumsum(B[:, idx]), rng.random(n), side="right")
-        np.clip(z, 0, len(f_values) - 1, out=z)
-        y = np.sort(f_values[z] + laplace(rng, b, n))
-        cum[idx] = y
-    best = 0.0
-    best_hw = 0.0
-    skipped = 0
-    for ai, bi in pairs:
-        c1 = np.searchsorted(cum[ai], thetas, side="right")
-        c2 = np.searchsorted(cum[bi], thetas, side="right")
-        for counts in ((c1, c2), (n - c1, n - c2)):
-            k1, k2 = counts
-            ok = (k1 >= MIN_CELL_COUNT) & (k2 >= MIN_CELL_COUNT)
-            skipped += int((~ok).sum())
-            if not ok.any():
-                continue
-            p1 = k1[ok] / n
-            p2 = k2[ok] / n
-            est = np.abs(np.log(p1) - np.log(p2))
-            hw = CONFIDENCE_Z * np.sqrt((1 - p1) / (n * p1) + (1 - p2) / (n * p2))
-            top = int(np.argmax(est))
-            if est[top] > best:
-                best = float(est[top])
-                best_hw = float(hw[top])
-    diags = []
-    if skipped:
-        diags.append(f"{skipped} event cells below the {MIN_CELL_COUNT}-count floor")
-    if best_hw == 0.0 and best == 0.0 and skipped:
-        return OracleEstimate(0.0, math.inf, tuple(diags + ["no stable event cells"]))
-    return OracleEstimate(best, best_hw, tuple(diags))
+    Other events can separate the two output laws further, so this is a
+    lower estimate of the pure-DP leakage.
+    """
+    _, F, S = half_line_log_probs(law, query, eps_c)
+    a, c = law.space.neighbour_pairs.T
+    return OracleEstimate(max(0.0, float(np.abs(F[:, a] - F[:, c]).max()),
+                              float(np.abs(S[:, a] - S[:, c]).max())))
 
 
 # ---------------------------------------------------------------------------

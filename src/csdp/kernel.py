@@ -48,8 +48,8 @@ def _joint_stationary(K: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6) 
 def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKernel:
     """Build the exact product-space kernel of a model.
 
-    Refuses spaces larger than `cap` joint states; callers with big models
-    should fall back to trajectory sampling.
+    Refuses spaces larger than `cap` joint states (a sweep's `cap` key or
+    `--cap` flag).
 
     K[b, a] is the product over sequences j of the conditional law
     L_j[b_j, a] = sum_k lam[j, k] P[j][k][b_j, a_k], built one sequence at

@@ -107,7 +107,8 @@ class StateSpace:
             raise ModelError(
                 f"product state space has {n} elements, above the enumeration cap "
                 f"{cap}: its dense {n} x {n} kernel needs n^2 * 8 = {n * n * 8} bytes; "
-                "use the sampling path instead"
+                "raise the cap (the `cap` config key or the `--cap` flag of `csdp run`) "
+                "if that fits in memory"
             )
 
     @property

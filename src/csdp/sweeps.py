@@ -81,11 +81,13 @@ GRID_DEFAULTS = {
 
 
 def _fits(value, default) -> bool:
-    """Whether a value has the shape of its default: a list (or tuple)
-    of elements each fitting the default's first for a tuple, an int for an
-    int, a number for a float and a str for a str.  A bool is none of these."""
+    """Whether a value has the shape of its default: a non-empty list (or
+    tuple) of elements each fitting the default's first for a tuple, an int
+    for an int, a number for a float and a str for a str.  A bool is none of
+    these."""
     if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(_fits(v, default[0]) for v in value))
     if isinstance(value, (bool, np.bool_)):
         return False
     if isinstance(default, str):
@@ -267,16 +269,16 @@ def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
                 "oracle": "", "oracle_hw": "", "seed": config.seed,
             }
             if with_oracle:
-                est = half_line_oracle(law, query, eps)
-                row["oracle"] = est.estimate
-                row["oracle_hw"] = est.half_width
+                # the oracle is exact; its half-width column stays for the table's layout
+                row["oracle"] = half_line_oracle(law, query, eps).estimate
+                row["oracle_hw"] = 0.0
             rows.append(row)
     return rows
 
 
 def _check_leakage_row(row, slack: float = 1e-9) -> list:
     """Breaches of loose_log >= loose_linear >= tight and, with an oracle,
-    oracle <= tight + its half-width, each with its size."""
+    oracle <= tight, each with its size."""
     bad = []
     loc = f"lambda={row['lambda']} t={row['t']} eps_c={row['eps_c']}"
     if row["loose_log"] < row["loose_linear"] - slack:
@@ -285,11 +287,9 @@ def _check_leakage_row(row, slack: float = 1e-9) -> list:
     if row["tight"] > row["loose_linear"] + slack:
         bad.append(f"{loc}: tight exceeds loose_linear by "
                    f"{row['tight'] - row['loose_linear']:.1e}")
-    hw = row["oracle_hw"] or 0.0
-    if row["oracle"] != "" and row["oracle"] > row["tight"] + hw + slack:
+    if row["oracle"] != "" and row["oracle"] > row["tight"] + slack:
         bad.append(f"{loc}: oracle estimate exceeds tight bound by "
-                   f"{row['oracle'] - row['tight']:.1e}"
-                   + (f" (half-width {hw:.1e})" if hw else ""))
+                   f"{row['oracle'] - row['tight']:.1e}")
     return bad
 
 

@@ -51,13 +51,15 @@ def _better(candidate, incumbent) -> bool:
 class UtilitySpec:
     """A P1 problem: the leakage budget of `leakage_kind` at degree s, the
     number of sequences, minimized over the grids subject to `mse_cap`.
-    `mse_cap` is a positive number; +inf means no cap."""
+    `mse_cap` is a positive number; +inf means no cap.  The default kind,
+    `loose_log`, is the certified loose budget; `loose_linear` is its tangent
+    line at eps_c = 0, which lies below it, so it is not a bound."""
 
     query: QuerySpec
     mse_cap: float
     age_grid: tuple  # iterable of age vectors
     eps_grid: tuple  # iterable of finite positive reals
-    leakage_kind: str = "loose_linear"
+    leakage_kind: str = "loose_log"
 
     def __post_init__(self):
         if not self.mse_cap > 0:  # also NaN, under which `_select` finds every row feasible

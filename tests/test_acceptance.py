@@ -17,6 +17,7 @@ from csdp.acceptance import (
     acceptance,
     criterion_bound_ordering,
     criterion_decay,
+    criterion_oracle_consistency,
     criterion_u_shape,
 )
 
@@ -83,6 +84,21 @@ def test_criteria_5_and_7_lines_are_fixed(results):
 
 def test_criterion_8_oracle_cross_validation(results):
     _check(results, 8)
+    line = results[7].line()
+    for label in ("two-user lam=0.5 t=1", "two-user lam=0.5 t=2", "two-user lam=0.75 t=1",
+                  "two-user lam=0.75 t=3", "three-user uniform coupling t=1"):
+        assert re.search(rf"{label}: gap 0\.00\d\d", line), line
+    assert "DKW bound 0.0094 (24 laws x 1e+05 releases, alpha 1e-06)" in line
+
+
+@pytest.mark.parametrize("scale", [1.1, 1 / 1.1], ids=["wider", "narrower"])
+def test_criterion_8_fails_on_a_noise_scale_error(monkeypatch, scale):
+    """Half-line probabilities taken at a noise scale 10% off fail criterion 8,
+    though they move the oracle by only 0.005-0.038 nats on its cases."""
+    exact = acceptance_module.half_line_log_probs
+    monkeypatch.setattr(acceptance_module, "half_line_log_probs",
+                        lambda law, query, eps_c: exact(law, query, eps_c / scale))
+    assert not criterion_oracle_consistency(dict(DEFAULT_TOLERANCES)).passed
 
 
 def test_criterion_9_determinism(results):

@@ -17,6 +17,7 @@ from csdp import (
     bounded_aged_correlation,
     bounded_aged_correlations,
     builtin_queries,
+    half_line_log_probs,
     half_line_oracle,
     joint_kernel,
     k_sensitivity,
@@ -29,6 +30,7 @@ from csdp import (
     verify_reductions,
 )
 from csdp import bounds
+from csdp.acceptance import dkw_bound, half_line_gap
 import loop_reference as ref
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -502,36 +504,49 @@ class TestOracle:
                     assert est.estimate <= tight_bound(dbar, eps) + 1e-9
 
     def test_independent_model_matches_adp(self):
-        kern = joint_kernel(independent_pair())
+        # uncoupled users: the half-line oracle stays within the
+        # single-sequence age-dependent budget (0.374 <= 0.523 at t=1,
+        # 0.148 <= 0.243 at t=2)
         model = independent_pair()
+        kern = joint_kernel(model)
         q = builtin_queries(StateSpace(2, 2))["mean"]
         for t in (1, 2):
-            sampled = half_line_oracle(aged_joint(kern, (t, t)), q, 1.0, samples=10**5,
-                                       seed=13, method="sampling")
-            pred = adp_leakage(single_chain_tv(model, t), 1.0)
-            assert abs(sampled.estimate - pred) <= 3 * sampled.half_width + 0.02
+            exact = half_line_oracle(aged_joint(kern, (t, t)), q, 1.0).estimate
+            assert exact <= adp_leakage(single_chain_tv(model, t), 1.0) + 1e-9
+
+    def test_log_probs_are_complementary(self):
+        law = aged_joint(joint_kernel(two_user_model(0.75)), (2, 2))
+        q = builtin_queries(StateSpace(2, 2))["mean"]
+        thetas, F, S = half_line_log_probs(law, q, 2.0)
+        assert F.shape == S.shape == (len(thetas), 4)
+        assert np.all(np.diff(thetas) > 0) and np.all(np.diff(F, axis=0) >= 0)
+        assert np.abs(np.exp(F) + np.exp(S) - 1.0).max() <= 1e-12
+        a, c = law.space.neighbour_pairs.T
+        assert half_line_oracle(law, q, 2.0).estimate == max(
+            np.abs(F[:, a] - F[:, c]).max(), np.abs(S[:, a] - S[:, c]).max())
 
     def test_sampling_matches_exact(self):
-        kern = joint_kernel(two_user_model(0.5))
+        # sampled releases of the true law fall within the DKW bound of the
+        # exact half-line probabilities at every theta
+        law = aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))
         q = builtin_queries(StateSpace(2, 2))["mean"]
-        law = aged_joint(kern, (1, 1))
-        exact = half_line_oracle(law, q, 1.0).estimate
-        sampled = half_line_oracle(law, q, 1.0, samples=10**5, seed=21, method="sampling")
-        assert abs(sampled.estimate - exact) <= 3 * sampled.half_width
+        gap = half_line_gap(law, q, 1.0, 10**5, seed=21)
+        assert gap <= dkw_bound(10**5, 4, 1e-6)
 
     def test_sampling_deterministic(self):
-        kern = joint_kernel(two_user_model(0.5))
+        law = aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))
         q = builtin_queries(StateSpace(2, 2))["mean"]
-        law = aged_joint(kern, (1, 1))
-        a = half_line_oracle(law, q, 1.0, samples=5000, seed=4, method="sampling")
-        b = half_line_oracle(law, q, 1.0, samples=5000, seed=4, method="sampling")
-        assert a == b
+        a = half_line_gap(law, q, 1.0, 5000, seed=4)
+        assert a == half_line_gap(law, q, 1.0, 5000, seed=4)
+        assert a != half_line_gap(law, q, 1.0, 5000, seed=5)
 
-    def test_insufficient_samples_rejected(self):
-        kern = joint_kernel(two_user_model(0.5))
+    def test_few_samples_widen_the_bound(self):
+        # no count floor: a small sample is checked against a wider bound
+        law = aged_joint(joint_kernel(two_user_model(0.75)), (2, 2))
         q = builtin_queries(StateSpace(2, 2))["mean"]
-        with pytest.raises(ModelError, match="samples"):
-            half_line_oracle(aged_joint(kern, (1, 1)), q, 1.0, samples=10, method="sampling")
+        for n in (10, 1000, 10**4):
+            assert half_line_gap(law, q, 1.0, n, seed=3) <= dkw_bound(n, 4, 1e-6)
+        assert dkw_bound(100, 4, 1e-6) == pytest.approx(10 * dkw_bound(10**4, 4, 1e-6))
 
 
 class TestReductions:

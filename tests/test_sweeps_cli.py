@@ -266,8 +266,6 @@ class TestViolationMessages:
         ({"loose_log": 0.7}, "loose_log fell below loose_linear by 1.0e-01"),
         ({"tight": 0.8 + 3.1e-4}, "tight exceeds loose_linear by 3.1e-04"),
         ({"oracle": 0.45, "oracle_hw": 0.0}, "oracle estimate exceeds tight bound by 5.0e-02"),
-        ({"oracle": 0.45, "oracle_hw": 0.01},
-         "oracle estimate exceeds tight bound by 5.0e-02 (half-width 1.0e-02)"),
     ])
     def test_leakage_row_breach_names_its_size(self, change, message):
         row = {**self.ROW, **change}
@@ -416,6 +414,20 @@ class TestCli:
     def test_bad_grid_value_names_key(self, tmp_path, capsys, doc, named):
         code, err = self.run_yaml(tmp_path, capsys, doc)
         assert code == 2 and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep, key, shape", [
+        ("leakage-vs-lambda", "lambda", "[number, ...]"),
+        ("leakage-vs-age", "t", "[int, ...]"),
+        ("leakage-vs-noise", "eps_c", "[number, ...]"),
+        ("utility-sweep", "age", "[[int, ...], ...]"),
+        ("frontier", "caps", "[number, ...]"),
+        ("oracle-validate", "t", "[int, ...]"),
+        ("reduce-check", "eps_c", "[number, ...]"),
+    ])
+    def test_empty_grid_list_is_named(self, tmp_path, capsys, sweep, key, shape):
+        code, err = self.run_yaml(tmp_path, capsys, f"sweep: {sweep}\ngrids:\n  {key}: []\n")
+        assert code == 2 and f"grids: {key}: expected {shape}, got []" in err
         assert not (tmp_path / "out").exists()
 
     def test_frontier_takes_age_vectors(self, tmp_path, capsys):
