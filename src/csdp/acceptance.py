@@ -25,7 +25,7 @@ from .kernel import aged_joint, joint_kernel, state_values
 from .mechanism import SequenceDatabase, laplace_sample, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
-from .rng import derive_seed, derive_seeds, generator, laplace
+from .rng import derive_seed, derive_seeds, generator, laplace, threshold_draws, threshold_table
 from .sweeps import PRESETS, ExperimentConfig, _check_leakage_row, render_table, run_sweep
 from .utility import MECHANISMS, noise_variance
 
@@ -203,19 +203,20 @@ def half_line_gap(law, query, eps_c, samples: int, seed: int) -> float:
     `half_line_log_probs` and their empirical values over `samples` seeded
     releases per current snapshot x, over every theta of its grid and every x.
 
-    Each release draws the aged snapshot from the backward conditional and
-    adds Laplace noise of scale sensitivity / eps_c; x's draws come from
-    `derive_seed(seed, "oracle", x)`.
+    Each release draws the aged snapshot from column x of the backward
+    conditional by the one sampling rule, `rng.threshold_draws`, and adds
+    Laplace noise of scale sensitivity / eps_c; x's draws come from
+    `derive_seed(seed, "oracle", x)`, `samples` uniforms for the snapshots
+    and then `samples` Laplace draws.
     """
     thetas, F, S = half_line_log_probs(law, query, eps_c)
-    B = law.conditional()
+    table = threshold_table(law.conditional())
     f_values = state_values(law.space, query)
     b = query.sensitivity(1) / eps_c
     worst = 0.0
-    for x in range(B.shape[1]):
+    for x in range(len(table)):
         rng = generator(derive_seed(seed, "oracle", x))
-        z = np.searchsorted(np.cumsum(B[:, x]), rng.random(samples), side="right")
-        np.clip(z, 0, len(f_values) - 1, out=z)
+        z = threshold_draws(table, x, rng.random(samples))
         y = np.sort(f_values[z] + laplace(rng, b, samples))
         below = np.searchsorted(y, thetas, side="right") / samples
         worst = max(worst, float(np.abs(below - np.exp(F[:, x])).max()),
@@ -231,7 +232,8 @@ def dkw_bound(samples: int, laws: int, alpha: float) -> float:
     return math.sqrt(math.log(2 * laws / alpha) / (2 * samples))
 
 
-def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
+def oracle_cases() -> list:
+    """Criterion 8's cases, (model, age, eps_c, label) each."""
     cases = [(two_user_model(lam), (t, t), eps, f"two-user lam={lam} t={t}")
              for lam, t, eps in ((0.5, 1, 1.0), (0.5, 2, 1.0), (0.75, 1, 1.0), (0.75, 3, 2.0))]
     three = CmcModel(
@@ -239,7 +241,11 @@ def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
         np.broadcast_to(np.array([[0.7, 0.3], [0.3, 0.7]]), (3, 3, 2, 2)),
         np.full((3, 3), 1.0 / 3),
     )
-    cases.append((three, (1, 1, 1), 1.0, "three-user uniform coupling t=1"))
+    return cases + [(three, (1, 1, 1), 1.0, "three-user uniform coupling t=1")]
+
+
+def criterion_oracle_consistency(tol, seed=0) -> CriterionResult:
+    cases = oracle_cases()
     n = 10**5  # releases per current snapshot
     laws = sum(model.space.product_size for model, *_ in cases)
     bound = dkw_bound(n, laws, tol["oracle_alpha"])

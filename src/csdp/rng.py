@@ -11,21 +11,30 @@ Splitting rule (version 1, changing it is a breaking change):
     child_seed = first 8 bytes (big-endian) of
                  SHA-256(repr((root_seed,) + coordinates))
 `derive_seeds` gives the children i = 0..count-1 of one coordinate prefix,
-bit for bit, hashing the shared prefix once.
+bit for bit, as one uint64 array, hashing the shared prefix once.
 
 Batch path.  `seed_keys` is a NumPy-array port of
 `np.random.SeedSequence(seed).generate_state(2, np.uint64)`, the Philox
 key that `generator(seed)` uses: SeedSequence's documented pool-size-4
-`hashmix`/`mix` hash over the seed's two 32-bit words.  `first_uniforms`
-adds the first Philox4x64-10 block (counter (1, 0, 0, 0)) and gives
-`generator(seed).random()` for a whole array of seeds in one pass, and
-`first_laplace` the first draw of `laplace(generator(seed), scale, None)`.
-Because Philox is counter-based, that first draw is a pure function of
-the key.  The port holds because NumPy's stream-compatibility policy
-(NEP 19) fixes SeedSequence's output and the Philox stream for a given
-seed.  tests/test_rng.py pins the keys and the first draws, bit for bit,
-against NumPy itself, and tests/test_vectorised.py pins
-`mechanism.release_values` against per-seed releases.
+`hashmix`/`mix` hash over the seed's two 32-bit words.  It takes a 1-D
+uint64 array, such as `derive_seeds` returns, as it is, since the dtype
+proves every seed lies in [0, 2**64); any other sequence is checked seed
+by seed.  `first_uniforms` adds the first Philox4x64-10 block (counter
+(1, 0, 0, 0)) and gives `generator(seed).random()` for a whole array of
+seeds in one pass, and `first_laplace` the first draw of
+`laplace(generator(seed), scale, None)`.  Because Philox is counter-based,
+that first draw is a pure function of the key.  The port holds because
+NumPy's stream-compatibility policy (NEP 19) fixes SeedSequence's output
+and the Philox stream for a given seed.  tests/test_rng.py pins the keys
+and the first draws, bit for bit, against NumPy itself, and
+tests/test_vectorised.py pins `mechanism.release_values` against per-seed
+releases.
+
+Draws from uniforms.  An array of Laplace draws inverts its own fresh
+uniforms in place, by the same operations as the scalar draw.  A state
+is drawn from a law by one rule, `threshold_draws`: a uniform u maps to
+min(#{j : cum[j] <= u}, n-1), cum the law's cumulative sums held in a
+`threshold_table`; the simulated MSE and criterion 8 draw every state so.
 """
 
 from __future__ import annotations
@@ -63,20 +72,23 @@ def derive_seed(root_seed: int, *coords) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_seeds(root_seed: int, *coords, count: int) -> list:
-    """`[derive_seed(root_seed, *coords, i) for i in range(count)]`.
+def derive_seeds(root_seed: int, *coords, count: int) -> np.ndarray:
+    """`derive_seed(root_seed, *coords, i)` for i in range(count), as one
+    uint64 array.
 
     The payloads share the repr prefix "(root_seed, *coords, ", so it is
     hashed once and each child copies that SHA-256 state and adds "i)".
+    The children's 8-byte digest prefixes are joined and read as big-endian
+    words in one pass, with no Python int per child.
     """
     head = repr((_integer("root seed", root_seed),) + tuple(coords) + (0,))[: -len("0)")]
     prefix = hashlib.sha256(head.encode("utf-8"))
-    seeds = []
+    digests = []
     for i in range(count):
         h = prefix.copy()
         h.update(b"%d)" % i)
-        seeds.append(int.from_bytes(h.digest()[:8], "big"))
-    return seeds
+        digests.append(h.digest()[:8])
+    return np.frombuffer(b"".join(digests), ">u8").astype(np.uint64)
 
 
 def _integer(name: str, value) -> int:
@@ -117,12 +129,16 @@ def _hashmix(value, constants):
 
 
 def seed_keys(seeds) -> np.ndarray:
-    """The (len(seeds), 2) uint64 Philox keys of the seeds: row i equals
-    `np.random.SeedSequence(seeds[i]).generate_state(2, np.uint64)`."""
-    # Each seed is checked on its own: np.asarray would turn a list holding
-    # seeds on both sides of 2**63 into float64, and a float array cast to
-    # uint64 truncates.
-    seeds = np.fromiter(map(_check_seed, seeds), dtype=np.uint64)
+    """The (len(seeds), 2) uint64 Philox keys of the 1-D sequence seeds:
+    row i equals `np.random.SeedSequence(seeds[i]).generate_state(2, np.uint64)`."""
+    if isinstance(seeds, np.ndarray) and seeds.ndim != 1:
+        raise ModelError(f"seeds must be a 1-D sequence, got an array of shape {seeds.shape}")
+    # A uint64 array is taken as it is: its dtype proves every seed lies in
+    # [0, 2**64).  Any other seed is checked on its own: np.asarray would
+    # turn a list holding seeds on both sides of 2**63 into float64, and a
+    # float array cast to uint64 truncates.
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.fromiter(map(_check_seed, seeds), dtype=np.uint64)
     # A seed below 2**64 is two 32-bit words, low first.  SeedSequence pads
     # its entropy with hashmix(0) up to the pool size, so a seed below 2**32
     # (one word; zero is the one word 0) hashes like its two words.
@@ -171,10 +187,23 @@ def first_uniforms(seeds) -> np.ndarray:
     return (c0 >> 11).astype(np.float64) * 2.0**-53
 
 
-def _laplace_inverse_cdf(u, scale: float):
-    """Laplace(0, scale) variates from uniforms u in [0, 1)."""
-    u = u - 0.5
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+def _invert_laplace(u: np.ndarray, scale: float) -> np.ndarray:
+    """Laplace(0, scale) variates from an array of uniforms u in [0, 1),
+    written over u, which the caller gives up.
+
+    The operations and their order are those of the scalar expression in
+    `laplace`, -scale * sign(u - 0.5) * log1p(-2 |u - 0.5|), so the bits are
+    too (a product's operands may swap: IEEE multiplication commutes); the
+    one temporary is the sign.
+    """
+    u -= 0.5
+    sign = np.sign(u)
+    sign *= -scale
+    np.abs(u, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    u *= sign
+    return u
 
 
 def laplace(rng: np.random.Generator, scale: float, size) -> np.ndarray | float:
@@ -183,11 +212,49 @@ def laplace(rng: np.random.Generator, scale: float, size) -> np.ndarray | float:
     Implemented explicitly (rather than through Generator.laplace) so the
     draw is a fixed, documented function of the uniform stream.  With
     size=None one variate is drawn and returned as a scalar, the same
-    double as the single element that size=1 returns.
+    double as the single element that size=1 returns.  That draw stays a
+    float expression: the same steps on a 0-d array cost several times more.
     """
-    return _laplace_inverse_cdf(rng.random(size), scale)
+    if size is None:
+        u = rng.random() - 0.5
+        return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return _invert_laplace(rng.random(size), scale)
 
 
 def first_laplace(seeds, scale: float) -> np.ndarray:
     """`laplace(generator(seeds[i]), scale, None)` for every seed, as one array."""
-    return _laplace_inverse_cdf(first_uniforms(seeds), scale)
+    return _invert_laplace(first_uniforms(seeds), scale)
+
+
+def threshold_table(columns: np.ndarray) -> np.ndarray:
+    """Row c holds the first n-1 cumulative sums of column c of an (n, k)
+    column-stochastic matrix (an (n,) law is one column), padded with +inf
+    to a power-of-two width: the table `threshold_draws` reads."""
+    columns = columns.reshape(len(columns), -1)
+    n = columns.shape[0]
+    table = np.full((columns.shape[1], 1 << (n - 1).bit_length()), np.inf)
+    table[:, : n - 1] = np.cumsum(columns, axis=0)[:-1].T
+    return table
+
+
+def threshold_draws(table: np.ndarray, column, u: np.ndarray) -> np.ndarray:
+    """The one sampling rule: each uniform u maps to min(#{j : cum[j] <= u}, n-1),
+    cum the cumulative sums of its column of `threshold_table` (`column`, an
+    int or an int array as long as u).  A zero-probability state is never
+    drawn.
+
+    Branch-free binary lifting over the table's rows: the thresholds of a
+    row never decrease (cumsums of nonnegative entries do not in floating
+    point), so the count up to u is a prefix length, and the +inf padding
+    caps it at n-1 with no clip.  It equals
+    `min(np.searchsorted(cum, u, side="right"), n - 1)` bit for bit.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    base = column * width - 1
+    pos = np.zeros(np.shape(u), dtype=np.intp)
+    k = width // 2
+    while k:
+        pos += k * (flat[base + pos + k] <= u)
+        k //= 2
+    return pos

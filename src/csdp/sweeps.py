@@ -150,6 +150,9 @@ class ExperimentConfig:
             # a frontier's ages may be age vectors too, as a utility sweep's are
             if not (_fits(value, keys[key]) or key == "age" and _fits(value, ((0,),))):
                 raise ModelError(f"grids: {key}: expected {_shape(keys[key])}, got {value!r}")
+        for cap in self.grids.get("caps", ()):
+            if not cap > 0:  # also NaN; +inf is no cap
+                raise ModelError(f"grids: caps: every cap must be positive, got {cap}")
         if self.fmt not in ("csv", "json"):
             raise ModelError(f"format: unknown value '{self.fmt}'")
         for key in ("threads", "cap"):

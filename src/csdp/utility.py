@@ -28,7 +28,7 @@ from .bounds import (
 from .kernel import AgedLaw, JointKernel, aged_joint, joint_kernel, state_values, validate_ages
 from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_positive
 from .queries import QuerySpec, k_sensitivity
-from .rng import generator, laplace
+from .rng import generator, laplace, threshold_draws, threshold_table
 
 LEAKAGE_KINDS = ("loose_linear", "loose_log", "tight")
 MECHANISMS = ("csdp", "adp", "ddp", "dp")
@@ -98,34 +98,6 @@ def mse_exact(kernel: JointKernel, age, query: QuerySpec, eps_c: float) -> float
     return aging_error(aged_joint(kernel, age), query) + noise_variance(query, eps_c)
 
 
-def _threshold_table(matrix: np.ndarray) -> np.ndarray:
-    """Row c holds the first n-1 cumulative sums of column c of an (n, n)
-    column-stochastic matrix, padded with +inf to a power-of-two width."""
-    n = matrix.shape[0]
-    table = np.full((n, 1 << (n - 1).bit_length()), np.inf)
-    table[:, : n - 1] = np.cumsum(matrix, axis=0)[:-1].T
-    return table
-
-
-def _next_states(table: np.ndarray, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """min(#{j : cum[j, c] <= u}, n-1) for each chain at state c = cur,
-    by branch-free binary lifting over `_threshold_table`'s rows.
-
-    The thresholds of a row never decrease (cumsums of nonnegative entries
-    do not in floating point), so the count up to u is a prefix length and
-    the +inf padding caps it at n-1 with no clip.
-    """
-    width = table.shape[1]
-    flat = table.ravel()
-    base = cur * width - 1
-    pos = np.zeros(len(cur), dtype=np.intp)
-    k = width // 2
-    while k:
-        pos += k * (flat[base + pos + k] <= u)
-        k //= 2
-    return pos
-
-
 def mse_simulated(
     kernel: JointKernel,
     age,
@@ -138,11 +110,12 @@ def mse_simulated(
 
     The generator of `seed` is read in one fixed order: `samples` uniforms
     for the stationary start states, then `samples` uniforms per step of
-    the longest lag, then `samples` Laplace draws of the noise.  Every draw
-    maps its uniform u to min(#{j : cum[j] <= u}, n-1), cum the cumsums of
-    its law: the stationary law for a start, column c of the kernel for a
-    step from state c.  A zero-probability state is never drawn.  The
-    stream and the rule together fix every estimate to the last bit.
+    the longest lag, then `samples` Laplace draws of the noise.  Every state
+    is drawn by the one sampling rule, `rng.threshold_draws`: its uniform u
+    maps to min(#{j : cum[j] <= u}, n-1), cum the cumsums of its law, the
+    stationary law for a start and column c of the kernel for a step from
+    state c.  A zero-probability state is never drawn.  The stream and the
+    rule together fix every estimate to the last bit.
     """
     if samples < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
@@ -152,12 +125,10 @@ def mse_simulated(
     T = int(ages.max())
     n = int(samples)
     rng = generator(seed)
-    nstates = kernel.space.product_size
     f = state_values(kernel.space, query)
 
-    cur = np.searchsorted(np.cumsum(kernel.stationary), rng.random(n), side="right")
-    np.clip(cur, 0, nstates - 1, out=cur)
-    table = _threshold_table(kernel.matrix)
+    cur = threshold_draws(threshold_table(kernel.stationary), 0, rng.random(n))
+    table = threshold_table(kernel.matrix)
     # the aged snapshots' joint indices, each sequence's digit taken from
     # `cur` when its lag is reached
     place = kernel.space.place
@@ -170,7 +141,7 @@ def mse_simulated(
             for p in place[lagged]:
                 aged += cur // p % m * p
         if step < T:
-            cur = _next_states(table, cur, rng.random(n))
+            cur = threshold_draws(table, cur, rng.random(n))
     f_cur = f[cur]
     f_aged = f[aged]
     noise = laplace(rng, query.sensitivity(1) / eps_c, n)

@@ -20,7 +20,10 @@ table, tracks the aged snapshots' joint indices by digit arithmetic and
 gathers their query values from the per-state vector; here each step
 compares every chain's uniform with each cumulative threshold, sums and
 clips, and each aged snapshot is recorded per sequence and evaluated on
-its own.  `release` checks ages and draws its one variate without
+its own.  Criterion 8's half-line gap draws each snapshot by the same
+threshold rule; here by `searchsorted` on the column's cumsum, clipped.
+Array Laplace draws invert their uniforms in place; here they are the
+out-of-place expression.  `release` checks ages and draws its one variate without
 arrays, and the built-in queries evaluate in plain Python; below are the
 per-sample and NumPy forms those replaced.  `test_vectorised.py` asserts that both give bit-identical
 results.
@@ -58,7 +61,7 @@ from csdp import (
     laplace_sample,
 )
 from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
-from csdp.rng import generator, laplace
+from csdp.rng import derive_seed, generator
 from csdp.utility import TradeoffSolution, _better
 
 
@@ -349,6 +352,31 @@ def release(db, t, age, query, eps_c, seed):
     )
 
 
+def laplace_draws(rng, scale, size):
+    """`rng.laplace`'s array draws as the out-of-place inverse cdf it replaced."""
+    u = rng.random(size) - 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def half_line_gap(law, query, eps_c, samples, seed) -> float:
+    """`acceptance.half_line_gap` with each snapshot drawn by `searchsorted`
+    on its column's cumsum, clipped to the last state."""
+    thetas, F, S = csdp.half_line_log_probs(law, query, eps_c)
+    B = law.conditional()
+    f_values = np.array([query.evaluate(z) for z in law.space.states])
+    b = query.sensitivity(1) / eps_c
+    worst = 0.0
+    for x in range(B.shape[1]):
+        rng = generator(derive_seed(seed, "oracle", x))
+        z = np.searchsorted(np.cumsum(B[:, x]), rng.random(samples), side="right")
+        z = np.clip(z, 0, len(f_values) - 1)
+        y = np.sort(f_values[z] + laplace_draws(rng, b, samples))
+        below = np.searchsorted(y, thetas, side="right") / samples
+        worst = max(worst, float(np.abs(below - np.exp(F[:, x])).max()),
+                    float(np.abs(1.0 - below - np.exp(S[:, x])).max()))
+    return worst
+
+
 def next_states(cum, cur, u):
     """The chains' next states: the number of column `cur`'s cumulative
     thresholds at or below u, one comparison per threshold, clipped to the
@@ -378,7 +406,7 @@ def mse_simulated(kernel, age, query, eps_c, samples, seed, evaluate) -> tuple:
             cur = next_states(cum, cur, rng.random(n))
     f_cur = f[cur]
     f_aged = np.array([evaluate(z) for z in recorded])
-    noise = laplace(rng, query.sensitivity(1) / eps_c, n)
+    noise = laplace_draws(rng, query.sensitivity(1) / eps_c, n)
     sq = (f_aged + noise - f_cur) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))
 

@@ -3,14 +3,17 @@
 Every criterion in csdp.acceptance runs once (module scope) with the
 default seed and tolerance table; each test asserts one criterion and
 prints its [PASS]/[FAIL] line so the gate status is visible in verbose
-pytest output.
+pytest output.  Criteria 5 to 8 are pinned to their seed-0 lines, and
+criterion 8's half-line gap to its `loop_reference` form.
 """
 
 import re
 
 import pytest
 
+import loop_reference as ref
 from csdp import acceptance as acceptance_module
+from csdp import aged_joint, builtin_queries, joint_kernel
 from csdp.acceptance import (
     CRITERIA,
     DEFAULT_TOLERANCES,
@@ -19,7 +22,10 @@ from csdp.acceptance import (
     criterion_decay,
     criterion_oracle_consistency,
     criterion_u_shape,
+    half_line_gap,
+    oracle_cases,
 )
+from csdp.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +90,24 @@ def test_criteria_5_and_7_lines_are_fixed(results):
 
 def test_criterion_8_oracle_cross_validation(results):
     _check(results, 8)
-    line = results[7].line()
-    for label in ("two-user lam=0.5 t=1", "two-user lam=0.5 t=2", "two-user lam=0.75 t=1",
-                  "two-user lam=0.75 t=3", "three-user uniform coupling t=1"):
-        assert re.search(rf"{label}: gap 0\.00\d\d", line), line
-    assert "DKW bound 0.0094 (24 laws x 1e+05 releases, alpha 1e-06)" in line
+    assert results[7].line() == (
+        "[PASS] criterion 8 (oracle cross-validation): measured two-user lam=0.5 t=1: gap 0.0034; "
+        "two-user lam=0.5 t=2: gap 0.0026; two-user lam=0.75 t=1: gap 0.0030; "
+        "two-user lam=0.75 t=3: gap 0.0036; three-user uniform coupling t=1: gap 0.0041; "
+        "expected every half-line probability within the DKW bound 0.0094 "
+        "(24 laws x 1e+05 releases, alpha 1e-06)")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_half_line_gap_equals_searchsorted_reference(seed):
+    """Criterion 8's gap, its snapshots drawn by the threshold sampler, equals
+    the cumsum + searchsorted + clip form it replaced, exactly, on each of
+    the criterion's laws with the criterion's seeds and sample count."""
+    for model, age, eps, label in oracle_cases():
+        law = aged_joint(joint_kernel(model), age)
+        query = builtin_queries(model.space)["mean"]
+        args = (law, query, eps, 10**5, derive_seed(seed, "oracle", label))
+        assert half_line_gap(*args) == ref.half_line_gap(*args), label
 
 
 @pytest.mark.parametrize("scale", [1.1, 1 / 1.1], ids=["wider", "narrower"])

@@ -5,7 +5,10 @@ and `first_uniforms` the first Philox4x64-10 block behind
 `generator(seed).random()`; both are compared with NumPy itself over
 random seeds in [0, 2**64) and the word-boundary seeds below.  Seeds that
 are not integers in [0, 2**64) are rejected by name on both paths.
-`derive_seeds` is compared with `derive_seed` child by child.
+`derive_seeds` is compared with `derive_seed` child by child, and a
+`uint64` array of seeds, which `seed_keys` takes as it is, with the list
+path.  Array Laplace draws, which invert their uniforms in place, are
+compared with the out-of-place expression bit for bit.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdp import ModelError
+from csdp import rng as rng_module
 from csdp.rng import (
     derive_seed,
     derive_seeds,
@@ -40,7 +44,10 @@ def test_keys_equal_seed_sequence(seeds):
     got = seed_keys(seeds)
     assert got.dtype == np.uint64
     assert np.array_equal(got, want)
-    assert np.array_equal(seed_keys(np.array(seeds, dtype=np.uint64)), want)
+    # a uint64 array, taken as it is, and a strided view of one
+    array = np.array(seeds, dtype=np.uint64)
+    assert np.array_equal(seed_keys(array), want)
+    assert np.array_equal(seed_keys(array[::2]), want[::2])
 
 
 @PROPERTY
@@ -51,17 +58,21 @@ def test_first_draws_equal_generator(seeds, scale):
     assert first_uniforms(seeds).tobytes() == want.tobytes()
     want = np.array([laplace(generator(s), scale, None) for s in seeds])
     assert first_laplace(seeds, scale).tobytes() == want.tobytes()
+    assert first_laplace(np.array(seeds, dtype=np.uint64), scale).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seeds, message", [
     ([3, -1], "seed must lie in [0, 2**64), got -1"),
     ([2**64], "seed must lie in [0, 2**64), got 18446744073709551616"),
     ([2**70 + 5], "seed must lie in [0, 2**64), got 1180591620717411303429"),
-    (np.array([4, -7]), "seed must lie in [0, 2**64), got -7"),
+    (np.array([4, -7], dtype=np.int64), "seed must lie in [0, 2**64), got -7"),
     ([1.5], "seed must be an integer, got 1.5"),
     ([2.0], "seed must be an integer, got 2.0"),
     (np.array([1.5]), "seed must be an integer, got np.float64(1.5)"),
     ([None], "seed must be an integer, got None"),
+    (np.array([2.0]), "seed must be an integer, got np.float64(2.0)"),
+    (np.array([[1, 2]], dtype=np.uint64), "seeds must be a 1-D sequence, got an array of shape (1, 2)"),
+    (np.array([[3], [4]]), "seeds must be a 1-D sequence, got an array of shape (2, 1)"),
 ])
 def test_bad_batch_seeds_are_named(seeds, message):
     for fn in (seed_keys, first_uniforms):
@@ -104,7 +115,10 @@ COORDS = st.lists(st.one_of(
 @example(2**64, [0.5, (1, "a")], 3)
 def test_batch_children_equal_derive_seed(root, coords, count):
     want = [derive_seed(root, *coords, i) for i in range(count)]
-    assert derive_seeds(root, *coords, count=count) == want
+    got = derive_seeds(root, *coords, count=count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert got.tolist() == want
+    assert seed_keys(got).tobytes() == seed_keys(want).tobytes()
 
 
 @pytest.mark.parametrize("root", [1.5, 1.0, "1", None])
@@ -120,7 +134,50 @@ def test_root_seed_that_is_not_an_integer_is_refused(root):
 
 def test_integer_types_derive_alike():
     assert derive_seed(np.int64(7), "mse", 0.5) == derive_seed(7, "mse", 0.5)
-    assert derive_seeds(np.uint64(7), "ks", count=3) == derive_seeds(7, "ks", count=3)
+    assert np.array_equal(derive_seeds(np.uint64(7), "ks", count=3), derive_seeds(7, "ks", count=3))
     # the payload of an int root is unchanged: repr((7, "mse", 0.5))
     digest = hashlib.sha256(repr((7, "mse", 0.5)).encode("utf-8")).digest()
     assert derive_seed(7, "mse", 0.5) == int.from_bytes(digest[:8], "big")
+
+
+def _laplace_expression(u, scale):
+    """The out-of-place inverse cdf the array path must equal."""
+    u = u - 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.floats(1e-3, 1e3), st.integers(1, 3000))
+@example(0, 1.0, 1)
+def test_array_laplace_is_the_expression_bit_for_bit(seed, scale, size):
+    rng = generator(seed)
+    u = rng.random(size)
+    got = laplace(generator(seed), scale, size)
+    assert got.tobytes() == _laplace_expression(u, scale).tobytes()
+    # the scalar draw keeps its float expression and equals element 0
+    one = laplace(generator(seed), scale, None)
+    assert isinstance(one, np.float64) and one == _laplace_expression(u[0], scale) == got[0]
+
+
+def test_uniforms_at_the_inverse_cdf_edges():
+    """u = 0 gives -inf, u = 0.5 gives +0.0 and the doubles beside them
+    their finite draws, on the array path as in the expression."""
+    u = np.array([0.0, np.nextafter(0.0, 1.0), np.nextafter(0.5, 0.0), 0.5,
+                  np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)])
+    with np.errstate(divide="ignore"):
+        got = rng_module._invert_laplace(u.copy(), 2.0)
+        assert got.tobytes() == _laplace_expression(u, 2.0).tobytes()
+    assert got[0] == -np.inf and got[3] == 0.0 and not np.signbit(got[3])
+
+
+def test_array_draws_write_into_no_array_the_caller_holds():
+    seeds = derive_seeds(5, "hold", count=64)
+    kept = seeds.copy()
+    u = first_uniforms(seeds)
+    draws = first_laplace(seeds, 2.0)
+    assert np.array_equal(seeds, kept) and not np.shares_memory(draws, seeds)
+    assert draws.tobytes() == _laplace_expression(u, 2.0).tobytes()
+    rng = generator(5)
+    first, second = laplace(rng, 1.0, 8), laplace(rng, 1.0, 8)
+    assert not np.shares_memory(first, second)
+    assert np.concatenate([first, second]).tobytes() == laplace(generator(5), 1.0, 16).tobytes()

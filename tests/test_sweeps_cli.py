@@ -410,6 +410,9 @@ class TestCli:
         ("sweep: utility-sweep\ngrids:\n  age: [[1.5, 2]]\n",
          "grids: age: expected [[int, ...], ...], got [[1.5, 2]]"),
         ("sweep: frontier\ngrids:\n  age: [2.7]\n", "grids: age: expected [int, ...], got [2.7]"),
+        # a cap the utility spec would refuse under its own field name
+        ("sweep: frontier\ngrids:\n  caps: [0.5, -1]\n",
+         "grids: caps: every cap must be positive, got -1"),
     ])
     def test_bad_grid_value_names_key(self, tmp_path, capsys, doc, named):
         code, err = self.run_yaml(tmp_path, capsys, doc)
@@ -562,7 +565,7 @@ class TestOneRule:
     def test_frontier_refuses_a_nan_or_zero_cap(self, tmp_path, capsys, caps):
         code, err = TestCli.run_yaml(tmp_path, capsys,
                                      f"sweep: frontier\ngrids:\n  caps: {caps}\n")
-        assert code == 2 and "mse_cap must be positive, got" in err
+        assert code == 2 and "grids: caps: every cap must be positive, got" in err
         assert not (tmp_path / "out").exists()
 
 

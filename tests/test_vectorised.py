@@ -14,7 +14,9 @@ steps, so there the two agree to 1e-15.  One more property checks that the
 current-snapshot marginal of the aged joint law is the stationary law.  The release path, the simulated MSE and the built-in
 query evaluates are compared with their per-sample NumPy forms the same way,
 the simulated MSE also at lags up to 20, and its chain step with the
-comparison sum it replaced on hand-picked uniforms at every threshold.
+comparison sum it replaced on hand-picked uniforms at every threshold; a
+draw at one column, as its start states and criterion 8's snapshots are
+drawn, equals searchsorted on that column's cumsum, clipped.
 The P1 solver and the four-mechanism frontier equal a plain scan that
 recomputes every grid point, on grids with repeated and mixed ages.
 The joint encoding that `StateSpace` owns (s <= 4, m <= 3) equals the
@@ -57,8 +59,9 @@ from csdp import (
 )
 from csdp.bounds import _transport_bounds
 from csdp.queries import QuerySpec
+from csdp.rng import threshold_draws, threshold_table
 from csdp.sweeps import EPS_GRID_DEFAULT
-from csdp.utility import LEAKAGE_KINDS, _next_states, _threshold_table
+from csdp.utility import LEAKAGE_KINDS
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -392,10 +395,29 @@ def test_next_states_matches_comparison_sum(nstates):
     us = np.unique(us[us < 1.0])
     cur = np.repeat(np.arange(nstates), len(us))
     u = np.tile(us, nstates)
-    got = _next_states(_threshold_table(K), cur, u)
+    got = threshold_draws(threshold_table(K), cur, u)
     assert np.array_equal(got, ref.next_states(cum, cur, u))
     # the largest double under 1 lies above every threshold of column 2
     assert got.reshape(nstates, -1)[2, -1] == nstates - 1
+
+
+@pytest.mark.parametrize("nstates", [3, 9, 27])
+def test_threshold_draws_at_one_column_match_searchsorted(nstates):
+    """Draws at one column, from the matrix's table or from the column's own
+    (the simulated MSE's start states, criterion 8's snapshots), equal
+    searchsorted on the column's cumsum, clipped, on every threshold and the
+    doubles either side of it."""
+    K = edge_matrix(nstates)
+    for c in range(nstates):
+        cum = np.cumsum(K[:, c])
+        us = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                             [0.0, np.nextafter(1.0, 0.0)]])
+        us = np.unique(us[us < 1.0])
+        want = np.minimum(np.searchsorted(cum, us, side="right"), nstates - 1)
+        assert np.array_equal(threshold_draws(threshold_table(K[:, c]), 0, us), want)
+        assert np.array_equal(threshold_draws(threshold_table(K), c, us), want)
+    one_state = threshold_table(np.array([1.0]))
+    assert threshold_draws(one_state, 0, np.array([0.0, 0.5])).tolist() == [0, 0]
 
 
 def test_next_states_skips_a_zero_probability_state_at_a_tie():
@@ -403,7 +425,7 @@ def test_next_states_skips_a_zero_probability_state_at_a_tie():
     mass on state 2, u = 0.0 goes to state 2, never to the empty state 0."""
     K = np.array([[0.0, 0.5, 0.5], [0.0, 0.25, 0.5], [1.0, 0.25, 0.0]])
     cur, u = np.array([0]), np.array([0.0])
-    assert _next_states(_threshold_table(K), cur, u).tolist() == [2]
+    assert threshold_draws(threshold_table(K), cur, u).tolist() == [2]
     assert ref.next_states(np.cumsum(K, axis=0), cur, u).tolist() == [2]
 
 
