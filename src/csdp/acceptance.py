@@ -1,8 +1,9 @@
 """The release-gate checks, runnable from the CLI and from the test suite.
 
-Each criterion is a pure function of the root seed and a tolerance table;
-the CLI's `acceptance` command and tests/test_acceptance.py both call
-these, so there is a single source of truth for what "passing" means.
+Each criterion is a pure function `fn(tol, seed)` of a tolerance table
+and the root seed (criteria 1-4 draw nothing); the CLI's `acceptance`
+command and tests/test_acceptance.py both call these, so there is a
+single source of truth for what "passing" means.
 All tolerances live in DEFAULT_TOLERANCES and can be overridden (used by
 the fault-injection test to show criteria fail independently).
 
@@ -22,7 +23,7 @@ from scipy import stats
 
 from .bounds import aged_tv_distance, half_line_log_probs, loose_bound, verify_reductions
 from .kernel import aged_joint, joint_kernel, state_values
-from .mechanism import SequenceDatabase, laplace_sample, release_values
+from .mechanism import SequenceDatabase, laplace_sample, noise_scale, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed, derive_seeds, generator, laplace, threshold_draws, threshold_table
@@ -65,7 +66,7 @@ class CriterionResult:
         return f"timing criterion {self.number} ({self.name}): {self.seconds:.3f} s"
 
 
-def criterion_u_shape(tol) -> CriterionResult:
+def criterion_u_shape(tol, seed=0) -> CriterionResult:
     lams = [round(0.1 * i, 10) for i in range(11)]
     kernels = {lam: joint_kernel(two_user_model(lam)) for lam in lams}
     query = builtin_queries(StateSpace(2, 2))["mean"]
@@ -90,7 +91,7 @@ def criterion_u_shape(tol) -> CriterionResult:
                            f"minimum at 0.5, asymmetry <= {tol['symmetry']:.0e}")
 
 
-def criterion_decay(tol) -> CriterionResult:
+def criterion_decay(tol, seed=0) -> CriterionResult:
     query = builtin_queries(StateSpace(2, 2))["mean"]
     dk = k_sensitivity(query, 2)
     ok = True
@@ -109,7 +110,7 @@ def criterion_decay(tol) -> CriterionResult:
                            f"{100 * tol['decay_drop']:.0f}%, non-increasing")
 
 
-def criterion_bound_ordering(tol) -> CriterionResult:
+def criterion_bound_ordering(tol, seed=0) -> CriterionResult:
     _, rows, _ = run_sweep(PRESETS["oracle-validate"])
     violations = sum(1 for row in rows if _check_leakage_row(row, tol["ordering_slack"]))
     return CriterionResult(3, "bound ordering", violations == 0,
@@ -117,7 +118,7 @@ def criterion_bound_ordering(tol) -> CriterionResult:
                            "oracle <= tight <= min(loose) everywhere")
 
 
-def criterion_reductions(tol) -> CriterionResult:
+def criterion_reductions(tol, seed=0) -> CriterionResult:
     cases = verify_reductions(1.0, 8, tol["reduction"])
     failing = [c.name for c in cases if c.applicable and not c.passed]
     measured = ", ".join(f"{c.name}={'pass' if c.passed else 'FAIL'}"
@@ -155,9 +156,8 @@ def criterion_mechanism_stats(tol, seed=0) -> CriterionResult:
     db = SequenceDatabase(space, np.array([[1, 0]]))
     n = 10**5
     fran = release_values(db, 1, (0, 0), query, 1.0, derive_seeds(seed, "ks-fran", count=n))
-    plain = query.evaluate((1, 0)) + laplace(
-        generator(derive_seed(seed, "ks-plain")), query.sensitivity(1) / 1.0, n
-    )
+    plain = query.evaluate((1, 0)) + laplace_sample(
+        noise_scale(query, 1.0), n, derive_seed(seed, "ks-plain"))
     pvalue = float(stats.ks_2samp(fran, plain).pvalue)
     ks_ok = pvalue > tol["ks_pvalue"]
     return CriterionResult(
@@ -205,14 +205,14 @@ def half_line_gap(law, query, eps_c, samples: int, seed: int) -> float:
 
     Each release draws the aged snapshot from column x of the backward
     conditional by the one sampling rule, `rng.threshold_draws`, and adds
-    Laplace noise of scale sensitivity / eps_c; x's draws come from
+    Laplace noise of scale `noise_scale(query, eps_c)`; x's draws come from
     `derive_seed(seed, "oracle", x)`, `samples` uniforms for the snapshots
     and then `samples` Laplace draws.
     """
     thetas, F, S = half_line_log_probs(law, query, eps_c)
     table = threshold_table(law.conditional())
     f_values = state_values(law.space, query)
-    b = query.sensitivity(1) / eps_c
+    b = noise_scale(query, eps_c)
     worst = 0.0
     for x in range(len(table)):
         rng = generator(derive_seed(seed, "oracle", x))
@@ -277,10 +277,10 @@ def criterion_determinism(tol, seed=0) -> CriterionResult:
 
 
 CRITERIA = (
-    ("u-shape", lambda tol, seed: criterion_u_shape(tol)),
-    ("decay", lambda tol, seed: criterion_decay(tol)),
-    ("bound-ordering", lambda tol, seed: criterion_bound_ordering(tol)),
-    ("reductions", lambda tol, seed: criterion_reductions(tol)),
+    ("u-shape", criterion_u_shape),
+    ("decay", criterion_decay),
+    ("bound-ordering", criterion_bound_ordering),
+    ("reductions", criterion_reductions),
     ("baseline-separation", criterion_baseline_separation),
     ("mechanism-stats", criterion_mechanism_stats),
     ("mse", criterion_mse),

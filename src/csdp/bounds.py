@@ -30,10 +30,10 @@ Three analytic quantities drive everything:
   presets every block settles, so they solve no LP.
 * d(k) -- the query's k-sensitivity.
 
-The certified loose budget is min(d(k)*Delta_k*eps_c,
-ln(1 + Delta_k*(e^{d(k) eps_c} - 1))).  The paper's tight budget is
-Delta_bar*eps_c; it is not certified: it is the small-eps slope of the
-leakage and falls below the pure-DP leakage at some (age, eps_c).
+The certified loose budget is ln(1 + Delta_k*(e^{d(k) eps_c} - 1)); its
+tangent line at eps_c = 0, d(k)*Delta_k*eps_c, lies below it and is not a
+bound.  Nor is the paper's tight budget Delta_bar*eps_c: it is the small-eps
+slope of the leakage and falls below the pure-DP leakage at some (age, eps_c).
 
 A likelihood-ratio oracle cross-checks the bounds.  `half_line_log_probs`
 gives, in closed form, the log-probabilities of the Laplace half-line
@@ -57,7 +57,8 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from .kernel import AgedLaw, JointKernel, _joint_stationary, aged_joint, joint_kernel, state_values
-from .model import CmcModel, ModelError, StateSpace, check_positive
+from .mechanism import noise_scale
+from .model import CmcModel, ModelError, StateSpace, check_positive, integer_value
 from .queries import QuerySpec, builtin_queries, k_sensitivity
 
 THETA_POINTS = 101
@@ -135,7 +136,7 @@ def aged_tv(law: AgedLaw, degree: int) -> float:
 
 
 def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
-    """(linear, log) forms of the loose budget."""
+    """(linear, log) forms of the loose budget; only log is certified (linear is its tangent)."""
     if not 0.0 <= delta_k <= 1.0 + 1e-12:
         raise ModelError(f"delta_k must lie in [0, 1], got {delta_k}")
     if dk < 1.0 - 1e-12:
@@ -406,14 +407,13 @@ def half_line_log_probs(law: AgedLaw, query: QuerySpec, eps_c: float) -> tuple:
     S[i, x] = log Pr[M > thetas[i] | x] for every current snapshot x.
 
     M is the query on the aged snapshot plus Laplace noise of scale
-    sensitivity / eps_c.  thetas is a 101-point grid spanning the query
+    `noise_scale(query, eps_c)`.  thetas is a 101-point grid spanning the query
     range plus six noise scales.  Each column mixes the Laplace cdf (sf)
     over the backward conditional in closed form, all states at once.
     """
-    check_positive("eps_c", eps_c)
+    b = noise_scale(query, eps_c)
     B = law.conditional()
     f_values = state_values(law.space, query)
-    b = query.sensitivity(1) / eps_c
     thetas = _theta_grid(f_values, b)
     u = thetas[:, None] - f_values[None, :]
     return (thetas, _log_mixtures(_laplace_logcdf(u, b), B),
@@ -456,7 +456,7 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
     (c) the coupled benchmark model: reductions intentionally do not
         apply; reported as not applicable.
     """
-    if max_age < 0:
+    if integer_value(max_age, "max_age") < 0:
         raise ModelError(f"max_age must be >= 0, got {max_age}")
     cases = []
 

@@ -10,6 +10,7 @@ independent, with sequence j drawn from the mixture
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +21,10 @@ from .model import (
     ModelError,
     StateSpace,
     _power_iteration,
+    integer_value,
     integer_values,
 )
-from .rng import generator
+from .rng import generator, threshold_draws, threshold_table
 
 STATIONARY = "stationary"
 
@@ -167,28 +169,24 @@ def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> 
 
     `initial` is a joint state tuple, an int joint index, or the string
     "stationary" to draw the start from the stationary law.  Deterministic
-    given seed.
+    given seed: each state is drawn from one uniform by `rng.threshold_draws`' rule.
     """
+    horizon = integer_value(horizon, "horizon")
     if horizon < 1:
         raise ModelError(f"horizon must be >= 1, got {horizon}")
     rng = generator(seed)
-    n = kernel.matrix.shape[0]
     if isinstance(initial, str):
         if initial != STATIONARY:
             raise ModelError(f"unknown initial distribution '{initial}'")
-        # a draw above a cumsum that rounds below 1 would index past the end
-        cur = min(int(np.searchsorted(np.cumsum(kernel.stationary), rng.random(),
-                                      side="right")), n - 1)
+        cur = int(threshold_draws(threshold_table(kernel.stationary), 0, rng.random()))
     elif np.isscalar(initial):
         (cur,) = integer_values(initial, "initial state index")[1]
-        if not 0 <= cur < n:
+        if not 0 <= cur < kernel.space.product_size:
             raise ModelError(f"initial state index {cur} out of range")
     else:
         cur = kernel.space.index(initial)
-    cum = np.cumsum(kernel.matrix, axis=0)
-    path = np.empty(horizon, dtype=np.intp)
-    path[0] = cur
-    for t in range(1, horizon):
-        cur = int(np.searchsorted(cum[:, cur], rng.random(), side="right"))
-        path[t] = cur = min(cur, n - 1)
+    table = threshold_table(kernel.matrix)
+    path = [cur]
+    for u in rng.random(horizon - 1).tolist():
+        path.append(cur := bisect_right(table[cur], u))
     return kernel.space.digits[path].astype(np.int64, copy=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import validate_ages
-from .model import ModelError, StateSpace, check_positive
+from .model import ModelError, StateSpace, check_positive, integer_value
 from .queries import QuerySpec
 from .rng import first_laplace, generator, laplace
 
@@ -80,6 +80,8 @@ class MechanismOutput:
 def age_data(db: SequenceDatabase, t: int, age) -> tuple:
     """Phase 1: the aged snapshot (x^(i) at time t - age[i], 1-based times)."""
     ages = validate_ages(age, db.space)
+    if type(t) is not int:  # the release path passes Python ints
+        t = integer_value(t, "time index")
     if not 1 <= t <= db.horizon:
         raise ModelError(f"time index {t} outside the recorded horizon [1, {db.horizon}]")
     snapshot = []
@@ -100,20 +102,20 @@ def laplace_sample(scale: float, dim: int | None, seed: int) -> np.ndarray | flo
     element of the dim=1 array.
     """
     check_positive("noise scale", scale)
-    return laplace(generator(seed), scale, dim)
+    return laplace(generator(seed), scale, dim if dim is None else integer_value(dim, "dim"))
 
 
-def _aged_request(db: SequenceDatabase, t: int, age, query: QuerySpec, eps_c: float):
-    """(aged snapshot, noise scale) of a release request, eps_c checked first."""
+def noise_scale(query: QuerySpec, eps_c: float) -> float:
+    """The Laplace scale s_1(f)/eps_c that releases, MSE and oracle read; eps_c is checked."""
     check_positive("eps_c", eps_c)
-    return age_data(db, t, age), query.sensitivity(1) / eps_c
+    return query.sensitivity(1) / eps_c
 
 
 def release(
     db: SequenceDatabase, t: int, age, query: QuerySpec, eps_c: float, seed: int
 ) -> MechanismOutput:
     """Phase 1 + Phase 2: noisy query answer on the aged snapshot."""
-    snapshot, scale = _aged_request(db, t, age, query, eps_c)
+    scale, snapshot = noise_scale(query, eps_c), age_data(db, t, age)  # eps_c checked first
     noise = laplace_sample(scale, None, seed)
     return MechanismOutput(
         value=query.evaluate(snapshot) + noise,
@@ -128,6 +130,6 @@ def release_values(
 ) -> np.ndarray:
     """`release(db, t, age, query, eps_c, seed).value` for every seed of the
     1-D sequence seeds, bit for bit, drawn in one array pass (rng.first_laplace)."""
-    snapshot, scale = _aged_request(db, t, age, query, eps_c)
+    scale, snapshot = noise_scale(query, eps_c), age_data(db, t, age)
     check_positive("noise scale", scale)
     return query.evaluate(snapshot) + first_laplace(seeds, scale)

@@ -66,6 +66,13 @@ def integer_values(value, what: str) -> tuple:
     return arr.shape, arr.tolist()
 
 
+def integer_value(value, what: str) -> int:
+    """One int by the rule of `integer_values`: NumPy ints count; 2.0, True, "2" do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ModelError(f"{what}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -87,10 +94,7 @@ class StateSpace:
     def __post_init__(self):
         if type(self.num_sequences) is not int or type(self.num_states) is not int:
             for name in ("num_sequences", "num_states"):  # a NumPy int is kept as a Python int
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ModelError(f"{name}: expected an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, integer_value(getattr(self, name), name))
         if self.num_sequences < 1:
             raise ModelError(f"need at least one sequence, got {self.num_sequences}")
         if self.num_states < 2:

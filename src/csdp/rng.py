@@ -34,7 +34,8 @@ Draws from uniforms.  An array of Laplace draws inverts its own fresh
 uniforms in place, by the same operations as the scalar draw.  A state
 is drawn from a law by one rule, `threshold_draws`: a uniform u maps to
 min(#{j : cum[j] <= u}, n-1), cum the law's cumulative sums held in a
-`threshold_table`; the simulated MSE and criterion 8 draw every state so.
+`threshold_table`; `kernel.sample_trajectory`, the simulated MSE and
+criterion 8 draw every state so.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def threshold_table(columns: np.ndarray) -> np.ndarray:
     columns = columns.reshape(len(columns), -1)
     n = columns.shape[0]
     table = np.full((columns.shape[1], 1 << (n - 1).bit_length()), np.inf)
-    table[:, : n - 1] = np.cumsum(columns, axis=0)[:-1].T
+    np.cumsum(columns[:-1], axis=0, out=table[:, : n - 1].T)  # no n x k temporary
     return table
 
 

@@ -26,7 +26,8 @@ from .bounds import (
     tight_bound,
 )
 from .kernel import AgedLaw, JointKernel, aged_joint, joint_kernel, state_values, validate_ages
-from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_positive
+from .mechanism import noise_scale
+from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_positive, integer_value
 from .queries import QuerySpec, k_sensitivity
 from .rng import generator, laplace, threshold_draws, threshold_table
 
@@ -90,12 +91,12 @@ def aging_error(law: AgedLaw, query: QuerySpec) -> float:
 
 
 def noise_variance(query: QuerySpec, eps_c: float) -> float:
-    return 2.0 * (query.sensitivity(1) / eps_c) ** 2
+    return 2.0 * noise_scale(query, eps_c) ** 2
 
 
 def mse_exact(kernel: JointKernel, age, query: QuerySpec, eps_c: float) -> float:
-    check_positive("eps_c", eps_c)
-    return aging_error(aged_joint(kernel, age), query) + noise_variance(query, eps_c)
+    noise = noise_variance(query, eps_c)  # eps_c is checked before the law is built
+    return aging_error(aged_joint(kernel, age), query) + noise
 
 
 def mse_simulated(
@@ -115,37 +116,29 @@ def mse_simulated(
     maps to min(#{j : cum[j] <= u}, n-1), cum the cumsums of its law, the
     stationary law for a start and column c of the kernel for a step from
     state c.  A zero-probability state is never drawn.  The stream and the
-    rule together fix every estimate to the last bit.
+    rule together fix every estimate to the last bit.  Sequence i's aged
+    state is read T - age[i] steps in, T the longest lag, as `age_data` does.
     """
-    if samples < 100:
+    n = integer_value(samples, "samples")
+    if n < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
-    check_positive("eps_c", eps_c)
-    m = kernel.space.num_states
+    scale = noise_scale(query, eps_c)
     ages = np.array(validate_ages(age, kernel.space))
     T = int(ages.max())
-    n = int(samples)
     rng = generator(seed)
     f = state_values(kernel.space, query)
 
-    cur = threshold_draws(threshold_table(kernel.stationary), 0, rng.random(n))
+    path = np.empty((T + 1, n), dtype=np.intp)  # path[step, sample], a joint index
+    path[0] = threshold_draws(threshold_table(kernel.stationary), 0, rng.random(n))
     table = threshold_table(kernel.matrix)
-    # the aged snapshots' joint indices, each sequence's digit taken from
-    # `cur` when its lag is reached
-    place = kernel.space.place
-    aged = np.zeros(n, dtype=np.intp)
-    for step in range(T + 1):
-        lagged = (T - ages) == step
-        if lagged.all():
-            aged = cur
-        else:
-            for p in place[lagged]:
-                aged += cur // p % m * p
-        if step < T:
-            cur = threshold_draws(table, cur, rng.random(n))
-    f_cur = f[cur]
-    f_aged = f[aged]
-    noise = laplace(rng, query.sensitivity(1) / eps_c, n)
-    sq = (f_aged + noise - f_cur) ** 2
+    for step in range(T):
+        path[step + 1] = threshold_draws(table, path[step], rng.random(n))
+    # the aged joint index digits @ place, summed over the distinct ages a:
+    # the sequences of age a read their digits off the path at step T - a
+    digits, place = kernel.space.digits, kernel.space.place
+    aged = sum((digits[:, ages == a] @ place[ages == a])[path[T - a]] for a in set(ages.tolist()))
+    noise = laplace(rng, scale, n)
+    sq = (f[aged] + noise - f[path[T]]) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))
 
 

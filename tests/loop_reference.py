@@ -22,6 +22,9 @@ compares every chain's uniform with each cumulative threshold, sums and
 clips, and each aged snapshot is recorded per sequence and evaluated on
 its own.  Criterion 8's half-line gap draws each snapshot by the same
 threshold rule; here by `searchsorted` on the column's cumsum, clipped.
+`sample_trajectory` draws its start and steps through the same threshold
+table, a step by `bisect` on a row; here one `searchsorted` per step on
+the kernel's cumsums, clipped, as the package did before.
 Array Laplace draws invert their uniforms in place; here they are the
 out-of-place expression.  `release` checks ages and draws its one variate without
 arrays, and the built-in queries evaluate in plain Python; below are the
@@ -409,6 +412,27 @@ def mse_simulated(kernel, age, query, eps_c, samples, seed, evaluate) -> tuple:
     noise = laplace_draws(rng, query.sensitivity(1) / eps_c, n)
     sq = (f_aged + noise - f_cur) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))
+
+
+def sample_trajectory(kernel, initial, horizon, seed) -> np.ndarray:
+    """`kernel.sample_trajectory` as the scalar loop it replaced: one
+    `searchsorted` on a cumsum per state, clipped to the last state."""
+    rng = generator(seed)
+    n = kernel.matrix.shape[0]
+    if isinstance(initial, str):
+        cur = min(int(np.searchsorted(np.cumsum(kernel.stationary), rng.random(),
+                                      side="right")), n - 1)
+    elif np.isscalar(initial):
+        cur = int(initial)
+    else:
+        cur = kernel.space.index(initial)
+    cum = np.cumsum(kernel.matrix, axis=0)
+    path = np.empty(horizon, dtype=np.intp)
+    path[0] = cur
+    for t in range(1, horizon):
+        cur = int(np.searchsorted(cum[:, cur], rng.random(), side="right"))
+        path[t] = cur = min(cur, n - 1)
+    return kernel.space.digits[path].astype(np.int64, copy=False)
 
 
 def budget(model, kernel, spec, mechanism, age, eps) -> float:

@@ -124,6 +124,13 @@ def test_criterion_9_determinism(results):
     _check(results, 9)
 
 
+def test_criteria_table_lists_the_functions_by_name():
+    """Each entry is the criterion function itself, so a lookup by its
+    __name__ finds it in the module."""
+    for _, fn in CRITERIA:
+        assert getattr(acceptance_module, fn.__name__) is fn
+
+
 def test_every_criterion_reported_once(results):
     assert [r.number for r in results] == list(range(1, len(CRITERIA) + 1))
     assert all(r.line().startswith("[PASS]") for r in results)

@@ -562,3 +562,12 @@ class TestReductions:
         for eps in (0.5, 2.0):
             cases = verify_reductions(eps, 4)
             assert all(c.passed for c in cases if c.applicable)
+
+    @pytest.mark.parametrize("max_age", [2.5, 2.0, True, "2"])
+    def test_non_integer_max_age_is_refused(self, max_age):
+        with pytest.raises(ModelError) as raised:
+            verify_reductions(1.0, max_age)
+        assert str(raised.value) == f"max_age: expected an integer, got {max_age!r}"
+
+    def test_numpy_int_max_age_is_read(self):
+        assert verify_reductions(1.0, np.int64(2)) == verify_reductions(1.0, 2)

@@ -240,6 +240,18 @@ class TestSampling:
         with pytest.raises(ModelError, match="horizon"):
             sample_trajectory(kern, "stationary", horizon=0, seed=1)
 
+    @pytest.mark.parametrize("horizon", [3.5, 3.0, True, "3"])
+    def test_non_integer_horizon_is_refused(self, horizon):
+        kern = joint_kernel(two_user_model(0.75))
+        with pytest.raises(ModelError) as raised:
+            sample_trajectory(kern, "stationary", horizon=horizon, seed=1)
+        assert str(raised.value) == f"horizon: expected an integer, got {horizon!r}"
+
+    def test_numpy_int_horizon_is_read(self):
+        kern = joint_kernel(two_user_model(0.75))
+        np.testing.assert_array_equal(sample_trajectory(kern, "stationary", np.int64(9), 2),
+                                      sample_trajectory(kern, "stationary", 9, 2))
+
     def test_stationary_start_when_cumsum_rounds_below_one(self):
         # a start draw above the stationary law's total lands on the last state
         kern = JointKernel(StateSpace(1, 2), np.eye(2), np.array([0.5, 0.499]))
@@ -252,8 +264,8 @@ class TestSampling:
         # a uniform of exactly 0.0 ties with the empty state 0's threshold;
         # start and steps alike count the thresholds at or below it
         class Zeros:
-            def random(self):
-                return 0.0
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
 
         monkeypatch.setattr(kernel_module, "generator", lambda seed: Zeros())
         K = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [1.0, 0.5, 0.5]])

@@ -8,13 +8,21 @@ from csdp import (
     ModelError,
     SequenceDatabase,
     StateSpace,
+    aged_joint,
     age_data,
     builtin_queries,
+    half_line_log_probs,
+    joint_kernel,
     laplace_sample,
     release,
     release_values,
+    two_user_model,
 )
+from csdp.bounds import _theta_grid
+from csdp.kernel import state_values
+from csdp.mechanism import noise_scale
 from csdp.queries import QuerySpec
+from csdp.utility import noise_variance
 
 SPACE = StateSpace(2, 2)
 
@@ -45,6 +53,26 @@ class TestAgeData:
         with pytest.raises(ModelError, match="horizon"):
             age_data(db, 9, (0, 0))
 
+    @pytest.mark.parametrize("t", [2.5, 2.0, "2", True, np.float64(2.0), np.True_])
+    def test_non_integer_time_index_is_refused(self, t):
+        db = alternating_db()
+        query = builtin_queries(SPACE)["mean"]
+        message = f"time index: expected an integer, got {t!r}"
+        for call in (lambda: age_data(db, t, (0, 0)),
+                     lambda: release(db, t, (0, 0), query, 1.0, seed=1),
+                     lambda: release_values(db, t, (0, 0), query, 1.0, [1])):
+            with pytest.raises(ModelError) as raised:
+                call()
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("t", [np.int64(3), np.uint8(3), np.int32(3)])
+    def test_numpy_int_time_index_is_read(self, t):
+        db = alternating_db()
+        query = builtin_queries(SPACE)["mean"]
+        assert age_data(db, t, (1, 0)) == age_data(db, 3, (1, 0))
+        assert (release(db, t, (1, 0), query, 1.0, seed=4)
+                == release(db, 3, (1, 0), query, 1.0, seed=4))
+
 
 class TestLaplaceSample:
     def test_moments(self):
@@ -61,6 +89,16 @@ class TestLaplaceSample:
         with pytest.raises(ModelError, match="scale"):
             laplace_sample(0.0, 10, seed=1)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
+    def test_non_integer_dim_is_refused(self, dim):
+        with pytest.raises(ModelError) as raised:
+            laplace_sample(1.0, dim, 0)
+        assert str(raised.value) == f"dim: expected an integer, got {dim!r}"
+
+    def test_numpy_int_dim_is_read(self):
+        np.testing.assert_array_equal(laplace_sample(1.0, np.int64(3), 5),
+                                      laplace_sample(1.0, 3, 5))
+
     @pytest.mark.parametrize("scale, message", [
         (math.nan, "noise scale must be finite, got nan"),
         (math.inf, "noise scale must be finite, got inf"),
@@ -76,6 +114,33 @@ class TestLaplaceSample:
             with pytest.raises(ModelError) as raised:
                 draw()
             assert str(raised.value) == message
+
+
+class TestNoiseScale:
+    @pytest.mark.parametrize("eps, message", [
+        (0.0, "eps_c must be positive, got 0.0"),
+        (0, "eps_c must be positive, got 0"),
+        (math.nan, "eps_c must be finite, got nan"),
+        (math.inf, "eps_c must be finite, got inf"),
+        (-math.inf, "eps_c must be positive, got -inf"),
+    ])
+    def test_bad_eps_is_refused(self, eps, message):
+        with pytest.raises(ModelError) as raised:
+            noise_scale(builtin_queries(SPACE)["mean"], eps)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("name", ["mean", "sum", "max", "min"])
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 7.0])
+    def test_release_variance_and_oracle_read_one_scale(self, name, eps):
+        query = builtin_queries(SPACE)[name]
+        scale = noise_scale(query, eps)
+        assert scale == query.sensitivity(1) / eps
+        assert release(alternating_db(), 3, (1, 0), query, eps, seed=2).noise_scale == scale
+        assert noise_variance(query, eps) == 2.0 * scale**2
+        # the oracle's theta grid spans the query range plus six scales of its noise
+        law = aged_joint(joint_kernel(two_user_model(0.75)), (1, 1))
+        thetas = half_line_log_probs(law, query, eps)[0]
+        np.testing.assert_array_equal(thetas, _theta_grid(state_values(SPACE, query), scale))
 
 
 class TestRelease:

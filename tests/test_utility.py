@@ -44,6 +44,20 @@ def test_non_finite_eps_rejected(eps):
         mse_simulated(kern, (1, 1), q, eps, samples=100, seed=0)
 
 
+@pytest.mark.parametrize("samples", [150.7, 150.0, True, "150"])
+def test_non_integer_samples_refused(samples):
+    kern = joint_kernel(two_user_model(0.5))
+    with pytest.raises(ModelError) as raised:
+        mse_simulated(kern, (1, 1), mean_query(), 1.0, samples=samples, seed=0)
+    assert str(raised.value) == f"samples: expected an integer, got {samples!r}"
+
+
+def test_numpy_int_samples_read():
+    kern = joint_kernel(two_user_model(0.5))
+    assert (mse_simulated(kern, (1, 1), mean_query(), 1.0, np.int64(150), 3)
+            == mse_simulated(kern, (1, 1), mean_query(), 1.0, 150, 3))
+
+
 class TestMseExact:
     def test_age_zero_noise_only(self):
         kern = joint_kernel(two_user_model(0.75))

@@ -16,7 +16,9 @@ query evaluates are compared with their per-sample NumPy forms the same way,
 the simulated MSE also at lags up to 20, and its chain step with the
 comparison sum it replaced on hand-picked uniforms at every threshold; a
 draw at one column, as its start states and criterion 8's snapshots are
-drawn, equals searchsorted on that column's cumsum, clipped.
+drawn, equals searchsorted on that column's cumsum, clipped.  A sampled
+trajectory, whose steps bisect the rows of the same threshold table,
+equals the per-step searchsorted loop, from every kind of start.
 The P1 solver and the four-mechanism frontier equal a plain scan that
 recomputes every grid point, on grids with repeated and mixed ages.
 The joint encoding that `StateSpace` owns (s <= 4, m <= 3) equals the
@@ -353,6 +355,36 @@ def models_and_long_ages(draw):
 def test_mse_simulated_matches_loops_long_lags(case, seed):
     model, age = case
     assert_mse_matches_loops(joint_kernel(model), age, seed)
+
+
+@st.composite
+def trajectory_starts(draw):
+    """A model with a stationary, a joint-state tuple or an int start."""
+    model = draw(models())
+    n = model.space.product_size
+    kind = draw(st.sampled_from(["stationary", "tuple", "int"]))
+    if kind == "stationary":
+        return model, "stationary"
+    index = draw(st.integers(0, n - 1))
+    return model, model.space.states[index] if kind == "tuple" else index
+
+
+@PROPERTY
+@given(trajectory_starts(), st.integers(1, 200), st.integers(0, 2**62))
+def test_sample_trajectory_matches_loop(case, horizon, seed):
+    model, initial = case
+    kernel = joint_kernel(model)
+    got = sample_trajectory(kernel, initial, horizon, seed)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, ref.sample_trajectory(kernel, initial, horizon, seed))
+
+
+def test_sample_trajectory_matches_loop_at_release_size():
+    """A (4,3) model and 20,000 steps, the size of a release database."""
+    kernel = joint_kernel(random_model(3, 4, 3))
+    for seed in (0, 2**62 - 1):
+        np.testing.assert_array_equal(sample_trajectory(kernel, "stationary", 20_000, seed),
+                                      ref.sample_trajectory(kernel, "stationary", 20_000, seed))
 
 
 def edge_matrix(nstates: int) -> np.ndarray:
