@@ -66,17 +66,23 @@ class CriterionResult:
         return f"timing criterion {self.number} ({self.name}): {self.seconds:.3f} s"
 
 
+def _linear_loose_curve(lam: float, ts) -> list:
+    """Criteria 1 and 2's curve: the two-user model's linear loose budget at
+    self-coupling `lam`, degree 2, the mean query and eps_c = 1, per age (t, t)."""
+    kernel = joint_kernel(two_user_model(lam))
+    dk = k_sensitivity(builtin_queries(kernel.space)["mean"], 2)
+    return [loose_bound(aged_tv_distance(kernel, (t, t), 2), dk, 1.0)[0] for t in ts]
+
+
 def criterion_u_shape(tol, seed=0) -> CriterionResult:
     lams = [round(0.1 * i, 10) for i in range(11)]
-    kernels = {lam: joint_kernel(two_user_model(lam)) for lam in lams}
-    query = builtin_queries(StateSpace(2, 2))["mean"]
-    dk = k_sensitivity(query, 2)
+    ts = (1, 2, 3, 4)
+    curves = {lam: _linear_loose_curve(lam, ts) for lam in lams}
     ok = True
     worst_sym = 0.0
     bad_min = []
-    for t in (1, 2, 3, 4):
-        leak = {lam: loose_bound(aged_tv_distance(kernels[lam], (t, t), 2), dk, 1.0)[0]
-                for lam in lams}
+    for i, t in enumerate(ts):
+        leak = {lam: curves[lam][i] for lam in lams}
         argmin = min(lams, key=lambda l: leak[l])
         if argmin != 0.5:
             ok = False
@@ -92,13 +98,10 @@ def criterion_u_shape(tol, seed=0) -> CriterionResult:
 
 
 def criterion_decay(tol, seed=0) -> CriterionResult:
-    query = builtin_queries(StateSpace(2, 2))["mean"]
-    dk = k_sensitivity(query, 2)
     ok = True
     notes = []
     for lam in (0.5, 0.75, 1.0):
-        kern = joint_kernel(two_user_model(lam))
-        leak = [loose_bound(aged_tv_distance(kern, (t, t), 2), dk, 1.0)[0] for t in range(7)]
+        leak = _linear_loose_curve(lam, range(7))
         drop = 1.0 - leak[4] / leak[0]
         mono = all(b <= a + 1e-12 for a, b in zip(leak, leak[1:]))
         if leak[6] >= tol["decay_threshold"] or drop < tol["decay_drop"] or not mono:

@@ -171,9 +171,7 @@ def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> 
     "stationary" to draw the start from the stationary law.  Deterministic
     given seed: each state is drawn from one uniform by `rng.threshold_draws`' rule.
     """
-    horizon = integer_value(horizon, "horizon")
-    if horizon < 1:
-        raise ModelError(f"horizon must be >= 1, got {horizon}")
+    horizon = integer_value(horizon, "horizon", 1)
     rng = generator(seed)
     if isinstance(initial, str):
         if initial != STATIONARY:

@@ -96,13 +96,13 @@ def age_data(db: SequenceDatabase, t: int, age) -> tuple:
 
 
 def laplace_sample(scale: float, dim: int | None, seed: int) -> np.ndarray | float:
-    """dim i.i.d. Laplace(0, scale) draws, deterministic given seed.
+    """dim i.i.d. Laplace(0, scale) draws, deterministic given seed; dim >= 0.
 
     With dim=None the one draw is returned as a scalar, equal to the
     element of the dim=1 array.
     """
     check_positive("noise scale", scale)
-    return laplace(generator(seed), scale, dim if dim is None else integer_value(dim, "dim"))
+    return laplace(generator(seed), scale, dim if dim is None else integer_value(dim, "dim", 0))
 
 
 def noise_scale(query: QuerySpec, eps_c: float) -> float:

@@ -66,11 +66,15 @@ def integer_values(value, what: str) -> tuple:
     return arr.shape, arr.tolist()
 
 
-def integer_value(value, what: str) -> int:
-    """One int by the rule of `integer_values`: NumPy ints count; 2.0, True, "2" do not."""
+def integer_value(value, what: str, least: int | None = None) -> int:
+    """One int by the rule of `integer_values`: NumPy ints count; 2.0, True, "2"
+    do not.  With `least` given, a smaller value is refused too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ModelError(f"{what}: expected an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise ModelError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -104,6 +108,14 @@ class StateSpace:
     def product_size(self) -> int:
         # Python ints are exact, so this cannot overflow.
         return self.num_states**self.num_sequences
+
+    def check_degree(self, k) -> int:
+        """k as an int if it is a correlation degree here, an integer with 1 <= k <= s."""
+        if type(k) is not int:  # the fast path: every release reads s_1
+            k = integer_value(k, "correlation degree")
+        if not 1 <= k <= self.num_sequences:
+            raise ModelError(f"correlation degree {k} out of range [1, {self.num_sequences}]")
+        return k
 
     def check_cap(self, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
         n = self.product_size

@@ -22,13 +22,13 @@ class QuerySpec:
     sensitivity: Callable  # i -> s_i(f)
 
     def profile(self, upto: int) -> list:
-        return [self.sensitivity(i) for i in range(1, upto + 1)]
+        """[s_1(f), ..., s_upto(f)]; upto is a correlation degree of the space."""
+        return [self.sensitivity(i) for i in range(1, self.space.check_degree(upto) + 1)]
 
 
 def k_sensitivity(query: QuerySpec, k: int) -> float:
-    """d(k) = s_k(f) / s_1(f)."""
-    if not 1 <= k <= query.space.num_sequences:
-        raise ModelError(f"correlation degree {k} out of range [1, {query.space.num_sequences}]")
+    """d(k) = s_k(f) / s_1(f), k a correlation degree of the query's space."""
+    k = query.space.check_degree(k)
     s1 = query.sensitivity(1)
     if s1 <= 0:
         raise ModelError(f"query '{query.name}' is degenerate: s_1 = {s1}")
@@ -44,26 +44,22 @@ def builtin_queries(space: StateSpace) -> dict:
     """
     s, m = space.num_sequences, space.num_states
     span = float(m - 1)
-
-    def clamp(i):
-        if not 1 <= i <= s:
-            raise ModelError(f"sensitivity profile defined for 1 <= i <= {s}, got {i}")
-        return i
+    check = space.check_degree  # s_i(f) is defined for the degrees 1 <= i <= s
 
     def extremum_profile(i):
-        clamp(i)
+        check(i)
         return span  # one moving record already reaches the full range
 
     return {
         "mean": QuerySpec(
             "mean", space,
             evaluate=lambda x: float(sum(x)) / len(x),
-            sensitivity=lambda i: clamp(i) * span / s,
+            sensitivity=lambda i: check(i) * span / s,
         ),
         "sum": QuerySpec(
             "sum", space,
             evaluate=lambda x: float(sum(x)),
-            sensitivity=lambda i: clamp(i) * span,
+            sensitivity=lambda i: check(i) * span,
         ),
         "max": QuerySpec(
             "max", space,

@@ -41,11 +41,10 @@ criterion 8 draw every state so.
 from __future__ import annotations
 
 import hashlib
-import operator
 
 import numpy as np
 
-from .model import ModelError
+from .model import ModelError, integer_value
 
 # SeedSequence with its default pool of four 32-bit words.
 _POOL_SIZE = 4
@@ -68,7 +67,7 @@ _PHILOX_ROUNDS = 10
 
 def derive_seed(root_seed: int, *coords) -> int:
     """Derive a child seed from a root seed and hashable grid coordinates."""
-    payload = repr((_integer("root seed", root_seed),) + tuple(coords)).encode("utf-8")
+    payload = repr((integer_value(root_seed, "root seed"),) + tuple(coords)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -80,9 +79,10 @@ def derive_seeds(root_seed: int, *coords, count: int) -> np.ndarray:
     The payloads share the repr prefix "(root_seed, *coords, ", so it is
     hashed once and each child copies that SHA-256 state and adds "i)".
     The children's 8-byte digest prefixes are joined and read as big-endian
-    words in one pass, with no Python int per child.
+    words in one pass, with no Python int per child.  count is an integer >= 0.
     """
-    head = repr((_integer("root seed", root_seed),) + tuple(coords) + (0,))[: -len("0)")]
+    integer_value(count, "count", 0)
+    head = repr((integer_value(root_seed, "root seed"),) + tuple(coords) + (0,))[: -len("0)")]
     prefix = hashlib.sha256(head.encode("utf-8"))
     digests = []
     for i in range(count):
@@ -92,17 +92,9 @@ def derive_seeds(root_seed: int, *coords, count: int) -> np.ndarray:
     return np.frombuffer(b"".join(digests), ">u8").astype(np.uint64)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int, rejected by `name` unless operator.index takes it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ModelError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_seed(seed) -> int:
     """seed as an int, rejected by name unless it is an integer in [0, 2**64)."""
-    value = _integer("seed", seed)
+    value = seed if type(seed) is int else integer_value(seed, "seed")  # releases pass ints
     if not 0 <= value < 2**64:
         raise ModelError(f"seed must lie in [0, 2**64), got {value}")
     return value

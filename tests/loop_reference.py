@@ -39,7 +39,11 @@ collapse onto state 0 it replaced is kept here, and the package's bound
 must never exceed it.  `single_chain_tvs` builds one kernel per distinct
 self-transition matrix directly; the form through a one-sequence
 `CmcModel` and `joint_kernel` per sequence and age is kept here and must
-give the same bits.
+give the same bits.  `verify_reductions` builds its spatially
+independent model as `two_user_model(1.0)` and reads every age's
+single-chain TV from one `single_chain_tvs` call;
+`spatially_independent_case` keeps the hand-built model and the call per
+age it replaced.
 
 The P1 / frontier optimiser works out each distinct age's leakage
 coefficient and aging error once and shares them across mechanisms and
@@ -63,7 +67,7 @@ from csdp import (
     StateSpace,
     laplace_sample,
 )
-from csdp.bounds import _laplace_logcdf, _laplace_logsf, _theta_grid
+from csdp.bounds import ReductionCase, _laplace_logcdf, _laplace_logsf, _theta_grid
 from csdp.rng import derive_seed, generator
 from csdp.utility import TradeoffSolution, _better
 
@@ -260,6 +264,23 @@ def single_chain_tv(model, t: int) -> float:
         )
         best = max(best, csdp.aged_tv_distance(csdp.joint_kernel(solo), [t], 1))
     return best
+
+
+def spatially_independent_case(eps_c: float, max_age: int, tol: float):
+    """`verify_reductions`' spatially independent case from a hand-built
+    model with identity coupling and one `single_chain_tv` call per age."""
+    flip = np.array([[0.7, 0.3], [0.3, 0.7]])
+    indep = CmcModel(StateSpace(2, 2), np.broadcast_to(flip, (2, 2, 2, 2)), np.eye(2))
+    kern = csdp.joint_kernel(indep)
+    worst = 0.0
+    details = []
+    for t in range(max_age + 1):
+        _, logf = csdp.loose_bound(csdp.aged_tv_distance(kern, [t, t], 1), 1.0, eps_c)
+        target = csdp.adp_leakage(csdp.single_chain_tv(indep, t), eps_c)
+        worst = max(worst, abs(logf - target))
+        details.append(f"t={t}: log={logf:.12g} adp={target:.12g}")
+    return ReductionCase("spatially-independent-vs-age-dependent", True, worst <= tol,
+                         "; ".join(details))
 
 
 def aged_tv_distance(kernel, age, degree: int) -> float:

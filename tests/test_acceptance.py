@@ -71,6 +71,24 @@ def test_criterion_6_line_is_fixed(results):
         "(target 2), KS p-value 0.2697; expected variance within 5%, p > 0.01")
 
 
+def test_criteria_1_2_and_4_lines_are_fixed(results):
+    """Criteria 1 and 2 read one shared curve helper, and criterion 4 the
+    reductions' two-user model; at seed 0 they print the lines their own
+    loops and hand-built model gave."""
+    assert results[0].line() == (
+        "[PASS] criterion 1 (u-shape and symmetry): measured min at lambda=0.5 for t=1..4 "
+        "(yes), max |leak(l)-leak(1-l)| = 2.220e-16; expected minimum at 0.5, "
+        "asymmetry <= 1e-09")
+    assert results[1].line() == (
+        "[PASS] criterion 2 (temporal decay): measured lambda=0.5: eps(6)=0.0041, "
+        "drop(0->4)=98.7%; lambda=0.75: eps(6)=0.0042, drop(0->4)=98.6%; lambda=1.0: "
+        "eps(6)=0.0082, drop(0->4)=97.4%; expected eps(6) < 0.05, drop >= 55%, non-increasing")
+    assert results[3].line() == (
+        "[PASS] criterion 4 (reductions): measured iid-age0-k1=pass, "
+        "spatially-independent-vs-age-dependent=pass, coupled-benchmark=pass (n/a); "
+        "expected all applicable cases within 1e-09")
+
+
 def test_criterion_7_mse_model(results):
     _check(results, 7)
 

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csdp import (
     CmcModel,
@@ -121,6 +123,47 @@ class TestAgedTV:
         kern = joint_kernel(two_user_model(0.75))
         with pytest.raises(ModelError):
             aged_tv_distance(kern, (1, 1), 0)
+
+
+SPACE = StateSpace(2, 2)
+QUERIES = builtin_queries(SPACE)
+# Every entry that takes a correlation degree k, 1 <= k <= s, here s = 2.
+DEGREE_ENTRIES = {
+    "LeakageParams": lambda k: LeakageParams((1, 1), 1.0, k, QUERIES["mean"]),
+    "aged_tv": lambda k: bounds.aged_tv(aged_joint(joint_kernel(two_user_model(0.5)), (1, 1)), k),
+    "aged_tv_distance": lambda k: aged_tv_distance(joint_kernel(two_user_model(0.5)), (1, 1), k),
+    "k_sensitivity": lambda k: k_sensitivity(QUERIES["mean"], k),
+    "baseline_bounds": lambda k: baseline_bounds(1.0, k, QUERIES["mean"]),
+    "sensitivity-mean": lambda k: QUERIES["mean"].sensitivity(k),
+    "sensitivity-max": lambda k: QUERIES["max"].sensitivity(k),
+    "profile": lambda k: QUERIES["sum"].profile(k),
+}
+
+
+@pytest.mark.parametrize("entry", DEGREE_ENTRIES.values(), ids=DEGREE_ENTRIES.keys())
+@pytest.mark.parametrize("k, message", [
+    (1.5, "correlation degree: expected an integer, got 1.5"),
+    (2.0, "correlation degree: expected an integer, got 2.0"),
+    (True, "correlation degree: expected an integer, got True"),
+    ("2", "correlation degree: expected an integer, got '2'"),
+    (0, "correlation degree 0 out of range [1, 2]"),
+    (3, "correlation degree 3 out of range [1, 2]"),
+])
+def test_bad_degree_is_refused_by_name(entry, k, message):
+    with pytest.raises(ModelError) as raised:
+        entry(k)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("entry", DEGREE_ENTRIES.values(), ids=DEGREE_ENTRIES.keys())
+def test_numpy_int_degree_is_read(entry):
+    assert entry(np.int64(2)) == entry(2)
+    assert entry(np.int64(1)) == entry(1)
+
+
+def test_leakage_params_keep_the_degree_as_an_int():
+    params = LeakageParams((1, 1), 1.0, np.int64(2), QUERIES["mean"])
+    assert type(params.degree) is int
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
@@ -325,6 +368,18 @@ class TestBoundedAgedCorrelation:
         bounded_aged_correlation(kern, (1,) * 6)
         assert len(calls) == 12
 
+    def test_older_ages_of_multi_user_models_solve(self):
+        """At age 13 some open blocks of this kernel differ by l1 ~ 1e-11.
+        Scaled to unit mass they keep a rounding imbalance, which made the
+        LP with every potential free unbounded; one fixed potential per
+        block keeps it bounded."""
+        kern, age = joint_kernel(random_model(3, 2, 1)), (13, 13, 13)
+        assert lps_for(kern, [age]) == 1
+        value = bounded_aged_correlation(kern, age)
+        assert_between_transport_bounds(kern, age, value)
+        # the dense coupling LP per pair, whose tolerances are coarse at 1e-10
+        assert value == pytest.approx(ref.bounded_aged_correlation(kern, age), rel=1e-5)
+
     def test_failed_lp_is_named(self, monkeypatch):
         monkeypatch.setattr(bounds, "linprog",
                             lambda *a, **k: SimpleNamespace(success=False, message="boom"))
@@ -332,6 +387,33 @@ class TestBoundedAgedCorrelation:
         # so no valid flow bound can settle its blocks
         with pytest.raises(ModelError, match="transport LP failed: boom"):
             bounded_aged_correlation(joint_kernel(random_model(3, 3, seed=32)), (1, 1, 1))
+
+
+def assert_between_transport_bounds(kern, age, value):
+    """value lies between the largest lo and the largest hi of the age's
+    blocks, within 1e-9 relative plus n ulps of 1: a block's entries are
+    differences of probabilities, each rounded to ~1e-16, so at old ages
+    lo and hi can cross by that much; 0.0 when no neighbour pair differs."""
+    (D,) = transport_blocks(kern, [age])
+    if not len(D):
+        assert value == 0.0
+        return
+    lo, hi = bounds._transport_bounds(D, kern.space)
+    ulps = D.shape[1] * np.finfo(float).eps
+    assert lo.max() * (1 - 1e-9) - ulps <= value <= hi.max() * (1 + 1e-9) + ulps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(0, 2**16), st.integers(0, 30))
+@example(3, 2, 1, 13)
+@example(3, 3, 9, 12)
+@example(3, 2, 4, 14)
+def test_delta_bar_solves_at_every_age(s, m, seed, t):
+    """Delta_bar never raises on small random models up to age 30, and lies
+    between its closed-form bounds."""
+    kern = joint_kernel(random_model(s, m, seed))
+    age = (t,) * s
+    assert_between_transport_bounds(kern, age, bounded_aged_correlation(kern, age))
 
 
 class TestTransportBounds:
@@ -568,6 +650,20 @@ class TestReductions:
         with pytest.raises(ModelError) as raised:
             verify_reductions(1.0, max_age)
         assert str(raised.value) == f"max_age: expected an integer, got {max_age!r}"
+
+    @pytest.mark.parametrize("eps_c, max_age", [(1.0, 8), (0.5, 12), (2.0, 0)])
+    def test_independent_case_equals_the_hand_built_model(self, eps_c, max_age):
+        """Built as two_user_model(1.0) with one single_chain_tvs call, the
+        spatially independent case reads as it did from the hand-built model
+        with one single_chain_tv call per age."""
+        assert verify_reductions(eps_c, max_age)[1] == ref.spatially_independent_case(
+            eps_c, max_age, 1e-9)
+
+    def test_two_user_model_without_cross_coupling_is_the_independent_pair(self):
+        model, pair = two_user_model(1.0), independent_pair()
+        assert model.space == pair.space
+        assert np.array_equal(model.transitions, pair.transitions)
+        assert np.array_equal(model.weights, pair.weights)
 
     def test_numpy_int_max_age_is_read(self):
         assert verify_reductions(1.0, np.int64(2)) == verify_reductions(1.0, 2)

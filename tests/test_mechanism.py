@@ -95,6 +95,11 @@ class TestLaplaceSample:
             laplace_sample(1.0, dim, 0)
         assert str(raised.value) == f"dim: expected an integer, got {dim!r}"
 
+    def test_negative_dim_is_refused(self):
+        with pytest.raises(ModelError) as raised:
+            laplace_sample(1.0, -1, 0)
+        assert str(raised.value) == "dim must be >= 0, got -1"
+
     def test_numpy_int_dim_is_read(self):
         np.testing.assert_array_equal(laplace_sample(1.0, np.int64(3), 5),
                                       laplace_sample(1.0, 3, 5))
@@ -220,7 +225,9 @@ class TestRelease:
     @pytest.mark.parametrize("seeds, message", [
         ([1, -1], "seed must lie in [0, 2**64), got -1"),
         ([2**64], "seed must lie in [0, 2**64), got 18446744073709551616"),
-        ([1.5], "seed must be an integer, got 1.5"),
+        ([1.5], "seed: expected an integer, got 1.5"),
+        ([True], "seed: expected an integer, got True"),
+        ([np.True_], "seed: expected an integer, got np.True_"),
     ])
     def test_bad_seeds_are_named(self, seeds, message):
         query = builtin_queries(SPACE)["mean"]

@@ -66,13 +66,15 @@ def test_first_draws_equal_generator(seeds, scale):
     ([2**64], "seed must lie in [0, 2**64), got 18446744073709551616"),
     ([2**70 + 5], "seed must lie in [0, 2**64), got 1180591620717411303429"),
     (np.array([4, -7], dtype=np.int64), "seed must lie in [0, 2**64), got -7"),
-    ([1.5], "seed must be an integer, got 1.5"),
-    ([2.0], "seed must be an integer, got 2.0"),
-    (np.array([1.5]), "seed must be an integer, got np.float64(1.5)"),
-    ([None], "seed must be an integer, got None"),
-    (np.array([2.0]), "seed must be an integer, got np.float64(2.0)"),
+    ([1.5], "seed: expected an integer, got 1.5"),
+    ([2.0], "seed: expected an integer, got 2.0"),
+    (np.array([1.5]), "seed: expected an integer, got np.float64(1.5)"),
+    ([None], "seed: expected an integer, got None"),
+    (np.array([2.0]), "seed: expected an integer, got np.float64(2.0)"),
     (np.array([[1, 2]], dtype=np.uint64), "seeds must be a 1-D sequence, got an array of shape (1, 2)"),
     (np.array([[3], [4]]), "seeds must be a 1-D sequence, got an array of shape (2, 1)"),
+    ([True], "seed: expected an integer, got True"),  # a bool is not seed 1
+    ([2, np.True_], "seed: expected an integer, got np.True_"),
 ])
 def test_bad_batch_seeds_are_named(seeds, message):
     for fn in (seed_keys, first_uniforms):
@@ -82,16 +84,34 @@ def test_bad_batch_seeds_are_named(seeds, message):
 
 
 @pytest.mark.parametrize("seed, message", [
-    (1.5, "seed must be an integer, got 1.5"),
-    (np.float64(3.0), "seed must be an integer, got np.float64(3.0)"),
-    (math.nan, "seed must be an integer, got nan"),
+    (1.5, "seed: expected an integer, got 1.5"),
+    (np.float64(3.0), "seed: expected an integer, got np.float64(3.0)"),
+    (math.nan, "seed: expected an integer, got nan"),
     (-1, "seed must lie in [0, 2**64), got -1"),
     (2**64, "seed must lie in [0, 2**64), got 18446744073709551616"),
+    (True, "seed: expected an integer, got True"),
+    (np.True_, "seed: expected an integer, got np.True_"),
 ])
 def test_bad_seed_is_named(seed, message):
     with pytest.raises(ModelError) as raised:
         generator(seed)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("count, message", [
+    (True, "count: expected an integer, got True"),
+    (2.5, "count: expected an integer, got 2.5"),
+    (-1, "count must be >= 0, got -1"),
+])
+def test_bad_count_is_refused(count, message):
+    with pytest.raises(ModelError) as raised:
+        derive_seeds(7, "ks", count=count)
+    assert str(raised.value) == message
+
+
+def test_numpy_int_count_is_read():
+    assert np.array_equal(derive_seeds(7, "ks", count=np.int64(3)), derive_seeds(7, "ks", count=3))
+    assert derive_seeds(7, "ks", count=0).shape == (0,)
 
 
 def test_integer_types_seed_alike():
@@ -121,9 +141,9 @@ def test_batch_children_equal_derive_seed(root, coords, count):
     assert seed_keys(got).tobytes() == seed_keys(want).tobytes()
 
 
-@pytest.mark.parametrize("root", [1.5, 1.0, "1", None])
+@pytest.mark.parametrize("root", [1.5, 1.0, "1", None, True, np.True_])
 def test_root_seed_that_is_not_an_integer_is_refused(root):
-    message = f"root seed must be an integer, got {root!r}"
+    message = f"root seed: expected an integer, got {root!r}"
     with pytest.raises(ModelError) as raised:
         derive_seed(root, "mse")
     assert str(raised.value) == message

@@ -202,6 +202,19 @@ class TestModelFileSweeps:
         assert code == 2 and "grids: lambda: a sweep with a model file takes no lambda grid" in err
         assert not (tmp_path / "out").exists()
 
+    def test_three_user_frontier_runs_at_older_ages(self, tmp_path, capsys):
+        """The tight frontier over the default ages 0-20 of this three-user
+        model meets transport blocks that differ by l1 ~ 1e-11, whose LP was
+        unbounded with every potential free; the run exits 0."""
+        rng = np.random.default_rng(1)
+        transitions = rng.dirichlet(np.ones(2), size=(3, 3, 2)).transpose(0, 1, 3, 2).copy()
+        path = tmp_path / "three.yaml"
+        save_model(CmcModel(StateSpace(3, 2), transitions,
+                            rng.dirichlet(np.ones(3), size=3)), path)
+        code, err = TestCli.run_yaml(tmp_path, capsys, f"sweep: frontier\nmodel: {path}\n")
+        assert code == 0, err
+        assert (tmp_path / "out" / "frontier.csv").exists()
+
     @pytest.mark.parametrize("sweep", ["leakage-vs-age", "oracle-validate"])
     def test_leakage_rows_leave_lambda_empty(self, model_path, sweep):
         grids = {"t": [0, 2], "eps_c": [1.0, 2.0]}
