@@ -1,8 +1,8 @@
 """Privacy accounting for correlated categorical sequences.
 
 Model coupled Markov sequences, release aged-and-noised query answers,
-and certify the privacy leakage with analytic bounds validated by an
-exact likelihood-ratio oracle.
+and certify the privacy leakage with analytic bounds, cross-checked by a
+likelihood-ratio oracle that gives a lower estimate of the pure-DP leakage.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ from .bounds import (
     k_sensitivity,
     loose_bound,
     oracle_leakage,
-    single_chain_tv,
     single_chain_tvs,
     tight_bound,
     verify_reductions,
@@ -39,15 +38,11 @@ from .model import (
     CmcModel,
     ModelError,
     StateSpace,
-    build_block_matrix,
-    evolve_distribution,
     load_model,
     save_model,
-    spectral_check,
-    stationary_distribution,
     two_user_model,
 )
-from .queries import QuerySpec, builtin_queries, brute_force_profile
+from .queries import QuerySpec, builtin_queries
 from .utility import (
     TradeoffSolution,
     UtilitySpec,

@@ -161,8 +161,10 @@ _BOUND_ENTRIES = 1 << 18
 
 
 def _transport_bounds(D: np.ndarray, space: StateSpace) -> tuple:
-    """(lo, hi) with lo <= W1(d) <= hi for every row d = p - q of D, where W1
-    is the Hamming-cost transport distance over the m^s joint states.
+    """(lo, hi) with lo <= W1(d) <= hi up to n ulps of 1 for every row
+    d = p - q of D, where W1 is the Hamming-cost transport distance over the
+    m^s joint states.  d's entries are rounded differences of probabilities,
+    so at old ages, where W1 is tiny, lo can exceed hi in its last bits.
 
     lo is max(TV, sum over coordinates j of the TV of the coordinate-j
     marginals).  The potentials 1[z in A] and sum_j 1[z_j in A_j] change by
@@ -276,18 +278,18 @@ def bounded_aged_correlations(laws) -> list:
     Hamming cost is the shortest-path metric of the Hamming graph, whose
     E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  Every pair
     with p != q, of every law, is a block.  `_transport_bounds` gives each
-    block closed-form bounds lo <= W1 <= hi.  With tau the largest lo of an
-    age, a block with hi <= tau * (1 + 1e-12) is settled: it cannot raise
-    the age's maximum by more than that relative slack.  The open blocks of
-    all ages, in order, go to exact Kantorovich-Rubinstein LPs
-    (`_transport_lps`), several per LP for a small kernel.
+    block closed-form bounds lo <= W1 <= hi (up to n ulps).  With tau the
+    largest lo of an age, a block with hi <= tau * (1 + 1e-12) is settled:
+    it cannot raise the age's maximum by more than that relative slack.  The
+    open blocks of all ages, in order, go to exact Kantorovich-Rubinstein
+    LPs (`_transport_lps`), several per LP for a small kernel.
 
     An age's value is max(tau, the LP values of its open blocks), so it is
-    an LP value or tau.  tau never exceeds Delta_bar, and when it is
-    returned Delta_bar <= tau * (1 + 1e-12).  An age with no differing
-    pair gives 0.0.  The solver does not promise a block the same bits in
-    every packing of the shared LPs (none moved in 1,000 measured cases),
-    so the tests compare `tight` values across grids to 1e-12.
+    an LP value or tau.  tau never exceeds Delta_bar by more than n ulps,
+    and when it is returned Delta_bar <= tau * (1 + 1e-12).  An age with no
+    differing pair gives 0.0.  The solver does not promise a block the same
+    bits in every packing of the shared LPs (none moved in 1,000 measured
+    cases), so the tests compare `tight` values across grids to 1e-12.
     """
     blocks = []
     for law in laws:
@@ -323,16 +325,11 @@ def adp_leakage(delta_t: float, eps_c: float) -> float:
     return loose_bound(delta_t, 1.0, eps_c)[1]
 
 
-def single_chain_tv(model: CmcModel, t: int) -> float:
-    """Worst per-sequence aged TV when each sequence is viewed as an
-    isolated chain with its own self-transition matrix (the baseline that
-    ignores coupling)."""
-    return single_chain_tvs(model, [t])[0]
-
-
 def single_chain_tvs(model: CmcModel, ts) -> list:
-    """`single_chain_tv` at each age in `ts`.  Each distinct self-transition
-    matrix gets one kernel and one stationary law, shared by every age."""
+    """At each age in `ts`, the worst per-sequence aged TV when each sequence
+    is viewed as an isolated chain with its own self-transition matrix (the
+    baseline that ignores coupling).  Each distinct self-transition matrix
+    gets one kernel and one stationary law, shared by every age."""
     space = StateSpace(1, model.space.num_states)
     # the one-sequence joint kernel is the self-transition matrix itself
     selves = model.transitions[np.diag_indices(model.space.num_sequences)]

@@ -27,6 +27,10 @@ from .model import (
 from .rng import generator, threshold_draws, threshold_table
 
 STATIONARY = "stationary"
+# The joint stationary law's power iteration stops at an l1 step of at most
+# STATIONARY_TOL and gives up after STATIONARY_MAX_ITER steps.
+STATIONARY_TOL = 1e-13
+STATIONARY_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,9 @@ class JointKernel:
     stationary: np.ndarray  # (m^s,)
 
 
-def _joint_stationary(K: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6) -> np.ndarray:
+def _joint_stationary(K: np.ndarray) -> np.ndarray:
     n = K.shape[0]
-    pi = _power_iteration(K, np.full(n, 1.0 / n), tol, max_iter)
+    pi = _power_iteration(K, np.full(n, 1.0 / n), STATIONARY_TOL, STATIONARY_MAX_ITER)
     if pi is None:
         raise ModelError("joint stationary distribution did not converge")
     return pi

@@ -49,18 +49,28 @@ class SequenceDatabase:
 
     @classmethod
     def from_csv(cls, path, space: StateSpace) -> "SequenceDatabase":
+        """A header and a row of s integer states per time step; every
+        refusal names the file, and that of a bad row its line."""
+        s = space.num_sequences
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ModelError(f"database file '{path}' is empty")
+            if len(header) != s:
+                raise ModelError(f"database file '{path}' has {len(header)} columns, expected {s}")
+            rows = []
             try:
-                rows = [[int(v) for v in row] for row in reader if row]
+                for row in filter(None, reader):
+                    if len(row) != s:
+                        raise ValueError(f"{len(row)} cells, expected {s}")
+                    rows.append([int(v) for v in row])
             except ValueError as exc:
                 raise ModelError(f"database file '{path}', line {reader.line_num}: {exc}") from None
-        if len(header) != space.num_sequences:
-            raise ModelError(
-                f"database file has {len(header)} columns, expected {space.num_sequences}"
-            )
-        return cls(space, np.array(rows, dtype=np.int64))
+        try:
+            return cls(space, np.array(rows, dtype=np.int64).reshape(-1, s))
+        except ModelError as exc:
+            raise ModelError(f"database file '{path}': {exc}") from None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

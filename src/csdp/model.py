@@ -224,71 +224,6 @@ class CmcModel:
             raise ModelError("invalid model: " + "; ".join(problems))
 
 
-def build_block_matrix(model: CmcModel) -> np.ndarray:
-    """The (s*m) x (s*m) block matrix Q with block (j, k) = lam[j, k] * P[j][k]."""
-    s = model.space.num_sequences
-    blocks = [
-        [model.weights[j, k] * model.transitions[j, k] for k in range(s)]
-        for j in range(s)
-    ]
-    return np.block(blocks)
-
-
-def as_blocks(pi, space: StateSpace) -> np.ndarray:
-    """Coerce a distribution (stacked or per-sequence) to shape (s, m) and check it."""
-    s, m = space.num_sequences, space.num_states
-    arr = np.asarray(pi, float)
-    if arr.shape == (s * m,):
-        arr = arr.reshape(s, m)
-    if arr.shape != (s, m):
-        raise ModelError(f"distribution has shape {np.shape(pi)}, expected {(s, m)} or {(s * m,)}")
-    if np.any(arr < -STOCHASTIC_TOL):
-        raise ModelError("negative probability in distribution vector")
-    sums = arr.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)[0]
-    if bad.size:
-        raise ModelError(f"block {bad[0]} of distribution sums to {sums[bad[0]]:.10g}")
-    return arr
-
-
-def evolve_distribution(model: CmcModel, pi) -> np.ndarray:
-    """One step of the marginal evolution; returns per-sequence blocks (s, m)."""
-    blocks = as_blocks(pi, model.space)
-    s = model.space.num_sequences
-    out = np.zeros_like(blocks)
-    for j in range(s):
-        for k in range(s):
-            out[j] += model.weights[j, k] * (model.transitions[j, k] @ blocks[k])
-    return out
-
-
-def _strongly_connected(P: np.ndarray) -> bool:
-    pattern = csr_matrix((P.T > 0).astype(np.int8))
-    n_comp, _ = csgraph.connected_components(pattern, directed=True, connection="strong")
-    return n_comp == 1
-
-
-def stationary_distribution(
-    model: CmcModel, tol: float = 1e-10, max_iter: int = 10**5
-) -> np.ndarray:
-    """Stationary stacked distribution of Q by power iteration from uniform.
-
-    Fails loudly on reducible transition matrices and on non-convergence
-    (periodic chains oscillate instead of converging and are reported as
-    such rather than Cesaro-averaged).
-    """
-    s, m = model.space.num_sequences, model.space.num_states
-    for j in range(s):
-        for k in range(s):
-            if model.weights[j, k] > 0 and not _strongly_connected(model.transitions[j, k]):
-                raise ModelError(f"P[{j}][{k}] is reducible; stationary law is not unique")
-    Q = build_block_matrix(model)
-    pi = _power_iteration(Q, np.full(s * m, 1.0 / m), tol, max_iter)
-    if pi is None:
-        raise ModelError(f"power iteration did not converge within {max_iter} iterations")
-    return pi.reshape(s, m)
-
-
 def _support_period(A: np.ndarray) -> int:
     """Least common multiple of the periods of the strongly connected
     components of A's support graph; 1 when every component is aperiodic.
@@ -346,30 +281,6 @@ def _power_iteration(A: np.ndarray, pi: np.ndarray, tol: float, max_iter: int):
             back, back_gap = nxt, gap
         pi = nxt
     return None
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    dominant_modulus: float
-    second_modulus: float
-    stable: bool  # all moduli <= 1 (+tolerance)
-    has_gap: bool  # second modulus strictly below 1
-
-
-def spectral_check(model: CmcModel, tol: float = 1e-6) -> SpectralReport:
-    """Eigenvalue moduli of the block matrix Q."""
-    try:
-        eig = np.linalg.eigvals(build_block_matrix(model))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise ModelError(f"eigenvalue computation failed: {exc}") from exc
-    mods = np.sort(np.abs(eig))[::-1]
-    second = float(mods[1]) if mods.size > 1 else 0.0
-    return SpectralReport(
-        dominant_modulus=float(mods[0]),
-        second_modulus=second,
-        stable=bool(mods[0] <= 1 + tol),
-        has_gap=bool(second < 1 - tol),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,6 @@ class QuerySpec:
     evaluate: Callable  # joint snapshot (sequence of ints) -> float
     sensitivity: Callable  # i -> s_i(f)
 
-    def profile(self, upto: int) -> list:
-        """[s_1(f), ..., s_upto(f)]; upto is a correlation degree of the space."""
-        return [self.sensitivity(i) for i in range(1, self.space.check_degree(upto) + 1)]
-
 
 def k_sensitivity(query: QuerySpec, k: int) -> float:
     """d(k) = s_k(f) / s_1(f), k a correlation degree of the query's space."""
@@ -72,19 +68,3 @@ def builtin_queries(space: StateSpace) -> dict:
             sensitivity=extremum_profile,
         ),
     }
-
-
-def brute_force_profile(query: QuerySpec, upto: int) -> list:
-    """Exhaustive s_i(f) over all snapshot pairs at Hamming distance i.
-
-    Only feasible on small spaces; used to certify the declared profiles.
-    """
-    states = query.space.states
-    worst = [0.0] * (upto + 1)
-    for a in states:
-        fa = query.evaluate(a)
-        for b in states:
-            d = sum(x != y for x, y in zip(a, b))
-            if 1 <= d <= upto:
-                worst[d] = max(worst[d], abs(fa - query.evaluate(b)))
-    return worst[1:]

@@ -272,7 +272,8 @@ def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
                 "oracle": "", "oracle_hw": "", "seed": config.seed,
             }
             if with_oracle:
-                # the oracle is exact; its half-width column stays for the table's layout
+                # a closed-form lower estimate of the pure-DP leakage, with no sampling
+                # half-width; the column stays for the table's layout
                 row["oracle"] = half_line_oracle(law, query, eps).estimate
                 row["oracle_hw"] = 0.0
             rows.append(row)

@@ -45,6 +45,12 @@ single-chain TV from one `single_chain_tvs` call;
 `spatially_independent_case` keeps the hand-built model and the call per
 age it replaced.
 
+Two references have no package form to mirror: `evolve_distribution`
+steps the per-sequence marginals pi_j' = sum_k lam[j, k] P[j][k] pi_k,
+which the joint kernel's one-step marginals must match, and
+`brute_force_profile` finds each s_i(f) by exhausting snapshot pairs, which
+certifies the built-in queries' declared sensitivities.
+
 The P1 / frontier optimiser works out each distinct age's leakage
 coefficient and aging error once and shares them across mechanisms and
 eps; `tradeoff_scan` recomputes every grid point's budget and MSE from
@@ -253,6 +259,29 @@ def bounded_aged_correlation(kernel, age) -> float:
     return best
 
 
+def evolve_distribution(model, blocks) -> np.ndarray:
+    """One step of the marginal evolution from per-sequence laws `blocks`, as (s, m)."""
+    s = model.space.num_sequences
+    out = np.zeros((s, model.space.num_states))
+    for j in range(s):
+        for k in range(s):
+            out[j] += model.weights[j, k] * (model.transitions[j, k] @ blocks[k])
+    return out
+
+
+def brute_force_profile(query, upto: int) -> list:
+    """[s_1(f), ..., s_upto(f)] over all snapshot pairs at Hamming distance 1..upto."""
+    states = query.space.states
+    worst = [0.0] * (upto + 1)
+    for a in states:
+        fa = query.evaluate(a)
+        for b in states:
+            d = sum(x != y for x, y in zip(a, b))
+            if 1 <= d <= upto:
+                worst[d] = max(worst[d], abs(fa - query.evaluate(b)))
+    return worst[1:]
+
+
 def single_chain_tv(model, t: int) -> float:
     """The single-chain TV through a one-sequence CmcModel and its joint kernel."""
     best = 0.0
@@ -276,7 +305,7 @@ def spatially_independent_case(eps_c: float, max_age: int, tol: float):
     details = []
     for t in range(max_age + 1):
         _, logf = csdp.loose_bound(csdp.aged_tv_distance(kern, [t, t], 1), 1.0, eps_c)
-        target = csdp.adp_leakage(csdp.single_chain_tv(indep, t), eps_c)
+        target = csdp.adp_leakage(single_chain_tv(indep, t), eps_c)
         worst = max(worst, abs(logf - target))
         details.append(f"t={t}: log={logf:.12g} adp={target:.12g}")
     return ReductionCase("spatially-independent-vs-age-dependent", True, worst <= tol,
@@ -466,7 +495,7 @@ def budget(model, kernel, spec, mechanism, age, eps) -> float:
         linear, log_form = csdp.loose_bound(csdp.aged_tv_distance(kernel, age, s), dk, eps)
         return linear if spec.leakage_kind == "loose_linear" else log_form
     if mechanism == "adp":
-        return csdp.adp_leakage(csdp.single_chain_tv(model, max(age)), eps)
+        return csdp.adp_leakage(single_chain_tv(model, max(age)), eps)
     # DP at age zero pays DDP's d(k)-scaled budget
     return csdp.baseline_bounds(eps, s, spec.query)[1]
 

@@ -25,7 +25,6 @@ from csdp import (
     k_sensitivity,
     loose_bound,
     oracle_leakage,
-    single_chain_tv,
     single_chain_tvs,
     tight_bound,
     two_user_model,
@@ -136,7 +135,7 @@ DEGREE_ENTRIES = {
     "baseline_bounds": lambda k: baseline_bounds(1.0, k, QUERIES["mean"]),
     "sensitivity-mean": lambda k: QUERIES["mean"].sensitivity(k),
     "sensitivity-max": lambda k: QUERIES["max"].sensitivity(k),
-    "profile": lambda k: QUERIES["sum"].profile(k),
+    "sensitivity-sum": lambda k: QUERIES["sum"].sensitivity(k),
 }
 
 
@@ -527,10 +526,20 @@ class TestAdpAndBaselines:
             math.log(1 + 0.16 * (math.e - 1)), abs=1e-12
         )
 
-    def test_single_chain_tv_standalone(self):
-        model = two_user_model(0.25)
-        for t in range(5):
-            assert single_chain_tv(model, t) == pytest.approx(0.4**t, abs=1e-10)
+    @pytest.mark.parametrize("P", [
+        [[0.9, 0.2], [0.1, 0.8]],
+        [[0.1, 0.8], [0.9, 0.2]],
+        [[0.3, 0.3], [0.7, 0.7]],
+    ], ids=["lambda=0.7", "lambda=-0.7", "rank-one"])
+    def test_two_state_tv_decays_at_second_eigenvalue(self, P):
+        # a two-state chain is reversible, so its aged TV is |lambda_2|^t,
+        # with lambda_2 = trace(P) - 1
+        P = np.array(P)
+        model = CmcModel(StateSpace(1, 2), P[None, None], np.ones((1, 1)))
+        lam = np.trace(P) - 1
+        ts = range(6)
+        assert single_chain_tvs(model, ts) == pytest.approx(
+            [abs(lam) ** t for t in ts], abs=1e-12)
 
     def test_one_solo_kernel_per_distinct_self_matrix(self, monkeypatch):
         builds = []
@@ -546,7 +555,7 @@ class TestAdpAndBaselines:
         model = random_model(3, 2, seed=4)  # three different self matrices
         got = single_chain_tvs(model, ts)
         assert len(builds) == 3
-        assert got == [single_chain_tv(model, t) for t in ts]
+        assert got == [ref.single_chain_tv(model, t) for t in ts]
         assert single_chain_tvs(model, []) == []
 
     def test_baselines(self):
@@ -594,7 +603,7 @@ class TestOracle:
         q = builtin_queries(StateSpace(2, 2))["mean"]
         for t in (1, 2):
             exact = half_line_oracle(aged_joint(kern, (t, t)), q, 1.0).estimate
-            assert exact <= adp_leakage(single_chain_tv(model, t), 1.0) + 1e-9
+            assert exact <= adp_leakage(single_chain_tvs(model, [t])[0], 1.0) + 1e-9
 
     def test_log_probs_are_complementary(self):
         law = aged_joint(joint_kernel(two_user_model(0.75)), (2, 2))
@@ -655,7 +664,7 @@ class TestReductions:
     def test_independent_case_equals_the_hand_built_model(self, eps_c, max_age):
         """Built as two_user_model(1.0) with one single_chain_tvs call, the
         spatially independent case reads as it did from the hand-built model
-        with one single_chain_tv call per age."""
+        with one `loop_reference.single_chain_tv` call per age."""
         assert verify_reductions(eps_c, max_age)[1] == ref.spatially_independent_case(
             eps_c, max_age, 1e-9)
 

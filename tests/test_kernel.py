@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdp import (
     CmcModel,
@@ -14,7 +16,6 @@ from csdp import (
     aged_tv_distance,
     bounded_aged_correlation,
     builtin_queries,
-    evolve_distribution,
     joint_kernel,
     mse_exact,
     oracle_leakage,
@@ -25,6 +26,7 @@ from csdp import kernel as kernel_module
 from csdp.kernel import validate_ages
 from csdp.model import DEFAULT_ENUMERATION_CAP
 from csdp.rng import generator
+from loop_reference import evolve_distribution
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
@@ -63,14 +65,56 @@ class TestJointKernel:
         kern = joint_kernel(two_user_model(0.3))
         np.testing.assert_allclose(kern.matrix.sum(axis=0), np.ones(4), atol=1e-12)
 
-    def test_marginal_consistency(self):
-        model = two_user_model(0.6)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 10**6))
+    def test_columns_stochastic_random_models(self, s, m, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        trans = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2)
+        model = CmcModel(StateSpace(s, m), trans, rng.dirichlet(np.ones(s), size=s))
         kern = joint_kernel(model)
-        blocks = np.array([[0.2, 0.8], [0.9, 0.1]])
-        np.testing.assert_allclose(
-            kernel_marginals(kern, blocks), evolve_distribution(model, blocks),
-            atol=1e-12,
+        np.testing.assert_allclose(kern.matrix.sum(axis=0), 1.0, atol=1e-12)
+        assert kern.matrix.min() >= 0
+
+    def test_identity_fixed_point(self):
+        # identity transitions with identity coupling leave every product law
+        # in place
+        model = CmcModel(
+            StateSpace(2, 2),
+            np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy(),
+            np.eye(2),
         )
+        blocks = np.array([[0.2, 0.8], [0.6, 0.4]])
+        np.testing.assert_allclose(kernel_marginals(joint_kernel(model), blocks), blocks,
+                                   atol=1e-12)
+
+    def test_benchmark_one_step_by_hand(self):
+        # sequence 0 starts in state 0 and sequence 1 in state 1; each moves
+        # by FLIP from its own state with weight 0.75, from the other's with 0.25
+        out = kernel_marginals(joint_kernel(two_user_model(0.75)),
+                               np.array([[1.0, 0.0], [0.0, 1.0]]))
+        np.testing.assert_allclose(out, [[0.6, 0.4], [0.4, 0.6]], atol=1e-12)
+
+    def test_uniform_weights_equal_marginals(self):
+        # with coupling weights 1/2 each sequence's next marginal is the same
+        # mixture, however different the starting blocks are
+        out = kernel_marginals(joint_kernel(two_user_model(0.5)),
+                               np.array([[0.3, 0.7], [0.9, 0.1]]))
+        expected = 0.5 * FLIP @ [0.3, 0.7] + 0.5 * FLIP @ [0.9, 0.1]
+        np.testing.assert_allclose(out, [expected, expected], atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 3), st.integers(0, 10**6))
+    def test_marginal_consistency(self, s, m, seed):
+        # one joint step from a product law has the marginals that the
+        # per-sequence evolution gives
+        rng = np.random.Generator(np.random.Philox(seed))
+        trans = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2)
+        model = CmcModel(StateSpace(s, m), trans, rng.dirichlet(np.ones(s), size=s))
+        blocks = rng.dirichlet(np.ones(m), size=s)
+        evolved = evolve_distribution(model, blocks)
+        np.testing.assert_allclose(kernel_marginals(joint_kernel(model), blocks), evolved,
+                                   atol=1e-12)
+        np.testing.assert_allclose(evolved.sum(axis=1), 1.0, atol=1e-12)
 
     def test_cap_refusal(self):
         with pytest.raises(ModelError, match="cap"):

@@ -265,6 +265,20 @@ class TestDatabaseIO:
         with pytest.raises(ModelError, match="columns"):
             SequenceDatabase.from_csv(path, SPACE)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", " is empty"),
+        ("seq0,seq1\n0,1\n0,1,1\n1,0\n", ", line 3: 3 cells, expected 2"),
+        ("seq0,seq1\n0,1\n1\n1,0\n", ", line 3: 1 cells, expected 2"),
+        ("seq0,seq1\n", ": database needs at least one time step"),
+        ("seq0,seq1\n0,2\n", ": state values must lie in [0, 1]"),
+    ])
+    def test_bad_file_is_refused_by_name(self, tmp_path, text, message):
+        path = tmp_path / "db.csv"
+        path.write_text(text)
+        with pytest.raises(ModelError) as raised:
+            SequenceDatabase.from_csv(path, SPACE)
+        assert str(raised.value) == f"database file '{path}'{message}"
+
 
 class TestDatabaseStates:
     @pytest.mark.parametrize("states", [

@@ -2,20 +2,15 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from csdp import (
     CmcModel,
     ModelError,
     StateSpace,
-    build_block_matrix,
-    evolve_distribution,
     joint_kernel,
     load_model,
     save_model,
-    spectral_check,
-    stationary_distribution,
+    single_chain_tvs,
     two_user_model,
 )
 from csdp.model import _support_period
@@ -25,13 +20,6 @@ FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
 def single_chain(P):
     return CmcModel(StateSpace(1, P.shape[0]), np.asarray(P)[None, None], np.ones((1, 1)))
-
-
-def random_model(s, m, seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    trans = rng.dirichlet(np.ones(m), size=(s, s, m)).transpose(0, 1, 3, 2)
-    weights = rng.dirichlet(np.ones(s), size=s)
-    return CmcModel(StateSpace(s, m), trans, weights)
 
 
 class TestValidation:
@@ -90,6 +78,10 @@ class TestValidation:
         with pytest.raises(ModelError, match="weights: not a numeric array"):
             CmcModel(StateSpace(1, 2), FLIP[None, None], [["a"]])
 
+    def test_invalid_model_rejected(self):
+        with pytest.raises(ModelError, match=r"column 0 of P\[0\]\[0\] sums to 0"):
+            CmcModel(StateSpace(2, 2), np.zeros((2, 2, 2, 2)), np.full((2, 2), 0.5))
+
 
 class TestStateSpaceSizes:
     @pytest.mark.parametrize("sizes, message", [
@@ -134,88 +126,45 @@ class TestStateIndex:
             self.SPACE.index(state)
 
 
-class TestBlockMatrix:
-    def test_single_sequence_is_p_itself(self):
-        Q = build_block_matrix(single_chain(FLIP))
-        np.testing.assert_allclose(Q, FLIP)
-
-    def test_benchmark_blocks(self):
-        Q = build_block_matrix(two_user_model(0.75))
-        np.testing.assert_allclose(Q[:2, :2], 0.75 * FLIP)
-        np.testing.assert_allclose(Q[:2, 2:], 0.25 * FLIP)
-
-    def test_uniform_weights_equal_blocks(self):
-        model = two_user_model(0.5)
-        Q = build_block_matrix(model)
-        v = np.array([0.3, 0.7])
-        stacked = np.concatenate([v, v])
-        np.testing.assert_allclose(Q @ stacked, np.concatenate([FLIP @ v, FLIP @ v]))
-
-    def test_invalid_model_rejected(self):
-        with pytest.raises(ModelError, match=r"column 0 of P\[0\]\[0\] sums to 0"):
-            CmcModel(StateSpace(2, 2), np.zeros((2, 2, 2, 2)), np.full((2, 2), 0.5))
-
-
-class TestEvolve:
-    def test_identity_fixed_point(self):
-        # identity transitions leave every distribution in place; with equal
-        # coupling weights the blocks additionally average, so use identity
-        # coupling to isolate the fixed-point behaviour
-        model = CmcModel(
-            StateSpace(2, 2),
-            np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy(),
-            np.eye(2),
-        )
-        pi = np.array([[0.2, 0.8], [0.6, 0.4]])
-        np.testing.assert_allclose(evolve_distribution(model, pi), pi)
-
-    def test_benchmark_one_step_by_hand(self):
-        pi = np.array([[1.0, 0.0], [1.0, 0.0]])
-        out = evolve_distribution(two_user_model(0.75), pi)
-        np.testing.assert_allclose(out, [[0.7, 0.3], [0.7, 0.3]])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ModelError):
-            evolve_distribution(two_user_model(0.75), np.array([0.5, 0.5, 0.5]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 10**6))
-    def test_stochasticity_preserved(self, s, m, seed):
-        model = random_model(s, m, seed)
-        rng = np.random.Generator(np.random.Philox(seed + 1))
-        pi = rng.dirichlet(np.ones(m), size=s)
-        out = evolve_distribution(model, pi)
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(s), atol=1e-9)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 10**6))
-    def test_block_matrix_consistency(self, s, m, seed):
-        model = random_model(s, m, seed)
-        rng = np.random.Generator(np.random.Philox(seed + 2))
-        pi = rng.dirichlet(np.ones(m), size=s)
-        via_q = (build_block_matrix(model) @ pi.ravel()).reshape(s, m)
-        np.testing.assert_allclose(via_q, evolve_distribution(model, pi), atol=1e-12)
-
-
 class TestStationary:
+    """The joint kernel's stationary law, by power iteration from uniform."""
+
     def test_benchmark_uniform_blocks(self):
-        pi = stationary_distribution(two_user_model(0.75))
-        np.testing.assert_allclose(pi, np.full((2, 2), 0.5), atol=1e-9)
+        pi = joint_kernel(two_user_model(0.75)).stationary.reshape(2, 2)
+        np.testing.assert_allclose(pi.sum(axis=0), [0.5, 0.5], atol=1e-9)
+        np.testing.assert_allclose(pi.sum(axis=1), [0.5, 0.5], atol=1e-9)
 
     def test_hand_solved_two_state(self):
         P = np.array([[0.9, 0.2], [0.1, 0.8]])
-        pi = stationary_distribution(single_chain(P))
-        np.testing.assert_allclose(pi[0], [2 / 3, 1 / 3], atol=1e-9)
+        pi = joint_kernel(single_chain(P)).stationary
+        np.testing.assert_allclose(pi, [2 / 3, 1 / 3], atol=1e-9)
+
+    @pytest.mark.parametrize("model", [
+        two_user_model(0.75),
+        CmcModel(StateSpace(3, 2),
+                 np.random.Generator(np.random.Philox(5)).dirichlet(
+                     np.ones(2), size=(3, 3, 2)).transpose(0, 1, 3, 2),
+                 np.random.Generator(np.random.Philox(6)).dirichlet(np.ones(3), size=3)),
+    ], ids=["benchmark", "random-3x2"])
+    def test_stationary_is_a_fixed_point(self, model):
+        kern = joint_kernel(model)
+        pi = kern.stationary
+        assert pi.min() >= 0
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(kern.matrix @ pi, pi, atol=1e-12)
 
     def test_periodic_chain_fails(self):
-        # period-2 chain: states 1 and 2 always return to 0, state 0 splits;
-        # power iteration from uniform oscillates and must be reported, not
-        # silently averaged
-        P = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
-        with pytest.raises(ModelError, match="periodic|converge"):
-            stationary_distribution(single_chain(P), max_iter=2000)
+        # period-2 chain: state 0 splits over 1, 2 and 3, which all return to
+        # 0; from uniform the mass on state 0 swings between 1/4 and 3/4 and
+        # must be reported, not silently averaged
+        P = np.array([[0, 1, 1, 1], [0.2, 0, 0, 0], [0.3, 0, 0, 0], [0.5, 0, 0, 0]], float)
+        with pytest.raises(ModelError, match="period 2"):
+            joint_kernel(single_chain(P))
 
-    @pytest.mark.parametrize("entry", [stationary_distribution, joint_kernel])
+    @pytest.mark.parametrize("entry", [
+        joint_kernel,
+        lambda model: single_chain_tvs(model, [1]),
+    ], ids=["joint_kernel", "single_chain_tvs"])
     def test_period_three_chain_fails_fast(self, entry):
         # 0 -> 1 -> {2, 3} -> 0: every cycle has length 3, so power iteration
         # from uniform returns to its start every third step
@@ -224,6 +173,30 @@ class TestStationary:
         with pytest.raises(ModelError, match="periodic"):
             entry(single_chain(P))
         assert time.perf_counter() - start < 1.0
+
+    def test_reducible_chain_keeps_each_class_mass(self):
+        # two closed classes: the iteration from uniform is not refused; it
+        # keeps mass 1/2 on each class and settles within it
+        P = np.zeros((4, 4))
+        P[:2, :2] = [[0.9, 0.2], [0.1, 0.8]]
+        P[2:, 2:] = 0.5
+        pi = joint_kernel(single_chain(P)).stationary
+        np.testing.assert_allclose(pi, [1 / 3, 1 / 6, 1 / 4, 1 / 4], atol=1e-9)
+
+    def test_convergence_speed_on_benchmark(self):
+        # from a point mass the joint law is within 1e-6 of its fixed point
+        # well within 100 steps, and after a short burn-in each step is
+        # smaller than the one before
+        K = joint_kernel(two_user_model(0.75)).matrix
+        pi = np.eye(4)[0]
+        gaps = []
+        for _ in range(100):
+            nxt = K @ pi
+            gaps.append(np.abs(nxt - pi).sum())
+            pi = nxt
+        assert gaps[-1] < 1e-6
+        burned = gaps[2:]
+        assert all(b <= a + 1e-15 for a, b in zip(burned, burned[1:]))
 
     def test_support_period_is_lcm_over_components(self):
         # a 2-cycle, a 3-cycle and a state with a self-loop
@@ -238,54 +211,15 @@ class TestStationary:
         # eigenvalue -0.997: successive steps almost repeat, yet the chain
         # is aperiodic and must not be reported as periodic
         P = np.array([[0.001, 0.998], [0.999, 0.002]])
-        pi = stationary_distribution(single_chain(P))
-        np.testing.assert_allclose(pi[0], [0.998 / 1.997, 0.999 / 1.997], atol=1e-9)
+        pi = joint_kernel(single_chain(P)).stationary
+        np.testing.assert_allclose(pi, [0.998 / 1.997, 0.999 / 1.997], atol=1e-9)
 
     def test_permutation_from_uniform_start_converges_exactly(self):
         # uniform is the exact stationary vector of any permutation chain, so
         # the mandated uniform start lands on the fixed point immediately
         perm = np.array([[0.0, 1.0], [1.0, 0.0]])
-        pi = stationary_distribution(single_chain(perm))
-        np.testing.assert_allclose(pi[0], [0.5, 0.5], atol=1e-12)
-
-    def test_reducible_chain_fails(self):
-        absorbing = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ModelError, match="reducible"):
-            stationary_distribution(single_chain(absorbing))
-
-    def test_convergence_speed_on_benchmark(self):
-        # the fixed point is reached well within 100 iterations
-        model = two_user_model(0.75)
-        Q = build_block_matrix(model)
-        pi = np.full(4, 0.5)
-        gaps = []
-        for _ in range(100):
-            nxt = Q @ pi
-            gaps.append(np.abs(nxt - pi).sum())
-            pi = nxt
-        assert gaps[-1] < 1e-6
-        burned = gaps[2:]
-        assert all(b <= a + 1e-15 for a, b in zip(burned, burned[1:]))
-
-
-class TestSpectral:
-    def test_benchmark_dominant_one(self):
-        report = spectral_check(two_user_model(0.75))
-        assert abs(report.dominant_modulus - 1.0) < 1e-6
-        assert report.stable
-
-    def test_identity_has_no_gap(self):
-        model = CmcModel(
-            StateSpace(2, 2),
-            np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy(),
-            np.full((2, 2), 0.5),
-        )
-        report = spectral_check(model)
-        assert not report.has_gap
-
-    def test_flip_chain_second_eigenvalue(self):
-        report = spectral_check(single_chain(FLIP))
-        assert abs(report.second_modulus - 0.4) < 1e-9
+        pi = joint_kernel(single_chain(perm)).stationary
+        np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
 
 
 class TestModelFiles:

@@ -53,7 +53,6 @@ from csdp import (
     release,
     release_values,
     sample_trajectory,
-    single_chain_tv,
     single_chain_tvs,
     solve_p1,
     tradeoff_frontier,
@@ -318,12 +317,6 @@ def test_oracle_matches_loops_six_users():
     kern = joint_kernel(random_model(0, 6, 2))
     for age in [(1,) * 6, (0, 1, 2, 0, 1, 2)]:
         assert_oracle_matches_loops(kern, age, 0.7)
-
-
-@PROPERTY
-@given(models(), st.integers(0, 6))
-def test_single_chain_tv_matches_solo_models(model, t):
-    assert single_chain_tv(model, t) == ref.single_chain_tv(model, t)
 
 
 @PROPERTY
