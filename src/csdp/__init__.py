@@ -11,13 +11,13 @@ from .bounds import (
     LeakageParams,
     OracleEstimate,
     adp_leakage,
-    aged_tv,
     aged_tv_distance,
+    aged_tvs,
     baseline_bounds,
     bounded_aged_correlation,
     bounded_aged_correlations,
     half_line_log_probs,
-    half_line_oracle,
+    half_line_oracles,
     k_sensitivity,
     loose_bound,
     oracle_leakage,
@@ -25,7 +25,7 @@ from .bounds import (
     tight_bound,
     verify_reductions,
 )
-from .kernel import AgedLaw, JointKernel, aged_joint, joint_kernel, sample_trajectory
+from .kernel import AgedLaw, JointKernel, aged_joint, aged_joints, joint_kernel, sample_trajectory
 from .mechanism import (
     MechanismOutput,
     SequenceDatabase,

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import stats
 
-from .bounds import aged_tv_distance, half_line_log_probs, loose_bound, verify_reductions
-from .kernel import aged_joint, joint_kernel, state_values
+from .bounds import aged_tvs, half_line_log_probs, loose_bound, verify_reductions
+from .kernel import aged_joint, aged_joints, joint_kernel, state_values
 from .mechanism import SequenceDatabase, laplace_sample, noise_scale, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
@@ -71,7 +71,8 @@ def _linear_loose_curve(lam: float, ts) -> list:
     self-coupling `lam`, degree 2, the mean query and eps_c = 1, per age (t, t)."""
     kernel = joint_kernel(two_user_model(lam))
     dk = k_sensitivity(builtin_queries(kernel.space)["mean"], 2)
-    return [loose_bound(aged_tv_distance(kernel, (t, t), 2), dk, 1.0)[0] for t in ts]
+    laws = aged_joints(kernel, [(t, t) for t in ts])
+    return [loose_bound(delta_k, dk, 1.0)[0] for delta_k in aged_tvs(laws, 2)]
 
 
 def criterion_u_shape(tol, seed=0) -> CriterionResult:

@@ -39,7 +39,7 @@ slope of the leakage and falls below the pure-DP leakage at some (age, eps_c).
 A likelihood-ratio oracle cross-checks the bounds.  `half_line_log_probs`
 gives, in closed form, the log-probabilities of the Laplace half-line
 events {M <= theta} and {M > theta} on a 101-point theta grid, and
-`half_line_oracle` their largest log-ratio over neighbouring snapshots.
+`half_line_oracles` their largest log-ratio over neighbouring snapshots.
 That is a supremum over those events only, so it is a lower estimate of
 the pure-DP leakage (the supremum over all events) and can under-report
 it.  The acceptance gate checks the probabilities themselves against
@@ -57,7 +57,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from .kernel import AgedLaw, JointKernel, _joint_stationary, aged_joint, joint_kernel, state_values
+from .kernel import (AgedLaw, JointKernel, _joint_stationary, aged_joint, aged_joints, joint_kernel,
+                     state_values)
 from .mechanism import noise_scale
 from .model import CmcModel, ModelError, StateSpace, check_positive, integer_value, two_user_model
 from .queries import QuerySpec, builtin_queries, k_sensitivity
@@ -78,60 +79,92 @@ class LeakageParams:
         object.__setattr__(self, "degree", self.query.space.check_degree(self.degree))
 
 
-def _max_pair_tv(M: np.ndarray, totals: np.ndarray, pairs: np.ndarray) -> float:
-    """Largest TV distance over the given column pairs between the columns
-    of M divided by their totals."""
-    ms = len(totals)
-    Bt = np.empty((ms, ms))  # Bt[x] = conditional law of z given x
-    np.divide(M.T, totals[:, None], out=Bt)
-    # two (chunk, ms) temporaries at a time: together at most one M
-    chunk = max(1, ms // 2)
-    best = 0.0
-    for lo in range(0, len(pairs), chunk):
-        a, b = pairs[lo : lo + chunk].T
-        diff = Bt[a]
-        diff -= Bt[b]
+# Entries of backward conditionals, and of pair differences, that
+# `_max_pair_tvs` holds at once, or one law's n x n if that is more.
+_TV_ENTRIES = 1 << 16
+
+
+def _max_pair_tvs(Ms: list, totals: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """For each matrix M of `Ms`, with column totals in the matching row of
+    `totals`, the largest TV distance over the given column pairs between
+    the columns of M divided by their totals.
+
+    Matrices are taken in groups whose conditionals fill at most the entry
+    budget, and each group's (matrix, pair) rows in chunks whose two
+    temporaries together fill at most the same budget; at one matrix of
+    n^2 >= `_TV_ENTRIES` entries that is one n x n for each.
+    """
+    ms = totals.shape[1]
+    budget = max(ms * ms, _TV_ENTRIES)
+    group = budget // (ms * ms)
+    return 0.5 * np.concatenate([
+        _group_max_pair_tvs(Ms[lo : lo + group], totals[lo : lo + group], pairs, budget)
+        for lo in range(0, len(Ms), group)])
+
+
+def _group_max_pair_tvs(Ms: list, totals: np.ndarray, pairs: np.ndarray,
+                        budget: int) -> np.ndarray:
+    """The largest l1 distance of each matrix of one group: twice its TV."""
+    ms = totals.shape[1]
+    M = Ms[0][None] if len(Ms) == 1 else np.stack(Ms)
+    Bt = np.empty(M.shape)  # Bt[l, x] = conditional law of z given x under M_l
+    np.divide(M.transpose(0, 2, 1), totals[:, :, None], out=Bt)
+    Bt = Bt.reshape(-1, ms)
+    # row r of the group's (matrix, pair) rows is pair r % P of matrix r // P
+    base = ms * np.arange(len(Ms))[:, None]
+    a, b = (base + pairs[:, 0]).ravel(), (base + pairs[:, 1]).ravel()
+    l1 = np.empty(len(a))
+    chunk = max(1, budget // (2 * ms))
+    for lo in range(0, len(a), chunk):
+        diff = Bt[a[lo : lo + chunk]]
+        diff -= Bt[b[lo : lo + chunk]]
         np.abs(diff, out=diff)
-        best = max(best, 0.5 * float(diff.sum(axis=1).max()))
-    return best
+        diff.sum(axis=1, out=l1[lo : lo + chunk])
+    return l1.reshape(len(Ms), -1).max(axis=1)
 
 
 def aged_tv_distance(kernel: JointKernel, age, degree: int) -> float:
-    """Delta_k at one age; see `aged_tv`."""
-    return aged_tv(aged_joint(kernel, age), degree)
+    """Delta_k at one age; see `aged_tvs`."""
+    return aged_tvs([aged_joint(kernel, age)], degree)[0]
 
 
-def aged_tv(law: AgedLaw, degree: int) -> float:
-    """Delta_k: worst-case TV between aged-state conditionals.
+def aged_tvs(laws, degree: int) -> list:
+    """Delta_k of each aged law (all of one space): worst-case TV between
+    aged-state conditionals.
 
     The maximization ranges over user subsets of size k, 1 <= k <= s, and,
     within each subset, over pairs of current sub-snapshots differing in
     exactly one coordinate (one changed user; the other members are the
     correlated partners whose values are held equal).  TV is half the l1
-    distance.
+    distance.  Every law's pairs of one subset are compared in one pass.
     """
-    s, m = law.space.num_sequences, law.space.num_states
-    size = law.space.check_degree(degree)
+    if not laws:
+        return []
+    space = laws[0].space
+    s, m = space.num_sequences, space.num_states
+    size = space.check_degree(degree)
     sub = StateSpace(size, m)
-    best = 0.0
+    best = np.zeros(len(laws))
     for subset in itertools.combinations(range(s), size):
         # joint law of (z restricted to subset, x restricted to subset);
         # np.add.at sums in the order of the (z, x) loop it replaces, and
         # M.sum(axis=0) sums rows in order, as the law's totals are summed
         if size == s:
-            M, totals = law.joint, law.totals
+            Ms, totals = [law.joint for law in laws], np.stack([law.totals for law in laws])
         else:
-            code = law.space.subset_code(subset)
-            M = np.zeros((m**size, m**size))
-            np.add.at(M, (code[:, None], code[None, :]), law.joint)
-            totals = M.sum(axis=0)
-        if np.any(totals <= 0):
-            dead = sub.states[int(np.argmin(totals))]
+            code = space.subset_code(subset)
+            Ms = [np.zeros((m**size, m**size)) for _ in laws]
+            for M, law in zip(Ms, laws):
+                np.add.at(M, (code[:, None], code[None, :]), law.joint)
+            totals = np.stack([M.sum(axis=0) for M in Ms])
+        dead = np.flatnonzero((totals <= 0).any(axis=1))
+        if dead.size:
+            state = sub.states[int(np.argmin(totals[dead[0]]))]
             raise ModelError(
-                f"cannot condition on sub-snapshot {dead} of users {subset}: zero mass"
+                f"cannot condition on sub-snapshot {state} of users {subset}: zero mass"
             )
-        best = max(best, _max_pair_tv(M, totals, sub.neighbour_pairs))
-    return best
+        np.maximum(best, _max_pair_tvs(Ms, totals, sub.neighbour_pairs), out=best)
+    return best.tolist()
 
 
 def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
@@ -291,25 +324,25 @@ def bounded_aged_correlations(laws) -> list:
     bits in every packing of the shared LPs (none moved in 1,000 measured
     cases), so the tests compare `tight` values across grids to 1e-12.
     """
-    blocks = []
-    for law in laws:
-        B = law.conditional()
-        edges = law.space.neighbour_pairs
-        D = (B[:, edges[:, 0]] - B[:, edges[:, 1]]).T
-        blocks.append(D[np.abs(D).sum(axis=1) >= 1e-15])
-    if not blocks:
+    if not laws:
         return []
-    counts = [len(b) for b in blocks]
-    D = np.concatenate(blocks)
-    lo, hi = _transport_bounds(D, law.space)
-    ends = np.cumsum(counts)[:-1]
-    taus = [v.max() if len(v) else 0.0 for v in np.split(lo, ends)]
-    open_ = np.flatnonzero(hi > np.repeat(taus, counts) * (1 + _SETTLE_SLACK))
-    values = lo
+    space = laws[0].space
+    edges = space.neighbour_pairs
+    B = np.stack([law.conditional() for law in laws])
+    D = (B[:, :, edges[:, 0]] - B[:, :, edges[:, 1]]).transpose(0, 2, 1)  # (law, pair, z)
+    blocks = np.abs(D).sum(axis=2) >= 1e-15
+    D = D[blocks]
+    lo, hi = _transport_bounds(D, space)
+    # a law's value is the largest of its blocks', which are all >= 0, and
+    # 0.0 with no block
+    per_pair = np.zeros(blocks.shape)
+    per_pair[blocks] = lo
+    taus = per_pair.max(axis=1)
+    open_ = np.flatnonzero(hi > taus[np.nonzero(blocks)[0]] * (1 + _SETTLE_SLACK))
     if len(open_):
-        lp = _transport_lps(D[open_], edges)
-        values[open_] = np.maximum(values[open_], lp)
-    return [float(v.max()) if len(v) else 0.0 for v in np.split(values, ends)]
+        lo[open_] = np.maximum(lo[open_], _transport_lps(D[open_], edges))
+        per_pair[blocks] = lo
+    return per_pair.max(axis=1).tolist()
 
 
 def tight_bound(delta_bar: float, eps_c: float) -> float:
@@ -335,7 +368,8 @@ def single_chain_tvs(model: CmcModel, ts) -> list:
     selves = model.transitions[np.diag_indices(model.space.num_sequences)]
     solos = [JointKernel(space, P, _joint_stationary(P))
              for P in {P.tobytes(): P for P in selves}.values()]
-    return [max(aged_tv_distance(solo, [t], 1) for solo in solos) for t in ts]
+    tvs = [aged_tvs(aged_joints(solo, [[t] for t in ts]), 1) for solo in solos]
+    return [max(at_t) for at_t in zip(*tvs)]
 
 
 def baseline_bounds(eps_c: float, degree: int, query: QuerySpec) -> tuple:
@@ -365,10 +399,12 @@ def _laplace_logsf(u: np.ndarray, b: float) -> np.ndarray:
     return _laplace_logcdf(-np.asarray(u, float), b)
 
 
-def _theta_grid(f_values: np.ndarray, b: float) -> np.ndarray:
+def _theta_grid(f_values: np.ndarray, b) -> np.ndarray:
+    """The theta grid at noise scale b, or one grid per row at each of an
+    array of scales."""
     lo = f_values.min() - THETA_SPAN * b
     hi = f_values.max() + THETA_SPAN * b
-    return np.linspace(lo, hi, THETA_POINTS)
+    return np.linspace(lo, hi, THETA_POINTS, axis=-1)
 
 
 # A scaled mixture entry below this may have lost digits to underflow.
@@ -376,29 +412,44 @@ _UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _log_mixtures(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Column x is log sum_z exp(L[:, z]) * B[z, x].
+    """Column x of slice e is log sum_z exp(L[e, :, z]) * B[z, x].
 
-    Each row of L is shifted by its maximum, so one matrix product forms
-    every sum.  Where a column's mass sits on states whose shifted terms
-    underflow (eps * range / sensitivity near 745), some entry of the
-    product falls below _UNDERFLOW; each such column is summed again in the
-    log domain.
+    Each row of L is shifted by its maximum, so one stacked matrix product
+    forms every sum.  Where a slice's column has its mass on states whose
+    shifted terms underflow (eps * range / sensitivity near 745), some
+    entry of the product falls below _UNDERFLOW; each such (slice, column)
+    is summed again in the log domain.
     """
-    top = L.max(axis=1, keepdims=True)
+    top = L.max(axis=2, keepdims=True)
     P = np.exp(L - top) @ B
-    low = np.flatnonzero((P < _UNDERFLOW).any(axis=0))
-    P[:, low] = 1.0  # placeholders, replaced below
+    low = np.argwhere((P < _UNDERFLOW).any(axis=1))
+    P[low[:, 0], :, low[:, 1]] = 1.0  # placeholders, replaced below
     out = np.log(P)
     out += top
-    for x in low:
+    for e, x in low:
         logb = np.where(B[:, x] > 0, np.log(np.maximum(B[:, x], 1e-300)), -np.inf)
-        out[:, x] = logsumexp(L + logb, axis=1)
+        out[e, :, x] = logsumexp(L[e] + logb, axis=1)
     return out
 
 
 def oracle_leakage(kernel: JointKernel, params: LeakageParams) -> OracleEstimate:
-    """The oracle at `params`; see `half_line_oracle`."""
-    return half_line_oracle(aged_joint(kernel, params.age), params.query, params.eps_c)
+    """The oracle at `params`; see `half_line_oracles`."""
+    return half_line_oracles(aged_joint(kernel, params.age), params.query, [params.eps_c])[0]
+
+
+def _half_line_tables(law: AgedLaw, query: QuerySpec, eps_grid) -> tuple:
+    """`half_line_log_probs` at every eps_c of `eps_grid`, each of thetas,
+    F and S stacked along a new first axis."""
+    scales = np.array([noise_scale(query, eps) for eps in eps_grid])
+    B = law.conditional()
+    f_values = state_values(law.space, query)
+    thetas = _theta_grid(f_values, scales)
+    u = thetas[:, :, None] - f_values
+    b = scales[:, None, None]
+    # the cdf and the sf tables of every eps_c, mixed by one product
+    F, S = np.split(_log_mixtures(np.concatenate([_laplace_logcdf(u, b),
+                                                  _laplace_logsf(u, b)]), B), 2)
+    return thetas, F, S
 
 
 def half_line_log_probs(law: AgedLaw, query: QuerySpec, eps_c: float) -> tuple:
@@ -410,26 +461,24 @@ def half_line_log_probs(law: AgedLaw, query: QuerySpec, eps_c: float) -> tuple:
     range plus six noise scales.  Each column mixes the Laplace cdf (sf)
     over the backward conditional in closed form, all states at once.
     """
-    b = noise_scale(query, eps_c)
-    B = law.conditional()
-    f_values = state_values(law.space, query)
-    thetas = _theta_grid(f_values, b)
-    u = thetas[:, None] - f_values[None, :]
-    return (thetas, _log_mixtures(_laplace_logcdf(u, b), B),
-            _log_mixtures(_laplace_logsf(u, b), B))
+    thetas, F, S = _half_line_tables(law, query, [eps_c])
+    return thetas[0], F[0], S[0]
 
 
-def half_line_oracle(law: AgedLaw, query: QuerySpec, eps_c: float) -> OracleEstimate:
-    """Supremum of |ln Pr[M in S | x] - ln Pr[M in S | x']| over neighbouring
-    snapshot pairs and the half-line events S of `half_line_log_probs`.
+def half_line_oracles(law: AgedLaw, query: QuerySpec, eps_grid) -> list:
+    """At each eps_c of `eps_grid`, the supremum of
+    |ln Pr[M in S | x] - ln Pr[M in S | x']| over neighbouring snapshot
+    pairs and the half-line events S of `half_line_log_probs`.
 
     Other events can separate the two output laws further, so this is a
-    lower estimate of the pure-DP leakage.
+    lower estimate of the pure-DP leakage.  The whole grid shares one
+    backward conditional and one stacked matrix product.
     """
-    _, F, S = half_line_log_probs(law, query, eps_c)
+    _, F, S = _half_line_tables(law, query, eps_grid)
     a, c = law.space.neighbour_pairs.T
-    return OracleEstimate(max(0.0, float(np.abs(F[:, a] - F[:, c]).max()),
-                              float(np.abs(S[:, a] - S[:, c]).max())))
+    worst = np.maximum(np.abs(F[:, :, a] - F[:, :, c]).max(axis=(1, 2)),
+                       np.abs(S[:, :, a] - S[:, :, c]).max(axis=(1, 2)))
+    return [OracleEstimate(max(0.0, v)) for v in worst.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +533,9 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
     kern = joint_kernel(indep)
     worst = 0.0
     details = []
-    for t, delta_t in enumerate(single_chain_tvs(indep, range(max_age + 1))):
-        delta1 = aged_tv_distance(kern, [t, t], 1)
+    ts = range(max_age + 1)
+    coupled = aged_tvs(aged_joints(kern, [(t, t) for t in ts]), 1)
+    for t, delta1, delta_t in zip(ts, coupled, single_chain_tvs(indep, ts)):
         _, logf = loose_bound(delta1, 1.0, eps_c)
         target = adp_leakage(delta_t, eps_c)
         worst = max(worst, abs(logf - target))

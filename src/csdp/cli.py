@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from dataclasses import replace
 
 from .model import ModelError
@@ -66,12 +67,19 @@ def _cmd_run(args) -> int:
 def _cmd_acceptance(args) -> int:
     from .acceptance import acceptance
 
+    if args.out:
+        # an unusable report directory is refused before the gate runs
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            tempfile.TemporaryFile(dir=args.out).close()
+        except OSError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     results = acceptance(seed=args.seed)
     lines = [r.line() for r in results] + [r.timing_line() for r in results]
     body = "\n".join(lines) + "\n"
     print(body, end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "acceptance.txt")
         with open(path, "w") as fh:
             fh.write(body)

@@ -131,20 +131,68 @@ class AgedLaw:
 
 
 def aged_joint(kernel: JointKernel, age) -> AgedLaw:
-    """The aged law of `kernel` at `age`.
+    """The aged law of `kernel` at `age`; see `aged_joints`."""
+    return aged_joints(kernel, [age])[0]
+
+
+def _powers(K: np.ndarray, ts) -> np.ndarray:
+    """The (len(ts), n, n) stack of K^t for each t of `ts`, each with
+    `np.linalg.matrix_power`'s product order, so with its bits: eye at
+    t = 0, K at 1, K@K at 2, (K@K)@K at 3 and otherwise the squares
+    K^(2^i) of t's binary digits multiplied left to right, ascending.
+
+    The squares are formed once for the whole list, in ascending order, and
+    each is multiplied into every power that takes it before the next is
+    formed, so beyond the stack at most two n x n arrays are alive, as in
+    `matrix_power` itself.
+    """
+    out = np.empty((len(ts), len(K), len(K)))
+    for power, t in zip(out, ts):
+        if t == 0:
+            power[...] = np.eye(len(K))
+    square = K  # K^(2^i)
+    for i in range(max(ts, default=0).bit_length()):
+        if i:
+            square = square @ square
+        for power, t in zip(out, ts):
+            if not t >> i & 1:
+                continue
+            if not t & ((1 << i) - 1):  # t's lowest digit
+                power[...] = square
+            elif t == 3:  # matrix_power's shortcut: (K@K)@K
+                np.matmul(square, power, out=power)
+            else:
+                np.matmul(power, square, out=power)
+    return out
+
+
+def aged_joints(kernel: JointKernel, ages) -> list:
+    """The aged law of `kernel` at each age of `ages`, in order.
 
     z_i is the state of sequence i at `age[i]` steps before x.  With a
-    uniform age the law is pi[z] * K^t[x, z]; heterogeneous ages are
-    handled by forward dynamic programming over the trajectory, recording
-    each coordinate when its lag is reached.
+    uniform age t the law is pi[z] * K^t[x, z], and every uniform age reads
+    its K^t off one stack of powers (`_powers`), which then holds the laws
+    in place; heterogeneous ages are handled by forward dynamic programming
+    over the trajectory, recording each coordinate when its lag is reached,
+    one age at a time.
     """
-    ages = np.array(validate_ages(age, kernel.space))
+    ages = [validate_ages(age, kernel.space) for age in ages]
+    laws = [None] * len(ages)
+    uniform = [i for i, age in enumerate(ages) if len(set(age)) == 1]
+    for i, J in zip(uniform, _powers(kernel.matrix, [ages[i][0] for i in uniform])):
+        J *= kernel.stationary
+        J[...] = J.T.copy()  # J[z, x] in C order, one n x n at a time
+        laws[i] = AgedLaw(kernel.space, J)
+    for i, age in enumerate(ages):
+        if laws[i] is None:
+            laws[i] = AgedLaw(kernel.space, _mixed_aged_joint(kernel, np.array(age)))
+    return laws
+
+
+def _mixed_aged_joint(kernel: JointKernel, ages: np.ndarray) -> np.ndarray:
+    """J[z, x] at heterogeneous ages by forward dynamic programming."""
     n = kernel.matrix.shape[0]
     T = int(ages.max())
-    if np.all(ages == ages[0]):
-        J = (np.linalg.matrix_power(kernel.matrix, T) * kernel.stationary[None, :]).T
-        return AgedLaw(kernel.space, J)
-
     s, m = kernel.space.num_sequences, kernel.space.num_states
     # dist[w, r] = Pr[current joint state w, recorded coordinates r], where r
     # is the big-endian code of the coordinates recorded so far, in the
@@ -165,7 +213,7 @@ def aged_joint(kernel: JointKernel, age) -> AgedLaw:
             dist = kernel.matrix @ dist
     # J[z, x] with the recorded coordinates back in sequence order
     J = dist.T.reshape((m,) * s + (n,)).transpose(list(np.argsort(recorded)) + [s])
-    return AgedLaw(kernel.space, J.reshape(n, n))
+    return J.reshape(n, n)
 
 
 def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> np.ndarray:

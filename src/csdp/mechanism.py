@@ -20,6 +20,14 @@ from .queries import QuerySpec
 from .rng import first_laplace, generator, laplace
 
 
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SequenceDatabase:
     """T x s array of states; row t-1 holds the snapshot at (1-based) time t."""
@@ -50,7 +58,9 @@ class SequenceDatabase:
     @classmethod
     def from_csv(cls, path, space: StateSpace) -> "SequenceDatabase":
         """A header and a row of s integer states per time step; every
-        refusal names the file, and that of a bad row its line."""
+        refusal names the file, and that of a bad row its line.  A first
+        row of integers is refused: without a header the first time step
+        would be read as one and lost."""
         s = space.num_sequences
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -59,6 +69,9 @@ class SequenceDatabase:
                 raise ModelError(f"database file '{path}' is empty")
             if len(header) != s:
                 raise ModelError(f"database file '{path}' has {len(header)} columns, expected {s}")
+            if all(_is_int(cell) for cell in header):
+                raise ModelError(f"database file '{path}' has no header: its first row "
+                                 f"{','.join(header)} reads as states")
             rows = []
             try:
                 for row in filter(None, reader):

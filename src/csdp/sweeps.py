@@ -5,10 +5,12 @@ column order), a run manifest, and a list of invariant violations.  Rows
 always carry every parameter needed to regenerate them, including the
 seed.  Cells are independent; with threads > 1 they are evaluated in a
 pool and merged in grid order, so output bytes never depend on scheduling.
-A leakage sweep's cell is one lambda: one model and kernel, one aged law
-per t, and one Delta_bar call for all its ages; its rows are (t, eps_c) in
-grid order.  A utility sweep's cell is one (lambda, age): one aged law and
-aging term, and one row per eps_c in grid order.
+A leakage sweep's cell is one lambda: one model and kernel, one call that
+builds the aged laws of all its t, one call each for their Delta_k,
+Delta_bar and single-chain TVs, and one oracle call per t for the whole
+eps grid; its rows are (t, eps_c) in grid order.  A utility sweep's cell
+is one (lambda, age): one aged law (`aged_joint`) and aging term, and one
+row per eps_c in grid order.
 """
 
 from __future__ import annotations
@@ -29,16 +31,16 @@ import scipy
 from . import __version__
 from .bounds import (
     adp_leakage,
-    aged_tv,
+    aged_tvs,
     baseline_bounds,
     bounded_aged_correlations,
-    half_line_oracle,
+    half_line_oracles,
     loose_bound,
     single_chain_tvs,
     tight_bound,
     verify_reductions,
 )
-from .kernel import aged_joint, joint_kernel
+from .kernel import aged_joint, aged_joints, joint_kernel
 from .model import (DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, read_yaml_fields,
                     two_user_model)
 from .queries import builtin_queries, k_sensitivity
@@ -245,38 +247,39 @@ def _map_cells(fn, cells, threads: int) -> list:
 def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
     """Rows of one lambda cell, one per (t, eps_c) in `ts` x `eps_grid`.
 
-    The kernel, the single-chain kernels and the Delta_bar of every t are
-    computed once per cell, and the aged law, Delta_k and the single-chain
-    TV once per t; only the budgets and the oracle are evaluated per eps_c.
+    The kernel, the single-chain kernels, and the aged law, Delta_k,
+    Delta_bar and single-chain TV of every t are each computed by one call
+    for the whole cell, and the oracle by one call per t for the whole eps
+    grid; only the budgets are evaluated per (t, eps_c).
     """
     model = _model_for(config, lam)
     kernel = joint_kernel(model, config.cap)
     query = builtin_queries(model.space)["mean"]
     k = model.space.num_sequences
     dk = k_sensitivity(query, k)
-    laws = [aged_joint(kernel, (t,) * k) for t in ts]
+    laws = aged_joints(kernel, [(t,) * k for t in ts])
     rows = []
-    for t, law, delta_bar, delta_t in zip(ts, laws, bounded_aged_correlations(laws),
-                                          single_chain_tvs(model, ts)):
-        delta_k = aged_tv(law, k)
-        for eps in eps_grid:
+    for t, law, delta_k, delta_bar, delta_t in zip(ts, laws, aged_tvs(laws, k),
+                                                   bounded_aged_correlations(laws),
+                                                   single_chain_tvs(model, ts)):
+        # a closed-form lower estimate of the pure-DP leakage, with no sampling
+        # half-width; the column stays for the table's layout
+        oracles, half_width = [""] * len(eps_grid), ""
+        if with_oracle:
+            oracles = [o.estimate for o in half_line_oracles(law, query, eps_grid)]
+            half_width = 0.0
+        for eps, oracle in zip(eps_grid, oracles):
             lin, logf = loose_bound(delta_k, dk, eps)
             dp, ddp = baseline_bounds(eps, k, query)
-            row = {
+            rows.append({
                 "lambda": "" if config.model_path else lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
                 "delta_k": delta_k, "delta_bar": delta_bar,
                 "loose_linear": lin, "loose_log": logf,
                 "tight": tight_bound(delta_bar, eps),
                 "adp": adp_leakage(delta_t, eps),
                 "dp": dp, "ddp": ddp,
-                "oracle": "", "oracle_hw": "", "seed": config.seed,
-            }
-            if with_oracle:
-                # a closed-form lower estimate of the pure-DP leakage, with no sampling
-                # half-width; the column stays for the table's layout
-                row["oracle"] = half_line_oracle(law, query, eps).estimate
-                row["oracle_hw"] = 0.0
-            rows.append(row)
+                "oracle": oracle, "oracle_hw": half_width, "seed": config.seed,
+            })
     return rows
 
 

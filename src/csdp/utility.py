@@ -18,14 +18,15 @@ import numpy as np
 
 from .bounds import (
     adp_leakage,
-    aged_tv,
+    aged_tvs,
     baseline_bounds,
     bounded_aged_correlations,
     loose_bound,
     single_chain_tvs,
     tight_bound,
 )
-from .kernel import AgedLaw, JointKernel, aged_joint, joint_kernel, state_values, validate_ages
+from .kernel import (AgedLaw, JointKernel, aged_joint, aged_joints, joint_kernel, state_values,
+                     validate_ages)
 from .mechanism import noise_scale
 from .model import DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, check_positive, integer_value
 from .queries import QuerySpec, k_sensitivity
@@ -184,7 +185,7 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     needed = list(dict.fromkeys(ages + ([(0,) * s] if baselines else [])))
     delta, aging = {}, {}
     if kind == "tight":  # one call packs every age's transport LPs, so it holds every law
-        laws = [aged_joint(kernel, a) for a in needed]
+        laws = aged_joints(kernel, needed)
         delta = dict(zip(ages, bounded_aged_correlations(laws[: len(ages)])))
         aging = {a: aging_error(law, query) for a, law in zip(needed, laws)}
     else:  # one law at a time
@@ -192,7 +193,7 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
             law = aged_joint(kernel, a)
             aging[a] = aging_error(law, query)
             if a in grid:
-                delta[a] = aged_tv(law, s)
+                delta[a] = aged_tvs([law], s)[0]
             del law  # before the next law is built
     budgets = {"csdp": (grid, lambda a, eps: _leakage(kind, delta[a], eps, dk))}
     if baselines:

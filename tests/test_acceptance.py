@@ -173,6 +173,25 @@ def test_cli_prints_timing_apart_from_result_lines(results, monkeypatch, capsys,
         assert r.seconds > 0 and r.line().startswith("[PASS]")
 
 
+@pytest.mark.parametrize("under_file", [False, True])
+def test_cli_refuses_unusable_out_before_any_criterion(monkeypatch, capsys, tmp_path,
+                                                       under_file):
+    """`csdp acceptance --out` naming a regular file, or a path under one,
+    exits 2 with a configuration error and runs no criterion."""
+    from csdp.cli import main
+
+    calls = []
+    monkeypatch.setattr(acceptance_module, "acceptance", lambda seed: calls.append(seed))
+    blocker = tmp_path / "report"
+    blocker.write_text("")
+    out = blocker / "acceptance" if under_file else blocker
+    assert main(["acceptance", "--out", str(out)]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and str(blocker) in captured.err
+
+
 def test_fault_injection_isolated():
     # an impossible tolerance must fail its own criterion without disturbing
     # the others, proving the tolerances act independently

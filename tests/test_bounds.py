@@ -20,7 +20,7 @@ from csdp import (
     bounded_aged_correlations,
     builtin_queries,
     half_line_log_probs,
-    half_line_oracle,
+    half_line_oracles,
     joint_kernel,
     k_sensitivity,
     loose_bound,
@@ -129,7 +129,8 @@ QUERIES = builtin_queries(SPACE)
 # Every entry that takes a correlation degree k, 1 <= k <= s, here s = 2.
 DEGREE_ENTRIES = {
     "LeakageParams": lambda k: LeakageParams((1, 1), 1.0, k, QUERIES["mean"]),
-    "aged_tv": lambda k: bounds.aged_tv(aged_joint(joint_kernel(two_user_model(0.5)), (1, 1)), k),
+    "aged_tv": lambda k: bounds.aged_tvs([aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))],
+                                         k)[0],
     "aged_tv_distance": lambda k: aged_tv_distance(joint_kernel(two_user_model(0.5)), (1, 1), k),
     "k_sensitivity": lambda k: k_sensitivity(QUERIES["mean"], k),
     "baseline_bounds": lambda k: baseline_bounds(1.0, k, QUERIES["mean"]),
@@ -172,8 +173,8 @@ def test_leakage_params_keep_the_degree_as_an_int():
     lambda eps: tight_bound(0.5, eps),
     lambda eps: adp_leakage(0.3, eps),
     lambda eps: baseline_bounds(eps, 2, builtin_queries(StateSpace(2, 2))["mean"]),
-    lambda eps: half_line_oracle(aged_joint(joint_kernel(two_user_model(0.5)), (1, 1)),
-                                 builtin_queries(StateSpace(2, 2))["mean"], eps),
+    lambda eps: half_line_oracles(aged_joint(joint_kernel(two_user_model(0.5)), (1, 1)),
+                                  builtin_queries(StateSpace(2, 2))["mean"], [eps]),
 ], ids=["LeakageParams", "loose_bound", "tight_bound", "adp_leakage", "baseline_bounds",
         "half_line_oracle"])
 def test_non_finite_eps_rejected(entry, eps):
@@ -602,7 +603,7 @@ class TestOracle:
         kern = joint_kernel(model)
         q = builtin_queries(StateSpace(2, 2))["mean"]
         for t in (1, 2):
-            exact = half_line_oracle(aged_joint(kern, (t, t)), q, 1.0).estimate
+            exact = half_line_oracles(aged_joint(kern, (t, t)), q, [1.0])[0].estimate
             assert exact <= adp_leakage(single_chain_tvs(model, [t])[0], 1.0) + 1e-9
 
     def test_log_probs_are_complementary(self):
@@ -613,7 +614,7 @@ class TestOracle:
         assert np.all(np.diff(thetas) > 0) and np.all(np.diff(F, axis=0) >= 0)
         assert np.abs(np.exp(F) + np.exp(S) - 1.0).max() <= 1e-12
         a, c = law.space.neighbour_pairs.T
-        assert half_line_oracle(law, q, 2.0).estimate == max(
+        assert half_line_oracles(law, q, [2.0])[0].estimate == max(
             np.abs(F[:, a] - F[:, c]).max(), np.abs(S[:, a] - S[:, c]).max())
 
     def test_sampling_matches_exact(self):

@@ -271,6 +271,7 @@ class TestDatabaseIO:
         ("seq0,seq1\n0,1\n1\n1,0\n", ", line 3: 1 cells, expected 2"),
         ("seq0,seq1\n", ": database needs at least one time step"),
         ("seq0,seq1\n0,2\n", ": state values must lie in [0, 1]"),
+        ("0,1\n1,0\n", " has no header: its first row 0,1 reads as states"),
     ])
     def test_bad_file_is_refused_by_name(self, tmp_path, text, message):
         path = tmp_path / "db.csv"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdp import bounds, sweeps, utility
+from csdp import kernel as kernel_module
 from csdp.bounds import (LeakageParams, aged_tv_distance, bounded_aged_correlation,
                          oracle_leakage, tight_bound)
 from csdp.cli import main
@@ -237,26 +238,33 @@ class TestModelFileSweeps:
                 kernel, age, query, eps, 200, seed)
 
     def test_one_law_per_t_changes_no_value(self, tmp_path, monkeypatch):
-        """An oracle-validate sweep on a random three-user model builds one
-        aged law per t of the joint kernel and reads Delta_k, Delta_bar and
-        every eps_c's oracle from it.  Each row equals one call per quantity
-        through the (kernel, age) functions: Delta_k and the oracle exactly,
-        and `tight` to 1e-12, since a cell packs its ages' transport LPs."""
+        """An oracle-validate sweep on a random three-user model builds the
+        aged law of every t of the joint kernel in one call and reads
+        Delta_k, Delta_bar and every eps_c's oracle from them.  Each row
+        equals one call per quantity through the (kernel, age) functions:
+        Delta_k and the oracle exactly, and `tight` to 1e-12, since a cell
+        packs its ages' transport LPs."""
         rng = np.random.default_rng(5)
         model = CmcModel(StateSpace(3, 2),
                          rng.dirichlet(np.ones(2), size=(3, 3, 2)).transpose(0, 1, 3, 2),
                          rng.dirichlet(np.ones(3), size=3))
         path = tmp_path / "model.yaml"
         save_model(model, path)
-        built = []  # (space, age) of every law built, the single-chain ones too
-        for module in (sweeps, bounds):
-            def counting(kernel, age, fn=module.aged_joint):
-                built.append((kernel.space, tuple(age)))
-                return fn(kernel, age)
-            monkeypatch.setattr(module, "aged_joint", counting)
+        built = []  # (space, ages) of every call that builds laws, the single-chain ones too
+
+        def counting(kernel, ages, fn=kernel_module.aged_joints):
+            ages = list(ages)
+            built.append((kernel.space, [tuple(age) for age in ages]))
+            return fn(kernel, ages)
+
+        # every one-law form (`aged_joint`, and through it `aged_tv_distance`,
+        # `oracle_leakage` and `bounded_aged_correlation`) calls the kernel
+        # module's `aged_joints`, so it is counted too
+        for module in (kernel_module, sweeps, bounds):
+            monkeypatch.setattr(module, "aged_joints", counting)
         _, rows, _ = run_sweep(ExperimentConfig("oracle-validate", {}, model_path=str(path)))
         ts = PRESETS["oracle-validate"].grid("t")
-        assert [age for space, age in built if space == model.space] == [(t,) * 3 for t in ts]
+        assert [ages for space, ages in built if space == model.space] == [[(t,) * 3 for t in ts]]
         kernel = joint_kernel(load_model(path))
         query = builtin_queries(kernel.space)["mean"]
         assert len(rows) == len(ts) * 3

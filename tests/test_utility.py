@@ -203,17 +203,26 @@ class TestSolveP1:
 def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
     """A frontier builds one aged law per distinct age and reads its
     coefficients and aging error from it, for every mechanism and eps;
-    `solve_p1` computes no ADP term."""
+    `solve_p1` computes no ADP term.  The tight kind builds its laws in one
+    call and reads their coefficients in one more; the loose kinds build
+    and read one law at a time."""
     age_of = {}  # id of each law built -> its age
-    keys = {"aged_joint": lambda kernel, age: age,
-            "bounded_aged_correlations": lambda laws: [age_of[id(law)] for law in laws],
-            "aged_tv": lambda law, degree: age_of[id(law)],
+
+    def by_age(laws, *_):
+        return [age_of[id(law)] for law in laws]
+
+    keys = {"aged_joints": lambda kernel, ages: list(ages),
+            "aged_joint": lambda kernel, age: age,
+            "bounded_aged_correlations": by_age,
+            "aged_tvs": by_age,
             "aging_error": lambda law, query: age_of[id(law)],
             "single_chain_tvs": lambda model, ts: ts}
     calls = {name: [] for name in keys}
     for name in calls:
         def counted(*args, name=name, fn=getattr(utility, name)):
             out = fn(*args)
+            if name == "aged_joints":
+                age_of.update((id(law), age) for law, age in zip(out, args[1]))
             if name == "aged_joint":
                 age_of[id(out)] = args[1]
             calls[name].append(keys[name](*args))
@@ -223,18 +232,23 @@ def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
                        age_grid=((2, 2), 3, (1, 3), (2, 2), [1, 3]),
                        eps_grid=(0.5, 1.0, 2.0), leakage_kind=kind)
     distinct = [(2, 2), (3, 3), (1, 3)]
-    coefficients = {"bounded_aged_correlations": [distinct] if kind == "tight" else [],
-                    "aged_tv": [] if kind == "tight" else distinct}
+
+    def expected(needed):
+        if kind == "tight":
+            return {"aged_joints": [needed], "aged_joint": [],
+                    "bounded_aged_correlations": [distinct], "aged_tvs": []}
+        return {"aged_joints": [], "aged_joint": needed,
+                "bounded_aged_correlations": [], "aged_tvs": [[age] for age in distinct]}
+
     tradeoff_frontier(two_user_model(0.5), spec, [0.4, 0.8])
     # one single_chain_tvs call takes each distinct age's largest entry; DDP
     # adds age zero's law and aging
-    assert calls == {**coefficients, "single_chain_tvs": [[2, 3, 3]],
-                     "aged_joint": distinct + [(0, 0)], "aging_error": distinct + [(0, 0)]}
+    assert calls == {**expected(distinct + [(0, 0)]), "single_chain_tvs": [[2, 3, 3]],
+                     "aging_error": distinct + [(0, 0)]}
     for got in calls.values():
         got.clear()
     solve_p1(two_user_model(0.5), spec)
-    assert calls == {**coefficients, "single_chain_tvs": [], "aged_joint": distinct,
-                     "aging_error": distinct}
+    assert calls == {**expected(distinct), "single_chain_tvs": [], "aging_error": distinct}
 
 
 def test_duplicate_ages_keep_their_rows(monkeypatch):
@@ -251,7 +265,7 @@ def test_duplicate_ages_keep_their_rows(monkeypatch):
 
     monkeypatch.setattr(utility, "aged_joint", aged_joint)
     # Delta_k is read from the law built last
-    monkeypatch.setattr(utility, "aged_tv", lambda law, degree: delta[built[-1]])
+    monkeypatch.setattr(utility, "aged_tvs", lambda laws, degree: [delta[built[-1]]])
     spec = UtilitySpec(mean_query(), mse_cap=1e9, age_grid=((3, 3), (2, 2), (1, 1), (3, 3)),
                        eps_grid=(1.0,), leakage_kind="loose_linear")
     assert solve_p1(two_user_model(0.5), spec).age == (3, 3)

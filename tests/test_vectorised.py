@@ -10,9 +10,14 @@ exact oracle, whose sums are one matrix product, with the per-state
 bounds that settle most Delta_bar blocks must bracket the dense LP, and the
 flow bound must not exceed the collapse onto state 0 it replaced.  The aged
 joint law is held in C order; at a uniform age it squares K where the loop
-steps, so there the two agree to 1e-15.  One more property checks that the
-current-snapshot marginal of the aged joint law is the stationary law.  The release path, the simulated MSE and the built-in
-query evaluates are compared with their per-sample NumPy forms the same way,
+steps, so there the two agree to 1e-15.  The powers of a list of uniform
+ages, read off one shared set of squares, have `np.linalg.matrix_power`'s
+bytes; Delta_k of a list of laws equals the loop at each law's age and,
+over seven 1024-state laws, peaks no higher than one law at a time plus
+one n x n array; the oracle over an eps grid equals one call per eps_c.
+One more property checks that the current-snapshot marginal of the aged
+joint law is the stationary law.  The release path, the simulated MSE and
+the built-in query evaluates are compared with their per-sample NumPy forms the same way,
 the simulated MSE also at lags up to 20, and its chain step with the
 comparison sum it replaced on hand-picked uniforms at every threshold; a
 draw at one column, as its start states and criterion 8's snapshots are
@@ -27,12 +32,14 @@ loop encoding, and its tables and a model's arrays are read-only.
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import loop_reference as ref
 from csdp import (
@@ -43,10 +50,14 @@ from csdp import (
     StateSpace,
     UtilitySpec,
     aged_joint,
+    aged_joints,
     aged_tv_distance,
+    aged_tvs,
     bounded_aged_correlation,
     bounded_aged_correlations,
+    bounds,
     builtin_queries,
+    half_line_oracles,
     joint_kernel,
     mse_simulated,
     oracle_leakage,
@@ -59,6 +70,8 @@ from csdp import (
     two_user_model,
 )
 from csdp.bounds import _transport_bounds
+from csdp.kernel import _powers, state_values
+from csdp.mechanism import noise_scale
 from csdp.queries import QuerySpec
 from csdp.rng import threshold_draws, threshold_table
 from csdp.sweeps import EPS_GRID_DEFAULT
@@ -320,9 +333,154 @@ def test_oracle_matches_loops_six_users():
 
 
 @PROPERTY
-@given(models(), st.lists(st.integers(0, 6), max_size=5))
+@given(models(), st.lists(st.integers(0, 24), max_size=25))
 def test_single_chain_tvs_match_solo_models(model, ts):
+    """Ages up to 24 take the shared squares K^8 and K^16 too."""
     assert single_chain_tvs(model, ts) == [ref.single_chain_tv(model, t) for t in ts]
+
+
+@PROPERTY
+@given(models(), st.permutations(range(65)))
+def test_shared_square_powers_match_matrix_power(model, ts):
+    """Every power from the shared squares, and the uniform-age law read
+    off it, has the bytes of `np.linalg.matrix_power` and of the law formed
+    from it, in any order of the ages."""
+    kern = joint_kernel(model)
+    K, pi = kern.matrix, kern.stationary
+    s = model.space.num_sequences
+    powers = _powers(K, ts)
+    laws = aged_joints(kern, [(t,) * s for t in ts])
+    for t, power, law in zip(ts, powers, laws):
+        want = np.linalg.matrix_power(K, t)
+        assert power.tobytes() == want.tobytes(), t
+        assert law.joint.tobytes() == np.ascontiguousarray((want * pi[None, :]).T).tobytes(), t
+
+
+@st.composite
+def models_and_mixed_age_lists(draw):
+    """A model and 1-6 ages, uniform and mixed alike, up to 10."""
+    model = draw(models())
+    s = model.space.num_sequences
+    uniform = st.integers(0, 10).map(lambda t: (t,) * s)
+    mixed = st.lists(st.integers(0, 10), min_size=s, max_size=s).map(tuple)
+    return model, draw(st.lists(st.one_of(uniform, mixed), min_size=1, max_size=6))
+
+
+@PROPERTY
+@given(models_and_mixed_age_lists())
+def test_stacked_delta_k_matches_loops(case):
+    """Delta_k of a list of laws equals the loop form at each law's age, at
+    every degree."""
+    model, ages = case
+    kern = joint_kernel(model)
+    laws = aged_joints(kern, ages)
+    for degree in range(1, model.space.num_sequences + 1):
+        assert aged_tvs(laws, degree) == [ref.aged_tv_distance(kern, age, degree)
+                                          for age in ages], degree
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+N1024 = 1024 * 1024 * 8  # bytes of one 1024-state n x n array
+
+
+def test_stacked_delta_k_memory_is_the_loop_memory():
+    """Over seven 1024-state laws, Delta_k of the list peaks at most one
+    n x n array above one law at a time."""
+    kern = joint_kernel(random_model(0, 10, 2))
+    laws = aged_joints(kern, [(t,) * 10 for t in range(1, 8)])
+    one_at_a_time, loop_peak = traced_peak(lambda: [aged_tvs([law], 10)[0] for law in laws])
+    stacked, stacked_peak = traced_peak(lambda: aged_tvs(laws, 10))
+    assert stacked == one_at_a_time
+    assert stacked_peak <= loop_peak + N1024, (stacked_peak, loop_peak)
+
+
+def test_aged_law_memory_is_matrix_power_memory():
+    """A 1024-state law peaks at most one n x n array above the same law
+    formed from `np.linalg.matrix_power`, at any age, so the shared squares
+    are not all held at once; a list of ten laws holds the ten and at most
+    two n x n arrays more."""
+    kern = joint_kernel(random_model(0, 10, 2))
+    K, pi = kern.matrix, kern.stationary
+    for t in (1, 3, 7, 100):
+        law, peak = traced_peak(lambda: aged_joint(kern, (t,) * 10))
+        want, want_peak = traced_peak(
+            lambda: np.ascontiguousarray((np.linalg.matrix_power(K, t) * pi[None, :]).T))
+        assert law.joint.tobytes() == want.tobytes(), t
+        assert peak <= want_peak + N1024, (t, peak, want_peak)
+    del law, want
+    _, peak = traced_peak(lambda: aged_joints(kern, [(t,) * 10 for t in range(1, 11)]))
+    assert peak <= 12 * N1024 + 2**20, peak
+
+
+def oracle_2d(law, query, eps_c) -> float:
+    """The half-line oracle of one law at one eps_c with one 2-D product
+    per table and the per-column log-domain fallback: the per-eps form
+    that the stacked eps grid replaced."""
+    b = noise_scale(query, eps_c)
+    B = law.conditional()
+    f_values = state_values(law.space, query)
+    thetas = np.linspace(f_values.min() - bounds.THETA_SPAN * b,
+                         f_values.max() + bounds.THETA_SPAN * b, bounds.THETA_POINTS)
+    u = thetas[:, None] - f_values[None, :]
+
+    def log_mixtures(L):
+        top = L.max(axis=1, keepdims=True)
+        P = np.exp(L - top) @ B
+        low = np.flatnonzero((P < bounds._UNDERFLOW).any(axis=0))
+        P[:, low] = 1.0
+        out = np.log(P)
+        out += top
+        for x in low:
+            logb = np.where(B[:, x] > 0, np.log(np.maximum(B[:, x], 1e-300)), -np.inf)
+            out[:, x] = logsumexp(L + logb, axis=1)
+        return out
+
+    F = log_mixtures(bounds._laplace_logcdf(u, b))
+    S = log_mixtures(bounds._laplace_logsf(u, b))
+    a, c = law.space.neighbour_pairs.T
+    return max(0.0, float(np.abs(F[:, a] - F[:, c]).max()),
+               float(np.abs(S[:, a] - S[:, c]).max()))
+
+
+def test_eps_grid_oracle_matches_per_eps(monkeypatch):
+    """The oracle of one law over the default eps grid plus 300 and 2000
+    equals the per-eps 2-D form at every eps_c, bit for bit, at 4, 8 and 64
+    states.  The two large eps_c send some (eps_c, column) pairs of the
+    stacked product, not all, to the log-domain sum."""
+    eps_grid = list(EPS_GRID_DEFAULT) + [300.0, 2000.0]
+    fallbacks = []
+
+    def counting(a, axis, fn=bounds.logsumexp):
+        fallbacks.append(a.shape)
+        return fn(a, axis=axis)
+
+    mixed = 0  # calls where some (eps_c, column) pairs fell back and others did not
+    for kern in (joint_kernel(two_user_model(0.5)), joint_kernel(random_model(3, 3, 2)),
+                 joint_kernel(random_model(4, 6, 2))):
+        n = kern.space.product_size
+        for t in range(4):
+            law = aged_joint(kern, (t,) * kern.space.num_sequences)
+            for query in builtin_queries(kern.space).values():
+                want = [oracle_2d(law, query, eps) for eps in eps_grid]
+                fallbacks.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(bounds, "logsumexp", counting)
+                    got = half_line_oracles(law, query, eps_grid)
+                assert [o.estimate for o in got] == want, (n, t, query.name)
+                # at most the cdf and sf columns of the two large eps_c fall back
+                assert len(fallbacks) <= 2 * 2 * n
+                mixed += len(fallbacks) > 0
+    assert mixed > 0
 
 
 @PROPERTY
