@@ -39,7 +39,8 @@ slope of the leakage and falls below the pure-DP leakage at some (age, eps_c).
 A likelihood-ratio oracle cross-checks the bounds.  `half_line_log_probs`
 gives, in closed form, the log-probabilities of the Laplace half-line
 events {M <= theta} and {M > theta} on a 101-point theta grid, and
-`half_line_oracles` their largest log-ratio over neighbouring snapshots.
+`half_line_oracles` their largest log-ratio over neighbouring snapshots,
+for a list of laws at a whole eps grid in one call.
 That is a supremum over those events only, so it is a lower estimate of
 the pure-DP leakage (the supremum over all events) and can under-report
 it.  The acceptance gate checks the probabilities themselves against
@@ -411,45 +412,47 @@ def _theta_grid(f_values: np.ndarray, b) -> np.ndarray:
 _UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _log_mixtures(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Column x of slice e is log sum_z exp(L[e, :, z]) * B[z, x].
-
-    Each row of L is shifted by its maximum, so one stacked matrix product
-    forms every sum.  Where a slice's column has its mass on states whose
-    shifted terms underflow (eps * range / sensitivity near 745), some
-    entry of the product falls below _UNDERFLOW; each such (slice, column)
-    is summed again in the log domain.
-    """
-    top = L.max(axis=2, keepdims=True)
-    P = np.exp(L - top) @ B
-    low = np.argwhere((P < _UNDERFLOW).any(axis=1))
-    P[low[:, 0], :, low[:, 1]] = 1.0  # placeholders, replaced below
-    out = np.log(P)
-    out += top
-    for e, x in low:
-        logb = np.where(B[:, x] > 0, np.log(np.maximum(B[:, x], 1e-300)), -np.inf)
-        out[e, :, x] = logsumexp(L[e] + logb, axis=1)
-    return out
-
-
 def oracle_leakage(kernel: JointKernel, params: LeakageParams) -> OracleEstimate:
     """The oracle at `params`; see `half_line_oracles`."""
-    return half_line_oracles(aged_joint(kernel, params.age), params.query, [params.eps_c])[0]
+    law = aged_joint(kernel, params.age)
+    return half_line_oracles([law], params.query, [params.eps_c])[0][0]
 
 
-def _half_line_tables(law: AgedLaw, query: QuerySpec, eps_grid) -> tuple:
-    """`half_line_log_probs` at every eps_c of `eps_grid`, each of thetas,
-    F and S stacked along a new first axis."""
+def _half_line_tables(laws, query: QuerySpec, eps_grid):
+    """Yield `half_line_log_probs` of each law of `laws` (all of one space)
+    at every eps_c of `eps_grid`, as (thetas, F, S), each stacked along a
+    new first axis; one law's tables are held at a time.
+
+    Column x of slice e of F (S) is log sum_z exp(L[e, :, z]) * B[z, x],
+    with L the Laplace log-cdf (log-sf) tables.  L, its row maxima top and
+    exp(L - top) depend on the query, the space and the grid only, so they
+    are built once, and one matrix product per law mixes every row.  Where
+    a slice's column has its mass on states whose shifted terms underflow
+    (eps * range / sensitivity near 745), some entry of the product falls
+    below _UNDERFLOW; each such (law, slice, column) is summed again in the
+    log domain.
+    """
     scales = np.array([noise_scale(query, eps) for eps in eps_grid])
-    B = law.conditional()
-    f_values = state_values(law.space, query)
+    f_values = state_values(laws[0].space, query)
     thetas = _theta_grid(f_values, scales)
     u = thetas[:, :, None] - f_values
     b = scales[:, None, None]
     # the cdf and the sf tables of every eps_c, mixed by one product
-    F, S = np.split(_log_mixtures(np.concatenate([_laplace_logcdf(u, b),
-                                                  _laplace_logsf(u, b)]), B), 2)
-    return thetas, F, S
+    L = np.concatenate([_laplace_logcdf(u, b), _laplace_logsf(u, b)])
+    top = L.max(axis=2, keepdims=True)
+    E = np.exp(L - top)
+    for law in laws:
+        B = law.conditional()
+        P = E @ B
+        low = np.argwhere((P < _UNDERFLOW).any(axis=1))
+        P[low[:, 0], :, low[:, 1]] = 1.0  # placeholders, replaced below
+        out = np.log(P)
+        out += top
+        for e, x in low:
+            logb = np.where(B[:, x] > 0, np.log(np.maximum(B[:, x], 1e-300)), -np.inf)
+            out[e, :, x] = logsumexp(L[e] + logb, axis=1)
+        F, S = np.split(out, 2)
+        yield thetas, F, S
 
 
 def half_line_log_probs(law: AgedLaw, query: QuerySpec, eps_c: float) -> tuple:
@@ -461,24 +464,30 @@ def half_line_log_probs(law: AgedLaw, query: QuerySpec, eps_c: float) -> tuple:
     range plus six noise scales.  Each column mixes the Laplace cdf (sf)
     over the backward conditional in closed form, all states at once.
     """
-    thetas, F, S = _half_line_tables(law, query, [eps_c])
+    ((thetas, F, S),) = _half_line_tables([law], query, [eps_c])
     return thetas[0], F[0], S[0]
 
 
-def half_line_oracles(law: AgedLaw, query: QuerySpec, eps_grid) -> list:
-    """At each eps_c of `eps_grid`, the supremum of
-    |ln Pr[M in S | x] - ln Pr[M in S | x']| over neighbouring snapshot
-    pairs and the half-line events S of `half_line_log_probs`.
+def half_line_oracles(laws, query: QuerySpec, eps_grid) -> list:
+    """For each law of `laws` (all of one space), the list over the eps_c of
+    `eps_grid` of the supremum of |ln Pr[M in S | x] - ln Pr[M in S | x']|
+    over neighbouring snapshot pairs and the half-line events S of
+    `half_line_log_probs`.
 
     Other events can separate the two output laws further, so this is a
-    lower estimate of the pure-DP leakage.  The whole grid shares one
-    backward conditional and one stacked matrix product.
+    lower estimate of the pure-DP leakage.  The theta grids and the Laplace
+    tables are built once for the whole call; each law adds one matrix
+    product, for every eps_c at once, and its own log-domain fallbacks.
     """
-    _, F, S = _half_line_tables(law, query, eps_grid)
-    a, c = law.space.neighbour_pairs.T
-    worst = np.maximum(np.abs(F[:, :, a] - F[:, :, c]).max(axis=(1, 2)),
-                       np.abs(S[:, :, a] - S[:, :, c]).max(axis=(1, 2)))
-    return [OracleEstimate(max(0.0, v)) for v in worst.tolist()]
+    if not laws:
+        return []
+    a, c = laws[0].space.neighbour_pairs.T
+    out = []
+    for _, F, S in _half_line_tables(laws, query, eps_grid):
+        worst = np.maximum(np.abs(F[:, :, a] - F[:, :, c]).max(axis=(1, 2)),
+                           np.abs(S[:, :, a] - S[:, :, c]).max(axis=(1, 2)))
+        out.append([OracleEstimate(max(0.0, v)) for v in worst.tolist()])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,19 @@ always carry every parameter needed to regenerate them, including the
 seed.  Cells are independent; with threads > 1 they are evaluated in a
 pool and merged in grid order, so output bytes never depend on scheduling.
 A leakage sweep's cell is one lambda: one model and kernel, one call that
-builds the aged laws of all its t, one call each for their Delta_k,
-Delta_bar and single-chain TVs, and one oracle call per t for the whole
-eps grid; its rows are (t, eps_c) in grid order.  A utility sweep's cell
+builds the aged laws of all its t, and one call each for their Delta_k,
+their Delta_bar and their oracle over the whole eps grid; its rows are
+(t, eps_c) in grid order.  The single-chain TVs of the ADP column depend
+only on the models' self-transition matrices, not on lambda, so the sweep
+computes them once per distinct set of those matrices (once for every
+built-in preset) before any cell runs.  A utility sweep's cell
 is one (lambda, age): one aged law (`aged_joint`) and aging term, and one
 row per eps_c in grid order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -244,31 +248,43 @@ def _map_cells(fn, cells, threads: int) -> list:
         return list(pool.map(fn, cells))
 
 
-def _leakage_rows(config, lam, ts, eps_grid, with_oracle):
-    """Rows of one lambda cell, one per (t, eps_c) in `ts` x `eps_grid`.
+def _chain_tvs(models, ts) -> list:
+    """Each model's single-chain TVs at every t of `ts`, from one
+    `single_chain_tvs` call per distinct set of self-transition matrices
+    (a preset's lambdas change only the coupling, so they share one)."""
+    groups, out = {}, []
+    for model in models:
+        s = model.space.num_sequences
+        key = (model.space, model.transitions[np.diag_indices(s)].tobytes())
+        if key not in groups:
+            groups[key] = single_chain_tvs(model, ts)
+        out.append(groups[key])
+    return out
 
-    The kernel, the single-chain kernels, and the aged law, Delta_k,
-    Delta_bar and single-chain TV of every t are each computed by one call
-    for the whole cell, and the oracle by one call per t for the whole eps
-    grid; only the budgets are evaluated per (t, eps_c).
+
+def _leakage_rows(config, lam, model, chain_tvs, ts, eps_grid, with_oracle):
+    """Rows of one lambda cell, one per (t, eps_c) in `ts` x `eps_grid`;
+    `chain_tvs` holds the model's single-chain TV at each t.
+
+    The kernel, and the aged law, Delta_k and Delta_bar of every t, are
+    each computed by one call for the whole cell, and so is the oracle of
+    every (t, eps_c); only the budgets are evaluated per (t, eps_c).
     """
-    model = _model_for(config, lam)
     kernel = joint_kernel(model, config.cap)
     query = builtin_queries(model.space)["mean"]
     k = model.space.num_sequences
     dk = k_sensitivity(query, k)
     laws = aged_joints(kernel, [(t,) * k for t in ts])
+    deltas_k, deltas_bar = aged_tvs(laws, k), bounded_aged_correlations(laws)
+    # a closed-form lower estimate of the pure-DP leakage, with no sampling
+    # half-width; the column stays for the table's layout
+    oracles, half_width = [[""] * len(eps_grid)] * len(ts), ""
+    if with_oracle:
+        oracles = [[o.estimate for o in at_t] for at_t in half_line_oracles(laws, query, eps_grid)]
+        half_width = 0.0
     rows = []
-    for t, law, delta_k, delta_bar, delta_t in zip(ts, laws, aged_tvs(laws, k),
-                                                   bounded_aged_correlations(laws),
-                                                   single_chain_tvs(model, ts)):
-        # a closed-form lower estimate of the pure-DP leakage, with no sampling
-        # half-width; the column stays for the table's layout
-        oracles, half_width = [""] * len(eps_grid), ""
-        if with_oracle:
-            oracles = [o.estimate for o in half_line_oracles(law, query, eps_grid)]
-            half_width = 0.0
-        for eps, oracle in zip(eps_grid, oracles):
+    for t, delta_k, delta_bar, delta_t, at_t in zip(ts, deltas_k, deltas_bar, chain_tvs, oracles):
+        for eps, oracle in zip(eps_grid, at_t):
             lin, logf = loose_bound(delta_k, dk, eps)
             dp, ddp = baseline_bounds(eps, k, query)
             rows.append({
@@ -312,9 +328,14 @@ def run_sweep(config: ExperimentConfig):
                         "oracle-validate"):
         ts, eps_grid = config.grid("t"), config.grid("eps_c")
         validate = config.sweep == "oracle-validate"
+        lams = config.grid("lambda")
+        models = [_model_for(config, lam) for lam in lams]
+        # the single-chain TVs are computed here, before any cell runs, and
+        # each cell reads only its own list
+        cells = list(zip(lams, models, _chain_tvs(models, ts)))
         per_cell = _map_cells(
-            lambda lam: _leakage_rows(config, lam, ts, eps_grid, validate),
-            config.grid("lambda"), config.threads,
+            lambda cell: _leakage_rows(config, *cell, ts, eps_grid, validate),
+            cells, config.threads,
         )
         rows = [row for cell_rows in per_cell for row in cell_rows]
         violations = [v for row in rows for v in _check_leakage_row(row)]
@@ -454,15 +475,24 @@ def _manifest(config: ExperimentConfig, violations) -> dict:
 def run(config: ExperimentConfig):
     """Run a sweep and write its artifacts; returns (exit_code, paths).
 
-    Exit code 0 on success, 1 when invariant violations occurred.  Partial
-    outputs are removed if anything fails mid-write.
+    The output directory is created, and probed with a temporary file,
+    before the sweep runs, so an unusable one fails (OSError) before any
+    work is done.  Exit code 0 on success, 1 when invariant violations
+    occurred.  If anything fails, the outputs written so far and the
+    directories created for the run, once empty, are removed.
     """
-    fields, rows, violations = run_sweep(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    table_path = os.path.join(config.out_dir, f"{config.sweep}.{config.fmt}")
-    manifest_path = os.path.join(config.out_dir, f"{config.sweep}.manifest.json")
+    created = []  # the output directory and its missing ancestors, deepest first
+    path = os.path.abspath(config.out_dir)
+    while not os.path.lexists(path):
+        created.append(path)
+        path = os.path.dirname(path)
     written = []
     try:
+        os.makedirs(config.out_dir, exist_ok=True)
+        tempfile.TemporaryFile(dir=config.out_dir).close()
+        fields, rows, violations = run_sweep(config)
+        table_path = os.path.join(config.out_dir, f"{config.sweep}.{config.fmt}")
+        manifest_path = os.path.join(config.out_dir, f"{config.sweep}.manifest.json")
         for path, payload in (
             (table_path, render_table(fields, rows, config.fmt)),
             (manifest_path, json.dumps(_manifest(config, violations), indent=2) + "\n"),
@@ -476,5 +506,8 @@ def run(config: ExperimentConfig):
         for path in written:
             if os.path.exists(path):
                 os.remove(path)
+        for path in created:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                os.rmdir(path)
         raise
     return (1 if violations else 0), [table_path, manifest_path], violations

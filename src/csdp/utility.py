@@ -87,7 +87,11 @@ class TradeoffSolution:
 
 def aging_error(law: AgedLaw, query: QuerySpec) -> float:
     """E[(f(aged snapshot) - f(current snapshot))^2] under an aged law."""
-    f = state_values(law.space, query)
+    return _aging_term(law, state_values(law.space, query))
+
+
+def _aging_term(law: AgedLaw, f: np.ndarray) -> float:
+    """`aging_error` with the query's values f on the joint states given."""
     return float((law.joint * (f[:, None] - f[None, :]) ** 2).sum())
 
 
@@ -174,7 +178,8 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     DDP certified budget -- the two frontiers coincide, so DP reads DDP's
     rows and is not evaluated.  The degree is s.  Each distinct age's
     leakage coefficients and aging error are computed once, from one aged
-    law, and shared by every mechanism; none of this depends on the MSE cap.
+    law, and shared by every mechanism; the query is evaluated on the joint
+    states once for all of them.  None of this depends on the MSE cap.
     """
     s = kernel.space.num_sequences
     query, kind = spec.query, spec.leakage_kind
@@ -183,15 +188,16 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     ages = list(dict.fromkeys(grid))
     # one law per age a row reads, DDP's age zero last
     needed = list(dict.fromkeys(ages + ([(0,) * s] if baselines else [])))
+    f = state_values(kernel.space, query)
     delta, aging = {}, {}
     if kind == "tight":  # one call packs every age's transport LPs, so it holds every law
         laws = aged_joints(kernel, needed)
         delta = dict(zip(ages, bounded_aged_correlations(laws[: len(ages)])))
-        aging = {a: aging_error(law, query) for a, law in zip(needed, laws)}
+        aging = {a: _aging_term(law, f) for a, law in zip(needed, laws)}
     else:  # one law at a time
         for a in needed:
             law = aged_joint(kernel, a)
-            aging[a] = aging_error(law, query)
+            aging[a] = _aging_term(law, f)
             if a in grid:
                 delta[a] = aged_tvs([law], s)[0]
             del law  # before the next law is built

@@ -173,7 +173,7 @@ def test_leakage_params_keep_the_degree_as_an_int():
     lambda eps: tight_bound(0.5, eps),
     lambda eps: adp_leakage(0.3, eps),
     lambda eps: baseline_bounds(eps, 2, builtin_queries(StateSpace(2, 2))["mean"]),
-    lambda eps: half_line_oracles(aged_joint(joint_kernel(two_user_model(0.5)), (1, 1)),
+    lambda eps: half_line_oracles([aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))],
                                   builtin_queries(StateSpace(2, 2))["mean"], [eps]),
 ], ids=["LeakageParams", "loose_bound", "tight_bound", "adp_leakage", "baseline_bounds",
         "half_line_oracle"])
@@ -603,7 +603,7 @@ class TestOracle:
         kern = joint_kernel(model)
         q = builtin_queries(StateSpace(2, 2))["mean"]
         for t in (1, 2):
-            exact = half_line_oracles(aged_joint(kern, (t, t)), q, [1.0])[0].estimate
+            exact = half_line_oracles([aged_joint(kern, (t, t))], q, [1.0])[0][0].estimate
             assert exact <= adp_leakage(single_chain_tvs(model, [t])[0], 1.0) + 1e-9
 
     def test_log_probs_are_complementary(self):
@@ -614,7 +614,7 @@ class TestOracle:
         assert np.all(np.diff(thetas) > 0) and np.all(np.diff(F, axis=0) >= 0)
         assert np.abs(np.exp(F) + np.exp(S) - 1.0).max() <= 1e-12
         a, c = law.space.neighbour_pairs.T
-        assert half_line_oracles(law, q, [2.0])[0].estimate == max(
+        assert half_line_oracles([law], q, [2.0])[0][0].estimate == max(
             np.abs(F[:, a] - F[:, c]).max(), np.abs(S[:, a] - S[:, c]).max())
 
     def test_sampling_matches_exact(self):

@@ -360,6 +360,15 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "reduce-check.csv").exists()
 
+    def test_unusable_out_dir_is_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(sweeps, "run_sweep", lambda config: ran.append(config))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["run", "--config", "fig3a", "--out", str(blocker / "out")])
+        assert code == 2 and ran == []
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--config", "missing.yaml"]) == 2
 

@@ -215,7 +215,7 @@ def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
             "aged_joint": lambda kernel, age: age,
             "bounded_aged_correlations": by_age,
             "aged_tvs": by_age,
-            "aging_error": lambda law, query: age_of[id(law)],
+            "_aging_term": lambda law, f: age_of[id(law)],
             "single_chain_tvs": lambda model, ts: ts}
     calls = {name: [] for name in keys}
     for name in calls:
@@ -244,11 +244,36 @@ def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
     # one single_chain_tvs call takes each distinct age's largest entry; DDP
     # adds age zero's law and aging
     assert calls == {**expected(distinct + [(0, 0)]), "single_chain_tvs": [[2, 3, 3]],
-                     "aging_error": distinct + [(0, 0)]}
+                     "_aging_term": distinct + [(0, 0)]}
     for got in calls.values():
         got.clear()
     solve_p1(two_user_model(0.5), spec)
-    assert calls == {**expected(distinct), "single_chain_tvs": [], "aging_error": distinct}
+    assert calls == {**expected(distinct), "single_chain_tvs": [], "_aging_term": distinct}
+
+
+@pytest.mark.parametrize("kind", LEAKAGE_KINDS)
+def test_query_evaluated_once_per_grid(kind):
+    """A frontier and a P1 evaluate the query on each of the n joint states
+    once, not once per distinct age, and their MSEs are `mse_exact`'s."""
+    model = CmcModel(StateSpace(3, 2), np.broadcast_to(FLIP, (3, 3, 2, 2)), np.full((3, 3), 1 / 3))
+    query = mean_query(model.space)
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(tuple(x))
+        return query.evaluate(x)
+
+    spec = UtilitySpec(replace(query, evaluate=evaluate), mse_cap=1.0,
+                       age_grid=((0, 0, 0), (2, 2, 2), (3, 1, 2), (5, 5, 5)),
+                       eps_grid=(0.5, 2.0), leakage_kind=kind)
+    frontier = tradeoff_frontier(model, spec, [0.6, 1.0])
+    assert evaluated == list(model.space.states)
+    evaluated.clear()
+    solution = solve_p1(model, spec)
+    assert evaluated == list(model.space.states)
+    kernel = joint_kernel(model)
+    for sol in [solution] + [sol for rows in frontier.values() for _, sol in rows]:
+        assert sol.mse == mse_exact(kernel, sol.age, query, sol.eps_c)
 
 
 def test_duplicate_ages_keep_their_rows(monkeypatch):

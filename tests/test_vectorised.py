@@ -14,7 +14,10 @@ steps, so there the two agree to 1e-15.  The powers of a list of uniform
 ages, read off one shared set of squares, have `np.linalg.matrix_power`'s
 bytes; Delta_k of a list of laws equals the loop at each law's age and,
 over seven 1024-state laws, peaks no higher than one law at a time plus
-one n x n array; the oracle over an eps grid equals one call per eps_c.
+one n x n array; the oracle over an eps grid equals one call per eps_c,
+and over a list of laws one call per law.  A leakage sweep makes one
+single-chain TV call per distinct set of self-transition matrices and one
+oracle call per lambda cell, and each cell reads its own model's TVs.
 One more property checks that the current-snapshot marginal of the aged
 joint law is the stationary law.  The release path, the simulated MSE and
 the built-in query evaluates are compared with their per-sample NumPy forms the same way,
@@ -49,6 +52,7 @@ from csdp import (
     SequenceDatabase,
     StateSpace,
     UtilitySpec,
+    adp_leakage,
     aged_joint,
     aged_joints,
     aged_tv_distance,
@@ -66,6 +70,7 @@ from csdp import (
     sample_trajectory,
     single_chain_tvs,
     solve_p1,
+    sweeps,
     tradeoff_frontier,
     two_user_model,
 )
@@ -74,7 +79,7 @@ from csdp.kernel import _powers, state_values
 from csdp.mechanism import noise_scale
 from csdp.queries import QuerySpec
 from csdp.rng import threshold_draws, threshold_table
-from csdp.sweeps import EPS_GRID_DEFAULT
+from csdp.sweeps import EPS_GRID_DEFAULT, PRESETS, ExperimentConfig, run_sweep
 from csdp.utility import LEAKAGE_KINDS
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -475,12 +480,87 @@ def test_eps_grid_oracle_matches_per_eps(monkeypatch):
                 fallbacks.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(bounds, "logsumexp", counting)
-                    got = half_line_oracles(law, query, eps_grid)
+                    (got,) = half_line_oracles([law], query, eps_grid)
                 assert [o.estimate for o in got] == want, (n, t, query.name)
                 # at most the cdf and sf columns of the two large eps_c fall back
                 assert len(fallbacks) <= 2 * 2 * n
                 mixed += len(fallbacks) > 0
     assert mixed > 0
+
+
+@PROPERTY
+@given(models())
+def test_list_form_oracle_equals_one_law_calls(model):
+    """The oracle of the laws at ages 0..8, in one call, equals one call per
+    law bit for bit, for every built-in query over the default eps grid plus
+    300 and 2000.  The shared tables must not carry one law's fallback into
+    the next: some (law, eps_c, column) cells go to the log-domain sum and
+    others do not."""
+    s, n = model.space.num_sequences, model.space.product_size
+    laws = aged_joints(joint_kernel(model), [(t,) * s for t in range(9)])
+    eps_grid = list(EPS_GRID_DEFAULT) + [300.0, 2000.0]
+    fallbacks = []
+
+    def counting(a, axis, fn=bounds.logsumexp):
+        fallbacks.append(a.shape)
+        return fn(a, axis=axis)
+
+    for query in builtin_queries(model.space).values():
+        fallbacks.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "logsumexp", counting)
+            got = half_line_oracles(laws, query, eps_grid)
+        # cdf and sf columns of every law at every eps_c
+        assert 0 < len(fallbacks) < 2 * len(eps_grid) * n * len(laws), query.name
+        assert got == [half_line_oracles([law], query, eps_grid)[0] for law in laws], query.name
+
+
+def counted(monkeypatch, module, names) -> dict:
+    """{name: [args of each call]} of the named functions of `module`, which
+    still run."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapped(*args, name=name, fn=getattr(module, name)):
+            calls[name].append(args)
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_sweeps_compute_chain_tvs_once_and_one_oracle_per_cell(monkeypatch):
+    """`fig3a` makes one `single_chain_tvs` call for its 21 lambdas, whose
+    self-transition matrices are equal; `oracle-validate` makes one such
+    call too, and one oracle call per lambda, with the laws of all its t."""
+    calls = counted(monkeypatch, sweeps, ("single_chain_tvs", "half_line_oracles"))
+    run_sweep(PRESETS["fig3a"])
+    assert len(calls["single_chain_tvs"]) == 1 and calls["half_line_oracles"] == []
+    calls["single_chain_tvs"].clear()
+    config = PRESETS["oracle-validate"]
+    run_sweep(config)
+    assert len(calls["single_chain_tvs"]) == 1
+    assert ([(len(laws), list(eps_grid)) for laws, _, eps_grid in calls["half_line_oracles"]]
+            == [(len(config.grid("t")), list(config.grid("eps_c")))] * len(config.grid("lambda")))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_each_cell_reads_its_own_chain_tvs(monkeypatch, threads):
+    """With lambda 0.75's self-transition matrices unlike those of 0.25 and
+    0.5, a sweep makes one single-chain call per set of matrices, and every
+    row's adp is its own model's, on one thread or several."""
+    def model_for(config, lam):
+        return two_user_model(lam, p=0.1 if lam == 0.75 else 0.3)
+
+    monkeypatch.setattr(sweeps, "_model_for", model_for)
+    calls = counted(monkeypatch, sweeps, ("single_chain_tvs",))
+    config = ExperimentConfig("leakage-vs-age", {"lambda": [0.25, 0.5, 0.75], "t": [0, 1, 3],
+                                                 "eps_c": [1.0, 2.0]}, threads=threads)
+    _, rows, _ = run_sweep(config)
+    assert [model.transitions[0, 0, 0, 1] for model, _ in calls["single_chain_tvs"]] == [0.3, 0.1]
+    for row in rows:
+        tv = single_chain_tvs(model_for(config, row["lambda"]), [row["t"]])[0]
+        assert row["adp"] == adp_leakage(tv, row["eps_c"]), (row["lambda"], row["t"])
+    # the two sets of matrices do give different TVs
+    assert len({row["adp"] for row in rows if row["t"] == 1 and row["eps_c"] == 1.0}) == 2
 
 
 @PROPERTY
