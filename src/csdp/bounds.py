@@ -301,7 +301,7 @@ def bounded_aged_correlation(kernel: JointKernel, age) -> float:
 
 
 def bounded_aged_correlations(laws) -> list:
-    """Delta_bar of each aged law (all of one kernel): max over neighbouring
+    """Delta_bar of each aged law (all of one space): max over neighbouring
     snapshots of the Hamming-cost transport distance between their conditionals.
 
     Each unit of transport moves one aged coordinate, which shifts the
@@ -313,14 +313,14 @@ def bounded_aged_correlations(laws) -> list:
     E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  Every pair
     with p != q, of every law, is a block.  `_transport_bounds` gives each
     block closed-form bounds lo <= W1 <= hi (up to n ulps).  With tau the
-    largest lo of an age, a block with hi <= tau * (1 + 1e-12) is settled:
-    it cannot raise the age's maximum by more than that relative slack.  The
-    open blocks of all ages, in order, go to exact Kantorovich-Rubinstein
-    LPs (`_transport_lps`), several per LP for a small kernel.
+    largest lo of a law, a block with hi <= tau * (1 + 1e-12) is settled:
+    it cannot raise the law's maximum by more than that relative slack.  The
+    open blocks of all laws, in order, go to exact Kantorovich-Rubinstein
+    LPs (`_transport_lps`), several per LP for a small space.
 
-    An age's value is max(tau, the LP values of its open blocks), so it is
+    A law's value is max(tau, the LP values of its open blocks), so it is
     an LP value or tau.  tau never exceeds Delta_bar by more than n ulps,
-    and when it is returned Delta_bar <= tau * (1 + 1e-12).  An age with no
+    and when it is returned Delta_bar <= tau * (1 + 1e-12).  A law with no
     differing pair gives 0.0.  The solver does not promise a block the same
     bits in every packing of the shared LPs (none moved in 1,000 measured
     cases), so the tests compare `tight` values across grids to 1e-12.

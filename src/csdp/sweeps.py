@@ -3,17 +3,18 @@
 Each sweep turns a config into one table (list of dict rows with a fixed
 column order), a run manifest, and a list of invariant violations.  Rows
 always carry every parameter needed to regenerate them, including the
-seed.  Cells are independent; with threads > 1 they are evaluated in a
-pool and merged in grid order, so output bytes never depend on scheduling.
-A leakage sweep's cell is one lambda: one model and kernel, one call that
-builds the aged laws of all its t, and one call each for their Delta_k,
-their Delta_bar and their oracle over the whole eps grid; its rows are
-(t, eps_c) in grid order.  The single-chain TVs of the ADP column depend
-only on the models' self-transition matrices, not on lambda, so the sweep
-computes them once per distinct set of those matrices (once for every
-built-in preset) before any cell runs.  A utility sweep's cell
-is one (lambda, age): one aged law (`aged_joint`) and aging term, and one
-row per eps_c in grid order.
+seed.  A leakage sweep is one pass on the calling thread: each lambda's
+model and kernel, one call per kernel that builds the aged laws of all its
+t, and then, over the laws of every lambda in lambda-major order, one call
+each for their Delta_k, their Delta_bar and their oracle over the whole eps
+grid; its rows are (lambda, t, eps_c) in grid order.  The single-chain TVs
+of the ADP column depend only on the models' self-transition matrices, not
+on lambda, so the sweep computes them once per distinct set of those
+matrices (once for every built-in preset).  A utility sweep's cell is one
+(lambda, age): one aged law (`aged_joint`) and aging term, and one row per
+eps_c in grid order.  Its cells are independent seeded simulations; with
+threads > 1 they are evaluated in a pool and merged in grid order, so
+output bytes never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .bounds import (
     tight_bound,
     verify_reductions,
 )
-from .kernel import aged_joint, aged_joints, joint_kernel
+from .kernel import aged_joint, aged_joints, joint_kernel, state_values
 from .model import (DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, read_yaml_fields,
                     two_user_model)
 from .queries import builtin_queries, k_sensitivity
@@ -52,8 +53,8 @@ from .rng import derive_seed
 from .utility import (
     MECHANISMS,
     UtilitySpec,
-    aging_error,
-    mse_simulated,
+    _aging_term,
+    _mse_simulated,
     noise_variance,
     tradeoff_frontier,
 )
@@ -168,7 +169,7 @@ class ExperimentConfig:
     def grid(self, key: str):
         """The grid `key` as the config gives it, else the sweep kind's default.
         With a model file, which fixes the coupling, the lambda grid is the
-        default's first value: one cell, whose rows leave lambda empty."""
+        default's first value: one lambda, whose rows leave lambda empty."""
         if key == "lambda" and self.model_path:
             return GRID_DEFAULTS[self.sweep][key][:1]
         return self.grids.get(key, GRID_DEFAULTS[self.sweep][key])
@@ -262,28 +263,34 @@ def _chain_tvs(models, ts) -> list:
     return out
 
 
-def _leakage_rows(config, lam, model, chain_tvs, ts, eps_grid, with_oracle):
-    """Rows of one lambda cell, one per (t, eps_c) in `ts` x `eps_grid`;
-    `chain_tvs` holds the model's single-chain TV at each t.
+def _leakage_rows(config):
+    """Rows of a leakage sweep, one per (lambda, t, eps_c) of its grids, in
+    that order.
 
-    The kernel, and the aged law, Delta_k and Delta_bar of every t, are
-    each computed by one call for the whole cell, and so is the oracle of
-    every (t, eps_c); only the budgets are evaluated per (t, eps_c).
+    Each lambda's kernel builds the aged laws of every t in one call; those
+    laws, concatenated lambda-major, then get their Delta_k, their
+    Delta_bar and the oracle at every eps_c from one call each for the whole
+    sweep.  Only the budgets are evaluated per (lambda, t, eps_c).
     """
-    kernel = joint_kernel(model, config.cap)
-    query = builtin_queries(model.space)["mean"]
-    k = model.space.num_sequences
+    lams, ts, eps_grid = config.grid("lambda"), config.grid("t"), config.grid("eps_c")
+    models = [_model_for(config, lam) for lam in lams]  # all of one space
+    query = builtin_queries(models[0].space)["mean"]
+    k = models[0].space.num_sequences
     dk = k_sensitivity(query, k)
-    laws = aged_joints(kernel, [(t,) * k for t in ts])
+    # (lambda, t, single-chain TV) of each law, in the laws' order
+    cells = [(lam, t, delta_t) for lam, chain_tvs in zip(lams, _chain_tvs(models, ts))
+             for t, delta_t in zip(ts, chain_tvs)]
+    ages = [(t,) * k for t in ts]
+    laws = [law for model in models for law in aged_joints(joint_kernel(model, config.cap), ages)]
     deltas_k, deltas_bar = aged_tvs(laws, k), bounded_aged_correlations(laws)
     # a closed-form lower estimate of the pure-DP leakage, with no sampling
     # half-width; the column stays for the table's layout
-    oracles, half_width = [[""] * len(eps_grid)] * len(ts), ""
-    if with_oracle:
+    oracles, half_width = [[""] * len(eps_grid)] * len(laws), ""
+    if config.sweep == "oracle-validate":
         oracles = [[o.estimate for o in at_t] for at_t in half_line_oracles(laws, query, eps_grid)]
         half_width = 0.0
     rows = []
-    for t, delta_k, delta_bar, delta_t, at_t in zip(ts, deltas_k, deltas_bar, chain_tvs, oracles):
+    for (lam, t, delta_t), delta_k, delta_bar, at_t in zip(cells, deltas_k, deltas_bar, oracles):
         for eps, oracle in zip(eps_grid, at_t):
             lin, logf = loose_bound(delta_k, dk, eps)
             dp, ddp = baseline_bounds(eps, k, query)
@@ -326,18 +333,7 @@ def run_sweep(config: ExperimentConfig):
     """Execute a sweep; returns (fields, rows, violations)."""
     if config.sweep in ("leakage-vs-lambda", "leakage-vs-age", "leakage-vs-noise",
                         "oracle-validate"):
-        ts, eps_grid = config.grid("t"), config.grid("eps_c")
-        validate = config.sweep == "oracle-validate"
-        lams = config.grid("lambda")
-        models = [_model_for(config, lam) for lam in lams]
-        # the single-chain TVs are computed here, before any cell runs, and
-        # each cell reads only its own list
-        cells = list(zip(lams, models, _chain_tvs(models, ts)))
-        per_cell = _map_cells(
-            lambda cell: _leakage_rows(config, *cell, ts, eps_grid, validate),
-            cells, config.threads,
-        )
-        rows = [row for cell_rows in per_cell for row in cell_rows]
+        rows = _leakage_rows(config)
         violations = [v for row in rows for v in _check_leakage_row(row)]
         return LEAKAGE_FIELDS, rows, violations
 
@@ -347,22 +343,25 @@ def run_sweep(config: ExperimentConfig):
         samples = config.grid("samples")
         lams, eps_grid = config.grid("lambda"), config.grid("eps_c")
         cells = [(lam, tuple(age)) for lam in lams for age in config.grid("age")]
-        # one model and kernel per distinct lambda, shared read-only by its cells
+        # one model, kernel and set of query values on the joint states per
+        # distinct lambda, shared read-only by its cells
         kernels = {}
         for lam in dict.fromkeys(lams):
             model = _model_for(config, lam)
-            kernels[lam] = (joint_kernel(model, config.cap), builtin_queries(model.space)["mean"])
+            kernel = joint_kernel(model, config.cap)  # refuses a space beyond the cap first
+            query = builtin_queries(model.space)["mean"]
+            kernels[lam] = (kernel, query, state_values(model.space, query))
 
         def cell(c):
             lam, age = c
-            kernel, query = kernels[lam]
-            aging = aging_error(aged_joint(kernel, age), query)
+            kernel, query, f = kernels[lam]
+            aging = _aging_term(aged_joint(kernel, age), f)
             label = "|".join(str(a) for a in age)
             rows = []
             for eps in eps_grid:
-                est, se = mse_simulated(kernel, age, query, eps, samples,
-                                        derive_seed(config.seed, "mse", lam, age, eps))
-                # mse_exact's sum; mse_simulated has checked eps by now
+                est, se = _mse_simulated(kernel, age, query, f, eps, samples,
+                                         derive_seed(config.seed, "mse", lam, age, eps))
+                # mse_exact's sum; _mse_simulated has checked eps by now
                 exact = aging + noise_variance(query, eps)
                 rows.append({"lambda": "" if config.model_path else lam, "age": label,
                              "eps_c": eps, "mse_exact": exact,

@@ -124,6 +124,13 @@ def mse_simulated(
     rule together fix every estimate to the last bit.  Sequence i's aged
     state is read T - age[i] steps in, T the longest lag, as `age_data` does.
     """
+    return _mse_simulated(kernel, age, query, state_values(kernel.space, query), eps_c,
+                          samples, seed)
+
+
+def _mse_simulated(kernel: JointKernel, age, query: QuerySpec, f: np.ndarray, eps_c: float,
+                   samples: int, seed: int) -> tuple:
+    """`mse_simulated` with the query's values f on the joint states given."""
     n = integer_value(samples, "samples")
     if n < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
@@ -131,7 +138,6 @@ def mse_simulated(
     ages = np.array(validate_ages(age, kernel.space))
     T = int(ages.max())
     rng = generator(seed)
-    f = state_values(kernel.space, query)
 
     path = np.empty((T + 1, n), dtype=np.intp)  # path[step, sample], a joint index
     path[0] = threshold_draws(threshold_table(kernel.stationary), 0, rng.random(n))

@@ -14,6 +14,7 @@ from csdp import (
     StateSpace,
     adp_leakage,
     aged_joint,
+    aged_joints,
     aged_tv_distance,
     baseline_bounds,
     bounded_aged_correlation,
@@ -338,22 +339,31 @@ class TestBoundedAgedCorrelation:
         for value in results:
             assert np.allclose(value, default, rtol=0, atol=1e-12)
 
-    def test_one_lp_per_fig3a_lambda(self, monkeypatch):
+    def test_fig3a_lambdas_share_packed_lps(self, monkeypatch):
+        """fig3a is one pass over its 21 lambdas, so with every block open
+        their blocks pack together into LPs of at most `_LP_VARIABLES`
+        potentials, and each law's Delta_bar matches the packing of its own
+        lambda's laws alone."""
         from csdp.sweeps import PRESETS, run_sweep
 
         grids = PRESETS["fig3a"].grids
         ages = [(t, t) for t in grids["t"]]
-        open_lambdas = sum(open_blocks(joint_kernel(two_user_model(lam)), ages) > 0
-                           for lam in grids["lambda"])
+        kernels = [joint_kernel(two_user_model(lam)) for lam in grids["lambda"]]
+        open_lambdas = sum(open_blocks(kern, ages) > 0 for kern in kernels)
         calls = self.count_lps(monkeypatch)
         run_sweep(PRESETS["fig3a"])
         # the cheapest-target flow bound settles every fig3a block
         assert len(calls) == open_lambdas == 0
-        # with every block open, still one LP per lambda
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
+        per_lambda = [bounded_aged_correlations(aged_joints(kern, ages)) for kern in kernels]
+        assert len(calls) == len(kernels) == 21
         calls.clear()
-        run_sweep(PRESETS["fig3a"])
-        assert len(calls) == len(grids["lambda"]) == 21
+        _, rows, _ = run_sweep(PRESETS["fig3a"])
+        per_lp = bounds._LP_VARIABLES // kernels[0].space.product_size
+        opened = sum(open_blocks(kern, ages) for kern in kernels)
+        assert len(calls) == -(-opened // per_lp) == 3
+        assert np.allclose([row["delta_bar"] for row in rows],
+                           [v for values in per_lambda for v in values], rtol=0, atol=1e-12)
 
     def test_large_kernel_is_chunked(self, monkeypatch):
         # n = 64: 192 blocks of 64 potentials, 16 blocks per LP, of which

@@ -124,7 +124,7 @@ class TestSweeps:
         multi_eps = ExperimentConfig(
             "oracle-validate", {"lambda": [0.25, 0.75], "t": [0, 1, 3], "eps_c": [0.5, 2.0, 10.0]}
         )
-        # a leakage cell is one lambda: one lambda, and more threads than lambdas
+        # a leakage sweep is one pass on the calling thread, whatever `threads` says
         one_lambda = ExperimentConfig(
             "leakage-vs-noise", {"lambda": [0.75], "t": [1, 4, 2], "eps_c": [1.0, 3.0]}
         )
@@ -162,6 +162,26 @@ class TestSweeps:
                   for threads in (1, 2, 3)}
         assert len(tables) == 1
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_batched_sweep_is_its_one_lambda_sweeps_concatenated(self, data):
+        """A leakage sweep over several lambdas, batched into one pass,
+        renders the header and then the rows of its one-lambda sweeps, in
+        lambda order, byte for byte."""
+        sweep = data.draw(st.sampled_from(["leakage-vs-lambda", "leakage-vs-noise",
+                                           "oracle-validate"]))
+        lams = data.draw(st.lists(st.sampled_from([round(0.05 * i, 10) for i in range(21)]),
+                                  min_size=1, max_size=4))
+        grids = {"t": data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=7,
+                                         unique=True)),
+                 "eps_c": data.draw(st.lists(st.sampled_from(sweeps.EPS_GRID_DEFAULT),
+                                             min_size=1, max_size=4, unique=True))}
+        config = ExperimentConfig(sweep, {"lambda": lams, **grids})
+        batched = render_table(*run_sweep(config)[:2], "csv").splitlines(keepends=True)
+        singles = [render_table(*run_sweep(replace(config, grids={"lambda": [lam], **grids}))[:2],
+                                "csv").splitlines(keepends=True) for lam in lams]
+        assert batched == singles[0][:1] + [row for table in singles for row in table[1:]]
+
     def test_utility_sweep_one_aging_term_per_lambda_and_age(self, monkeypatch):
         calls = []
 
@@ -188,7 +208,7 @@ class TestSweeps:
 
 class TestModelFileSweeps:
     """A model file fixes the coupling: its sweeps take no lambda grid, run
-    one cell and leave lambda empty in their rows."""
+    one lambda and leave lambda empty in their rows."""
 
     @pytest.fixture
     def model_path(self, tmp_path):

@@ -17,7 +17,9 @@ over seven 1024-state laws, peaks no higher than one law at a time plus
 one n x n array; the oracle over an eps grid equals one call per eps_c,
 and over a list of laws one call per law.  A leakage sweep makes one
 single-chain TV call per distinct set of self-transition matrices and one
-oracle call per lambda cell, and each cell reads its own model's TVs.
+call each for Delta_k, Delta_bar and the oracle over the laws of all its
+lambdas, and each lambda's rows read its own model's TVs; a utility sweep
+evaluates the query on the joint states once per lambda.
 One more property checks that the current-snapshot marginal of the aged
 joint law is the stationary law.  The release path, the simulated MSE and
 the built-in query evaluates are compared with their per-sample NumPy forms the same way,
@@ -527,19 +529,25 @@ def counted(monkeypatch, module, names) -> dict:
     return calls
 
 
-def test_sweeps_compute_chain_tvs_once_and_one_oracle_per_cell(monkeypatch):
-    """`fig3a` makes one `single_chain_tvs` call for its 21 lambdas, whose
-    self-transition matrices are equal; `oracle-validate` makes one such
-    call too, and one oracle call per lambda, with the laws of all its t."""
-    calls = counted(monkeypatch, sweeps, ("single_chain_tvs", "half_line_oracles"))
-    run_sweep(PRESETS["fig3a"])
-    assert len(calls["single_chain_tvs"]) == 1 and calls["half_line_oracles"] == []
-    calls["single_chain_tvs"].clear()
-    config = PRESETS["oracle-validate"]
-    run_sweep(config)
-    assert len(calls["single_chain_tvs"]) == 1
-    assert ([(len(laws), list(eps_grid)) for laws, _, eps_grid in calls["half_line_oracles"]]
-            == [(len(config.grid("t")), list(config.grid("eps_c")))] * len(config.grid("lambda")))
+def test_leakage_sweeps_make_one_call_per_layer(monkeypatch):
+    """A leakage sweep is one pass over every (lambda, t): each preset makes
+    one `single_chain_tvs` call, its lambdas' self-transition matrices being
+    equal, and one `aged_tvs` and one `bounded_aged_correlations` call on the
+    laws of all its lambdas; `oracle-validate` also makes one oracle call,
+    with its 35 laws and its whole eps grid."""
+    calls = counted(monkeypatch, sweeps, ("single_chain_tvs", "aged_tvs",
+                                          "bounded_aged_correlations", "half_line_oracles"))
+    for preset in ("fig3a", "fig3b", "fig3c", "oracle-validate"):
+        for args in calls.values():
+            args.clear()
+        config = PRESETS[preset]
+        laws = len(config.grid("lambda")) * len(config.grid("t"))
+        run_sweep(config)
+        assert len(calls["single_chain_tvs"]) == 1
+        assert [len(args[0]) for args in calls["aged_tvs"]] == [laws]
+        assert [len(args[0]) for args in calls["bounded_aged_correlations"]] == [laws]
+        oracles = [(len(args[0]), list(args[2])) for args in calls["half_line_oracles"]]
+        assert oracles == ([(35, [2.0, 5.0, 10.0])] if preset == "oracle-validate" else [])
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -561,6 +569,25 @@ def test_each_cell_reads_its_own_chain_tvs(monkeypatch, threads):
         assert row["adp"] == adp_leakage(tv, row["eps_c"]), (row["lambda"], row["t"])
     # the two sets of matrices do give different TVs
     assert len({row["adp"] for row in rows if row["t"] == 1 and row["eps_c"] == 1.0}) == 2
+
+
+def test_utility_sweep_evaluates_the_query_once_per_lambda(monkeypatch):
+    """Each lambda's cells share one evaluation of the query on the n joint
+    states, for their aging terms and their simulations alike."""
+    evaluated = []
+
+    def queries(space):
+        out = builtin_queries(space)
+        mean = out["mean"]
+        out["mean"] = replace(mean, evaluate=lambda x: evaluated.append(x) or mean.evaluate(x))
+        return out
+
+    monkeypatch.setattr(sweeps, "builtin_queries", queries)
+    config = ExperimentConfig("utility-sweep", {"lambda": [0.25, 0.75], "age": [[0, 0], [3, 1]],
+                                                "eps_c": [0.5, 2.0], "samples": 100})
+    _, rows, _ = run_sweep(config)
+    assert len(rows) == 8
+    assert len(evaluated) == 2 * StateSpace(2, 2).product_size
 
 
 @PROPERTY
