@@ -1,7 +1,7 @@
 """Command-line front end.
 
     csdp run --config fig3a --out results/
-    csdp run --config my_sweep.yaml --seed 7 --threads 4 --format json
+    csdp run --config my_sweep.yaml --seed 7 --format json
     csdp acceptance --seed 0 --out results/
 
 Exit codes: 0 success, 1 acceptance or invariant failure, 2 configuration
@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # each flag is a key of sweeps.FIELD_KEYS, checked as its YAML value is
     run_p.add_argument("--seed", help="root seed override")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--threads")
     run_p.add_argument("--cap", help="enumeration cap on the product state space")
     run_p.add_argument("--format", help="csv or json")
 

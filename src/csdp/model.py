@@ -25,8 +25,14 @@ from scipy.sparse import csgraph, csr_matrix
 
 STOCHASTIC_TOL = 1e-9
 # Joint states above which the dense product-space kernel is refused.  An
-# n x n float64 kernel takes 8 n^2 bytes (512 MiB at the cap), and building
-# it and its aged joint law holds about three such arrays at once.
+# n x n float64 kernel takes 8 n^2 bytes (512 MiB at the cap), and a run
+# holds many such arrays at once: every consumer of an age grid builds one
+# aged law per age of it in one call.  Peaks measured by tracemalloc at
+# n = 256, in n x n arrays: 5 for a utility sweep over one age, 26 over 22
+# ages; 9 for a loose P1 over 6 ages, 24 for a loose frontier over 21; 85
+# for a tight P1 over 6 ages and 98 for a leakage sweep over 7 (s = 8),
+# most of it Delta_bar's neighbour-pair differences, s/2 n x n arrays per
+# law held a few times over (README, `--cap`).
 DEFAULT_ENUMERATION_CAP = 2**13
 # Steps after which a power iteration that has not converged checks whether
 # the chain is periodic; converging chains seldom need more than 100.

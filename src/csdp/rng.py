@@ -3,7 +3,8 @@
 Every stochastic operation in this package takes an explicit seed, an
 integer in [0, 2**64).  Seeds for grid cells are derived from a root seed
 (any integer) by hashing the root together with the cell's coordinates (the
-"splitting rule"), so serial and parallel sweeps see identical streams.
+"splitting rule"), so a cell's stream depends only on its coordinates, not
+on which cells run before it.
 The underlying bit generator is numpy's counter-based Philox, which
 produces the same output on every platform.
 

@@ -3,18 +3,19 @@
 Each sweep turns a config into one table (list of dict rows with a fixed
 column order), a run manifest, and a list of invariant violations.  Rows
 always carry every parameter needed to regenerate them, including the
-seed.  A leakage sweep is one pass on the calling thread: each lambda's
-model and kernel, one call per kernel that builds the aged laws of all its
-t, and then, over the laws of every lambda in lambda-major order, one call
-each for their Delta_k, their Delta_bar and their oracle over the whole eps
-grid; its rows are (lambda, t, eps_c) in grid order.  The single-chain TVs
-of the ADP column depend only on the models' self-transition matrices, not
-on lambda, so the sweep computes them once per distinct set of those
-matrices (once for every built-in preset).  A utility sweep's cell is one
-(lambda, age): one aged law (`aged_joint`) and aging term, and one row per
-eps_c in grid order.  Its cells are independent seeded simulations; with
-threads > 1 they are evaluated in a pool and merged in grid order, so
-output bytes never depend on scheduling.
+seed.  Every sweep runs serially on the calling thread, and each kernel
+builds the aged laws of its whole age grid in one `aged_joints` call.  A
+leakage sweep is one pass: each lambda's model and kernel, one call per
+kernel that builds the aged laws of all its t, and then, over the laws of
+every lambda in lambda-major order, one call each for their Delta_k, their
+Delta_bar and their oracle over the whole eps grid; its rows are
+(lambda, t, eps_c) in grid order.  The single-chain TVs of the ADP column
+depend only on the models' self-transition matrices, not on lambda, so the
+sweep computes them once per distinct set of those matrices (once for
+every built-in preset).  A utility sweep takes, per lambda, one aging term
+per law of its age grid, duplicates kept, and then one seeded simulation
+per (age, eps_c), in that order; a simulation's seed depends only on its
+(lambda, age, eps_c).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numbers
 import os
 import platform
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +45,11 @@ from .bounds import (
     tight_bound,
     verify_reductions,
 )
-from .kernel import aged_joint, aged_joints, joint_kernel, state_values
+from .kernel import aged_joints, joint_kernel, state_values
 from .model import (DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, read_yaml_fields,
                     two_user_model)
 from .queries import builtin_queries, k_sensitivity
-from .rng import derive_seed
+from .rng import derive_seed, threshold_table
 from .utility import (
     MECHANISMS,
     UtilitySpec,
@@ -111,7 +111,7 @@ def _shape(default) -> str:
 
 # YAML key (also the `csdp run` flag) -> ExperimentConfig field, but for sweep and grids
 FIELD_KEYS = {"model": "model_path", "seed": "seed", "out": "out_dir", "cap": "cap",
-              "format": "fmt", "threads": "threads"}
+              "format": "fmt"}
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,6 @@ class ExperimentConfig:
     out_dir: str = "."
     cap: int = DEFAULT_ENUMERATION_CAP
     fmt: str = "csv"
-    threads: int = 1
 
     def __post_init__(self):
         if not isinstance(self.sweep, str) or self.sweep not in GRID_DEFAULTS:
@@ -162,9 +161,8 @@ class ExperimentConfig:
                 raise ModelError(f"grids: caps: every cap must be positive, got {cap}")
         if self.fmt not in ("csv", "json"):
             raise ModelError(f"format: unknown value '{self.fmt}'")
-        for key in ("threads", "cap"):
-            if getattr(self, key) < 1:
-                raise ModelError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        if self.cap < 1:
+            raise ModelError(f"cap: must be >= 1, got {self.cap}")
 
     def grid(self, key: str):
         """The grid `key` as the config gives it, else the sweep kind's default.
@@ -240,13 +238,6 @@ def _model_for(config: ExperimentConfig, lam: float) -> CmcModel:
     if config.model_path:
         return load_model(config.model_path)
     return two_user_model(lam)
-
-
-def _map_cells(fn, cells, threads: int) -> list:
-    if threads <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
 
 
 def _chain_tvs(models, ts) -> list:
@@ -341,36 +332,27 @@ def run_sweep(config: ExperimentConfig):
         fields = ("lambda", "age", "eps_c", "mse_exact", "mse_simulated",
                   "mse_stderr", "samples", "seed")
         samples = config.grid("samples")
-        lams, eps_grid = config.grid("lambda"), config.grid("eps_c")
-        cells = [(lam, tuple(age)) for lam in lams for age in config.grid("age")]
-        # one model, kernel and set of query values on the joint states per
-        # distinct lambda, shared read-only by its cells
-        kernels = {}
-        for lam in dict.fromkeys(lams):
+        ages, eps_grid = [tuple(age) for age in config.grid("age")], config.grid("eps_c")
+        rows = []
+        for lam in config.grid("lambda"):
             model = _model_for(config, lam)
             kernel = joint_kernel(model, config.cap)  # refuses a space beyond the cap first
+            # the query's values on the joint states and the kernel's sampling
+            # table, shared by every row of this lambda
             query = builtin_queries(model.space)["mean"]
-            kernels[lam] = (kernel, query, state_values(model.space, query))
-
-        def cell(c):
-            lam, age = c
-            kernel, query, f = kernels[lam]
-            aging = _aging_term(aged_joint(kernel, age), f)
-            label = "|".join(str(a) for a in age)
-            rows = []
-            for eps in eps_grid:
-                est, se = _mse_simulated(kernel, age, query, f, eps, samples,
-                                         derive_seed(config.seed, "mse", lam, age, eps))
-                # mse_exact's sum; _mse_simulated has checked eps by now
-                exact = aging + noise_variance(query, eps)
-                rows.append({"lambda": "" if config.model_path else lam, "age": label,
-                             "eps_c": eps, "mse_exact": exact,
-                             "mse_simulated": est, "mse_stderr": se, "samples": samples,
-                             "seed": config.seed})
-            return rows
-
-        rows = [row for cell_rows in _map_cells(cell, cells, config.threads)
-                for row in cell_rows]
+            f, table = state_values(model.space, query), threshold_table(kernel.matrix)
+            agings = [_aging_term(law, f) for law in aged_joints(kernel, ages)]
+            for age, aging in zip(ages, agings):
+                label = "|".join(str(a) for a in age)
+                for eps in eps_grid:
+                    est, se = _mse_simulated(kernel, age, query, f, table, eps, samples,
+                                             derive_seed(config.seed, "mse", lam, age, eps))
+                    # mse_exact's sum; _mse_simulated has checked eps by now
+                    exact = aging + noise_variance(query, eps)
+                    rows.append({"lambda": "" if config.model_path else lam, "age": label,
+                                 "eps_c": eps, "mse_exact": exact,
+                                 "mse_simulated": est, "mse_stderr": se, "samples": samples,
+                                 "seed": config.seed})
         violations = [
             f"lambda={r['lambda']} age={r['age']} eps_c={r['eps_c']}: "
             "simulated MSE outside 5 standard errors of exact "
@@ -466,7 +448,6 @@ def _manifest(config: ExperimentConfig, violations) -> dict:
         "model_digest": digest,
         "seed": config.seed,
         "cap": config.cap,
-        "threads": config.threads,
         "violations": list(violations),
     }
 

@@ -124,13 +124,14 @@ def mse_simulated(
     rule together fix every estimate to the last bit.  Sequence i's aged
     state is read T - age[i] steps in, T the longest lag, as `age_data` does.
     """
-    return _mse_simulated(kernel, age, query, state_values(kernel.space, query), eps_c,
-                          samples, seed)
+    return _mse_simulated(kernel, age, query, state_values(kernel.space, query),
+                          threshold_table(kernel.matrix), eps_c, samples, seed)
 
 
-def _mse_simulated(kernel: JointKernel, age, query: QuerySpec, f: np.ndarray, eps_c: float,
-                   samples: int, seed: int) -> tuple:
-    """`mse_simulated` with the query's values f on the joint states given."""
+def _mse_simulated(kernel: JointKernel, age, query: QuerySpec, f: np.ndarray,
+                   table: np.ndarray, eps_c: float, samples: int, seed: int) -> tuple:
+    """`mse_simulated` with the query's values f on the joint states and the
+    kernel's `threshold_table` given."""
     n = integer_value(samples, "samples")
     if n < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
@@ -141,7 +142,6 @@ def _mse_simulated(kernel: JointKernel, age, query: QuerySpec, f: np.ndarray, ep
 
     path = np.empty((T + 1, n), dtype=np.intp)  # path[step, sample], a joint index
     path[0] = threshold_draws(threshold_table(kernel.stationary), 0, rng.random(n))
-    table = threshold_table(kernel.matrix)
     for step in range(T):
         path[step + 1] = threshold_draws(table, path[step], rng.random(n))
     # the aged joint index digits @ place, summed over the distinct ages a:
@@ -182,10 +182,13 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     too, where the correlation-blind mechanism still pays the d(k)-scaled
     cost once correlated records are accounted for, which is exactly the
     DDP certified budget -- the two frontiers coincide, so DP reads DDP's
-    rows and is not evaluated.  The degree is s.  Each distinct age's
-    leakage coefficients and aging error are computed once, from one aged
-    law, and shared by every mechanism; the query is evaluated on the joint
-    states once for all of them.  None of this depends on the MSE cap.
+    rows and is not evaluated.  The degree is s.  One `aged_joints` call
+    builds the laws of every distinct age, all held at once, and one call
+    reads the grid's leakage coefficients off them (Delta_bar for the tight
+    kind, Delta_k for the loose ones); each law's aging error is computed
+    once.  Both are shared by every mechanism, and the query is evaluated
+    on the joint states once for all of them.  None of this depends on the
+    MSE cap.
     """
     s = kernel.space.num_sequences
     query, kind = spec.query, spec.leakage_kind
@@ -195,18 +198,11 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     # one law per age a row reads, DDP's age zero last
     needed = list(dict.fromkeys(ages + ([(0,) * s] if baselines else [])))
     f = state_values(kernel.space, query)
-    delta, aging = {}, {}
-    if kind == "tight":  # one call packs every age's transport LPs, so it holds every law
-        laws = aged_joints(kernel, needed)
-        delta = dict(zip(ages, bounded_aged_correlations(laws[: len(ages)])))
-        aging = {a: _aging_term(law, f) for a, law in zip(needed, laws)}
-    else:  # one law at a time
-        for a in needed:
-            law = aged_joint(kernel, a)
-            aging[a] = _aging_term(law, f)
-            if a in grid:
-                delta[a] = aged_tvs([law], s)[0]
-            del law  # before the next law is built
+    laws = aged_joints(kernel, needed)
+    aging = {a: _aging_term(law, f) for a, law in zip(needed, laws)}
+    head = laws[: len(ages)]  # the grid's distinct ages
+    delta = dict(zip(ages, bounded_aged_correlations(head) if kind == "tight"
+                     else aged_tvs(head, s)))
     budgets = {"csdp": (grid, lambda a, eps: _leakage(kind, delta[a], eps, dk))}
     if baselines:
         chain_tv = dict(zip(ages, single_chain_tvs(model, [max(a) for a in ages])))

@@ -14,7 +14,7 @@ from csdp import kernel as kernel_module
 from csdp.bounds import (LeakageParams, aged_tv_distance, bounded_aged_correlation,
                          oracle_leakage, tight_bound)
 from csdp.cli import main
-from csdp.kernel import aged_joint, joint_kernel
+from csdp.kernel import joint_kernel
 from csdp.model import (
     DEFAULT_ENUMERATION_CAP,
     CmcModel,
@@ -120,47 +120,19 @@ class TestSweeps:
         _, rows, violations = run_sweep(config)
         assert violations == []
 
-    def test_thread_determinism(self):
-        multi_eps = ExperimentConfig(
-            "oracle-validate", {"lambda": [0.25, 0.75], "t": [0, 1, 3], "eps_c": [0.5, 2.0, 10.0]}
-        )
-        # a leakage sweep is one pass on the calling thread, whatever `threads` says
-        one_lambda = ExperimentConfig(
-            "leakage-vs-noise", {"lambda": [0.75], "t": [1, 4, 2], "eps_c": [1.0, 3.0]}
-        )
-        # a utility cell is one (lambda, age): uniform and mixed ages, rows per eps_c
-        utility = ExperimentConfig(
-            "utility-sweep", {"lambda": [0.25, 0.75], "age": [[0, 0], [3, 3], [4, 1]],
-                              "eps_c": [0.5, 2.0, 10.0], "samples": 200}
-        )
-        for config, threads in ((SMALL_AGE, 3), (multi_eps, 3), (one_lambda, 2),
-                                (SMALL_AGE, 5), (utility, 3), (utility, 5)):
-            serial = run_sweep(replace(config, threads=1))
-            threaded = run_sweep(replace(config, threads=threads))
-            assert render_table(serial[0], serial[1], "csv") == render_table(
-                threaded[0], threaded[1], "csv"
-            )
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_thread_count_never_moves_a_byte(self, data):
-        """Random small grids of the leakage and utility kinds render the same
-        table on 1, 2 and 3 threads."""
-        lams = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=3)
-        eps = st.lists(st.sampled_from([0.5, 1.0, 2.0, 10.0]), min_size=1, max_size=2)
-        sweep = data.draw(st.sampled_from(["leakage-vs-age", "oracle-validate", "utility-sweep"]))
-        if sweep == "utility-sweep":
-            ages = st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2),
-                            min_size=1, max_size=3)
-            grids = {"lambda": data.draw(lams), "age": data.draw(ages),
-                     "eps_c": data.draw(eps), "samples": 100}
-        else:
-            grids = {"lambda": data.draw(lams), "eps_c": data.draw(eps),
-                     "t": data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))}
-        config = ExperimentConfig(sweep, grids, seed=data.draw(st.integers(0, 2**32 - 1)))
-        tables = {render_table(*run_sweep(replace(config, threads=threads))[:2], "csv")
-                  for threads in (1, 2, 3)}
-        assert len(tables) == 1
+    @pytest.mark.parametrize("config", [
+        SMALL_AGE,
+        ExperimentConfig("oracle-validate",
+                         {"lambda": [0.25, 0.75], "t": [0, 1, 3], "eps_c": [0.5, 2.0, 10.0]}),
+        # uniform and mixed ages, rows per eps_c
+        ExperimentConfig("utility-sweep", {"lambda": [0.25, 0.75], "age": [[0, 0], [3, 3], [4, 1]],
+                                           "eps_c": [0.5, 2.0, 10.0], "samples": 200}),
+    ], ids=["leakage-vs-age", "oracle-validate", "utility-sweep"])
+    def test_rerun_in_one_process_never_moves_a_byte(self, config):
+        """A cell's seed depends only on its coordinates: a second run of the
+        same config, after the first has drawn, renders the same table."""
+        tables = [render_table(*run_sweep(config)[:2], "csv") for _ in range(2)]
+        assert tables[0] == tables[1]
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -182,14 +154,35 @@ class TestSweeps:
                                 "csv").splitlines(keepends=True) for lam in lams]
         assert batched == singles[0][:1] + [row for table in singles for row in table[1:]]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_utility_sweep_is_its_one_cell_sweeps_concatenated(self, data):
+        """A utility sweep over several lambdas and age vectors (uniform and
+        mixed, repeats allowed) renders the header and then the rows of its
+        one-(lambda, age) sweeps, in grid order, byte for byte."""
+        lams = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                  min_size=1, max_size=3))
+        ages = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2),
+                                  min_size=1, max_size=3))
+        eps = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 10.0]), min_size=1, max_size=2))
+        config = ExperimentConfig("utility-sweep",
+                                  {"lambda": lams, "age": ages, "eps_c": eps, "samples": 100},
+                                  seed=data.draw(st.integers(0, 2**32 - 1)))
+        batched = render_table(*run_sweep(config)[:2], "csv").splitlines(keepends=True)
+        singles = [render_table(*run_sweep(replace(config, grids={
+            "lambda": [lam], "age": [age], "eps_c": eps, "samples": 100}))[:2],
+                                "csv").splitlines(keepends=True)
+                   for lam in lams for age in ages]
+        assert batched == singles[0][:1] + [row for table in singles for row in table[1:]]
+
     def test_utility_sweep_one_aging_term_per_lambda_and_age(self, monkeypatch):
         calls = []
 
-        def counting(kernel, age):
-            calls.append(age)
-            return aged_joint(kernel, age)
+        def counting(kernel, ages):
+            calls.append(list(ages))
+            return kernel_module.aged_joints(kernel, ages)
 
-        monkeypatch.setattr(sweeps, "aged_joint", counting)
+        monkeypatch.setattr(sweeps, "aged_joints", counting)
         config = ExperimentConfig(
             "utility-sweep", {"lambda": [0.25, 0.75], "age": [[0, 0], [2, 2], [5, 2]],
                               "eps_c": [0.5, 1.0, 5.0], "samples": 200}
@@ -198,7 +191,8 @@ class TestSweeps:
         assert [(r["lambda"], r["age"], r["eps_c"]) for r in rows] == [
             (lam, age, eps) for lam in (0.25, 0.75) for age in ("0|0", "2|2", "5|2")
             for eps in (0.5, 1.0, 5.0)]
-        assert calls == [(0, 0), (2, 2), (5, 2)] * 2
+        # one call per lambda, over its whole age grid
+        assert calls == [[(0, 0), (2, 2), (5, 2)]] * 2
         for row in rows:
             kernel = joint_kernel(two_user_model(row["lambda"]))
             age = tuple(int(a) for a in row["age"].split("|"))
@@ -369,7 +363,7 @@ class TestRunArtifacts:
         config = replace(SMALL_AGE, out_dir=str(tmp_path))
         run(config)
         first = open(tmp_path / "leakage-vs-age.csv", "rb").read()
-        run(replace(config, threads=2))
+        run(config)
         second = open(tmp_path / "leakage-vs-age.csv", "rb").read()
         assert first == second
 
@@ -428,10 +422,10 @@ class TestCli:
 
     @pytest.mark.parametrize("doc, named", [
         ("sweep: leakage-vs-age\nseed: abc\n", "seed: expected int, got 'abc'"),
-        ("sweep: leakage-vs-age\nthreads: two\n", "threads: expected int, got 'two'"),
+        ("sweep: leakage-vs-age\ncap: two\n", "cap: expected int, got 'two'"),
         # numbers and bools that int() would have truncated or read as 1
         ("sweep: leakage-vs-age\nseed: 1.7\n", "seed: expected int, got 1.7"),
-        ("sweep: leakage-vs-age\nthreads: 2.5\n", "threads: expected int, got 2.5"),
+        ("sweep: leakage-vs-age\ncap: 2.5\n", "cap: expected int, got 2.5"),
         ("sweep: leakage-vs-age\nseed: true\n", "seed: expected int, got True"),
         ("sweep: leakage-vs-age\ngrids: [1, 2]\n", "grids: expected a mapping, got [1, 2]"),
         ("sweep: leakage-vs-age\nout: 5\n", "out: expected str, got 5"),
@@ -498,9 +492,9 @@ class TestCli:
 
     def test_int_fields_take_the_text_of_an_int(self, tmp_path):
         cfg = tmp_path / "c.yaml"
-        cfg.write_text("sweep: reduce-check\nseed: '7'\nthreads: '2'\ncap: 64\n")
+        cfg.write_text("sweep: reduce-check\nseed: '7'\ncap: '64'\n")
         config = load_config(str(cfg))
-        assert (config.seed, config.threads, config.cap) == (7, 2, 64)
+        assert (config.seed, config.cap) == (7, 64)
 
     def test_bad_flag_exit_code(self):
         assert main(["run", "--config", "reduce-check", "--format", "xml"]) == 2
@@ -528,11 +522,11 @@ FIELD_CASES = [
     ("seed", True, "seed: expected int, got True"),
     ("seed", "abc", "seed: expected int, got 'abc'"),
     ("seed", "1.5", "seed: expected int, got '1.5'"),
-    ("threads", 2.5, "threads: expected int, got 2.5"),
-    ("threads", 0, "threads: must be >= 1, got 0"),
     ("cap", 0, "cap: must be >= 1, got 0"),
     ("cap", "0", "cap: must be >= 1, got 0"),
     ("cap", [64], "cap: expected int, got [64]"),
+    ("cap", 2.5, "cap: expected int, got 2.5"),
+    ("cap", "two", "cap: expected int, got 'two'"),
     ("out", 5, "out: expected str, got 5"),
     ("model", ["a"], "model: expected str, got ['a']"),
     ("format", "xml", "format: unknown value 'xml'"),
@@ -579,21 +573,31 @@ class TestOneRule:
 
     @pytest.mark.parametrize("value", ["7", " 7 ", np.int64(7), 7])
     def test_int_fields_store_an_int(self, value):
-        for name in ("seed", "cap", "threads"):
+        for name in ("seed", "cap"):
             got = getattr(replace(PRESETS["reduce-check"], **{name: value}), name)
             assert got == 7 and type(got) is int
 
     def test_flags_take_the_text_of_an_int(self, tmp_path):
         code = main(["run", "--config", "reduce-check", "--out", str(tmp_path), "--seed", "7",
-                     "--threads", "2", "--cap", "64", "--format", "json"])
+                     "--cap", "64", "--format", "json"])
         assert code == 0
         manifest = json.loads((tmp_path / "reduce-check.manifest.json").read_text())
-        assert (manifest["seed"], manifest["threads"], manifest["cap"]) == (7, 2, 64)
+        assert (manifest["seed"], manifest["cap"]) == (7, 64)
         assert (tmp_path / "reduce-check.json").exists()
 
     def test_unknown_top_level_keys_are_named(self, tmp_path, capsys):
         code, err = TestCli.run_yaml(tmp_path, capsys, "sweep: reduce-check\nseeds: 7\nthread: 4\n")
         assert code == 2 and "unknown key(s) ['seeds', 'thread']" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, flags, named", [
+        ("sweep: reduce-check\nthreads: 2\n", (), "unknown key(s) ['threads']"),
+        ("sweep: reduce-check\n", ("--threads", "2"), "--threads"),
+    ], ids=["yaml", "flag"])
+    def test_threads_is_refused(self, tmp_path, capsys, doc, flags, named):
+        """Every sweep runs serially: `threads` is no key and no flag."""
+        code, err = TestCli.run_yaml(tmp_path, capsys, doc, *flags)
+        assert code == 2 and named in err
         assert not (tmp_path / "out").exists()
 
     def test_empty_grids_take_their_default(self, tmp_path, capsys):

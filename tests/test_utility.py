@@ -203,9 +203,9 @@ class TestSolveP1:
 def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
     """A frontier builds one aged law per distinct age and reads its
     coefficients and aging error from it, for every mechanism and eps;
-    `solve_p1` computes no ADP term.  The tight kind builds its laws in one
-    call and reads their coefficients in one more; the loose kinds build
-    and read one law at a time."""
+    `solve_p1` computes no ADP term.  Every kind builds its laws in one call
+    and reads their coefficients (Delta_bar for the tight kind, Delta_k for
+    the loose ones) in one more."""
     age_of = {}  # id of each law built -> its age
 
     def by_age(laws, *_):
@@ -234,11 +234,9 @@ def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
     distinct = [(2, 2), (3, 3), (1, 3)]
 
     def expected(needed):
-        if kind == "tight":
-            return {"aged_joints": [needed], "aged_joint": [],
-                    "bounded_aged_correlations": [distinct], "aged_tvs": []}
-        return {"aged_joints": [], "aged_joint": needed,
-                "bounded_aged_correlations": [], "aged_tvs": [[age] for age in distinct]}
+        coefficients = "bounded_aged_correlations" if kind == "tight" else "aged_tvs"
+        return {"aged_joints": [needed], "aged_joint": [], "bounded_aged_correlations": [],
+                "aged_tvs": [], coefficients: [distinct]}
 
     tradeoff_frontier(two_user_model(0.5), spec, [0.4, 0.8])
     # one single_chain_tvs call takes each distinct age's largest entry; DDP
@@ -282,15 +280,17 @@ def test_duplicate_ages_keep_their_rows(monkeypatch):
     and 1, each younger age ties with the one before it and wins on age,
     and the repeated age 3 then beats age 1 outright."""
     delta = {(3, 3): 0.5, (2, 2): 0.5 * (1 + 0.9e-12), (1, 1): 0.5 * (1 + 1.8e-12)}
-    built = []  # the age of each law built, in order
+    age_of = {}  # id of each law built -> its age
 
-    def aged_joint(kernel, age, fn=utility.aged_joint):
-        built.append(age)
-        return fn(kernel, age)
+    def aged_joints(kernel, ages, fn=utility.aged_joints):
+        laws = fn(kernel, ages)
+        age_of.update((id(law), age) for law, age in zip(laws, ages))
+        return laws
 
-    monkeypatch.setattr(utility, "aged_joint", aged_joint)
-    # Delta_k is read from the law built last
-    monkeypatch.setattr(utility, "aged_tvs", lambda laws, degree: [delta[built[-1]]])
+    monkeypatch.setattr(utility, "aged_joints", aged_joints)
+    # each law's Delta_k is read off its age
+    monkeypatch.setattr(utility, "aged_tvs",
+                        lambda laws, degree: [delta[age_of[id(law)]] for law in laws])
     spec = UtilitySpec(mean_query(), mse_cap=1e9, age_grid=((3, 3), (2, 2), (1, 1), (3, 3)),
                        eps_grid=(1.0,), leakage_kind="loose_linear")
     assert solve_p1(two_user_model(0.5), spec).age == (3, 3)

@@ -550,18 +550,17 @@ def test_leakage_sweeps_make_one_call_per_layer(monkeypatch):
         assert oracles == ([(35, [2.0, 5.0, 10.0])] if preset == "oracle-validate" else [])
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_each_cell_reads_its_own_chain_tvs(monkeypatch, threads):
+def test_each_cell_reads_its_own_chain_tvs(monkeypatch):
     """With lambda 0.75's self-transition matrices unlike those of 0.25 and
     0.5, a sweep makes one single-chain call per set of matrices, and every
-    row's adp is its own model's, on one thread or several."""
+    row's adp is its own model's."""
     def model_for(config, lam):
         return two_user_model(lam, p=0.1 if lam == 0.75 else 0.3)
 
     monkeypatch.setattr(sweeps, "_model_for", model_for)
     calls = counted(monkeypatch, sweeps, ("single_chain_tvs",))
     config = ExperimentConfig("leakage-vs-age", {"lambda": [0.25, 0.5, 0.75], "t": [0, 1, 3],
-                                                 "eps_c": [1.0, 2.0]}, threads=threads)
+                                                 "eps_c": [1.0, 2.0]})
     _, rows, _ = run_sweep(config)
     assert [model.transitions[0, 0, 0, 1] for model, _ in calls["single_chain_tvs"]] == [0.3, 0.1]
     for row in rows:
