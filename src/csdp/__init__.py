@@ -1,8 +1,8 @@
 """Privacy accounting for correlated categorical sequences.
 
 Model coupled Markov sequences, release aged-and-noised query answers,
-and certify the privacy leakage with analytic bounds, cross-checked by a
-likelihood-ratio oracle that gives a lower estimate of the pure-DP leakage.
+and certify the privacy leakage with analytic bounds, cross-checked by an
+oracle that computes the exact pure-DP leakage.
 """
 
 __version__ = "0.1.0"
@@ -16,8 +16,7 @@ from .bounds import (
     baseline_bounds,
     bounded_aged_correlation,
     bounded_aged_correlations,
-    half_line_log_probs,
-    half_line_oracles,
+    exact_oracles,
     k_sensitivity,
     loose_bound,
     oracle_leakage,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import stats
 
-from .bounds import aged_tvs, half_line_log_probs, loose_bound, verify_reductions
+from .bounds import _value_laws, aged_tvs, loose_bound, verify_reductions
 from .kernel import aged_joint, aged_joints, joint_kernel, state_values
 from .mechanism import SequenceDatabase, laplace_sample, noise_scale, release_values
 from .model import CmcModel, StateSpace, two_user_model
@@ -202,10 +202,29 @@ def criterion_mse(tol, seed=0) -> CriterionResult:
     )
 
 
+def _half_line_cdf(law, query, eps_c: float) -> tuple:
+    """(thetas, F) with F[i, x] = Pr[M <= thetas[i] | x] for every current
+    snapshot x, where M is the query on the aged snapshot plus Laplace noise
+    of scale b = `noise_scale(query, eps_c)`; Pr[M > theta | x] is 1 - F.
+
+    thetas is 101 points spanning the query's range plus six noise scales on
+    each side: checking only at the query's values would let a noise scale
+    5% off pass.  Each column mixes the Laplace cdf over the oracle's G
+    (`bounds._value_laws`).
+    """
+    b = noise_scale(query, eps_c)
+    ys, (G,) = _value_laws([law], query)
+    thetas = np.linspace(ys[0] - 6.0 * b, ys[-1] + 6.0 * b, 101)
+    u = (thetas[:, None] - ys) / b
+    cdf = np.where(u < 0, 0.5 * np.exp(np.minimum(u, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(u, 0.0)))
+    return thetas, cdf @ G
+
+
 def half_line_gap(law, query, eps_c, samples: int, seed: int) -> float:
     """Largest gap between the exact half-line probabilities of
-    `half_line_log_probs` and their empirical values over `samples` seeded
-    releases per current snapshot x, over every theta of its grid and every x.
+    `_half_line_cdf` and their empirical values over `samples` seeded
+    releases per current snapshot x, over every theta of its grid and every
+    x; a gap in Pr[M <= theta] is the same gap in Pr[M > theta].
 
     Each release draws the aged snapshot from column x of the backward
     conditional by the one sampling rule, `rng.threshold_draws`, and adds
@@ -213,7 +232,7 @@ def half_line_gap(law, query, eps_c, samples: int, seed: int) -> float:
     `derive_seed(seed, "oracle", x)`, `samples` uniforms for the snapshots
     and then `samples` Laplace draws.
     """
-    thetas, F, S = half_line_log_probs(law, query, eps_c)
+    thetas, F = _half_line_cdf(law, query, eps_c)
     table = threshold_table(law.conditional())
     f_values = state_values(law.space, query)
     b = noise_scale(query, eps_c)
@@ -223,8 +242,7 @@ def half_line_gap(law, query, eps_c, samples: int, seed: int) -> float:
         z = threshold_draws(table, x, rng.random(samples))
         y = np.sort(f_values[z] + laplace(rng, b, samples))
         below = np.searchsorted(y, thetas, side="right") / samples
-        worst = max(worst, float(np.abs(below - np.exp(F[:, x])).max()),
-                    float(np.abs(1.0 - below - np.exp(S[:, x])).max()))
+        worst = max(worst, float(np.abs(below - F[:, x]).max()))
     return worst
 
 

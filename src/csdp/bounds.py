@@ -36,14 +36,12 @@ tangent line at eps_c = 0, d(k)*Delta_k*eps_c, lies below it and is not a
 bound.  Nor is the paper's tight budget Delta_bar*eps_c: it is the small-eps
 slope of the leakage and falls below the pure-DP leakage at some (age, eps_c).
 
-A likelihood-ratio oracle cross-checks the bounds.  `half_line_log_probs`
-gives, in closed form, the log-probabilities of the Laplace half-line
-events {M <= theta} and {M > theta} on a 101-point theta grid, and
-`half_line_oracles` their largest log-ratio over neighbouring snapshots,
-for a list of laws at a whole eps grid in one call.
-That is a supremum over those events only, so it is a lower estimate of
-the pure-DP leakage (the supremum over all events) and can under-report
-it.  The acceptance gate checks the probabilities themselves against
+An oracle cross-checks the bounds with the true pure-DP leakage.
+`exact_oracles` gives, for a list of laws at a whole eps grid in one call,
+the largest log-ratio of the release's output densities over neighbouring
+snapshots.  That supremum is attained at one of the query's distinct
+values, so the oracle reads the densities there, in closed form.  The
+acceptance gate checks the half-line probabilities of the same law against
 sampled releases (criterion 8).
 """
 
@@ -56,16 +54,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
-from .kernel import (AgedLaw, JointKernel, _joint_stationary, aged_joint, aged_joints, joint_kernel,
+from .kernel import (JointKernel, _joint_stationary, aged_joint, aged_joints, joint_kernel,
                      state_values)
 from .mechanism import noise_scale
 from .model import CmcModel, ModelError, StateSpace, check_positive, integer_value, two_user_model
 from .queries import QuerySpec, builtin_queries, k_sensitivity
-
-THETA_POINTS = 101
-THETA_SPAN = 6.0  # noise scales beyond the query range
 
 
 @dataclass(frozen=True)
@@ -381,7 +375,7 @@ def baseline_bounds(eps_c: float, degree: int, query: QuerySpec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# likelihood-ratio oracle
+# pure-DP leakage oracle
 
 
 @dataclass(frozen=True)
@@ -389,105 +383,57 @@ class OracleEstimate:
     estimate: float
 
 
-def _laplace_logcdf(u: np.ndarray, b: float) -> np.ndarray:
-    u = np.asarray(u, float)
-    lo = np.log(0.5) + np.minimum(u, 0.0) / b
-    hi = np.log1p(-0.5 * np.exp(-np.maximum(u, 0.0) / b))
-    return np.where(u < 0, lo, hi)
-
-
-def _laplace_logsf(u: np.ndarray, b: float) -> np.ndarray:
-    return _laplace_logcdf(-np.asarray(u, float), b)
-
-
-def _theta_grid(f_values: np.ndarray, b) -> np.ndarray:
-    """The theta grid at noise scale b, or one grid per row at each of an
-    array of scales."""
-    lo = f_values.min() - THETA_SPAN * b
-    hi = f_values.max() + THETA_SPAN * b
-    return np.linspace(lo, hi, THETA_POINTS, axis=-1)
-
-
-# A scaled mixture entry below this may have lost digits to underflow.
-_UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
-
-
 def oracle_leakage(kernel: JointKernel, params: LeakageParams) -> OracleEstimate:
-    """The oracle at `params`; see `half_line_oracles`."""
+    """The oracle at `params`; see `exact_oracles`."""
     law = aged_joint(kernel, params.age)
-    return half_line_oracles([law], params.query, [params.eps_c])[0][0]
+    return OracleEstimate(exact_oracles([law], params.query, [params.eps_c])[0][0])
 
 
-def _half_line_tables(laws, query: QuerySpec, eps_grid):
-    """Yield `half_line_log_probs` of each law of `laws` (all of one space)
-    at every eps_c of `eps_grid`, as (thetas, F, S), each stacked along a
-    new first axis; one law's tables are held at a time.
-
-    Column x of slice e of F (S) is log sum_z exp(L[e, :, z]) * B[z, x],
-    with L the Laplace log-cdf (log-sf) tables.  L, its row maxima top and
-    exp(L - top) depend on the query, the space and the grid only, so they
-    are built once, and one matrix product per law mixes every row.  Where
-    a slice's column has its mass on states whose shifted terms underflow
-    (eps * range / sensitivity near 745), some entry of the product falls
-    below _UNDERFLOW; each such (law, slice, column) is summed again in the
-    log domain.
-    """
-    scales = np.array([noise_scale(query, eps) for eps in eps_grid])
-    f_values = state_values(laws[0].space, query)
-    thetas = _theta_grid(f_values, scales)
-    u = thetas[:, :, None] - f_values
-    b = scales[:, None, None]
-    # the cdf and the sf tables of every eps_c, mixed by one product
-    L = np.concatenate([_laplace_logcdf(u, b), _laplace_logsf(u, b)])
-    top = L.max(axis=2, keepdims=True)
-    E = np.exp(L - top)
-    for law in laws:
-        B = law.conditional()
-        P = E @ B
-        low = np.argwhere((P < _UNDERFLOW).any(axis=1))
-        P[low[:, 0], :, low[:, 1]] = 1.0  # placeholders, replaced below
-        out = np.log(P)
-        out += top
-        for e, x in low:
-            logb = np.where(B[:, x] > 0, np.log(np.maximum(B[:, x], 1e-300)), -np.inf)
-            out[e, :, x] = logsumexp(L[e] + logb, axis=1)
-        F, S = np.split(out, 2)
-        yield thetas, F, S
+def _value_laws(laws, query: QuerySpec) -> tuple:
+    """(ys, G): the query's distinct values ys, ascending, and the
+    (law, k, n) stack of G[l, j, x] = Pr[f(z) = ys[j] | x] under law l.
+    Each law's G is one k x n product with its backward conditional, which
+    is formed and dropped in turn."""
+    ys, which = np.unique(state_values(laws[0].space, query), return_inverse=True)
+    H = (which == np.arange(len(ys))[:, None]).astype(float)
+    return ys, np.stack([H @ law.conditional() for law in laws])
 
 
-def half_line_log_probs(law: AgedLaw, query: QuerySpec, eps_c: float) -> tuple:
-    """(thetas, F, S) with F[i, x] = log Pr[M <= thetas[i] | x] and
-    S[i, x] = log Pr[M > thetas[i] | x] for every current snapshot x.
-
-    M is the query on the aged snapshot plus Laplace noise of scale
-    `noise_scale(query, eps_c)`.  thetas is a 101-point grid spanning the query
-    range plus six noise scales.  Each column mixes the Laplace cdf (sf)
-    over the backward conditional in closed form, all states at once.
-    """
-    ((thetas, F, S),) = _half_line_tables([law], query, [eps_c])
-    return thetas[0], F[0], S[0]
-
-
-def half_line_oracles(laws, query: QuerySpec, eps_grid) -> list:
+def exact_oracles(laws, query: QuerySpec, eps_grid) -> list:
     """For each law of `laws` (all of one space), the list over the eps_c of
-    `eps_grid` of the supremum of |ln Pr[M in S | x] - ln Pr[M in S | x']|
-    over neighbouring snapshot pairs and the half-line events S of
-    `half_line_log_probs`.
+    `eps_grid` of the pure-DP leakage: the supremum over outputs y and
+    neighbouring snapshots x, x' of |ln p(y | x) - ln p(y | x')|, with p the
+    density of M, the query on the aged snapshot plus Laplace noise of scale
+    b = `noise_scale(query, eps_c)`.
 
-    Other events can separate the two output laws further, so this is a
-    lower estimate of the pure-DP leakage.  The theta grids and the Laplace
-    tables are built once for the whole call; each law adds one matrix
-    product, for every eps_c at once, and its own log-domain fallbacks.
+    With ys the query's distinct values and G from `_value_laws`,
+    2b p(y | x) = sum_j G[j, x] e^{-|y - ys[j]| / b}.  Between two
+    consecutive ys each density is A e^{-y/b} + C e^{y/b}, so the ratio of
+    two of them is monotone there, and beyond the first and the last it is
+    constant: the supremum is attained at one of the ys.  The log densities
+    there are summed in the log domain, which cannot underflow, by one
+    forward pass over the ys (the terms at or below each) and one backward
+    pass (the terms above it), for every law and eps_c at once.
     """
     if not laws:
         return []
+    scales = np.array([noise_scale(query, eps) for eps in eps_grid])
+    ys, G = _value_laws(laws, query)
+    with np.errstate(divide="ignore"):
+        logG = np.log(G)[:, None]  # (law, 1, k, n), -inf at an unreachable value
+    # decay[:, e, j] = (ys[j + 1] - ys[j]) / b at the e-th eps_c
+    decay = (np.diff(ys) / scales[:, None])[None, :, :, None]
+    shape = (len(laws), len(scales), len(ys), G.shape[2])
+    below, above = np.empty(shape), np.empty(shape)
+    below[:, :, 0] = logG[:, :, 0]
+    above[:, :, -1] = -np.inf
+    for j in range(1, len(ys)):
+        below[:, :, j] = np.logaddexp(below[:, :, j - 1] - decay[:, :, j - 1], logG[:, :, j])
+        i = len(ys) - 1 - j
+        above[:, :, i] = np.logaddexp(above[:, :, i + 1], logG[:, :, i + 1]) - decay[:, :, i]
+    log_p = np.logaddexp(below, above)
     a, c = laws[0].space.neighbour_pairs.T
-    out = []
-    for _, F, S in _half_line_tables(laws, query, eps_grid):
-        worst = np.maximum(np.abs(F[:, :, a] - F[:, :, c]).max(axis=(1, 2)),
-                           np.abs(S[:, :, a] - S[:, :, c]).max(axis=(1, 2)))
-        out.append([OracleEstimate(max(0.0, v)) for v in worst.tolist()])
-    return out
+    return np.abs(log_p[..., a] - log_p[..., c]).max(axis=(2, 3)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .bounds import (
     aged_tvs,
     baseline_bounds,
     bounded_aged_correlations,
-    half_line_oracles,
+    exact_oracles,
     loose_bound,
     single_chain_tvs,
     tight_bound,
@@ -62,7 +62,7 @@ from .utility import (
 LEAKAGE_FIELDS = (
     "lambda", "t", "eps_c", "k", "d_k", "delta_k", "delta_bar",
     "loose_linear", "loose_log", "tight", "adp", "dp", "ddp",
-    "oracle", "oracle_hw", "seed",
+    "oracle", "seed",
 )
 
 FRONTIER_FIELDS = ("mechanism", "l_cap", "age", "eps_c", "leakage", "mse", "feasible", "seed")
@@ -274,12 +274,10 @@ def _leakage_rows(config):
     ages = [(t,) * k for t in ts]
     laws = [law for model in models for law in aged_joints(joint_kernel(model, config.cap), ages)]
     deltas_k, deltas_bar = aged_tvs(laws, k), bounded_aged_correlations(laws)
-    # a closed-form lower estimate of the pure-DP leakage, with no sampling
-    # half-width; the column stays for the table's layout
-    oracles, half_width = [[""] * len(eps_grid)] * len(laws), ""
+    # the exact pure-DP leakage, in closed form
+    oracles = [[""] * len(eps_grid)] * len(laws)
     if config.sweep == "oracle-validate":
-        oracles = [[o.estimate for o in at_t] for at_t in half_line_oracles(laws, query, eps_grid)]
-        half_width = 0.0
+        oracles = exact_oracles(laws, query, eps_grid)
     rows = []
     for (lam, t, delta_t), delta_k, delta_bar, at_t in zip(cells, deltas_k, deltas_bar, oracles):
         for eps, oracle in zip(eps_grid, at_t):
@@ -292,7 +290,7 @@ def _leakage_rows(config):
                 "tight": tight_bound(delta_bar, eps),
                 "adp": adp_leakage(delta_t, eps),
                 "dp": dp, "ddp": ddp,
-                "oracle": oracle, "oracle_hw": half_width, "seed": config.seed,
+                "oracle": oracle, "seed": config.seed,
             })
     return rows
 
@@ -309,7 +307,7 @@ def _check_leakage_row(row, slack: float = 1e-9) -> list:
         bad.append(f"{loc}: tight exceeds loose_linear by "
                    f"{row['tight'] - row['loose_linear']:.1e}")
     if row["oracle"] != "" and row["oracle"] > row["tight"] + slack:
-        bad.append(f"{loc}: oracle estimate exceeds tight bound by "
+        bad.append(f"{loc}: oracle exceeds tight bound by "
                    f"{row['oracle'] - row['tight']:.1e}")
     return bad
 

@@ -12,9 +12,11 @@ ages.  The package's `AgedLaw` divides J by its column totals; the
 backward conditional here divides each column of the loop law by its own
 sum, so the Delta_bar and oracle references that read it are independent
 of the package's law and agree with it to rounding.  The exact oracle
-here also sums each state's Laplace mixture with its own `logsumexp`; the
-package forms all states' sums as one row-scaled matrix product, which
-rounds differently, so the two agree to rounding, not bit for bit.  The
+here takes each state's log density at each of the query's distinct values
+as its own `logsumexp` over the aged states; the package sums the values'
+probabilities G in one forward and one backward log-domain pass over the
+values, which rounds differently, so the two agree to rounding, not bit for
+bit.  The
 simulated MSE steps its chains by binary lifting over a padded threshold
 table, tracks the aged snapshots' joint indices by digit arithmetic and
 gathers their query values from the per-state vector; here each step
@@ -73,7 +75,8 @@ from csdp import (
     StateSpace,
     laplace_sample,
 )
-from csdp.bounds import ReductionCase, _laplace_logcdf, _laplace_logsf, _theta_grid
+from csdp.acceptance import _half_line_cdf
+from csdp.bounds import ReductionCase
 from csdp.rng import derive_seed, generator
 from csdp.utility import TradeoffSolution, _better
 
@@ -334,22 +337,21 @@ def aged_tv_distance(kernel, age, degree: int) -> float:
 
 
 def exact_oracle(kernel, params) -> float:
+    """The largest log-ratio of the output densities over neighbouring
+    snapshots, read at the query's distinct values, where it is attained."""
     query = params.query
     B = backward_conditional(kernel, params.age)
     f_values = np.array([query.evaluate(z) for z in kernel.space.states])
     b = query.sensitivity(1) / params.eps_c
-    thetas = _theta_grid(f_values, b)
+    ys = np.array(sorted(set(f_values.tolist())))
     with np.errstate(divide="ignore"):
-        logB = np.where(B > 0, np.log(np.maximum(B, 1e-300)), -np.inf)
+        logB = np.log(B)
+    # log of 2b times the output density at each ys[j], given x
+    kernel_terms = -np.abs(ys[:, None] - f_values[None, :]) / b
+    log_p = [logsumexp(kernel_terms + logB[None, :, x], axis=1) for x in range(len(f_values))]
     best = 0.0
-    lc = _laplace_logcdf(thetas[:, None] - f_values[None, :], b)
-    ls = _laplace_logsf(thetas[:, None] - f_values[None, :], b)
-    # log Pr[M <= theta | x] and log Pr[M > theta | x], one logsumexp each
-    F = [logsumexp(lc + logB[None, :, x], axis=1) for x in range(len(f_values))]
-    S = [logsumexp(ls + logB[None, :, x], axis=1) for x in range(len(f_values))]
     for ai, bi in neighbour_pairs(kernel.space.states):
-        best = max(best, float(np.abs(F[ai] - F[bi]).max()),
-                   float(np.abs(S[ai] - S[bi]).max()))
+        best = max(best, float(np.abs(log_p[ai] - log_p[bi]).max()))
     return best
 
 
@@ -414,7 +416,7 @@ def laplace_draws(rng, scale, size):
 def half_line_gap(law, query, eps_c, samples, seed) -> float:
     """`acceptance.half_line_gap` with each snapshot drawn by `searchsorted`
     on its column's cumsum, clipped to the last state."""
-    thetas, F, S = csdp.half_line_log_probs(law, query, eps_c)
+    thetas, F = _half_line_cdf(law, query, eps_c)
     B = law.conditional()
     f_values = np.array([query.evaluate(z) for z in law.space.states])
     b = query.sensitivity(1) / eps_c
@@ -425,8 +427,7 @@ def half_line_gap(law, query, eps_c, samples, seed) -> float:
         z = np.clip(z, 0, len(f_values) - 1)
         y = np.sort(f_values[z] + laplace_draws(rng, b, samples))
         below = np.searchsorted(y, thetas, side="right") / samples
-        worst = max(worst, float(np.abs(below - np.exp(F[:, x])).max()),
-                    float(np.abs(1.0 - below - np.exp(S[:, x])).max()))
+        worst = max(worst, float(np.abs(below - F[:, x]).max()))
     return worst
 
 

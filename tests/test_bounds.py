@@ -20,8 +20,7 @@ from csdp import (
     bounded_aged_correlation,
     bounded_aged_correlations,
     builtin_queries,
-    half_line_log_probs,
-    half_line_oracles,
+    exact_oracles,
     joint_kernel,
     k_sensitivity,
     loose_bound,
@@ -32,7 +31,7 @@ from csdp import (
     verify_reductions,
 )
 from csdp import bounds
-from csdp.acceptance import dkw_bound, half_line_gap
+from csdp.acceptance import _half_line_cdf, dkw_bound, half_line_gap
 import loop_reference as ref
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -174,10 +173,10 @@ def test_leakage_params_keep_the_degree_as_an_int():
     lambda eps: tight_bound(0.5, eps),
     lambda eps: adp_leakage(0.3, eps),
     lambda eps: baseline_bounds(eps, 2, builtin_queries(StateSpace(2, 2))["mean"]),
-    lambda eps: half_line_oracles([aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))],
-                                  builtin_queries(StateSpace(2, 2))["mean"], [eps]),
+    lambda eps: exact_oracles([aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))],
+                              builtin_queries(StateSpace(2, 2))["mean"], [eps]),
 ], ids=["LeakageParams", "loose_bound", "tight_bound", "adp_leakage", "baseline_bounds",
-        "half_line_oracle"])
+        "exact_oracles"])
 def test_non_finite_eps_rejected(entry, eps):
     with pytest.raises(ModelError, match="eps_c must be (finite|positive), got -?(nan|inf)$"):
         entry(eps)
@@ -606,26 +605,28 @@ class TestOracle:
                     assert est.estimate <= tight_bound(dbar, eps) + 1e-9
 
     def test_independent_model_matches_adp(self):
-        # uncoupled users: the half-line oracle stays within the
+        # uncoupled users: the exact oracle stays within the
         # single-sequence age-dependent budget (0.374 <= 0.523 at t=1,
         # 0.148 <= 0.243 at t=2)
         model = independent_pair()
         kern = joint_kernel(model)
         q = builtin_queries(StateSpace(2, 2))["mean"]
         for t in (1, 2):
-            exact = half_line_oracles([aged_joint(kern, (t, t))], q, [1.0])[0][0].estimate
+            exact = exact_oracles([aged_joint(kern, (t, t))], q, [1.0])[0][0]
             assert exact <= adp_leakage(single_chain_tvs(model, [t])[0], 1.0) + 1e-9
 
-    def test_log_probs_are_complementary(self):
+    def test_half_line_cdf_is_a_cdf(self):
+        # criterion 8's Pr[M <= theta | x] rises with theta within [0, 1],
+        # and no half-line ratio exceeds the exact oracle
         law = aged_joint(joint_kernel(two_user_model(0.75)), (2, 2))
         q = builtin_queries(StateSpace(2, 2))["mean"]
-        thetas, F, S = half_line_log_probs(law, q, 2.0)
-        assert F.shape == S.shape == (len(thetas), 4)
+        thetas, F = _half_line_cdf(law, q, 2.0)
+        assert F.shape == (len(thetas), 4)
         assert np.all(np.diff(thetas) > 0) and np.all(np.diff(F, axis=0) >= 0)
-        assert np.abs(np.exp(F) + np.exp(S) - 1.0).max() <= 1e-12
+        assert F.min() >= 0.0 and F.max() <= 1.0
         a, c = law.space.neighbour_pairs.T
-        assert half_line_oracles([law], q, [2.0])[0][0].estimate == max(
-            np.abs(F[:, a] - F[:, c]).max(), np.abs(S[:, a] - S[:, c]).max())
+        worst = max(np.abs(np.log(P[:, a]) - np.log(P[:, c])).max() for P in (F, 1.0 - F))
+        assert worst <= exact_oracles([law], q, [2.0])[0][0] + 1e-12
 
     def test_sampling_matches_exact(self):
         # sampled releases of the true law fall within the DKW bound of the

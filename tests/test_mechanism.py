@@ -11,14 +11,13 @@ from csdp import (
     aged_joint,
     age_data,
     builtin_queries,
-    half_line_log_probs,
     joint_kernel,
     laplace_sample,
     release,
     release_values,
     two_user_model,
 )
-from csdp.bounds import _theta_grid
+from csdp.acceptance import _half_line_cdf
 from csdp.kernel import state_values
 from csdp.mechanism import noise_scale
 from csdp.queries import QuerySpec
@@ -142,10 +141,12 @@ class TestNoiseScale:
         assert scale == query.sensitivity(1) / eps
         assert release(alternating_db(), 3, (1, 0), query, eps, seed=2).noise_scale == scale
         assert noise_variance(query, eps) == 2.0 * scale**2
-        # the oracle's theta grid spans the query range plus six scales of its noise
+        # criterion 8's theta grid spans the query range plus six scales of its noise
         law = aged_joint(joint_kernel(two_user_model(0.75)), (1, 1))
-        thetas = half_line_log_probs(law, query, eps)[0]
-        np.testing.assert_array_equal(thetas, _theta_grid(state_values(SPACE, query), scale))
+        f_values = state_values(SPACE, query)
+        thetas = _half_line_cdf(law, query, eps)[0]
+        np.testing.assert_array_equal(
+            thetas, np.linspace(f_values.min() - 6 * scale, f_values.max() + 6 * scale, 101))
 
 
 class TestRelease:

@@ -295,12 +295,12 @@ class TestViolationMessages:
     """Each invariant violation names its cell and its margin."""
 
     ROW = {"lambda": 0.5, "t": 1, "eps_c": 1.0, "loose_linear": 0.8, "loose_log": 0.9,
-           "tight": 0.4, "oracle": "", "oracle_hw": ""}
+           "tight": 0.4, "oracle": ""}
 
     @pytest.mark.parametrize("change, message", [
         ({"loose_log": 0.7}, "loose_log fell below loose_linear by 1.0e-01"),
         ({"tight": 0.8 + 3.1e-4}, "tight exceeds loose_linear by 3.1e-04"),
-        ({"oracle": 0.45, "oracle_hw": 0.0}, "oracle estimate exceeds tight bound by 5.0e-02"),
+        ({"oracle": 0.45}, "oracle exceeds tight bound by 5.0e-02"),
     ])
     def test_leakage_row_breach_names_its_size(self, change, message):
         row = {**self.ROW, **change}

@@ -5,8 +5,11 @@ m <= 3 states, Dirichlet transition columns and coupling rows, sometimes
 with a zero coupling weight) and compares the package against the loop
 references in `loop_reference.py` with exact equality; Delta_bar, whose
 LP changed form, is compared with the dense coupling LP to 1e-12, and the
-exact oracle, whose sums are one matrix product, with the per-state
-`logsumexp` loop to 1e-12 * max(1, |value|).  The closed-form transport
+exact oracle, whose sums are two log-domain passes over the query's
+values, with one `logsumexp` per state and value to 1e-12 * max(1, |value|).
+The exact oracle also equals the largest log-ratio over a 20,001-point
+density grid that holds the query's values, and is at least the largest
+half-line log-ratio on criterion 8's grid, with warnings raised as errors.  The closed-form transport
 bounds that settle most Delta_bar blocks must bracket the dense LP, and the
 flow bound must not exceed the collapse onto state 0 it replaced.  The aged
 joint law is held in C order; at a uniform age it squares K where the loop
@@ -44,7 +47,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 import loop_reference as ref
 from csdp import (
@@ -61,9 +63,8 @@ from csdp import (
     aged_tvs,
     bounded_aged_correlation,
     bounded_aged_correlations,
-    bounds,
     builtin_queries,
-    half_line_oracles,
+    exact_oracles,
     joint_kernel,
     mse_simulated,
     oracle_leakage,
@@ -76,8 +77,9 @@ from csdp import (
     tradeoff_frontier,
     two_user_model,
 )
-from csdp.bounds import _transport_bounds
-from csdp.kernel import _powers, state_values
+from csdp.acceptance import _half_line_cdf
+from csdp.bounds import _transport_bounds, _value_laws
+from csdp.kernel import _powers
 from csdp.mechanism import noise_scale
 from csdp.queries import QuerySpec
 from csdp.rng import threshold_draws, threshold_table
@@ -116,8 +118,9 @@ def models_and_ages(draw):
 
 
 def assert_oracle_matches_loops(kernel, age, eps_c):
-    """The oracle's mixtures are one row-scaled matrix product, the loop's
-    one `logsumexp` per state, so the two agree to rounding only."""
+    """The oracle sums its densities in two log-domain passes over the
+    query's values, the loop in one `logsumexp` per state and value, so the
+    two agree to rounding only."""
     s = kernel.space.num_sequences
     for name, query in builtin_queries(kernel.space).items():
         params = LeakageParams(age, eps_c, s, query)
@@ -214,11 +217,13 @@ def test_oracle_matches_loops_on_eps_grid(i, eps_c):
         assert_oracle_matches_loops(kern, age, eps_c)
 
 
-@pytest.mark.parametrize("eps_c", [300.0, 2000.0])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps_c", [300.0, 2000.0, 1e300])
 @pytest.mark.parametrize("t", range(4))
 def test_oracle_matches_loops_at_large_eps(eps_c, t):
-    """At eps_c * range / sensitivity beyond ~745 the row-scaled product
-    underflows in some columns; those must be summed in the log domain."""
+    """At eps_c * range / sensitivity beyond ~745 the densities at the far
+    values underflow in the linear domain; the log-domain passes keep them,
+    with no warning."""
     two_user = joint_kernel(two_user_model(0.5))
     for kern in (two_user, joint_kernel(random_model(3, 3, 2))):
         assert_oracle_matches_loops(kern, (t,) * kern.space.num_sequences, eps_c)
@@ -429,65 +434,18 @@ def test_aged_law_memory_is_matrix_power_memory():
     assert peak <= 12 * N1024 + 2**20, peak
 
 
-def oracle_2d(law, query, eps_c) -> float:
-    """The half-line oracle of one law at one eps_c with one 2-D product
-    per table and the per-column log-domain fallback: the per-eps form
-    that the stacked eps grid replaced."""
-    b = noise_scale(query, eps_c)
-    B = law.conditional()
-    f_values = state_values(law.space, query)
-    thetas = np.linspace(f_values.min() - bounds.THETA_SPAN * b,
-                         f_values.max() + bounds.THETA_SPAN * b, bounds.THETA_POINTS)
-    u = thetas[:, None] - f_values[None, :]
-
-    def log_mixtures(L):
-        top = L.max(axis=1, keepdims=True)
-        P = np.exp(L - top) @ B
-        low = np.flatnonzero((P < bounds._UNDERFLOW).any(axis=0))
-        P[:, low] = 1.0
-        out = np.log(P)
-        out += top
-        for x in low:
-            logb = np.where(B[:, x] > 0, np.log(np.maximum(B[:, x], 1e-300)), -np.inf)
-            out[:, x] = logsumexp(L + logb, axis=1)
-        return out
-
-    F = log_mixtures(bounds._laplace_logcdf(u, b))
-    S = log_mixtures(bounds._laplace_logsf(u, b))
-    a, c = law.space.neighbour_pairs.T
-    return max(0.0, float(np.abs(F[:, a] - F[:, c]).max()),
-               float(np.abs(S[:, a] - S[:, c]).max()))
-
-
-def test_eps_grid_oracle_matches_per_eps(monkeypatch):
+def test_eps_grid_oracle_matches_per_eps():
     """The oracle of one law over the default eps grid plus 300 and 2000
-    equals the per-eps 2-D form at every eps_c, bit for bit, at 4, 8 and 64
-    states.  The two large eps_c send some (eps_c, column) pairs of the
-    stacked product, not all, to the log-domain sum."""
+    equals one call per eps_c, bit for bit, at 4, 8 and 64 states."""
     eps_grid = list(EPS_GRID_DEFAULT) + [300.0, 2000.0]
-    fallbacks = []
-
-    def counting(a, axis, fn=bounds.logsumexp):
-        fallbacks.append(a.shape)
-        return fn(a, axis=axis)
-
-    mixed = 0  # calls where some (eps_c, column) pairs fell back and others did not
     for kern in (joint_kernel(two_user_model(0.5)), joint_kernel(random_model(3, 3, 2)),
                  joint_kernel(random_model(4, 6, 2))):
         n = kern.space.product_size
         for t in range(4):
             law = aged_joint(kern, (t,) * kern.space.num_sequences)
             for query in builtin_queries(kern.space).values():
-                want = [oracle_2d(law, query, eps) for eps in eps_grid]
-                fallbacks.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(bounds, "logsumexp", counting)
-                    (got,) = half_line_oracles([law], query, eps_grid)
-                assert [o.estimate for o in got] == want, (n, t, query.name)
-                # at most the cdf and sf columns of the two large eps_c fall back
-                assert len(fallbacks) <= 2 * 2 * n
-                mixed += len(fallbacks) > 0
-    assert mixed > 0
+                want = [exact_oracles([law], query, [eps])[0][0] for eps in eps_grid]
+                assert exact_oracles([law], query, eps_grid) == [want], (n, t, query.name)
 
 
 @PROPERTY
@@ -495,26 +453,81 @@ def test_eps_grid_oracle_matches_per_eps(monkeypatch):
 def test_list_form_oracle_equals_one_law_calls(model):
     """The oracle of the laws at ages 0..8, in one call, equals one call per
     law bit for bit, for every built-in query over the default eps grid plus
-    300 and 2000.  The shared tables must not carry one law's fallback into
-    the next: some (law, eps_c, column) cells go to the log-domain sum and
-    others do not."""
-    s, n = model.space.num_sequences, model.space.product_size
+    300 and 2000."""
+    s = model.space.num_sequences
     laws = aged_joints(joint_kernel(model), [(t,) * s for t in range(9)])
     eps_grid = list(EPS_GRID_DEFAULT) + [300.0, 2000.0]
-    fallbacks = []
-
-    def counting(a, axis, fn=bounds.logsumexp):
-        fallbacks.append(a.shape)
-        return fn(a, axis=axis)
-
     for query in builtin_queries(model.space).values():
-        fallbacks.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bounds, "logsumexp", counting)
-            got = half_line_oracles(laws, query, eps_grid)
-        # cdf and sf columns of every law at every eps_c
-        assert 0 < len(fallbacks) < 2 * len(eps_grid) * n * len(laws), query.name
-        assert got == [half_line_oracles([law], query, eps_grid)[0] for law in laws], query.name
+        got = exact_oracles(laws, query, eps_grid)
+        assert got == [exact_oracles([law], query, eps_grid)[0] for law in laws], query.name
+
+
+@st.composite
+def oracle_laws(draw):
+    """An aged law of a random model (s <= 3, m <= 3) at an age of 0..3.  A
+    sparse model keeps, in each transition column, the stay and the cyclic
+    step and drops each other entry by a coin; with every self-coupling
+    weight positive its joint chain still reaches every state.  Age 0 gives
+    the identity conditional."""
+    model = draw(models())
+    if draw(st.booleans()):
+        P = model.transitions.copy()
+        m = P.shape[-1]
+        keep = np.eye(m, dtype=bool) | np.roll(np.eye(m, dtype=bool), 1, axis=0)
+        coins = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(P.shape) < 0.5
+        P[~(keep | coins)] = 0.0
+        model = CmcModel(model.space, P / P.sum(axis=2, keepdims=True), model.weights)
+    s = model.space.num_sequences
+    return aged_joint(joint_kernel(model), (draw(st.integers(0, 3)),) * s)
+
+
+@pytest.mark.filterwarnings("error")
+@PROPERTY
+@given(oracle_laws())
+def test_exact_oracle_is_the_dense_grid_maximum(law):
+    """The largest log-ratio of the output densities over neighbouring
+    snapshots, on a 20,001-point grid spanning the query's range plus six
+    noise scales and holding its values, equals the exact oracle to 1e-12:
+    the supremum is attained at the query's values, and the densities are
+    summed here in the linear domain, which the default eps grid keeps
+    clear of underflow.  Neighbours differ in one user's state, so their
+    largest log-ratio is the largest spread of log p along one user's axis
+    of the joint states."""
+    shape = (law.space.num_states,) * law.space.num_sequences + (-1,)
+    for query in builtin_queries(law.space).values():
+        ys, (G,) = _value_laws([law], query)
+        exact = exact_oracles([law], query, EPS_GRID_DEFAULT)[0]
+        for eps, want in zip(EPS_GRID_DEFAULT, exact):
+            b = noise_scale(query, eps)
+            grid = np.linspace(ys[0] - 6.0 * b, ys[-1] + 6.0 * b, 20001 - len(ys))
+            grid = np.union1d(grid, ys)
+            p = np.einsum("jx,jy->xy", G, np.exp(-np.abs(grid - ys[:, None]) / b))
+            log_p = np.log(p).reshape(shape)  # one axis per user, then the grid
+            dense = max(np.ptp(log_p, axis=j).max() for j in range(log_p.ndim - 1))
+            assert abs(dense - want) <= 1e-12, (query.name, eps, dense, want)
+
+
+@pytest.mark.filterwarnings("error")
+@PROPERTY
+@given(oracle_laws())
+def test_exact_oracle_bounds_the_half_line_ratios(law):
+    """Pr[M in S | x] <= e^eps Pr[M in S | x'] for every event S once the
+    densities obey it, so the exact oracle is at least the largest log-ratio
+    of the half-line probabilities Pr[M <= theta] and Pr[M > theta] on
+    criterion 8's grid, less 1e-12; the survival side is mixed from the
+    Laplace sf, not taken as 1 - F, so that it keeps its digits."""
+    a, c = law.space.neighbour_pairs.T
+    for query in builtin_queries(law.space).values():
+        ys, (G,) = _value_laws([law], query)
+        exact = exact_oracles([law], query, EPS_GRID_DEFAULT)[0]
+        for eps, bound in zip(EPS_GRID_DEFAULT, exact):
+            b = noise_scale(query, eps)
+            thetas, F = _half_line_cdf(law, query, eps)
+            u = (thetas[:, None] - ys) / b
+            S = np.where(u < 0, 1.0 - 0.5 * np.exp(np.minimum(u, 0.0)),
+                         0.5 * np.exp(-np.maximum(u, 0.0))) @ G
+            for P in (np.log(F), np.log(S)):
+                assert np.abs(P[:, a] - P[:, c]).max() <= bound + 1e-12, (query.name, eps)
 
 
 def counted(monkeypatch, module, names) -> dict:
@@ -536,7 +549,7 @@ def test_leakage_sweeps_make_one_call_per_layer(monkeypatch):
     laws of all its lambdas; `oracle-validate` also makes one oracle call,
     with its 35 laws and its whole eps grid."""
     calls = counted(monkeypatch, sweeps, ("single_chain_tvs", "aged_tvs",
-                                          "bounded_aged_correlations", "half_line_oracles"))
+                                          "bounded_aged_correlations", "exact_oracles"))
     for preset in ("fig3a", "fig3b", "fig3c", "oracle-validate"):
         for args in calls.values():
             args.clear()
@@ -546,7 +559,7 @@ def test_leakage_sweeps_make_one_call_per_layer(monkeypatch):
         assert len(calls["single_chain_tvs"]) == 1
         assert [len(args[0]) for args in calls["aged_tvs"]] == [laws]
         assert [len(args[0]) for args in calls["bounded_aged_correlations"]] == [laws]
-        oracles = [(len(args[0]), list(args[2])) for args in calls["half_line_oracles"]]
+        oracles = [(len(args[0]), list(args[2])) for args in calls["exact_oracles"]]
         assert oracles == ([(35, [2.0, 5.0, 10.0])] if preset == "oracle-validate" else [])
 
 
