@@ -74,48 +74,34 @@ class LeakageParams:
         object.__setattr__(self, "degree", self.query.space.check_degree(self.degree))
 
 
-# Entries of backward conditionals, and of pair differences, that
-# `_max_pair_tvs` holds at once, or one law's n x n if that is more.
-_TV_ENTRIES = 1 << 16
+# Entries of backward conditionals, and of neighbour-pair differences, that
+# `_pair_differences` holds at once.
+_PAIR_ENTRIES = 1 << 16
 
 
-def _max_pair_tvs(Ms: list, totals: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """For each matrix M of `Ms`, with column totals in the matching row of
-    `totals`, the largest TV distance over the given column pairs between
-    the columns of M divided by their totals.
-
-    Matrices are taken in groups whose conditionals fill at most the entry
-    budget, and each group's (matrix, pair) rows in chunks whose two
-    temporaries together fill at most the same budget; at one matrix of
-    n^2 >= `_TV_ENTRIES` entries that is one n x n for each.
+def _pair_differences(Ms: list, totals: np.ndarray, pairs: np.ndarray):
+    """Yield (r, D): rows r, r + 1, ... of the differences B_l[:, a] - B_l[:, b]
+    of the backward conditionals B_l = M_l / totals[l] of `Ms` over the pairs
+    (a, b) of `pairs`, matrix-major: row r is pair r % P of matrix r // P.
+    Matrices are taken in groups whose conditionals fill at most
+    `_PAIR_ENTRIES` entries, and rows in chunks whose two temporaries fill
+    at most as many, with at least one matrix and one row.  D is the caller's.
     """
     ms = totals.shape[1]
-    budget = max(ms * ms, _TV_ENTRIES)
-    group = budget // (ms * ms)
-    return 0.5 * np.concatenate([
-        _group_max_pair_tvs(Ms[lo : lo + group], totals[lo : lo + group], pairs, budget)
-        for lo in range(0, len(Ms), group)])
-
-
-def _group_max_pair_tvs(Ms: list, totals: np.ndarray, pairs: np.ndarray,
-                        budget: int) -> np.ndarray:
-    """The largest l1 distance of each matrix of one group: twice its TV."""
-    ms = totals.shape[1]
-    M = Ms[0][None] if len(Ms) == 1 else np.stack(Ms)
-    Bt = np.empty(M.shape)  # Bt[l, x] = conditional law of z given x under M_l
-    np.divide(M.transpose(0, 2, 1), totals[:, :, None], out=Bt)
-    Bt = Bt.reshape(-1, ms)
-    # row r of the group's (matrix, pair) rows is pair r % P of matrix r // P
-    base = ms * np.arange(len(Ms))[:, None]
-    a, b = (base + pairs[:, 0]).ravel(), (base + pairs[:, 1]).ravel()
-    l1 = np.empty(len(a))
-    chunk = max(1, budget // (2 * ms))
-    for lo in range(0, len(a), chunk):
-        diff = Bt[a[lo : lo + chunk]]
-        diff -= Bt[b[lo : lo + chunk]]
-        np.abs(diff, out=diff)
-        diff.sum(axis=1, out=l1[lo : lo + chunk])
-    return l1.reshape(len(Ms), -1).max(axis=1)
+    group = max(1, _PAIR_ENTRIES // (ms * ms))
+    chunk = max(1, _PAIR_ENTRIES // (2 * ms))
+    for start in range(0, len(Ms), group):
+        some = Ms[start : start + group]
+        M = some[0][None] if len(some) == 1 else np.stack(some)
+        Bt = np.empty(M.shape)  # Bt[l, x] = conditional law of z given x under M_l
+        np.divide(M.transpose(0, 2, 1), totals[start : start + group, :, None], out=Bt)
+        Bt = Bt.reshape(-1, ms)
+        base = ms * np.arange(len(some))[:, None]
+        a, b = (base + pairs[:, 0]).ravel(), (base + pairs[:, 1]).ravel()
+        for lo in range(0, len(a), chunk):
+            D = Bt[a[lo : lo + chunk]]
+            D -= Bt[b[lo : lo + chunk]]
+            yield start * len(pairs) + lo, D
 
 
 def aged_tv_distance(kernel: JointKernel, age, degree: int) -> float:
@@ -131,7 +117,8 @@ def aged_tvs(laws, degree: int) -> list:
     within each subset, over pairs of current sub-snapshots differing in
     exactly one coordinate (one changed user; the other members are the
     correlated partners whose values are held equal).  TV is half the l1
-    distance.  Every law's pairs of one subset are compared in one pass.
+    distance.  Every law's pairs of one subset are compared in one pass
+    over `_pair_differences`.
     """
     if not laws:
         return []
@@ -158,7 +145,11 @@ def aged_tvs(laws, degree: int) -> list:
             raise ModelError(
                 f"cannot condition on sub-snapshot {state} of users {subset}: zero mass"
             )
-        np.maximum(best, _max_pair_tvs(Ms, totals, sub.neighbour_pairs), out=best)
+        l1 = np.empty(len(laws) * len(sub.neighbour_pairs))
+        for r, D in _pair_differences(Ms, totals, sub.neighbour_pairs):
+            np.abs(D, out=D)
+            D.sum(axis=1, out=l1[r : r + len(D)])
+        np.maximum(best, 0.5 * l1.reshape(len(laws), -1).max(axis=1), out=best)
     return best.tolist()
 
 
@@ -183,9 +174,6 @@ _LP_VARIABLES = 1024
 # largest dual bound cannot raise the age's maximum by more than the slack,
 # so it is settled without an LP.
 _SETTLE_SLACK = 1e-12
-# Entries of D bounded at once by `_transport_bounds`, which keeps its
-# temporaries to a few such chunks.
-_BOUND_ENTRIES = 1 << 18
 
 
 def _transport_bounds(D: np.ndarray, space: StateSpace) -> tuple:
@@ -209,45 +197,39 @@ def _transport_bounds(D: np.ndarray, space: StateSpace) -> tuple:
     0.5 * (sum |sigma - x_a| + sum |x| - sum |x_a|), minimised over a.  The
     lines' sums are the next coordinate's input whatever a is, so this
     cost is never above the collapse onto state 0; after the last
-    coordinate the measure is zero.  Rows are bounded in chunks of about
-    `_BOUND_ENTRIES` entries, and each target's temporaries have one entry
-    per row and line, so temporaries stay within a few times D.
+    coordinate the measure is zero.  Each target's temporaries have one
+    entry per row and line, so temporaries stay within a few times D, which
+    its callers keep to one chunk of `_pair_differences`.
     """
-    N, n = D.shape
+    c, n = D.shape
     s, m = space.num_sequences, space.num_states
-    lo, hi = np.empty(N), np.empty(N)
     # int32 joint indices halve the gather's index array; strides[j] is the
     # joint-index step of coordinate j
     digits = space.digits.astype(np.int32)
     strides = space.place.astype(np.int32)
-    rows = max(1, _BOUND_ENTRIES // n)
-    for start in range(0, N, rows):
-        X = D[start : start + rows]
-        c = len(X)
-        cube = X.reshape((c,) + (m,) * s)
-        marginal_tv = np.stack(
-            [np.abs(cube.sum(axis=tuple(k + 1 for k in range(s) if k != j))).sum(axis=1)
-             for j in range(s)], axis=1) * 0.5
-        tv = np.abs(X).sum(axis=1) * 0.5
-        lo[start : start + c] = np.maximum(tv, marginal_tv.sum(axis=1))
-        # row r's states relaid with its coordinates in collapse order: joint
-        # index i of the relaid row reads digits[i, k] of coordinate order[r, k]
-        order = np.argsort(-marginal_tv, axis=1, kind="stable")
-        idx = np.zeros((c, n), dtype=np.int32)
-        for k in range(s):
-            idx += strides[order[:, k]][:, None] * digits[:, k]
-        Y = np.take_along_axis(X, idx, axis=1)
-        del idx
-        cost = np.zeros(c)
-        for _ in range(s):
-            Y = Y.reshape(c, m, -1)  # lines along the next coordinate
-            sigma = Y.sum(axis=1)
-            # per target a: sum over lines of |x_a| and of |sigma - x_a|
-            on = np.stack([np.abs(Y[:, a]).sum(axis=1) for a in range(m)])
-            off = np.stack([np.abs(sigma - Y[:, a]).sum(axis=1) for a in range(m)])
-            cost += (off + on.sum(axis=0) - on).min(axis=0) * 0.5
-            Y = sigma
-        hi[start : start + c] = cost
+    cube = D.reshape((c,) + (m,) * s)
+    marginal_tv = np.stack(
+        [np.abs(cube.sum(axis=tuple(k + 1 for k in range(s) if k != j))).sum(axis=1)
+         for j in range(s)], axis=1) * 0.5
+    tv = np.abs(D).sum(axis=1) * 0.5
+    lo = np.maximum(tv, marginal_tv.sum(axis=1))
+    # row r's states relaid with its coordinates in collapse order: joint
+    # index i of the relaid row reads digits[i, k] of coordinate order[r, k]
+    order = np.argsort(-marginal_tv, axis=1, kind="stable")
+    idx = np.zeros((c, n), dtype=np.int32)
+    for k in range(s):
+        idx += strides[order[:, k]][:, None] * digits[:, k]
+    Y = np.take_along_axis(D, idx, axis=1)
+    del idx
+    hi = np.zeros(c)
+    for _ in range(s):
+        Y = Y.reshape(c, m, Y.shape[1] // m)  # lines along the next coordinate
+        sigma = Y.sum(axis=1)
+        # per target a: sum over lines of |x_a| and of |sigma - x_a|
+        on = np.stack([np.abs(Y[:, a]).sum(axis=1) for a in range(m)])
+        off = np.stack([np.abs(sigma - Y[:, a]).sum(axis=1) for a in range(m)])
+        hi += (off + on.sum(axis=0) - on).min(axis=0) * 0.5
+        Y = sigma
     return lo, hi
 
 
@@ -305,12 +287,14 @@ def bounded_aged_correlations(laws) -> list:
 
     Hamming cost is the shortest-path metric of the Hamming graph, whose
     E = n*s*(m-1)/2 edges are the neighbour pairs themselves.  Every pair
-    with p != q, of every law, is a block.  `_transport_bounds` gives each
-    block closed-form bounds lo <= W1 <= hi (up to n ulps).  With tau the
-    largest lo of a law, a block with hi <= tau * (1 + 1e-12) is settled:
-    it cannot raise the law's maximum by more than that relative slack.  The
-    open blocks of all laws, in order, go to exact Kantorovich-Rubinstein
-    LPs (`_transport_lps`), several per LP for a small space.
+    with p != q, of every law, is a block.  One pass over the chunks of
+    `_pair_differences` keeps each block's closed-form bounds lo <= W1 <= hi
+    (up to n ulps) from `_transport_bounds`.  With tau the largest lo of a
+    law, a block with hi <= tau * (1 + 1e-12) is settled: it cannot raise
+    the law's maximum by more than that relative slack.  The open blocks'
+    rows are rebuilt and go, all laws in order, to exact
+    Kantorovich-Rubinstein LPs (`_transport_lps`), several per LP for a
+    small space.
 
     A law's value is max(tau, the LP values of its open blocks), so it is
     an LP value or tau.  tau never exceeds Delta_bar by more than n ulps,
@@ -323,21 +307,31 @@ def bounded_aged_correlations(laws) -> list:
         return []
     space = laws[0].space
     edges = space.neighbour_pairs
-    B = np.stack([law.conditional() for law in laws])
-    D = (B[:, :, edges[:, 0]] - B[:, :, edges[:, 1]]).transpose(0, 2, 1)  # (law, pair, z)
-    blocks = np.abs(D).sum(axis=2) >= 1e-15
-    D = D[blocks]
-    lo, hi = _transport_bounds(D, space)
-    # a law's value is the largest of its blocks', which are all >= 0, and
-    # 0.0 with no block
-    per_pair = np.zeros(blocks.shape)
-    per_pair[blocks] = lo
-    taus = per_pair.max(axis=1)
-    open_ = np.flatnonzero(hi > taus[np.nonzero(blocks)[0]] * (1 + _SETTLE_SLACK))
-    if len(open_):
-        lo[open_] = np.maximum(lo[open_], _transport_lps(D[open_], edges))
-        per_pair[blocks] = lo
-    return per_pair.max(axis=1).tolist()
+    for law in laws:
+        law.check_conditional()
+    Ms, totals = [law.joint for law in laws], np.stack([law.totals for law in laws])
+    blocks, lohi = [], []
+    for r, D in _pair_differences(Ms, totals, edges):
+        live = np.flatnonzero(np.abs(D).sum(axis=1) >= 1e-15)
+        blocks.append(r + live)
+        lohi.append(_transport_bounds(D[live], space))
+    # block i is row law * E + pair of `_pair_differences`; a law's value is
+    # the largest of its blocks', which are all >= 0, and 0.0 with no block
+    blocks = np.concatenate(blocks)
+    lo, hi = np.concatenate(lohi, axis=1)
+    law_of = blocks // len(edges)
+    values = np.zeros(len(laws))
+    np.maximum.at(values, law_of, lo)
+    opened = blocks[hi > values[law_of] * (1 + _SETTLE_SLACK)]
+    if len(opened):
+        law_of, pair_of = np.divmod(opened, len(edges))
+        # the open blocks' rows, rebuilt law by law in block order
+        D = np.concatenate([
+            chunk for law in np.unique(law_of)
+            for _, chunk in _pair_differences([Ms[law]], totals[law : law + 1],
+                                              edges[pair_of[law_of == law]])])
+        np.maximum.at(values, law_of, _transport_lps(D, edges))
+    return values.tolist()
 
 
 def tight_bound(delta_bar: float, eps_c: float) -> float:

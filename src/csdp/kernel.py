@@ -118,15 +118,19 @@ class AgedLaw:
         object.__setattr__(self, "joint", np.ascontiguousarray(self.joint))
         object.__setattr__(self, "totals", self.joint.sum(axis=0))
 
-    def conditional(self) -> np.ndarray:
-        """B[z, x] = Pr[aged snapshot z | current snapshot x], formed anew on
-        each call.  A current state of zero mass is refused by name."""
+    def check_conditional(self) -> None:
+        """Refuse, by name, a current state of zero mass."""
         dead = np.flatnonzero(self.totals <= 0)
         if dead.size:
             raise ModelError(
                 f"cannot condition on state {self.space.states[dead[0]]}: "
                 "zero probability under the stationary law"
             )
+
+    def conditional(self) -> np.ndarray:
+        """B[z, x] = Pr[aged snapshot z | current snapshot x], formed anew on
+        each call; see `check_conditional`."""
+        self.check_conditional()
         return self.joint / self.totals
 
 

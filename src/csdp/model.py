@@ -29,10 +29,10 @@ STOCHASTIC_TOL = 1e-9
 # holds many such arrays at once: every consumer of an age grid builds one
 # aged law per age of it in one call.  Peaks measured by tracemalloc at
 # n = 256, in n x n arrays: 5 for a utility sweep over one age, 26 over 22
-# ages; 9 for a loose P1 over 6 ages, 24 for a loose frontier over 21; 85
-# for a tight P1 over 6 ages and 98 for a leakage sweep over 7 (s = 8),
-# most of it Delta_bar's neighbour-pair differences, s/2 n x n arrays per
-# law held a few times over (README, `--cap`).
+# ages; 9 for a loose P1 over 6 ages, 24 for a loose frontier over 21; 17
+# for a tight P1 over 6 ages, 47 for a tight frontier over 21 and 17 for a
+# leakage sweep over 7 (s = 8), past one law per age mostly the rows of
+# Delta_bar's transport blocks left open for its LPs (README, `--cap`).
 DEFAULT_ENUMERATION_CAP = 2**13
 # Steps after which a power iteration that has not converged checks whether
 # the chain is periodic; converging chains seldom need more than 100.

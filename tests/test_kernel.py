@@ -14,7 +14,9 @@ from csdp import (
     StateSpace,
     aged_joint,
     aged_tv_distance,
+    aged_tvs,
     bounded_aged_correlation,
+    bounded_aged_correlations,
     builtin_queries,
     joint_kernel,
     mse_exact,
@@ -177,11 +179,15 @@ class TestBackwardConditional:
 
     def test_zero_probability_state_refused_by_every_conditioning_consumer(self):
         """Delta_k at degree s, Delta_bar and the oracle condition on the
-        current state and refuse it by name; the MSE does not condition."""
+        current state and refuse it by name, in their one-law and list
+        forms; the MSE does not condition."""
         kern = joint_kernel(self.NEVER_ENTERED)
         query = builtin_queries(kern.space)["mean"]
+        law = aged_joint(kern, (1,))
         for consume in (lambda: aged_tv_distance(kern, (1,), 1),
+                        lambda: aged_tvs([law], 1),
                         lambda: bounded_aged_correlation(kern, (1,)),
+                        lambda: bounded_aged_correlations([law]),
                         lambda: oracle_leakage(kern, LeakageParams((1,), 1.0, 1, query))):
             with pytest.raises(ModelError, match=r"\(1,\)"):
                 consume()

@@ -17,7 +17,9 @@ steps, so there the two agree to 1e-15.  The powers of a list of uniform
 ages, read off one shared set of squares, have `np.linalg.matrix_power`'s
 bytes; Delta_k of a list of laws equals the loop at each law's age and,
 over seven 1024-state laws, peaks no higher than one law at a time plus
-one n x n array; the oracle over an eps grid equals one call per eps_c,
+one n x n array, as Delta_bar does over seven 256-state laws; both keep
+their bits when every chunk of neighbour-pair differences is one row and
+every group one law; the oracle over an eps grid equals one call per eps_c,
 and over a list of laws one call per law.  A leakage sweep makes one
 single-chain TV call per distinct set of self-transition matrices and one
 call each for Delta_k, Delta_bar and the oracle over the laws of all its
@@ -42,6 +44,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,6 +66,7 @@ from csdp import (
     aged_tvs,
     bounded_aged_correlation,
     bounded_aged_correlations,
+    bounds,
     builtin_queries,
     exact_oracles,
     joint_kernel,
@@ -416,6 +420,22 @@ def test_stacked_delta_k_memory_is_the_loop_memory():
     assert stacked_peak <= loop_peak + N1024, (stacked_peak, loop_peak)
 
 
+N256 = 256 * 256 * 8  # bytes of one 256-state n x n array
+
+
+def test_delta_bar_memory_is_the_loop_memory():
+    """Over seven 256-state laws at age 0, where every block settles without
+    an LP, Delta_bar of the list peaks at most one n x n array above one
+    law at a time: no law's neighbour-pair differences are held whole."""
+    kern = joint_kernel(random_model(0, 8, 2))
+    laws = aged_joints(kern, [(0,) * 8] * 7)
+    one_at_a_time, loop_peak = traced_peak(
+        lambda: [bounded_aged_correlations([law])[0] for law in laws])
+    stacked, stacked_peak = traced_peak(lambda: bounded_aged_correlations(laws))
+    assert stacked == one_at_a_time == [1.0] * 7
+    assert stacked_peak <= loop_peak + N256, (stacked_peak, loop_peak)
+
+
 def test_aged_law_memory_is_matrix_power_memory():
     """A 1024-state law peaks at most one n x n array above the same law
     formed from `np.linalg.matrix_power`, at any age, so the shared squares
@@ -528,6 +548,20 @@ def test_exact_oracle_bounds_the_half_line_ratios(law):
                          0.5 * np.exp(-np.maximum(u, 0.0))) @ G
             for P in (np.log(F), np.log(S)):
                 assert np.abs(P[:, a] - P[:, c]).max() <= bound + 1e-12, (query.name, eps)
+
+
+@PROPERTY
+@given(oracle_laws())
+def test_one_row_chunks_keep_the_bits(law):
+    """With `_PAIR_ENTRIES` at 1, `_pair_differences` yields one row per
+    chunk and takes one law per group, so a law's Delta_bar blocks straddle
+    chunks and its tau is taken across them; Delta_k at degree s and at
+    degree 1, and Delta_bar, still equal the default budget's bit for bit."""
+    laws = [law, law]
+    s = law.space.num_sequences
+    want = [aged_tvs(laws, s), aged_tvs(laws, 1), bounded_aged_correlations(laws)]
+    with mock.patch.object(bounds, "_PAIR_ENTRIES", 1):
+        assert [aged_tvs(laws, s), aged_tvs(laws, 1), bounded_aged_correlations(laws)] == want
 
 
 def counted(monkeypatch, module, names) -> dict:
