@@ -233,9 +233,29 @@ def _transport_bounds(D: np.ndarray, space: StateSpace) -> tuple:
     return lo, hi
 
 
-def _transport_lps(D: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The transport distance of every row of D, by Kantorovich-Rubinstein
-    LPs on the Hamming graph with the given edges.
+def _row_batches(chunks, size: int):
+    """The rows of the row arrays `chunks`, in order, regrouped into arrays
+    of `size` rows (the last may be shorter).  Rows left over from a chunk
+    are copied out of it, so no chunk is held past its turn."""
+    held, need = [], size
+    for chunk in chunks:
+        lo = 0
+        while len(chunk) - lo >= need:
+            rows = chunk[lo : lo + need]
+            yield np.concatenate(held + [rows]) if held else rows
+            lo += need
+            held, need = [], size
+        if lo < len(chunk):
+            held.append(chunk[lo:].copy())
+            need -= len(chunk) - lo
+    if held:
+        yield np.concatenate(held)
+
+
+def _transport_lps(chunks, n: int, edges: np.ndarray) -> np.ndarray:
+    """The transport distance of every row of the row arrays `chunks` (of n
+    entries each), in order, by Kantorovich-Rubinstein LPs on the Hamming
+    graph with the given edges.
 
     Each row gets one block of n potentials, with d scaled to unit moved
     mass so that nearly equal conditionals stay well conditioned, and its
@@ -243,19 +263,17 @@ def _transport_lps(D: np.ndarray, edges: np.ndarray) -> np.ndarray:
     by the shift times sum(d), which is 0 for exact d, but a block with
     l1 ~ 1e-11 keeps, scaled, a rounding imbalance of up to ~1e-4 of its
     mass, and with every potential free the LP is unbounded.  Consecutive
-    blocks are packed into LPs of at most `_LP_VARIABLES` potentials.
+    blocks are packed into LPs of at most `_LP_VARIABLES` potentials, each
+    solved as soon as its rows have arrived, so one LP's rows are held.
     """
-    mass = np.maximum(D, 0.0).sum(axis=1)
-    D = D / mass[:, None]
-    n = D.shape[1]
     # block p is [G; -G] f_p <= 1 on potentials p*n .. p*n + n-1, where row
     # e of G is +1 at edges[e, 0] and -1 at edges[e, 1]; the rows of
     # [G; -G] are the edges taken both ways (arcs)
     arcs = np.concatenate([edges, edges[:, ::-1]])
-    per_lp = max(1, _LP_VARIABLES // n)
-    values = np.empty(len(D))
-    for lo in range(0, len(D), per_lp):
-        d = D[lo : lo + per_lp]
+    values = []
+    for d in _row_batches(chunks, max(1, _LP_VARIABLES // n)):
+        mass = np.maximum(d, 0.0).sum(axis=1)
+        d = d / mass[:, None]
         rows = len(arcs) * len(d)
         cols = arcs[None] + n * np.arange(len(d))[:, None, None]
         A = sparse.csr_matrix(
@@ -267,8 +285,8 @@ def _transport_lps(D: np.ndarray, edges: np.ndarray) -> np.ndarray:
         res = linprog(-d.ravel(), A_ub=A, b_ub=np.ones(rows), bounds=bounds, method="highs")
         if not res.success:
             raise ModelError(f"transport LP failed: {res.message}")
-        values[lo : lo + len(d)] = (res.x.reshape(d.shape) * d).sum(axis=1)
-    return values * mass
+        values.append((res.x.reshape(d.shape) * d).sum(axis=1) * mass)
+    return np.concatenate(values)
 
 
 def bounded_aged_correlation(kernel: JointKernel, age) -> float:
@@ -292,9 +310,10 @@ def bounded_aged_correlations(laws) -> list:
     (up to n ulps) from `_transport_bounds`.  With tau the largest lo of a
     law, a block with hi <= tau * (1 + 1e-12) is settled: it cannot raise
     the law's maximum by more than that relative slack.  The open blocks'
-    rows are rebuilt and go, all laws in order, to exact
+    rows are rebuilt, all laws in order, and go to exact
     Kantorovich-Rubinstein LPs (`_transport_lps`), several per LP for a
-    small space.
+    small space; each LP is solved as soon as its rows are rebuilt, so the
+    open rows held at once are one LP's, whatever the number of laws.
 
     A law's value is max(tau, the LP values of its open blocks), so it is
     an LP value or tau.  tau never exceeds Delta_bar by more than n ulps,
@@ -326,11 +345,10 @@ def bounded_aged_correlations(laws) -> list:
     if len(opened):
         law_of, pair_of = np.divmod(opened, len(edges))
         # the open blocks' rows, rebuilt law by law in block order
-        D = np.concatenate([
-            chunk for law in np.unique(law_of)
-            for _, chunk in _pair_differences([Ms[law]], totals[law : law + 1],
-                                              edges[pair_of[law_of == law]])])
-        np.maximum.at(values, law_of, _transport_lps(D, edges))
+        rows = (chunk for law in np.unique(law_of)
+                for _, chunk in _pair_differences([Ms[law]], totals[law : law + 1],
+                                                  edges[pair_of[law_of == law]]))
+        np.maximum.at(values, law_of, _transport_lps(rows, space.product_size, edges))
     return values.tolist()
 
 

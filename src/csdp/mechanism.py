@@ -17,7 +17,7 @@ import numpy as np
 from .kernel import validate_ages
 from .model import ModelError, StateSpace, check_positive, integer_value
 from .queries import QuerySpec
-from .rng import first_laplace, generator, laplace
+from .rng import first_laplace, laplace, rekeyed
 
 
 def _is_int(text: str) -> bool:
@@ -114,7 +114,7 @@ def age_data(db: SequenceDatabase, t: int, age) -> tuple:
             raise ModelError(
                 f"sequence {i}: age {a} reaches before the start of the record at t={t}"
             )
-        snapshot.append(int(db.snapshots[idx - 1, i]))
+        snapshot.append(db.snapshots.item(idx - 1, i))
     return tuple(snapshot)
 
 
@@ -122,10 +122,15 @@ def laplace_sample(scale: float, dim: int | None, seed: int) -> np.ndarray | flo
     """dim i.i.d. Laplace(0, scale) draws, deterministic given seed; dim >= 0.
 
     With dim=None the one draw is returned as a scalar, equal to the
-    element of the dim=1 array.
+    element of the dim=1 array.  The draws are those of
+    `laplace(generator(seed), scale, dim)`, but from the calling thread's
+    Philox re-keyed to seed (`rng.rekeyed`): the Generator serves this one
+    call, so building a new one, most of a release's time, is skipped.
+    `generator(seed)` still builds a new one, which its callers hold
+    across draws.
     """
     check_positive("noise scale", scale)
-    return laplace(generator(seed), scale, dim if dim is None else integer_value(dim, "dim", 0))
+    return laplace(rekeyed(seed), scale, dim if dim is None else integer_value(dim, "dim", 0))
 
 
 def noise_scale(query: QuerySpec, eps_c: float) -> float:

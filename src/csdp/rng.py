@@ -8,6 +8,20 @@ on which cells run before it.
 The underlying bit generator is numpy's counter-based Philox, which
 produces the same output on every platform.
 
+One-shot draws.  `generator(seed)` builds a fresh SeedSequence, Philox and
+Generator on every call, because its callers (`kernel.sample_trajectory`,
+the simulated MSE, criterion 8) hold the Generator across many draws, so
+it must belong to them alone.  A draw that needs one seed's stream for one
+call only, `mechanism.laplace_sample` behind every `release`, instead
+re-keys the calling thread's own Philox through `rekeyed(seed)`: its key
+is set to `np.random.SeedSequence(seed).generate_state(2, np.uint64)`,
+the key `Philox(seed)` derives, and its counter, buffer and spare word to
+those of a fresh Philox.  Philox is counter-based, so its stream from
+then on is `generator(seed)`'s bit for bit; building the Philox and the
+Generator was most of a release's time.  The Generator is held per thread
+(`threading.local`), so threads never share a stream, and it is re-keyed
+on every call, so no draw depends on an earlier one.
+
 Splitting rule (version 1, changing it is a breaking change):
     child_seed = first 8 bytes (big-endian) of
                  SHA-256(repr((root_seed,) + coordinates))
@@ -42,6 +56,7 @@ criterion 8 draw every state so.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -102,8 +117,38 @@ def _check_seed(seed) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """A Philox-backed Generator for the given seed, an integer in [0, 2**64)."""
+    """A new Philox-backed Generator for the given seed, an integer in
+    [0, 2**64), which the caller may hold across draws."""
     return np.random.Generator(np.random.Philox(_check_seed(seed)))
+
+
+# Each thread's Generator for one-shot draws; see `rekeyed`.
+_THREAD = threading.local()
+# A fresh Philox's counter and buffer; buffer_pos 4 marks the buffer empty.
+_ZEROS = (0, 0, 0, 0)
+
+
+def rekeyed(seed: int) -> np.random.Generator:
+    """The calling thread's Generator, re-keyed so that its stream is
+    `generator(seed)`'s bit for bit; seed is an integer in [0, 2**64).
+
+    It is the same object on every call in a thread, and the next call
+    re-keys it, so the caller draws from it within one call only.
+    """
+    key = np.random.SeedSequence(_check_seed(seed)).generate_state(2, np.uint64)
+    try:
+        rng = _THREAD.rng
+    except AttributeError:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _hash_constants(init, mult, count):

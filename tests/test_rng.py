@@ -9,17 +9,28 @@ are not integers in [0, 2**64) are rejected by name on both paths.
 `uint64` array of seeds, which `seed_keys` takes as it is, with the list
 path.  Array Laplace draws, which invert their uniforms in place, are
 compared with the out-of-place expression bit for bit.
+
+One-shot draws (`laplace_sample`, behind every `release`) re-key the
+calling thread's Philox.  Each call of a random sequence equals a fresh
+`Philox(seed)` bit for bit, whatever the calls before it left behind; a
+Generator from `generator(seed)`, held across draws, keeps its stream;
+threads releasing interleaved seeds get the serial values; bad scales,
+seeds and dims are refused in that order; and a thread's 2,000 releases
+build at most one Philox.
 """
 
 import hashlib
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csdp import ModelError
+from csdp import ModelError, SequenceDatabase, StateSpace, builtin_queries, laplace_sample, release
 from csdp import rng as rng_module
 from csdp.rng import (
     derive_seed,
@@ -28,6 +39,7 @@ from csdp.rng import (
     first_uniforms,
     generator,
     laplace,
+    rekeyed,
     seed_keys,
 )
 
@@ -201,3 +213,109 @@ def test_array_draws_write_into_no_array_the_caller_holds():
     first, second = laplace(rng, 1.0, 8), laplace(rng, 1.0, 8)
     assert not np.shares_memory(first, second)
     assert np.concatenate([first, second]).tobytes() == laplace(generator(5), 1.0, 16).tobytes()
+
+
+ONE_SHOT_EDGES = [(seed, dim, 1.5) for seed in EDGE_SEEDS + [2**63] for dim in (None, 1, 5)]
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.none() | st.integers(0, 9),
+                          st.floats(1e-3, 1e3)), min_size=1, max_size=12))
+@example(ONE_SHOT_EDGES)
+def test_one_shot_draws_equal_a_fresh_philox(calls):
+    """Every call equals a fresh Philox's draw, also after an odd-sized draw
+    left the thread's Philox mid-block, or a 32-bit draw left it a spare word."""
+    for seed, dim, scale in calls:
+        want = laplace(np.random.Generator(np.random.Philox(seed)), scale, dim)
+        got = laplace_sample(scale, dim, seed)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        rekeyed(seed).integers(2**32, dtype=np.uint32)
+
+
+def test_held_generator_keeps_its_stream():
+    held = generator(77)
+    got = []
+    for i in range(16):
+        got.append(held.random(3))
+        laplace_sample(1.0, None, 1000 + i)
+        laplace_sample(2.0, 5, 77)
+    assert np.concatenate(got).tobytes() == generator(77).random(48).tobytes()
+
+
+def test_threads_releasing_interleaved_seeds_get_the_serial_values():
+    """Four threads (more than the cores of a small host) release the seeds
+    k, k + 4, ... of one list, switching as often as the interpreter allows."""
+    space = StateSpace(2, 2)
+    db = SequenceDatabase(space, np.array([[0, 1], [1, 0], [1, 1], [0, 0]]))
+    query = builtin_queries(space)["mean"]
+    seeds = derive_seeds(3, "threads", count=2000).tolist()
+
+    def values(part):
+        return [release(db, 4, (1, 2), query, 0.7, seed).value for seed in part]
+
+    parts = [seeds[k::4] for k in range(4)]
+    serial = [values(part) for part in parts]
+    threaded = [None] * 4
+
+    def work(k):
+        threaded[k] = values(parts[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+BAD_ARGUMENTS = {
+    "scale": {0.0: "noise scale must be positive, got 0.0",
+              math.nan: "noise scale must be finite, got nan"},
+    "seed": {-1: "seed must lie in [0, 2**64), got -1",
+             1.5: "seed: expected an integer, got 1.5"},
+    "dim": {-1: "dim must be >= 0, got -1", 2.5: "dim: expected an integer, got 2.5"},
+}
+
+
+@pytest.mark.parametrize("scale, seed, dim", [
+    case for case in itertools.product([1.0, *BAD_ARGUMENTS["scale"]], [3, *BAD_ARGUMENTS["seed"]],
+                                       [None, 2, *BAD_ARGUMENTS["dim"]])
+    if case[0] != 1.0 or case[1] != 3 or case[2] not in (None, 2)
+])
+def test_bad_one_shot_arguments_are_refused_in_order(scale, seed, dim):
+    """Scale first, then seed, then dim: the first bad one names the error."""
+    first = next(BAD_ARGUMENTS[name][value] for name, value in
+                 (("scale", scale), ("seed", seed), ("dim", dim))
+                 if value in BAD_ARGUMENTS[name])
+    with pytest.raises(ModelError) as raised:
+        laplace_sample(scale, dim, seed)
+    assert str(raised.value) == first
+
+
+def test_releases_build_at_most_one_philox(monkeypatch):
+    """2,000 releases in a new thread build at most one Philox, as seen from
+    csdp.rng: the thread's own, which every release re-keys."""
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(rng_module.np.random, "Philox", counted)
+    space = StateSpace(2, 2)
+    db = SequenceDatabase(space, np.array([[0, 1], [1, 0], [1, 1]]))
+    query = builtin_queries(space)["sum"]
+    thread = threading.Thread(
+        target=lambda: [release(db, 3, (0, 1), query, 1.0, seed) for seed in range(2000)])
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(built) <= 1, len(built)

@@ -17,7 +17,9 @@ steps, so there the two agree to 1e-15.  The powers of a list of uniform
 ages, read off one shared set of squares, have `np.linalg.matrix_power`'s
 bytes; Delta_k of a list of laws equals the loop at each law's age and,
 over seven 1024-state laws, peaks no higher than one law at a time plus
-one n x n array, as Delta_bar does over seven 256-state laws; both keep
+one n x n array, as Delta_bar does over seven 256-state laws, and past a
+full group of laws Delta_bar holds no more open LP rows however many laws
+it is given; both keep
 their bits when every chunk of neighbour-pair differences is one row and
 every group one law; the oracle over an eps grid equals one call per eps_c,
 and over a list of laws one call per law.  A leakage sweep makes one
@@ -50,6 +52,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 import loop_reference as ref
 from csdp import (
@@ -434,6 +437,35 @@ def test_delta_bar_memory_is_the_loop_memory():
     stacked, stacked_peak = traced_peak(lambda: bounded_aged_correlations(laws))
     assert stacked == one_at_a_time == [1.0] * 7
     assert stacked_peak <= loop_peak + N256, (stacked_peak, loop_peak)
+
+
+def test_delta_bar_holds_one_lp_of_open_rows():
+    """On the exchangeable six-user model (n = 64) at age 1 every one of a
+    law's 192 blocks stays open.  Sixteen copies of the law fill a group of
+    `_pair_differences`, so its conditionals and chunks are at their budget;
+    48 copies then raise the peak by at most 64 bytes per block (its bounds
+    and indices), and by none of the 64-entry rows of the 6,144 blocks
+    more: each LP is solved as soon as its rows are rebuilt.  The solver is
+    a stub, given the same LPs as HiGHS, so the test takes a fraction of a
+    second."""
+    P = np.array([[0.7, 0.3], [0.3, 0.7]])
+    s = 6
+    kern = joint_kernel(CmcModel(StateSpace(s, 2), np.broadcast_to(P, (s, s, 2, 2)),
+                                 np.full((s, s), 1.0 / s)))
+    law = aged_joint(kern, (1,) * s)
+    assert 2**16 // 64**2 == 16 and bounds._PAIR_ENTRIES == 2**16
+    solved = []
+
+    def stub(c, **kwargs):
+        solved.append(len(c))
+        return OptimizeResult(success=True, x=np.zeros(len(c)))
+
+    with mock.patch.object(bounds, "linprog", stub):
+        _, full_group = traced_peak(lambda: bounded_aged_correlations([law] * 16))
+        _, triple = traced_peak(lambda: bounded_aged_correlations([law] * 48))
+    blocks = 48 * 192
+    assert sum(solved) == (16 + 48) * 192 * 64  # every block went to an LP
+    assert triple <= full_group + 64 * blocks, (triple, full_group)
 
 
 def test_aged_law_memory_is_matrix_power_memory():
