@@ -24,7 +24,16 @@ from .bounds import (
     tight_bound,
     verify_reductions,
 )
-from .kernel import AgedLaw, JointKernel, aged_joint, aged_joints, joint_kernel, sample_trajectory
+from .kernel import (
+    AgedLaw,
+    JointKernel,
+    aged_joint,
+    aged_joint_grid,
+    aged_joints,
+    joint_kernel,
+    joint_kernels,
+    sample_trajectory,
+)
 from .mechanism import (
     MechanismOutput,
     SequenceDatabase,

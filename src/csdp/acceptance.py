@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .bounds import _value_laws, aged_tvs, loose_bound, verify_reductions
-from .kernel import aged_joint, aged_joints, joint_kernel, state_values
+from .kernel import aged_joint, aged_joint_grid, joint_kernel, joint_kernels, state_values
 from .mechanism import SequenceDatabase, laplace_sample, noise_scale, release_values
 from .model import CmcModel, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
@@ -66,19 +66,23 @@ class CriterionResult:
         return f"timing criterion {self.number} ({self.name}): {self.seconds:.3f} s"
 
 
-def _linear_loose_curve(lam: float, ts) -> list:
-    """Criteria 1 and 2's curve: the two-user model's linear loose budget at
-    self-coupling `lam`, degree 2, the mean query and eps_c = 1, per age (t, t)."""
-    kernel = joint_kernel(two_user_model(lam))
-    dk = k_sensitivity(builtin_queries(kernel.space)["mean"], 2)
-    laws = aged_joints(kernel, [(t, t) for t in ts])
-    return [loose_bound(delta_k, dk, 1.0)[0] for delta_k in aged_tvs(laws, 2)]
+def _linear_loose_curves(lams, ts) -> list:
+    """Criteria 1 and 2's curves, one per self-coupling of `lams`: the
+    two-user model's linear loose budget at degree 2, the mean query and
+    eps_c = 1, per age (t, t).  The lambdas' kernels are one stack, the
+    laws of every lambda at every age are read off it in one call, and
+    their Delta_k come from one more."""
+    kernels = joint_kernels([two_user_model(lam) for lam in lams])
+    dk = k_sensitivity(builtin_queries(kernels[0].space)["mean"], 2)
+    laws = [law for row in aged_joint_grid(kernels, [(t, t) for t in ts]) for law in row]
+    leak = [loose_bound(delta_k, dk, 1.0)[0] for delta_k in aged_tvs(laws, 2)]
+    return [leak[i : i + len(ts)] for i in range(0, len(leak), len(ts))]
 
 
 def criterion_u_shape(tol, seed=0) -> CriterionResult:
     lams = [round(0.1 * i, 10) for i in range(11)]
     ts = (1, 2, 3, 4)
-    curves = {lam: _linear_loose_curve(lam, ts) for lam in lams}
+    curves = dict(zip(lams, _linear_loose_curves(lams, ts)))
     ok = True
     worst_sym = 0.0
     bad_min = []
@@ -101,8 +105,8 @@ def criterion_u_shape(tol, seed=0) -> CriterionResult:
 def criterion_decay(tol, seed=0) -> CriterionResult:
     ok = True
     notes = []
-    for lam in (0.5, 0.75, 1.0):
-        leak = _linear_loose_curve(lam, range(7))
+    lams = (0.5, 0.75, 1.0)
+    for lam, leak in zip(lams, _linear_loose_curves(lams, range(7))):
         drop = 1.0 - leak[4] / leak[0]
         mono = all(b <= a + 1e-12 for a, b in zip(leak, leak[1:]))
         if leak[6] >= tol["decay_threshold"] or drop < tol["decay_drop"] or not mono:

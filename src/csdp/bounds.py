@@ -85,16 +85,18 @@ def _pair_differences(Ms: list, totals: np.ndarray, pairs: np.ndarray):
     (a, b) of `pairs`, matrix-major: row r is pair r % P of matrix r // P.
     Matrices are taken in groups whose conditionals fill at most
     `_PAIR_ENTRIES` entries, and rows in chunks whose two temporaries fill
-    at most as many, with at least one matrix and one row.  D is the caller's.
+    at most as many, with at least one matrix and one row.  Each matrix is
+    divided straight into its slice of the group's conditionals, so the
+    group holds no copy of the matrices.  D is the caller's.
     """
     ms = totals.shape[1]
     group = max(1, _PAIR_ENTRIES // (ms * ms))
     chunk = max(1, _PAIR_ENTRIES // (2 * ms))
     for start in range(0, len(Ms), group):
         some = Ms[start : start + group]
-        M = some[0][None] if len(some) == 1 else np.stack(some)
-        Bt = np.empty(M.shape)  # Bt[l, x] = conditional law of z given x under M_l
-        np.divide(M.transpose(0, 2, 1), totals[start : start + group, :, None], out=Bt)
+        Bt = np.empty((len(some), ms, ms))  # Bt[l, x] = conditional law of z given x under M_l
+        for M, B, total in zip(some, Bt, totals[start : start + group]):
+            np.divide(M.T, total[:, None], out=B)
         Bt = Bt.reshape(-1, ms)
         base = ms * np.arange(len(some))[:, None]
         a, b = (base + pairs[:, 0]).ravel(), (base + pairs[:, 1]).ravel()
@@ -326,9 +328,10 @@ def bounded_aged_correlations(laws) -> list:
         return []
     space = laws[0].space
     edges = space.neighbour_pairs
-    for law in laws:
-        law.check_conditional()
     Ms, totals = [law.joint for law in laws], np.stack([law.totals for law in laws])
+    dead = np.flatnonzero((totals <= 0).any(axis=1))
+    if dead.size:
+        laws[dead[0]].check_conditional()  # refuses the first law's zero-mass state
     blocks, lohi = [], []
     for r, D in _pair_differences(Ms, totals, edges):
         live = np.flatnonzero(np.abs(D).sum(axis=1) >= 1e-15)

@@ -6,6 +6,13 @@ current snapshot a = (a_1, ..., a_s), next-step states are conditionally
 independent, with sequence j drawn from the mixture
 
     sum_k  lam[j, k] * P[j][k][. , a_k]
+
+The kernels of a grid of models of one space (a sweep's lambdas) are built
+as one (L, n, n) stack by `joint_kernels`, whose stationary laws come from
+one power iteration over the stack, and `aged_joint_grid` reads every
+uniform age of every kernel off one stack of powers.  `joint_kernel` is
+the one-model call and `aged_joints` the one-kernel call; each slice has
+the bits it has alone.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import numpy as np
 
 from .model import (
     DEFAULT_ENUMERATION_CAP,
+    PERIOD_CHECK_AFTER,
     CmcModel,
     ModelError,
     StateSpace,
@@ -43,6 +51,11 @@ class JointKernel:
     stationary: np.ndarray  # (m^s,)
 
 
+def _stacked(arrays: list) -> np.ndarray:
+    """The arrays stacked on a new first axis; one array is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _joint_stationary(K: np.ndarray) -> np.ndarray:
     n = K.shape[0]
     pi = _power_iteration(K, np.full(n, 1.0 / n), STATIONARY_TOL, STATIONARY_MAX_ITER)
@@ -51,28 +64,71 @@ def _joint_stationary(K: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _joint_stationaries(K: np.ndarray) -> np.ndarray:
+    """The (L, n) stationary laws of the (L, n, n) stack K, each with the
+    bits `_joint_stationary` gives it alone.
+
+    The whole stack steps at once, and each slice stops at its own step
+    within STATIONARY_TOL.  `_power_iteration` looks for a period only from
+    step PERIOD_CHECK_AFTER on, so a slice still running then is re-run
+    alone by `_joint_stationary`, which looks, and a periodic slice is
+    refused as it is alone.  The stepped sub-stack is taken anew only when
+    a slice stops.  A stack of one is solved by `_joint_stationary`
+    itself, which steps K with no copy and less work per step.
+    """
+    if len(K) == 1:
+        return _joint_stationary(K[0])[None]
+    L, n = K.shape[:2]
+    out = np.empty((L, n))
+    live, A, pi = np.arange(L), K, np.full((L, n), 1.0 / n)
+    for _ in range(PERIOD_CHECK_AFTER):
+        nxt = np.matmul(A, pi[:, :, None])[:, :, 0]
+        done = np.abs(nxt - pi).sum(axis=1) <= STATIONARY_TOL
+        if done.any():
+            out[live[done]] = nxt[done]
+            live, A, nxt = live[~done], K[live[~done]], nxt[~done]
+            if not live.size:
+                return out
+        pi = nxt
+    for l in live:
+        out[l] = _joint_stationary(K[l])
+    return out
+
+
 def joint_kernel(model: CmcModel, cap: int = DEFAULT_ENUMERATION_CAP) -> JointKernel:
-    """Build the exact product-space kernel of a model.
+    """The exact product-space kernel of a model; see `joint_kernels`."""
+    return joint_kernels([model], cap)[0]
+
+
+def joint_kernels(models, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """The exact product-space kernels of `models`, all of one space, built
+    as one (L, n, n) stack, whose slices their `matrix` fields are.
 
     Refuses spaces larger than `cap` joint states (a sweep's `cap` key or
     `--cap` flag).
 
     K[b, a] is the product over sequences j of the conditional law
     L_j[b_j, a] = sum_k lam[j, k] P[j][k][b_j, a_k], built one sequence at
-    a time: after sequence j the rows enumerate (b_0, ..., b_j).
+    a time for every model at once: after sequence j the rows enumerate
+    (b_0, ..., b_j).  A zero weight adds a zero term, which changes no
+    bit.  The stationary laws come from one power iteration over the stack
+    (`_joint_stationaries`).
     """
-    model.space.check_cap(cap)
-    s, m = model.space.num_sequences, model.space.num_states
-    digits = model.space.digits
-    n = len(digits)
-    K = np.ones((1, n))
+    space = models[0].space
+    if any(model.space != space for model in models):
+        raise ModelError("joint_kernels: the models must share one state space")
+    space.check_cap(cap)
+    s, digits = space.num_sequences, space.digits
+    L, n = len(models), len(digits)
+    P = _stacked([model.transitions for model in models])
+    W = _stacked([model.weights for model in models])[:, :, :, None, None]
+    K = np.ones((L, 1, n))
     for j in range(s):
-        law = np.zeros((m, n))
+        law = np.zeros((L, space.num_states, n))
         for k in range(s):
-            if model.weights[j, k]:
-                law += model.weights[j, k] * model.transitions[j, k][:, digits[:, k]]
-        K = (K[:, None, :] * law[None, :, :]).reshape(-1, n)
-    return JointKernel(model.space, K, _joint_stationary(K))
+            law += W[:, j, k] * np.take(P[:, j, k], digits[:, k], axis=-1)
+        K = (K[:, :, None, :] * law[:, None, :, :]).reshape(L, -1, n)
+    return [JointKernel(space, matrix, pi) for matrix, pi in zip(K, _joint_stationaries(K))]
 
 
 def validate_ages(age, space: StateSpace) -> tuple:
@@ -135,25 +191,31 @@ class AgedLaw:
 
 
 def aged_joint(kernel: JointKernel, age) -> AgedLaw:
-    """The aged law of `kernel` at `age`; see `aged_joints`."""
+    """The aged law of `kernel` at `age`; see `aged_joint_grid`."""
     return aged_joints(kernel, [age])[0]
 
 
+def aged_joints(kernel: JointKernel, ages) -> list:
+    """The aged law of `kernel` at each age of `ages`; see `aged_joint_grid`."""
+    return aged_joint_grid([kernel], ages)[0]
+
+
 def _powers(K: np.ndarray, ts) -> np.ndarray:
-    """The (len(ts), n, n) stack of K^t for each t of `ts`, each with
-    `np.linalg.matrix_power`'s product order, so with its bits: eye at
+    """The stack of K^t for each t of `ts`, for one n x n K or for an
+    (L, n, n) stack of them: out[i] holds K^ts[i], of K's shape.  Each
+    power has `np.linalg.matrix_power`'s product order, so its bits: eye at
     t = 0, K at 1, K@K at 2, (K@K)@K at 3 and otherwise the squares
     K^(2^i) of t's binary digits multiplied left to right, ascending.
 
     The squares are formed once for the whole list, in ascending order, and
     each is multiplied into every power that takes it before the next is
-    formed, so beyond the stack at most two n x n arrays are alive, as in
-    `matrix_power` itself.
+    formed, so beyond the stack at most two arrays of K's shape are alive,
+    as in `matrix_power` itself.
     """
-    out = np.empty((len(ts), len(K), len(K)))
+    out = np.empty((len(ts),) + K.shape)
     for power, t in zip(out, ts):
         if t == 0:
-            power[...] = np.eye(len(K))
+            power[...] = np.eye(K.shape[-1])
     square = K  # K^(2^i)
     for i in range(max(ts, default=0).bit_length()):
         if i:
@@ -170,27 +232,34 @@ def _powers(K: np.ndarray, ts) -> np.ndarray:
     return out
 
 
-def aged_joints(kernel: JointKernel, ages) -> list:
-    """The aged law of `kernel` at each age of `ages`, in order.
+def aged_joint_grid(kernels, ages) -> list:
+    """The aged laws of every kernel of `kernels` (all of one space) at every
+    age of `ages`: one list per kernel, in order, of one law per age.
 
     z_i is the state of sequence i at `age[i]` steps before x.  With a
-    uniform age t the law is pi[z] * K^t[x, z], and every uniform age reads
-    its K^t off one stack of powers (`_powers`), which then holds the laws
-    in place; heterogeneous ages are handled by forward dynamic programming
-    over the trajectory, recording each coordinate when its lag is reached,
-    one age at a time.
+    uniform age t the law is pi[z] * K^t[x, z], and every uniform age of
+    every kernel reads its K^t off one stack of powers (`_powers`) of the
+    kernels' stack, which then holds the laws in place; heterogeneous ages
+    are handled by forward dynamic programming over the trajectory,
+    recording each coordinate when its lag is reached, one law at a time.
     """
-    ages = [validate_ages(age, kernel.space) for age in ages]
-    laws = [None] * len(ages)
+    space = kernels[0].space
+    ages = [validate_ages(age, space) for age in ages]
     uniform = [i for i, age in enumerate(ages) if len(set(age)) == 1]
-    for i, J in zip(uniform, _powers(kernel.matrix, [ages[i][0] for i in uniform])):
-        J *= kernel.stationary
-        J[...] = J.T.copy()  # J[z, x] in C order, one n x n at a time
-        laws[i] = AgedLaw(kernel.space, J)
-    for i, age in enumerate(ages):
-        if laws[i] is None:
-            laws[i] = AgedLaw(kernel.space, _mixed_aged_joint(kernel, np.array(age)))
-    return laws
+    # powers[u, l] is kernel l's power at the u-th uniform age
+    powers = _powers(_stacked([kern.matrix for kern in kernels]), [ages[i][0] for i in uniform])
+    powers *= _stacked([kern.stationary for kern in kernels])[:, None, :]
+    grid = []
+    for l, kern in enumerate(kernels):
+        laws = [None] * len(ages)
+        for i, J in zip(uniform, powers[:, l]):
+            J[...] = J.T.copy()  # J[z, x] in C order, one n x n at a time
+            laws[i] = AgedLaw(space, J)
+        for i, age in enumerate(ages):
+            if laws[i] is None:
+                laws[i] = AgedLaw(space, _mixed_aged_joint(kern, np.array(age)))
+        grid.append(laws)
+    return grid
 
 
 def _mixed_aged_joint(kernel: JointKernel, ages: np.ndarray) -> np.ndarray:

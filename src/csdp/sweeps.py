@@ -3,19 +3,21 @@
 Each sweep turns a config into one table (list of dict rows with a fixed
 column order), a run manifest, and a list of invariant violations.  Rows
 always carry every parameter needed to regenerate them, including the
-seed.  Every sweep runs serially on the calling thread, and each kernel
-builds the aged laws of its whole age grid in one `aged_joints` call.  A
-leakage sweep is one pass: each lambda's model and kernel, one call per
-kernel that builds the aged laws of all its t, and then, over the laws of
-every lambda in lambda-major order, one call each for their Delta_k, their
-Delta_bar and their oracle over the whole eps grid; its rows are
-(lambda, t, eps_c) in grid order.  The single-chain TVs of the ADP column
-depend only on the models' self-transition matrices, not on lambda, so the
-sweep computes them once per distinct set of those matrices (once for
-every built-in preset).  A utility sweep takes, per lambda, one aging term
-per law of its age grid, duplicates kept, and then one seeded simulation
-per (age, eps_c), in that order; a simulation's seed depends only on its
-(lambda, age, eps_c).
+seed.  Every sweep runs serially on the calling thread, and builds the
+kernels of its whole lambda grid as one stack (`joint_kernels`).  A
+leakage sweep is one pass: one call reads the aged laws of every lambda at
+every t off that stack (`aged_joint_grid`), and then, over those laws in
+lambda-major order, one call each gives their Delta_k, their Delta_bar and
+their oracle over the whole eps grid; its rows are (lambda, t, eps_c) in
+grid order, and only the budgets that vary with all three are formed per
+row.  The single-chain TVs of the ADP column depend only on the models'
+self-transition matrices, not on lambda, so the sweep computes them once
+per distinct set of those matrices (once for every built-in preset).  A
+utility sweep takes, per lambda, one aging term per law of its age grid
+from one `aged_joints` call, duplicates kept, and then one seeded
+simulation per (age, eps_c), in that order; a simulation's seed depends
+only on its (lambda, age, eps_c).  A frontier reads every cap off one grid
+of rows per mechanism (`utility.tradeoff_frontier`).
 """
 
 from __future__ import annotations
@@ -45,16 +47,17 @@ from .bounds import (
     tight_bound,
     verify_reductions,
 )
-from .kernel import aged_joints, joint_kernel, state_values
+from .kernel import aged_joint_grid, aged_joints, joint_kernels, state_values
 from .model import (DEFAULT_ENUMERATION_CAP, CmcModel, ModelError, load_model, read_yaml_fields,
                     two_user_model)
 from .queries import builtin_queries, k_sensitivity
-from .rng import derive_seed, threshold_table
+from .rng import derive_seed
 from .utility import (
     MECHANISMS,
     UtilitySpec,
     _aging_term,
     _mse_simulated,
+    _sampling_tables,
     noise_variance,
     tradeoff_frontier,
 )
@@ -258,10 +261,13 @@ def _leakage_rows(config):
     """Rows of a leakage sweep, one per (lambda, t, eps_c) of its grids, in
     that order.
 
-    Each lambda's kernel builds the aged laws of every t in one call; those
-    laws, concatenated lambda-major, then get their Delta_k, their
-    Delta_bar and the oracle at every eps_c from one call each for the whole
-    sweep.  Only the budgets are evaluated per (lambda, t, eps_c).
+    The lambdas' kernels are built as one stack, and the aged laws of every
+    lambda at every t are read off it in one call; those laws, lambda-major,
+    then get their Delta_k, their Delta_bar and the oracle at every eps_c
+    from one call each for the whole sweep.  The DP and DDP budgets are
+    formed once per eps_c and the ADP budget once per (single-chain TV,
+    eps_c); only the budgets that vary with (lambda, t, eps_c) are formed
+    per row.
     """
     lams, ts, eps_grid = config.grid("lambda"), config.grid("t"), config.grid("eps_c")
     models = [_model_for(config, lam) for lam in lams]  # all of one space
@@ -271,24 +277,26 @@ def _leakage_rows(config):
     # (lambda, t, single-chain TV) of each law, in the laws' order
     cells = [(lam, t, delta_t) for lam, chain_tvs in zip(lams, _chain_tvs(models, ts))
              for t, delta_t in zip(ts, chain_tvs)]
-    ages = [(t,) * k for t in ts]
-    laws = [law for model in models for law in aged_joints(joint_kernel(model, config.cap), ages)]
+    grid = aged_joint_grid(joint_kernels(models, config.cap), [(t,) * k for t in ts])
+    laws = [law for row in grid for law in row]
     deltas_k, deltas_bar = aged_tvs(laws, k), bounded_aged_correlations(laws)
     # the exact pure-DP leakage, in closed form
     oracles = [[""] * len(eps_grid)] * len(laws)
     if config.sweep == "oracle-validate":
         oracles = exact_oracles(laws, query, eps_grid)
+    baselines = [baseline_bounds(eps, k, query) for eps in eps_grid]
+    adp = {(delta_t, eps): adp_leakage(delta_t, eps)
+           for delta_t in dict.fromkeys(cell[2] for cell in cells) for eps in eps_grid}
     rows = []
     for (lam, t, delta_t), delta_k, delta_bar, at_t in zip(cells, deltas_k, deltas_bar, oracles):
-        for eps, oracle in zip(eps_grid, at_t):
+        for eps, oracle, (dp, ddp) in zip(eps_grid, at_t, baselines):
             lin, logf = loose_bound(delta_k, dk, eps)
-            dp, ddp = baseline_bounds(eps, k, query)
             rows.append({
                 "lambda": "" if config.model_path else lam, "t": t, "eps_c": eps, "k": k, "d_k": dk,
                 "delta_k": delta_k, "delta_bar": delta_bar,
                 "loose_linear": lin, "loose_log": logf,
                 "tight": tight_bound(delta_bar, eps),
-                "adp": adp_leakage(delta_t, eps),
+                "adp": adp[delta_t, eps],
                 "dp": dp, "ddp": ddp,
                 "oracle": oracle, "seed": config.seed,
             })
@@ -331,19 +339,20 @@ def run_sweep(config: ExperimentConfig):
                   "mse_stderr", "samples", "seed")
         samples = config.grid("samples")
         ages, eps_grid = [tuple(age) for age in config.grid("age")], config.grid("eps_c")
+        lams = config.grid("lambda")
+        models = [_model_for(config, lam) for lam in lams]
+        kernels = joint_kernels(models, config.cap)  # refuses a space beyond the cap first
         rows = []
-        for lam in config.grid("lambda"):
-            model = _model_for(config, lam)
-            kernel = joint_kernel(model, config.cap)  # refuses a space beyond the cap first
+        for lam, kernel in zip(lams, kernels):
             # the query's values on the joint states and the kernel's sampling
-            # table, shared by every row of this lambda
-            query = builtin_queries(model.space)["mean"]
-            f, table = state_values(model.space, query), threshold_table(kernel.matrix)
+            # tables, shared by every row of this lambda
+            query = builtin_queries(kernel.space)["mean"]
+            f, tables = state_values(kernel.space, query), _sampling_tables(kernel)
             agings = [_aging_term(law, f) for law in aged_joints(kernel, ages)]
             for age, aging in zip(ages, agings):
                 label = "|".join(str(a) for a in age)
                 for eps in eps_grid:
-                    est, se = _mse_simulated(kernel, age, query, f, table, eps, samples,
+                    est, se = _mse_simulated(kernel, age, query, f, tables, eps, samples,
                                              derive_seed(config.seed, "mse", lam, age, eps))
                     # mse_exact's sum; _mse_simulated has checked eps by now
                     exact = aging + noise_variance(query, eps)

@@ -125,13 +125,18 @@ def mse_simulated(
     state is read T - age[i] steps in, T the longest lag, as `age_data` does.
     """
     return _mse_simulated(kernel, age, query, state_values(kernel.space, query),
-                          threshold_table(kernel.matrix), eps_c, samples, seed)
+                          _sampling_tables(kernel), eps_c, samples, seed)
+
+
+def _sampling_tables(kernel: JointKernel) -> tuple:
+    """The `threshold_table`s of the kernel's steps and of its stationary law."""
+    return threshold_table(kernel.matrix), threshold_table(kernel.stationary)
 
 
 def _mse_simulated(kernel: JointKernel, age, query: QuerySpec, f: np.ndarray,
-                   table: np.ndarray, eps_c: float, samples: int, seed: int) -> tuple:
+                   tables: tuple, eps_c: float, samples: int, seed: int) -> tuple:
     """`mse_simulated` with the query's values f on the joint states and the
-    kernel's `threshold_table` given."""
+    kernel's `_sampling_tables` given."""
     n = integer_value(samples, "samples")
     if n < 100:
         raise ModelError(f"need at least 100 samples, got {samples}")
@@ -141,7 +146,8 @@ def _mse_simulated(kernel: JointKernel, age, query: QuerySpec, f: np.ndarray,
     rng = generator(seed)
 
     path = np.empty((T + 1, n), dtype=np.intp)  # path[step, sample], a joint index
-    path[0] = threshold_draws(threshold_table(kernel.stationary), 0, rng.random(n))
+    table, start = tables
+    path[0] = threshold_draws(start, 0, rng.random(n))
     for step in range(T):
         path[step + 1] = threshold_draws(table, path[step], rng.random(n))
     # the aged joint index digits @ place, summed over the distinct ages a:
@@ -170,7 +176,7 @@ def solve_p1(model: CmcModel, spec: UtilitySpec) -> TradeoffSolution:
     feasible the best-MSE point is returned with feasible=False.
     """
     kernel = joint_kernel(model)
-    return _select(_grid_rows(kernel, model, spec, baselines=False)["csdp"], spec.mse_cap)
+    return _select(_grid_rows(kernel, model, spec, baselines=False)["csdp"], [spec.mse_cap])[0]
 
 
 def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baselines: bool) -> dict:
@@ -186,9 +192,9 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     builds the laws of every distinct age, all held at once, and one call
     reads the grid's leakage coefficients off them (Delta_bar for the tight
     kind, Delta_k for the loose ones); each law's aging error is computed
-    once.  Both are shared by every mechanism, and the query is evaluated
-    on the joint states once for all of them.  None of this depends on the
-    MSE cap.
+    once, and each eps_c's noise variance once.  Both are shared by every
+    mechanism, and the query is evaluated on the joint states once for all
+    of them.  None of this depends on the MSE cap.
     """
     s = kernel.space.num_sequences
     query, kind = spec.query, spec.leakage_kind
@@ -208,29 +214,32 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
         chain_tv = dict(zip(ages, single_chain_tvs(model, [max(a) for a in ages])))
         budgets["adp"] = (grid, lambda a, eps: adp_leakage(chain_tv[a], eps))
         budgets["ddp"] = ([(0,) * s], lambda a, eps: baseline_bounds(eps, s, query)[1])
-    return {mech: [(a, eps, budget(a, eps), aging[a] + noise_variance(query, eps))
-                   for a in mech_ages for eps in spec.eps_grid]
+    noise = [noise_variance(query, eps) for eps in spec.eps_grid]
+    return {mech: [(a, eps, budget(a, eps), aging[a] + var)
+                   for a in mech_ages for eps, var in zip(spec.eps_grid, noise)]
             for mech, (mech_ages, budget) in budgets.items()}
 
 
-def _select(rows: list, cap: float) -> TradeoffSolution:
-    """The P1 answer over grid rows, scanned in order (ties are order-sensitive)."""
-    best = None  # (leakage, -eps, age) ordering
-    fallback = None  # (mse, -eps, age)
-    for ages, eps, leak, mse in rows:
-        fb_key = (mse, -eps, ages)
-        if fallback is None or fb_key < fallback[0]:
-            fallback = (fb_key, leak)
-        if mse > cap:
-            continue
-        key = (leak, -eps, ages)
-        if _better(key, best[0] if best else None):
-            best = (key, mse)
-    if best is not None:
-        (leak, neg_eps, ages), mse = best
-        return TradeoffSolution(ages, -neg_eps, leak, mse, True)
-    (mse, neg_eps, ages), leak = fallback
-    return TradeoffSolution(ages, -neg_eps, leak, mse, False)
+def _select(rows: list, caps) -> list:
+    """The P1 answer over grid rows at each MSE cap of `caps`.
+
+    A cap's answer is the best of its feasible rows (MSE not above the
+    cap), scanned in row order with `_better`, so ties are order-sensitive;
+    with none feasible it is the least (mse, -eps, age) row, which does not
+    depend on the cap and is found once.
+    """
+    keys = [(leak, -eps, ages) for ages, eps, leak, _ in rows]
+    mse = np.array([row[3] for row in rows])
+    fallback = min(range(len(rows)), key=lambda i: (rows[i][3], -rows[i][1], rows[i][0]))
+    out = []
+    for cap in caps:
+        best = None  # the row index of the best (leakage, -eps, age) so far
+        for i in np.flatnonzero(~(mse > cap)).tolist():
+            if _better(keys[i], keys[best] if best is not None else None):
+                best = i
+        ages, eps, leak, row_mse = rows[fallback if best is None else best]
+        out.append(TradeoffSolution(ages, eps, leak, row_mse, best is not None))
+    return out
 
 
 def tradeoff_frontier(model: CmcModel, spec: UtilitySpec, caps,
@@ -240,14 +249,15 @@ def tradeoff_frontier(model: CmcModel, spec: UtilitySpec, caps,
     CSDP searches the full (age, eps) grid with the spec's leakage kind;
     ADP uses single-sequence temporal discounting over the same grid; DP
     and DDP are pinned to age zero, and DP's solutions are DDP's.  The
-    grid is evaluated once and every cap selects from it.
+    grid is evaluated once, and every cap of a mechanism is read off its
+    rows by one `_select` call.
     `enumeration_cap` bounds the joint state space, as `cap` does in
     `joint_kernel`.
     """
     for cap in caps:
         replace(spec, mse_cap=cap)  # checks the cap as the spec checks its own
     kernel = joint_kernel(model, enumeration_cap)
-    out = {mech: [(float(cap), _select(rows, cap)) for cap in caps]
+    out = {mech: list(zip(map(float, caps), _select(rows, caps)))
            for mech, rows in _grid_rows(kernel, model, spec, baselines=True).items()}
     out["dp"] = out["ddp"]
     return out

@@ -57,7 +57,10 @@ The P1 / frontier optimiser works out each distinct age's leakage
 coefficient and aging error once and shares them across mechanisms and
 eps; `tradeoff_scan` recomputes every grid point's budget and MSE from
 the bound functions, one mechanism at a time, and scans the rows with
-the same tie rule.
+the same tie rule.  The optimiser finds the infeasible fallback once per
+mechanism and scans only each cap's feasible rows; `select_per_cap`
+scans every row for both, once per cap, as it did before, and must give
+the same solutions.
 """
 
 import itertools
@@ -513,6 +516,28 @@ def p1_scan(rows, cap) -> TradeoffSolution:
     if best is not None:
         return TradeoffSolution(best[2], -best[1], best[0], best[3], True)
     return TradeoffSolution(least[2], -least[1], least[3], least[0], False)
+
+
+def select_per_cap(rows, cap) -> TradeoffSolution:
+    """The P1 answer at one cap, as the optimiser took it before it took
+    every cap from one pass: every row scanned in order for both the
+    fallback and the best feasible row, anew for each cap."""
+    best = None  # (leakage, -eps, age) ordering
+    fallback = None  # (mse, -eps, age)
+    for ages, eps, leak, mse in rows:
+        fb_key = (mse, -eps, ages)
+        if fallback is None or fb_key < fallback[0]:
+            fallback = (fb_key, leak)
+        if mse > cap:
+            continue
+        key = (leak, -eps, ages)
+        if _better(key, best[0] if best else None):
+            best = (key, mse)
+    if best is not None:
+        (leak, neg_eps, ages), mse = best
+        return TradeoffSolution(ages, -neg_eps, leak, mse, True)
+    (mse, neg_eps, ages), leak = fallback
+    return TradeoffSolution(ages, -neg_eps, leak, mse, False)
 
 
 def tradeoff_scan(model, spec, caps) -> dict:

@@ -253,32 +253,34 @@ class TestModelFileSweeps:
 
     def test_one_law_per_t_changes_no_value(self, tmp_path, monkeypatch):
         """An oracle-validate sweep on a random three-user model builds the
-        aged law of every t of the joint kernel in one call and reads
-        Delta_k, Delta_bar and every eps_c's oracle from them.  Each row
-        equals one call per quantity through the (kernel, age) functions:
-        Delta_k and the oracle exactly, and `tight` to 1e-12, since a cell
-        packs its ages' transport LPs."""
+        aged law of every t of its one joint kernel in one stacked call and
+        reads Delta_k, Delta_bar and every eps_c's oracle from them.  Each
+        row equals one call per quantity through the (kernel, age)
+        functions: Delta_k and the oracle exactly, and `tight` to 1e-12,
+        since a cell packs its ages' transport LPs."""
         rng = np.random.default_rng(5)
         model = CmcModel(StateSpace(3, 2),
                          rng.dirichlet(np.ones(2), size=(3, 3, 2)).transpose(0, 1, 3, 2),
                          rng.dirichlet(np.ones(3), size=3))
         path = tmp_path / "model.yaml"
         save_model(model, path)
-        built = []  # (space, ages) of every call that builds laws, the single-chain ones too
+        built = []  # (space, kernels, ages) of every call that builds laws, single-chain ones too
 
-        def counting(kernel, ages, fn=kernel_module.aged_joints):
+        def counting(kernels, ages, fn=kernel_module.aged_joint_grid):
             ages = list(ages)
-            built.append((kernel.space, [tuple(age) for age in ages]))
-            return fn(kernel, ages)
+            built.append((kernels[0].space, len(kernels), [tuple(age) for age in ages]))
+            return fn(kernels, ages)
 
-        # every one-law form (`aged_joint`, and through it `aged_tv_distance`,
-        # `oracle_leakage` and `bounded_aged_correlation`) calls the kernel
-        # module's `aged_joints`, so it is counted too
-        for module in (kernel_module, sweeps, bounds):
-            monkeypatch.setattr(module, "aged_joints", counting)
+        # every list and one-law form (`aged_joints`, `aged_joint`, and
+        # through them `aged_tv_distance`, `oracle_leakage` and
+        # `bounded_aged_correlation`) calls the kernel module's
+        # `aged_joint_grid`, so it is counted too
+        for module in (kernel_module, sweeps):
+            monkeypatch.setattr(module, "aged_joint_grid", counting)
         _, rows, _ = run_sweep(ExperimentConfig("oracle-validate", {}, model_path=str(path)))
         ts = PRESETS["oracle-validate"].grid("t")
-        assert [ages for space, ages in built if space == model.space] == [[(t,) * 3 for t in ts]]
+        assert [(kernels, ages) for space, kernels, ages in built if space == model.space] == [
+            (1, [(t,) * 3 for t in ts])]
         kernel = joint_kernel(load_model(path))
         query = builtin_queries(kernel.space)["mean"]
         assert len(rows) == len(ts) * 3

@@ -37,7 +37,13 @@ drawn, equals searchsorted on that column's cumsum, clipped.  A sampled
 trajectory, whose steps bisect the rows of the same threshold table,
 equals the per-step searchsorted loop, from every kind of start.
 The P1 solver and the four-mechanism frontier equal a plain scan that
-recomputes every grid point, on grids with repeated and mixed ages.
+recomputes every grid point, on grids with repeated and mixed ages, and
+their one selection pass over every cap equals the per-cap scan it
+replaced, ties within the tolerances included.  Kernels, stationary laws
+and aged laws built as one stack, over lambda grids and over random
+models of one space, have the bytes of one-model builds, and a slow or
+periodic slice is re-run or refused as it is alone.  Delta_bar's groups
+of laws hold no copy of the laws.
 The joint encoding that `StateSpace` owns (s <= 4, m <= 3) equals the
 loop encoding, and its tables and a model's arrays are read-only.
 """
@@ -64,6 +70,7 @@ from csdp import (
     UtilitySpec,
     adp_leakage,
     aged_joint,
+    aged_joint_grid,
     aged_joints,
     aged_tv_distance,
     aged_tvs,
@@ -73,6 +80,7 @@ from csdp import (
     builtin_queries,
     exact_oracles,
     joint_kernel,
+    joint_kernels,
     mse_simulated,
     oracle_leakage,
     release,
@@ -83,15 +91,18 @@ from csdp import (
     sweeps,
     tradeoff_frontier,
     two_user_model,
+    utility,
 )
+from csdp import kernel as kernel_module
 from csdp.acceptance import _half_line_cdf
 from csdp.bounds import _transport_bounds, _value_laws
 from csdp.kernel import _powers
 from csdp.mechanism import noise_scale
+from csdp.model import PERIOD_CHECK_AFTER
 from csdp.queries import QuerySpec
 from csdp.rng import threshold_draws, threshold_table
 from csdp.sweeps import EPS_GRID_DEFAULT, PRESETS, ExperimentConfig, run_sweep
-from csdp.utility import LEAKAGE_KINDS
+from csdp.utility import LEAKAGE_KINDS, TIE_ATOL, TIE_RTOL
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -164,6 +175,108 @@ def test_joint_kernel_matches_loops(model):
     assert np.array_equal(kern.matrix, K)
     assert np.array_equal(kern.stationary, ref.joint_stationary(K))
     np.testing.assert_allclose(kern.matrix.sum(axis=0), 1.0, atol=1e-12)
+
+
+def assert_stack_matches_one_model_builds(models, ages):
+    """`joint_kernels` and `aged_joint_grid` over the models equal, bit for
+    bit, the loop kernel (which skips zero weights), its stationary law, one
+    `joint_kernel` per model, and its laws at `ages`: uniform ages from
+    `np.linalg.matrix_power`, mixed ones from the loop law."""
+    kernels = joint_kernels(models)
+    grid = aged_joint_grid(kernels, ages)
+    assert len(kernels) == len(grid) == len(models)
+    for model, kern, laws in zip(models, kernels, grid):
+        K = ref.joint_kernel_matrix(model)
+        alone = joint_kernel(model)
+        assert kern.matrix.tobytes() == alone.matrix.tobytes() == K.tobytes()
+        assert kern.stationary.tobytes() == alone.stationary.tobytes()
+        assert kern.stationary.tobytes() == ref.joint_stationary(K).tobytes()
+        for age, law, one in zip(ages, laws, aged_joints(alone, ages)):
+            assert law.joint.tobytes() == one.joint.tobytes(), age
+            if len(set(age)) == 1:
+                want = (np.linalg.matrix_power(K, age[0]) * kern.stationary).T
+            else:
+                want = ref.aged_joint(kern, age)
+            assert law.joint.tobytes() == np.ascontiguousarray(want).tobytes(), age
+
+
+def age_lists(s: int):
+    """1-6 ages of s sequences, uniform and mixed alike, up to 9."""
+    uniform = st.integers(0, 9).map(lambda t: (t,) * s)
+    mixed = st.lists(st.integers(0, 9), min_size=s, max_size=s).map(tuple)
+    return st.lists(st.one_of(uniform, mixed), min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1,
+                max_size=8),
+       st.sampled_from([0.05, 0.3, 0.5]), st.data())
+def test_stacked_lambda_grid_matches_one_model_builds(lams, p, data):
+    """A grid of two-user couplings, lambda 0 and 1 among them (a zero
+    cross- or self-coupling weight, which the loop kernel skips), built as
+    one stack."""
+    ages = data.draw(age_lists(2))
+    assert_stack_matches_one_model_builds([two_user_model(lam, p) for lam in lams], ages)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(2, 3),
+       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.booleans()), min_size=1, max_size=5),
+       st.data())
+def test_stacked_models_match_one_model_builds(s, m, seeds, data):
+    """Random models of one space, some with a zero coupling weight."""
+    models = [random_model(seed, s, m, zero) for seed, zero in seeds]
+    assert_stack_matches_one_model_builds(models, data.draw(age_lists(s)))
+
+
+def three_state_chain(P) -> CmcModel:
+    return CmcModel(StateSpace(1, 3), np.array(P, float)[None, None], np.ones((1, 1)))
+
+
+# 0 -> {1, 2} -> 0: period 2
+PERIODIC = [[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]
+# eigenvalue about -0.997: aperiodic, but thousands of steps to converge
+SLOW = [[0.001, 0.998, 0.998], [0.4995, 0.001, 0.001], [0.4995, 0.001, 0.001]]
+FAST = [[0.5, 0.2, 0.3], [0.3, 0.6, 0.3], [0.2, 0.2, 0.4]]
+
+
+def test_stack_reruns_slow_slices_and_refuses_periodic_ones():
+    """A slice still running at PERIOD_CHECK_AFTER steps is re-run alone
+    with the bits of the plain loop, whatever else the stack holds, and a
+    periodic model anywhere in a stack is refused with the text it gets
+    alone."""
+    K = ref.joint_kernel_matrix(three_state_chain(SLOW))
+    pi = np.full(3, 1 / 3)
+    for _ in range(PERIOD_CHECK_AFTER + 1):
+        pi, last = K @ pi, pi
+    assert np.abs(pi - last).sum() > kernel_module.STATIONARY_TOL  # slow indeed
+    for stack in ([SLOW], [FAST, SLOW], [SLOW, FAST, SLOW]):
+        models = [three_state_chain(P) for P in stack]
+        for model, kern in zip(models, joint_kernels(models)):
+            want = ref.joint_stationary(ref.joint_kernel_matrix(model))
+            assert kern.stationary.tobytes() == want.tobytes()
+    with pytest.raises(ModelError) as alone:
+        kernel_module._joint_stationary(ref.joint_kernel_matrix(three_state_chain(PERIODIC)))
+    assert "period 2" in str(alone.value)
+    for stack in ([PERIODIC], [FAST, PERIODIC], [PERIODIC, FAST], [FAST, SLOW, PERIODIC],
+                  [SLOW, PERIODIC, FAST]):
+        with pytest.raises(ModelError) as stacked:
+            joint_kernels([three_state_chain(P) for P in stack])
+        assert str(stacked.value) == str(alone.value), stack
+
+
+def test_stack_of_one_copies_no_kernel():
+    """The stationary solve of a stack of one 1024-state kernel steps the
+    kernel itself: its peak is a few n-vectors, not an n x n copy."""
+    K = joint_kernel(random_model(0, 10, 2)).matrix
+    pis, peak = traced_peak(lambda: kernel_module._joint_stationaries(K[None]))
+    assert pis[0].tobytes() == ref.joint_stationary(K).tobytes()
+    assert peak <= 64 * 1024 * 8, peak
+
+
+def test_stacks_refuse_mixed_spaces():
+    with pytest.raises(ModelError, match="one state space"):
+        joint_kernels([two_user_model(0.5), three_state_chain(FAST)])
 
 
 @pytest.mark.parametrize("s, m", [(s, m) for s in range(1, 5) for m in range(2, 5)])
@@ -466,6 +579,29 @@ def test_delta_bar_holds_one_lp_of_open_rows():
     blocks = 48 * 192
     assert sum(solved) == (16 + 48) * 192 * 64  # every block went to an LP
     assert triple <= full_group + 64 * blocks, (triple, full_group)
+
+
+def test_pair_differences_hold_no_copy_of_the_laws():
+    """Delta_bar of one full group of `_pair_differences` (16 of the
+    all-open 64-state laws, stub solver) peaks at most two budgets of
+    `_PAIR_ENTRIES` entries above one law: the group's conditionals and one
+    chunk's two temporaries.  A copy of the group's laws, divided into the
+    conditionals afterwards, would add a third."""
+    P = np.array([[0.7, 0.3], [0.3, 0.7]])
+    s = 6
+    kern = joint_kernel(CmcModel(StateSpace(s, 2), np.broadcast_to(P, (s, s, 2, 2)),
+                                 np.full((s, s), 1.0 / s)))
+    law = aged_joint(kern, (1,) * s)
+    budget = bounds._PAIR_ENTRIES * 8
+
+    def stub(c, **kwargs):
+        return OptimizeResult(success=True, x=np.zeros(len(c)))
+
+    with mock.patch.object(bounds, "linprog", stub):
+        one_law, one_peak = traced_peak(lambda: bounded_aged_correlations([law]))
+        group, group_peak = traced_peak(lambda: bounded_aged_correlations([law] * 16))
+    assert group == one_law * 16
+    assert group_peak <= one_peak + 2 * budget, (group_peak, one_peak)
 
 
 def test_aged_law_memory_is_matrix_power_memory():
@@ -842,6 +978,50 @@ def test_p1_and_frontier_match_plain_scan(problem):
         assert_solutions_match(got[mech], want[mech], rel[mech])
     p1 = [(cap, solve_p1(model, replace(spec, mse_cap=cap))) for cap in caps]
     assert_solutions_match(p1, want["csdp"], rel["csdp"])
+
+
+@pytest.mark.parametrize("preset", ["fig4c", "fig5"])
+def test_one_pass_selection_matches_per_cap_scan_on_presets(preset):
+    """Every mechanism's grid rows of the frontier presets, at their caps, a
+    cap below every row's MSE and +inf."""
+    config = PRESETS[preset]
+    model = two_user_model(config.single("lambda"))
+    caps = list(config.grid("caps")) + [1e-9, math.inf]
+    spec = UtilitySpec(builtin_queries(model.space)["mean"], mse_cap=max(caps),
+                       age_grid=tuple(config.grid("age")), eps_grid=tuple(config.grid("eps_c")),
+                       leakage_kind=config.grid("leakage_kind"))
+    grid_rows = utility._grid_rows(joint_kernel(model), model, spec, baselines=True)
+    for mech, rows in grid_rows.items():
+        got = utility._select(rows, caps)
+        assert got == [ref.select_per_cap(rows, cap) for cap in caps], mech
+        assert not got[-2].feasible and got[-1].feasible
+
+
+@st.composite
+def selection_rows(draw):
+    """Grid rows whose leakages tie within TIE_RTOL or TIE_ATOL, or nearly
+    do, over repeated ages and eps, with caps that admit none, some and
+    all of them."""
+    ages = draw(st.lists(st.sampled_from([(0, 0), (1, 1), (2, 1), (3, 3), (0, 2)]),
+                         min_size=1, max_size=12))
+    base = draw(st.sampled_from([0.0, 1e-16, 0.25, 1.0]))
+    steps = st.integers(-3, 3)
+    rows = []
+    for age in ages:
+        rel, absolute = draw(steps), draw(steps)
+        leak = base * (1 + 0.6 * rel * TIE_RTOL) + 0.6 * absolute * TIE_ATOL
+        rows.append((age, draw(st.sampled_from([0.5, 1.0, 2.0])), leak,
+                     draw(st.sampled_from([0.1, 0.2, 0.2, 0.4, 0.8]))))
+    caps = draw(st.lists(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.4, 1.0, math.inf]),
+                         min_size=1, max_size=4))
+    return rows, caps
+
+
+@PROPERTY
+@given(selection_rows())
+def test_one_pass_selection_matches_per_cap_scan(case):
+    rows, caps = case
+    assert utility._select(rows, caps) == [ref.select_per_cap(rows, cap) for cap in caps]
 
 
 @PROPERTY
