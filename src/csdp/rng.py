@@ -35,10 +35,14 @@ key that `generator(seed)` uses: SeedSequence's documented pool-size-4
 uint64 array, such as `derive_seeds` returns, as it is, since the dtype
 proves every seed lies in [0, 2**64); any other sequence is checked seed
 by seed.  `first_uniforms` adds the first Philox4x64-10 block (counter
-(1, 0, 0, 0)) and gives `generator(seed).random()` for a whole array of
+(1, 0, 0, 0); Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC 2011) and gives `generator(seed).random()` for a whole array of
 seeds in one pass, and `first_laplace` the first draw of
 `laplace(generator(seed), scale, None)`.  Because Philox is counter-based,
-that first draw is a pure function of the key.  The port holds because
+that first draw is a pure function of the key.  The block's first round
+maps that counter to (k0, 0, k1, M0) in closed form; the other nine run
+as in-place ufuncs over a fixed set of buffers, each 128-bit product from
+32-bit halves, so no round allocates an array.  The port holds because
 NumPy's stream-compatibility policy (NEP 19) fixes SeedSequence's output
 and the Philox stream for a given seed.  tests/test_rng.py pins the keys
 and the first draws, bit for bit, against NumPy itself, and
@@ -50,12 +54,18 @@ uniforms in place, by the same operations as the scalar draw.  A state
 is drawn from a law by one rule, `threshold_draws`: a uniform u maps to
 min(#{j : cum[j] <= u}, n-1), cum the law's cumulative sums held in a
 `threshold_table`; `kernel.sample_trajectory`, the simulated MSE and
-criterion 8 draw every state so.
+criterion 8 draw every state so.  The rule has two shapes that give the
+same integer: an array of uniforms at one column of a table at most 32
+wide counts the cuts each uniform passes (criterion 8's snapshots, the
+simulated MSE's start states), and every other draw finds its count by
+binary lifting over the table (the MSE's steps, whose column changes
+from chain to chain, wider tables and single uniforms).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 
 import numpy as np
@@ -79,6 +89,8 @@ _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
+_LOW_HALF = np.uint64(_MASK32)
+_HALF = np.uint64(32)
 
 
 def derive_seed(root_seed: int, *coords) -> int:
@@ -198,30 +210,54 @@ def seed_keys(seeds) -> np.ndarray:
     return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
 
 
-def _mulhilo(m: int, x: np.ndarray):
-    """(high, low) 64-bit words of the 128-bit product m * x, from 32-bit halves."""
-    m_lo, m_hi = m & _MASK32, m >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
-    lh = x_lo * m_hi
-    hl = x_hi * m_lo
-    cross = ((x_lo * m_lo) >> 32) + (lh & _MASK32) + hl
-    return x_hi * m_hi + (lh >> 32) + (cross >> 32), x * np.uint64(m)
+def _mulhilo_into(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                  t0: np.ndarray, t1: np.ndarray) -> None:
+    """Write the high and low 64-bit words of the 128-bit product m * x into
+    hi and lo, from 32-bit halves, with t0 and t1 as scratch; x is only read.
+
+    No sum wraps: each adds less than 2**32 to a product of two 32-bit
+    halves, which is at most 2**64 - 2**33 + 1.
+    """
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    np.bitwise_and(x, _LOW_HALF, out=t0)  # x_lo
+    np.multiply(t0, m_lo, out=t1)
+    t1 >>= _HALF
+    t0 *= m_hi
+    t0 += t1  # x_lo m_hi + (x_lo m_lo >> 32)
+    np.bitwise_and(t0, _LOW_HALF, out=t1)
+    t0 >>= _HALF
+    np.right_shift(x, _HALF, out=hi)  # x_hi
+    np.multiply(hi, m_lo, out=lo)
+    t1 += lo  # x_hi m_lo + the low half above
+    t1 >>= _HALF
+    hi *= m_hi
+    hi += t0
+    hi += t1
+    np.multiply(x, np.uint64(m), out=lo)
 
 
 def first_uniforms(seeds) -> np.ndarray:
     """`generator(seeds[i]).random()` for every seed, as one float64 array."""
     key = seed_keys(seeds)
-    k0, k1 = key[:, 0], key[:, 1]
-    # Philox increments its counter before the first block, so it is (1, 0, 0, 0).
-    c0 = np.ones_like(k0)
-    c1, c2, c3 = np.zeros_like(k0), np.zeros_like(k0), np.zeros_like(k0)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = k0 + np.uint64(_PHILOX_W0)
-            k1 = k1 + np.uint64(_PHILOX_W1)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    k0, k1 = key[:, 0].copy(), key[:, 1].copy()
+    # Philox increments its counter before the first block, so it is
+    # (1, 0, 0, 0), and the first round, under the key as it is, maps it to
+    # (k0, 0, k1, M0) in closed form: mulhilo(M0, 1) = (0, M0) and
+    # mulhilo(M1, 0) = (0, 0).
+    c0, c1, c2, c3 = k0.copy(), np.zeros_like(k0), k1.copy(), np.full_like(k0, _PHILOX_M0)
+    # The other rounds write the new words into four free buffers; the old
+    # words' buffers are the next round's free ones.
+    hi0, lo0, hi1, lo1, t0, t1 = (np.empty_like(k0) for _ in range(6))
+    for _ in range(_PHILOX_ROUNDS - 1):
+        k0 += np.uint64(_PHILOX_W0)
+        k1 += np.uint64(_PHILOX_W1)
+        _mulhilo_into(_PHILOX_M0, c0, hi0, lo0, t0, t1)
+        _mulhilo_into(_PHILOX_M1, c2, hi1, lo1, t0, t1)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
     # Generator.random() takes word 0 of the block as a 53-bit double.
     return (c0 >> 11).astype(np.float64) * 2.0**-53
 
@@ -265,6 +301,10 @@ def first_laplace(seeds, scale: float) -> np.ndarray:
     return _invert_laplace(first_uniforms(seeds), scale)
 
 
+# Widest `threshold_table` whose single-column draws count cuts.
+_COUNT_WIDTH = 32
+
+
 def threshold_table(columns: np.ndarray) -> np.ndarray:
     """Row c holds the first n-1 cumulative sums of column c of an (n, k)
     column-stochastic matrix (an (n,) law is one column), padded with +inf
@@ -282,13 +322,38 @@ def threshold_draws(table: np.ndarray, column, u: np.ndarray) -> np.ndarray:
     int or an int array as long as u).  A zero-probability state is never
     drawn.
 
-    Branch-free binary lifting over the table's rows: the thresholds of a
-    row never decrease (cumsums of nonnegative entries do not in floating
-    point), so the count up to u is a prefix length, and the +inf padding
-    caps it at n-1 with no clip.  It equals
-    `min(np.searchsorted(cum, u, side="right"), n - 1)` bit for bit.
+    Two shapes give the same integer, bit for bit
+    `min(np.searchsorted(cum, u, side="right"), n - 1)`:
+    - An array u at one column of a table at most `_COUNT_WIDTH` wide
+      (criterion 8's snapshots, the simulated MSE's start states): count
+      the cuts each u passes, one comparison pass over u per finite cut.
+      The row's finite cuts are cum[0..n-2], so the count is
+      #{j <= n-2 : cum[j] <= u}, at most n-1.  That is the rule's number:
+      cum never decreases, so cum[n-1] <= u only when u passes every
+      other cut too, and then both are n-1.
+    - Otherwise, branch-free binary lifting over the table's rows: the
+      thresholds of a row never decrease (cumsums of nonnegative entries do
+      not in floating point), so the count up to u is a prefix length, and
+      the +inf padding caps it at n-1 with no clip.
+    Counting makes a cheap pass per cut and lifting a gather per halving of
+    the width.  At one column and 4,000 uniforms counting wins up to n = 32
+    (53 against 63 us there) and loses from n = 64 (88 against 71 us); at
+    10^5 uniforms and n = 4 it takes 81 us against 1.97 ms (2 shared x86-64
+    vCPUs).  An array column costs counting a gather per cut, and a single
+    uniform a call per cut, so both lose to lifting from n = 4.
     """
     width = table.shape[1]
+    if width <= _COUNT_WIDTH and np.ndim(column) == 0 and np.ndim(u):
+        # The counts stay below 32, so they add up in uint8, the passed
+        # flags read as 0 and 1; that is about four times faster than intp.
+        count = np.zeros(np.shape(u), dtype=np.uint8)
+        passed = np.empty(np.shape(u), dtype=bool)
+        for cut in table[column].tolist():
+            if cut == math.inf:
+                break
+            np.less_equal(cut, u, out=passed)
+            count += passed.view(np.uint8)
+        return count.astype(np.intp)
     flat = table.ravel()
     base = column * width - 1
     pos = np.zeros(np.shape(u), dtype=np.intp)

@@ -22,8 +22,11 @@ table, tracks the aged snapshots' joint indices by digit arithmetic and
 gathers their query values from the per-state vector; here each step
 compares every chain's uniform with each cumulative threshold, sums and
 clips, and each aged snapshot is recorded per sequence and evaluated on
-its own.  Criterion 8's half-line gap draws each snapshot by the same
-threshold rule; here by `searchsorted` on the column's cumsum, clipped.
+its own.  Its start states and criterion 8's snapshots are drawn by the
+same threshold rule at one column: on a table at most 32 wide (n <= 32)
+the package counts, in one comparison pass per cut, the cuts each uniform
+passes, and on a wider one it lifts; here by `searchsorted` on the
+column's cumsum, clipped.
 `sample_trajectory` draws its start and steps through the same threshold
 table, a step by `bisect` on a row; here one `searchsorted` per step on
 the kernel's cumsums, clipped, as the package did before.

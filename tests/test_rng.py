@@ -3,8 +3,10 @@
 `seed_keys` ports `np.random.SeedSequence(seed).generate_state(2, np.uint64)`
 and `first_uniforms` the first Philox4x64-10 block behind
 `generator(seed).random()`; both are compared with NumPy itself over
-random seeds in [0, 2**64) and the word-boundary seeds below.  Seeds that
-are not integers in [0, 2**64) are rejected by name on both paths.
+random seeds in [0, 2**64), the word-boundary seeds below and a derived
+batch, and the block's 128-bit products with Python's exact ones on
+every word edge.  Seeds that are not integers in [0, 2**64) are rejected
+by name on both paths.
 `derive_seeds` is compared with `derive_seed` child by child, and a
 `uint64` array of seeds, which `seed_keys` takes as it is, with the list
 path.  Array Laplace draws, which invert their uniforms in place, are
@@ -43,7 +45,8 @@ from csdp.rng import (
     seed_keys,
 )
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+# The top bit of each 32-bit word of a seed, a full and an empty high word.
+EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
 SEED_LISTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40)
 PROPERTY = settings(max_examples=50, deadline=None)
 
@@ -71,6 +74,31 @@ def test_first_draws_equal_generator(seeds, scale):
     want = np.array([laplace(generator(s), scale, None) for s in seeds])
     assert first_laplace(seeds, scale).tobytes() == want.tobytes()
     assert first_laplace(np.array(seeds, dtype=np.uint64), scale).tobytes() == want.tobytes()
+
+
+def test_first_uniforms_of_a_derived_batch_equal_generator():
+    """A batch longer than the property's lists, from `derive_seeds` as criterion 6 draws it."""
+    seeds = derive_seeds(11, "ks", count=3000)
+    want = np.array([generator(s).random() for s in seeds.tolist()])
+    assert first_uniforms(seeds).tobytes() == want.tobytes()
+
+
+_WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("m", [rng_module._PHILOX_M0, rng_module._PHILOX_M1, 2**64 - 1, 1])
+def test_mulhilo_is_the_128_bit_product(m):
+    """Both words of m * x on every word edge and random words, as Python's
+    exact product gives them; x is read, not written."""
+    x = np.array(_WORD_EDGES + [rng_module._PHILOX_M0, rng_module._PHILOX_M1]
+                 + np.random.default_rng(m % 97).integers(0, 2**64, 64, dtype=np.uint64).tolist(),
+                 dtype=np.uint64)
+    kept = x.copy()
+    hi, lo, t0, t1 = (np.empty_like(x) for _ in range(4))
+    rng_module._mulhilo_into(m, x, hi, lo, t0, t1)
+    assert np.array_equal(x, kept)
+    assert hi.tolist() == [(m * v) >> 64 for v in x.tolist()]
+    assert lo.tolist() == [(m * v) % 2**64 for v in x.tolist()]
 
 
 @pytest.mark.parametrize("seeds, message", [
@@ -215,7 +243,7 @@ def test_array_draws_write_into_no_array_the_caller_holds():
     assert np.concatenate([first, second]).tobytes() == laplace(generator(5), 1.0, 16).tobytes()
 
 
-ONE_SHOT_EDGES = [(seed, dim, 1.5) for seed in EDGE_SEEDS + [2**63] for dim in (None, 1, 5)]
+ONE_SHOT_EDGES = [(seed, dim, 1.5) for seed in EDGE_SEEDS for dim in (None, 1, 5)]
 
 
 @PROPERTY

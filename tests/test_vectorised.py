@@ -863,21 +863,24 @@ def edge_matrix(nstates: int) -> np.ndarray:
     """A column-stochastic matrix whose columns hold the step's edge cases.
 
     Column 0 puts all mass on the last state (its thresholds repeat 0),
-    column 1 on the first (they repeat 1); column 2 is a Dirichlet column whose
-    cumsum rounds below the largest double under 1, so a uniform can lie
-    above all its thresholds; with ten or more states column 3 is ten
-    entries of 0.1, whose cumsum ends exactly on that double.  The other
-    columns are Dirichlet draws with about 30% zero entries, which repeat
-    thresholds.
+    column 1 on the first (they repeat 1); with three or more states
+    column 2 is a Dirichlet column whose cumsum rounds below the largest
+    double under 1, so a uniform can lie above all its thresholds; with
+    ten or more states column 3 is ten entries of 0.1, whose cumsum ends
+    exactly on that double.  The other columns are Dirichlet draws with
+    about 30% zero entries, which repeat thresholds.
     """
     top = np.nextafter(1.0, 0.0)
     rng = np.random.default_rng(nstates)
     cols = rng.dirichlet(np.ones(nstates), size=nstates)
     cols[:, :-1][rng.random((nstates, nstates - 1)) < 0.3] = 0.0
     cols /= cols.sum(axis=1, keepdims=True)
-    cols[0], cols[1] = np.eye(nstates)[-1], np.eye(nstates)[0]
-    draws = rng.dirichlet(np.ones(nstates), size=256)
-    cols[2] = draws[np.cumsum(draws, axis=1)[:, -1] < top][0]
+    cols[0] = np.eye(nstates)[-1]
+    if nstates >= 2:
+        cols[1] = np.eye(nstates)[0]
+    if nstates >= 3:
+        draws = rng.dirichlet(np.ones(nstates), size=256)
+        cols[2] = draws[np.cumsum(draws, axis=1)[:, -1] < top][0]
     if nstates >= 10:
         cols[3] = [0.1] * 10 + [0.0] * (nstates - 10)
     return cols.T.copy()
@@ -905,23 +908,32 @@ def test_next_states_matches_comparison_sum(nstates):
     assert got.reshape(nstates, -1)[2, -1] == nstates - 1
 
 
-@pytest.mark.parametrize("nstates", [3, 9, 27])
+@pytest.mark.parametrize("nstates", [1, 2, 4, 8, 16, 17, 32, 33, 64])
 def test_threshold_draws_at_one_column_match_searchsorted(nstates):
     """Draws at one column, from the matrix's table or from the column's own
     (the simulated MSE's start states, criterion 8's snapshots), equal
-    searchsorted on the column's cumsum, clipped, on every threshold and the
-    doubles either side of it."""
+    searchsorted on the column's cumsum, clipped, on every threshold, the
+    doubles either side of it, 0 and the largest double under 1.  Tables up
+    to 32 wide (n <= 32) count the cuts, wider ones lift; a single uniform
+    (`sample_trajectory`'s start) lifts at any width."""
     K = edge_matrix(nstates)
+    top = np.nextafter(1.0, 0.0)
+    assert (threshold_table(K).shape[1] <= 32) == (nstates <= 32)
     for c in range(nstates):
         cum = np.cumsum(K[:, c])
-        us = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
-                             [0.0, np.nextafter(1.0, 0.0)]])
+        us = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0, top]])
         us = np.unique(us[us < 1.0])
         want = np.minimum(np.searchsorted(cum, us, side="right"), nstates - 1)
-        assert np.array_equal(threshold_draws(threshold_table(K[:, c]), 0, us), want)
-        assert np.array_equal(threshold_draws(threshold_table(K), c, us), want)
-    one_state = threshold_table(np.array([1.0]))
-    assert threshold_draws(one_state, 0, np.array([0.0, 0.5])).tolist() == [0, 0]
+        for table, column in ((threshold_table(K[:, c]), 0), (threshold_table(K), c)):
+            got = threshold_draws(table, column, us)
+            assert got.dtype == np.intp and np.array_equal(got, want)
+            if c < 4:
+                assert [int(threshold_draws(table, column, u)) for u in us] == want.tolist()
+    # zero-probability states repeat cuts: a uniform on a repeated cut passes all of them
+    assert threshold_draws(threshold_table(K[:, 0]), 0, np.array([0.0])).tolist() == [nstates - 1]
+    if nstates >= 3:  # a uniform above every cut draws the last state
+        assert np.cumsum(K[:, 2])[-1] < top
+        assert threshold_draws(threshold_table(K), 2, np.array([top])).tolist() == [nstates - 1]
 
 
 def test_next_states_skips_a_zero_probability_state_at_a_tie():
