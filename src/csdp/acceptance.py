@@ -24,10 +24,11 @@ from scipy import stats
 from .bounds import _value_laws, aged_tvs, loose_bound, verify_reductions
 from .kernel import aged_joint, aged_joint_grid, joint_kernel, joint_kernels, state_values
 from .mechanism import SequenceDatabase, laplace_sample, noise_scale, release_values
-from .model import CmcModel, StateSpace, two_user_model
+from .model import CmcModel, ModelError, StateSpace, two_user_model
 from .queries import builtin_queries, k_sensitivity
 from .rng import derive_seed, derive_seeds, generator, laplace, threshold_draws, threshold_table
-from .sweeps import PRESETS, ExperimentConfig, _check_leakage_row, render_table, run_sweep
+from .sweeps import (PRESETS, ExperimentConfig, _check_leakage_row, _z_score, render_table,
+                     run_sweep)
 from .utility import MECHANISMS, noise_variance
 
 DEFAULT_TOLERANCES = {
@@ -75,7 +76,7 @@ def _linear_loose_curves(lams, ts) -> list:
     kernels = joint_kernels([two_user_model(lam) for lam in lams])
     dk = k_sensitivity(builtin_queries(kernels[0].space)["mean"], 2)
     laws = [law for row in aged_joint_grid(kernels, [(t, t) for t in ts]) for law in row]
-    leak = [loose_bound(delta_k, dk, 1.0)[0] for delta_k in aged_tvs(laws, 2)]
+    leak = [loose_bound(delta_k, dk, 1.0)[0] for delta_k in aged_tvs(laws)]
     return [leak[i : i + len(ts)] for i in range(0, len(leak), len(ts))]
 
 
@@ -187,7 +188,8 @@ MSE_SWEEP = ExperimentConfig(
 def criterion_mse(tol, seed=0) -> CriterionResult:
     _, rows, _ = run_sweep(replace(MSE_SWEEP, seed=seed))
     query = builtin_queries(StateSpace(2, 2))["mean"]
-    worst_sigma = max(abs(r["mse_simulated"] - r["mse_exact"]) / r["mse_stderr"] for r in rows)
+    worst_sigma = max(abs(_z_score(r["mse_simulated"] - r["mse_exact"], r["mse_stderr"]))
+                      for r in rows)
     agree_ok = worst_sigma <= tol["mse_sigmas"]
     # exact MSE less its first-eps value must be the noise variance's change
     first = {}  # (lambda, age) -> the row of its first eps_c
@@ -313,9 +315,13 @@ CRITERIA = (
 
 def acceptance(seed: int = 0, tolerances: dict = None) -> list:
     """Run every criterion; returns a list of CriterionResult, each with
-    its wall time in `seconds`."""
+    its wall time in `seconds`.  `tolerances` overrides entries of
+    DEFAULT_TOLERANCES; a key that is not one of them is refused by name."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
+        unknown = [key for key in tolerances if key not in tol]
+        if unknown:
+            raise ModelError(f"tolerances: unknown key(s) {unknown}; expected {tuple(tol)}")
         tol.update(tolerances)
     results = []
     for _, fn in CRITERIA:

@@ -2,10 +2,9 @@
 
 Three analytic quantities drive everything:
 
-* Delta_k -- the aged total-variation distance: worst-case TV between the
-  conditional laws of the aged snapshot given two neighbouring current
-  snapshots, maximized over the changed user together with its correlated
-  partners (subsets of size k, 1 <= k <= s).
+* Delta_k -- the aged total-variation distance at the full degree k = s:
+  worst-case TV between the conditional laws of the whole aged snapshot
+  given two neighbouring current snapshots.
 * Delta_bar -- the bounded aged correlation driving the tight budget: a
   Hamming-cost optimal-transport distance between the same backward
   conditionals.  Moving one aged coordinate costs one unit of one-record
@@ -29,10 +28,10 @@ Three analytic quantities drive everything:
   Delta_bar is an LP value or tau, and tau is within the 1e-12 relative
   slack of the exact maximum whenever it is returned.  On the two-user
   presets every block settles, so they solve no LP.
-* d(k) -- the query's k-sensitivity.
+* d(s) -- the query's s-sensitivity.
 
-The certified loose budget is ln(1 + Delta_k*(e^{d(k) eps_c} - 1)); its
-tangent line at eps_c = 0, d(k)*Delta_k*eps_c, lies below it and is not a
+The certified loose budget is ln(1 + Delta_k*(e^{d(s) eps_c} - 1)); its
+tangent line at eps_c = 0, d(s)*Delta_k*eps_c, lies below it and is not a
 bound.  Nor is the paper's tight budget Delta_bar*eps_c: it is the small-eps
 slope of the leakage and falls below the pure-DP leakage at some (age, eps_c).
 
@@ -47,7 +46,6 @@ sampled releases (criterion 8).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,24 +77,24 @@ class LeakageParams:
 _PAIR_ENTRIES = 1 << 16
 
 
-def _pair_differences(Ms: list, totals: np.ndarray, pairs: np.ndarray):
+def _pair_differences(laws, pairs: np.ndarray):
     """Yield (r, D): rows r, r + 1, ... of the differences B_l[:, a] - B_l[:, b]
-    of the backward conditionals B_l = M_l / totals[l] of `Ms` over the pairs
-    (a, b) of `pairs`, matrix-major: row r is pair r % P of matrix r // P.
-    Matrices are taken in groups whose conditionals fill at most
-    `_PAIR_ENTRIES` entries, and rows in chunks whose two temporaries fill
-    at most as many, with at least one matrix and one row.  Each matrix is
-    divided straight into its slice of the group's conditionals, so the
-    group holds no copy of the matrices.  D is the caller's.
+    of the backward conditionals B_l of `laws` over the pairs (a, b) of
+    `pairs`, law-major: row r is pair r % P of law r // P.  Laws are taken
+    in groups whose conditionals fill at most `_PAIR_ENTRIES` entries, and
+    rows in chunks whose two temporaries fill at most as many, with at
+    least one law and one row.  Each law's joint is divided straight into
+    its slice of the group's conditionals, so the group holds no copy of
+    the joints.  D is the caller's.
     """
-    ms = totals.shape[1]
+    ms = laws[0].space.product_size
     group = max(1, _PAIR_ENTRIES // (ms * ms))
     chunk = max(1, _PAIR_ENTRIES // (2 * ms))
-    for start in range(0, len(Ms), group):
-        some = Ms[start : start + group]
-        Bt = np.empty((len(some), ms, ms))  # Bt[l, x] = conditional law of z given x under M_l
-        for M, B, total in zip(some, Bt, totals[start : start + group]):
-            np.divide(M.T, total[:, None], out=B)
+    for start in range(0, len(laws), group):
+        some = laws[start : start + group]
+        Bt = np.empty((len(some), ms, ms))  # Bt[l, x] = conditional law of z given x under law l
+        for law, B in zip(some, Bt):
+            np.divide(law.joint.T, law.totals[:, None], out=B)
         Bt = Bt.reshape(-1, ms)
         base = ms * np.arange(len(some))[:, None]
         a, b = (base + pairs[:, 0]).ravel(), (base + pairs[:, 1]).ravel()
@@ -106,53 +104,42 @@ def _pair_differences(Ms: list, totals: np.ndarray, pairs: np.ndarray):
             yield start * len(pairs) + lo, D
 
 
+def _check_conditionals(laws) -> None:
+    """Refuse, by name, the first law's zero-mass current state, from one
+    stack of the laws' totals."""
+    dead = np.flatnonzero((np.stack([law.totals for law in laws]) <= 0).any(axis=1))
+    if dead.size:
+        laws[dead[0]].check_conditional()
+
+
 def aged_tv_distance(kernel: JointKernel, age, degree: int) -> float:
-    """Delta_k at one age; see `aged_tvs`."""
-    return aged_tvs([aged_joint(kernel, age)], degree)[0]
+    """Delta_k at one age; see `aged_tvs`.  `degree` must be s, the one
+    degree Delta_k is computed at; any other is refused by name."""
+    s = kernel.space.num_sequences
+    k = kernel.space.check_degree(degree)
+    if k != s:
+        raise ModelError(f"correlation degree {k}: Delta_k is computed at the full degree "
+                         f"s = {s} only")
+    return aged_tvs([aged_joint(kernel, age)])[0]
 
 
-def aged_tvs(laws, degree: int) -> list:
-    """Delta_k of each aged law (all of one space): worst-case TV between
-    aged-state conditionals.
-
-    The maximization ranges over user subsets of size k, 1 <= k <= s, and,
-    within each subset, over pairs of current sub-snapshots differing in
-    exactly one coordinate (one changed user; the other members are the
-    correlated partners whose values are held equal).  TV is half the l1
-    distance.  Every law's pairs of one subset are compared in one pass
-    over `_pair_differences`.
+def aged_tvs(laws) -> list:
+    """Delta_k of each aged law (all of one space) at the full degree s:
+    the largest TV, half the l1 distance, between the conditional laws of
+    the aged snapshot given two current snapshots that differ in exactly
+    one coordinate.  This is the distance the loose budget's proof reads.
+    Every law's neighbour pairs are compared in one pass over
+    `_pair_differences`.
     """
     if not laws:
         return []
-    space = laws[0].space
-    s, m = space.num_sequences, space.num_states
-    size = space.check_degree(degree)
-    sub = StateSpace(size, m)
-    best = np.zeros(len(laws))
-    for subset in itertools.combinations(range(s), size):
-        # joint law of (z restricted to subset, x restricted to subset);
-        # np.add.at sums in the order of the (z, x) loop it replaces, and
-        # M.sum(axis=0) sums rows in order, as the law's totals are summed
-        if size == s:
-            Ms, totals = [law.joint for law in laws], np.stack([law.totals for law in laws])
-        else:
-            code = space.subset_code(subset)
-            Ms = [np.zeros((m**size, m**size)) for _ in laws]
-            for M, law in zip(Ms, laws):
-                np.add.at(M, (code[:, None], code[None, :]), law.joint)
-            totals = np.stack([M.sum(axis=0) for M in Ms])
-        dead = np.flatnonzero((totals <= 0).any(axis=1))
-        if dead.size:
-            state = sub.states[int(np.argmin(totals[dead[0]]))]
-            raise ModelError(
-                f"cannot condition on sub-snapshot {state} of users {subset}: zero mass"
-            )
-        l1 = np.empty(len(laws) * len(sub.neighbour_pairs))
-        for r, D in _pair_differences(Ms, totals, sub.neighbour_pairs):
-            np.abs(D, out=D)
-            D.sum(axis=1, out=l1[r : r + len(D)])
-        np.maximum(best, 0.5 * l1.reshape(len(laws), -1).max(axis=1), out=best)
-    return best.tolist()
+    _check_conditionals(laws)
+    pairs = laws[0].space.neighbour_pairs
+    l1 = np.empty(len(laws) * len(pairs))
+    for r, D in _pair_differences(laws, pairs):
+        np.abs(D, out=D)
+        D.sum(axis=1, out=l1[r : r + len(D)])
+    return (0.5 * l1.reshape(len(laws), -1).max(axis=1)).tolist()
 
 
 def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
@@ -328,12 +315,9 @@ def bounded_aged_correlations(laws) -> list:
         return []
     space = laws[0].space
     edges = space.neighbour_pairs
-    Ms, totals = [law.joint for law in laws], np.stack([law.totals for law in laws])
-    dead = np.flatnonzero((totals <= 0).any(axis=1))
-    if dead.size:
-        laws[dead[0]].check_conditional()  # refuses the first law's zero-mass state
+    _check_conditionals(laws)
     blocks, lohi = [], []
-    for r, D in _pair_differences(Ms, totals, edges):
+    for r, D in _pair_differences(laws, edges):
         live = np.flatnonzero(np.abs(D).sum(axis=1) >= 1e-15)
         blocks.append(r + live)
         lohi.append(_transport_bounds(D[live], space))
@@ -349,8 +333,7 @@ def bounded_aged_correlations(laws) -> list:
         law_of, pair_of = np.divmod(opened, len(edges))
         # the open blocks' rows, rebuilt law by law in block order
         rows = (chunk for law in np.unique(law_of)
-                for _, chunk in _pair_differences([Ms[law]], totals[law : law + 1],
-                                                  edges[pair_of[law_of == law]]))
+                for _, chunk in _pair_differences([laws[law]], edges[pair_of[law_of == law]]))
         np.maximum.at(values, law_of, _transport_lps(rows, space.product_size, edges))
     return values.tolist()
 
@@ -378,15 +361,15 @@ def single_chain_tvs(model: CmcModel, ts) -> list:
     selves = model.transitions[np.diag_indices(model.space.num_sequences)]
     solos = [JointKernel(space, P, _joint_stationary(P))
              for P in {P.tobytes(): P for P in selves}.values()]
-    tvs = [aged_tvs(aged_joints(solo, [[t] for t in ts]), 1) for solo in solos]
+    tvs = [aged_tvs(aged_joints(solo, [[t] for t in ts])) for solo in solos]
     return [max(at_t) for at_t in zip(*tvs)]
 
 
-def baseline_bounds(eps_c: float, degree: int, query: QuerySpec) -> tuple:
-    """(dp, ddp): the correlation-blind budget and the sensitivity-scaled
-    spatial-only budget, both at age zero."""
+def baseline_bounds(eps_c: float, query: QuerySpec) -> tuple:
+    """(dp, ddp): the correlation-blind budget and the spatial-only budget
+    scaled by the query's d(s), s read from its space, both at age zero."""
     check_positive("eps_c", eps_c)
-    return eps_c, k_sensitivity(query, degree) * eps_c
+    return eps_c, k_sensitivity(query, query.space.num_sequences) * eps_c
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +449,21 @@ class ReductionCase:
 def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -> list:
     """Certify the degenerate-correlation reductions of the bounds.
 
-    (a) i.i.d.-over-time model (all transition columns identical), k = 1,
-        age 0: loose (both forms) and tight budgets all equal eps_c.
+    (a) i.i.d.-over-time model (all transition columns identical), age 0,
+        at d(1): loose (both forms) and tight budgets all equal eps_c.
     (b) temporally-correlated but spatially-independent model: the
-        log-form loose budget with k = 1 equals the single-sequence
-        age-dependent budget at every age.
+        log-form loose budget at unit sensitivity equals the
+        single-sequence age-dependent budget at every age.
     (c) the coupled benchmark model: reductions intentionally do not
         apply; reported as not applicable.
+
+    Delta_k is read at the full degree s, as everywhere, and is there the
+    degree-1 value the reductions name.  In (a) the aged snapshot at age 0
+    is the current one, so neighbouring conditionals are disjoint point
+    masses at every degree.  In (b) the identity coupling makes the
+    conditional law of the aged snapshot the product of the users' own,
+    and two product laws that differ in one factor are as far apart in TV
+    as that factor's laws.
     """
     integer_value(max_age, "max_age", 0)
     cases = []
@@ -486,9 +477,9 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
     )
     kern = joint_kernel(iid)
     query = builtin_queries(iid.space)["mean"]
-    delta1 = aged_tv_distance(kern, [0, 0], 1)
-    lin, logf = loose_bound(delta1, k_sensitivity(query, 1), eps_c)
-    tgt = tight_bound(bounded_aged_correlation(kern, [0, 0]), eps_c)
+    fresh = [aged_joint(kern, (0, 0))]
+    lin, logf = loose_bound(aged_tvs(fresh)[0], k_sensitivity(query, 1), eps_c)
+    tgt = tight_bound(bounded_aged_correlations(fresh)[0], eps_c)
     errs = [abs(lin - eps_c), abs(logf - eps_c), abs(tgt - eps_c)]
     cases.append(
         ReductionCase(
@@ -504,9 +495,9 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
     worst = 0.0
     details = []
     ts = range(max_age + 1)
-    coupled = aged_tvs(aged_joints(kern, [(t, t) for t in ts]), 1)
-    for t, delta1, delta_t in zip(ts, coupled, single_chain_tvs(indep, ts)):
-        _, logf = loose_bound(delta1, 1.0, eps_c)
+    deltas_k = aged_tvs(aged_joints(kern, [(t, t) for t in ts]))
+    for t, delta_k, delta_t in zip(ts, deltas_k, single_chain_tvs(indep, ts)):
+        _, logf = loose_bound(delta_k, 1.0, eps_c)
         target = adp_leakage(delta_t, eps_c)
         worst = max(worst, abs(logf - target))
         details.append(f"t={t}: log={logf:.12g} adp={target:.12g}")

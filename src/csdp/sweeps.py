@@ -279,12 +279,12 @@ def _leakage_rows(config):
              for t, delta_t in zip(ts, chain_tvs)]
     grid = aged_joint_grid(joint_kernels(models, config.cap), [(t,) * k for t in ts])
     laws = [law for row in grid for law in row]
-    deltas_k, deltas_bar = aged_tvs(laws, k), bounded_aged_correlations(laws)
+    deltas_k, deltas_bar = aged_tvs(laws), bounded_aged_correlations(laws)
     # the exact pure-DP leakage, in closed form
     oracles = [[""] * len(eps_grid)] * len(laws)
     if config.sweep == "oracle-validate":
         oracles = exact_oracles(laws, query, eps_grid)
-    baselines = [baseline_bounds(eps, k, query) for eps in eps_grid]
+    baselines = [baseline_bounds(eps, query) for eps in eps_grid]
     adp = {(delta_t, eps): adp_leakage(delta_t, eps)
            for delta_t in dict.fromkeys(cell[2] for cell in cells) for eps in eps_grid}
     rows = []

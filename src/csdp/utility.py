@@ -208,12 +208,12 @@ def _grid_rows(kernel: JointKernel, model: CmcModel, spec: UtilitySpec, baseline
     aging = {a: _aging_term(law, f) for a, law in zip(needed, laws)}
     head = laws[: len(ages)]  # the grid's distinct ages
     delta = dict(zip(ages, bounded_aged_correlations(head) if kind == "tight"
-                     else aged_tvs(head, s)))
+                     else aged_tvs(head)))
     budgets = {"csdp": (grid, lambda a, eps: _leakage(kind, delta[a], eps, dk))}
     if baselines:
         chain_tv = dict(zip(ages, single_chain_tvs(model, [max(a) for a in ages])))
         budgets["adp"] = (grid, lambda a, eps: adp_leakage(chain_tv[a], eps))
-        budgets["ddp"] = ([(0,) * s], lambda a, eps: baseline_bounds(eps, s, query)[1])
+        budgets["ddp"] = ([(0,) * s], lambda a, eps: baseline_bounds(eps, query)[1])
     noise = [noise_variance(query, eps) for eps in spec.eps_grid]
     return {mech: [(a, eps, budget(a, eps), aging[a] + var)
                    for a in mech_ages for eps, var in zip(spec.eps_grid, noise)]

@@ -1,11 +1,13 @@
 """Loop versions of the product-space and sampling routines, kept as references.
 
 The package builds the joint kernel, the heterogeneous-age aged joint law,
-the Hamming-1 neighbour pairs, the subset marginals of Delta_k and the
-exact oracle's pair maximum with NumPy index arithmetic on the encoding
-that `StateSpace` owns (its digit table, place values, subset codes and
-neighbour pairs).  These are the
-nested-loop forms they replaced, one state at a time.  The aged joint law
+the Hamming-1 neighbour pairs, Delta_k and the exact oracle's pair maximum
+with NumPy index arithmetic on the encoding that `StateSpace` owns (its
+digit table, place values, subset codes and neighbour pairs).  These are
+the nested-loop forms they replaced, one state at a time.  The package
+reads Delta_k at the full degree s only; the loop `aged_tv_distance` here
+still takes any degree, so that the reductions can check that on a
+spatially independent model the degree-s value is the degree-1 one.  The aged joint law
 here steps every age, uniform ones too, where the package squares K for a
 uniform age; the two agree to rounding there and bit for bit on mixed
 ages.  The package's `AgedLaw` divides J by its column totals; the
@@ -306,14 +308,15 @@ def single_chain_tv(model, t: int) -> float:
 
 def spatially_independent_case(eps_c: float, max_age: int, tol: float):
     """`verify_reductions`' spatially independent case from a hand-built
-    model with identity coupling and one `single_chain_tv` call per age."""
+    model with identity coupling, its degree-1 loop Delta_k and one
+    `single_chain_tv` call per age."""
     flip = np.array([[0.7, 0.3], [0.3, 0.7]])
     indep = CmcModel(StateSpace(2, 2), np.broadcast_to(flip, (2, 2, 2, 2)), np.eye(2))
     kern = csdp.joint_kernel(indep)
     worst = 0.0
     details = []
     for t in range(max_age + 1):
-        _, logf = csdp.loose_bound(csdp.aged_tv_distance(kern, [t, t], 1), 1.0, eps_c)
+        _, logf = csdp.loose_bound(aged_tv_distance(kern, [t, t], 1), 1.0, eps_c)
         target = csdp.adp_leakage(single_chain_tv(indep, t), eps_c)
         worst = max(worst, abs(logf - target))
         details.append(f"t={t}: log={logf:.12g} adp={target:.12g}")
@@ -503,8 +506,8 @@ def budget(model, kernel, spec, mechanism, age, eps) -> float:
         return linear if spec.leakage_kind == "loose_linear" else log_form
     if mechanism == "adp":
         return csdp.adp_leakage(single_chain_tv(model, max(age)), eps)
-    # DP at age zero pays DDP's d(k)-scaled budget
-    return csdp.baseline_bounds(eps, s, spec.query)[1]
+    # DP at age zero pays DDP's d(s)-scaled budget
+    return csdp.baseline_bounds(eps, spec.query)[1]
 
 
 def p1_scan(rows, cap) -> TradeoffSolution:

@@ -13,7 +13,7 @@ import pytest
 
 import loop_reference as ref
 from csdp import acceptance as acceptance_module
-from csdp import aged_joint, builtin_queries, joint_kernel
+from csdp import ModelError, aged_joint, builtin_queries, joint_kernel
 from csdp.acceptance import (
     CRITERIA,
     DEFAULT_TOLERANCES,
@@ -205,3 +205,12 @@ def test_fault_injection_isolated():
     assert not criterion_bound_ordering(tol).passed
     assert criterion_u_shape(tol).passed
     assert criterion_decay(tol).passed
+
+
+def test_unknown_tolerance_is_refused_by_name():
+    """A misspelt tolerance key is refused before any criterion runs,
+    not silently left at its default."""
+    with pytest.raises(ModelError) as raised:
+        acceptance(seed=0, tolerances={"mse_sigma": 1.0})
+    assert str(raised.value).startswith("tolerances: unknown key(s) ['mse_sigma']; expected (")
+    assert "'mse_sigmas'" in str(raised.value)

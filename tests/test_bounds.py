@@ -126,14 +126,12 @@ class TestAgedTV:
 
 SPACE = StateSpace(2, 2)
 QUERIES = builtin_queries(SPACE)
-# Every entry that takes a correlation degree k, 1 <= k <= s, here s = 2.
+# Every entry that takes a correlation degree k, 1 <= k <= s, here s = 2;
+# `aged_tv_distance` then refuses any k but s.
 DEGREE_ENTRIES = {
     "LeakageParams": lambda k: LeakageParams((1, 1), 1.0, k, QUERIES["mean"]),
-    "aged_tv": lambda k: bounds.aged_tvs([aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))],
-                                         k)[0],
     "aged_tv_distance": lambda k: aged_tv_distance(joint_kernel(two_user_model(0.5)), (1, 1), k),
     "k_sensitivity": lambda k: k_sensitivity(QUERIES["mean"], k),
-    "baseline_bounds": lambda k: baseline_bounds(1.0, k, QUERIES["mean"]),
     "sensitivity-mean": lambda k: QUERIES["mean"].sensitivity(k),
     "sensitivity-max": lambda k: QUERIES["max"].sensitivity(k),
     "sensitivity-sum": lambda k: QUERIES["sum"].sensitivity(k),
@@ -158,12 +156,46 @@ def test_bad_degree_is_refused_by_name(entry, k, message):
 @pytest.mark.parametrize("entry", DEGREE_ENTRIES.values(), ids=DEGREE_ENTRIES.keys())
 def test_numpy_int_degree_is_read(entry):
     assert entry(np.int64(2)) == entry(2)
-    assert entry(np.int64(1)) == entry(1)
+    if entry is not DEGREE_ENTRIES["aged_tv_distance"]:
+        assert entry(np.int64(1)) == entry(1)
+
+
+@pytest.mark.parametrize("k", [1, np.int64(1)], ids=["int", "numpy-int"])
+def test_aged_tv_distance_refuses_a_degree_below_s_by_name(k):
+    with pytest.raises(ModelError) as raised:
+        DEGREE_ENTRIES["aged_tv_distance"](k)
+    assert str(raised.value) == ("correlation degree 1: Delta_k is computed at the full "
+                                 "degree s = 2 only")
 
 
 def test_leakage_params_keep_the_degree_as_an_int():
     params = LeakageParams((1, 1), 1.0, np.int64(2), QUERIES["mean"])
     assert type(params.degree) is int
+
+
+@pytest.mark.parametrize("name", ["mean", "sum", "max", "min"])
+@pytest.mark.parametrize("s, m", [(1, 3), (2, 2), (3, 2)])
+def test_baseline_bounds_read_d_s_from_the_query_space(s, m, name):
+    """The spatial-only budget is d(s) * eps_c, with d(s) = s_s(f) / s_1(f)
+    taken over every snapshot pair of the query's space."""
+    query = builtin_queries(StateSpace(s, m))[name]
+    profile = ref.brute_force_profile(query, s)
+    dp, ddp = baseline_bounds(0.7, query)
+    assert dp == 0.7
+    assert ddp == pytest.approx(max(profile) / profile[0] * 0.7, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [two_user_model(0.5), independent_pair(),
+                                   random_model(3, 2, seed=7)],
+                         ids=["two-user", "independent-pair", "random-3x2"])
+def test_aged_tvs_is_aged_tv_distance_at_s(model):
+    """The list form and the one-age form are one Delta_k, at degree s."""
+    kern = joint_kernel(model)
+    s = model.space.num_sequences
+    ages = [(t,) * s for t in range(4)] + [tuple(range(s))]
+    got = bounds.aged_tvs(aged_joints(kern, ages))
+    assert got == [aged_tv_distance(kern, age, np.int64(s)) for age in ages]
+    assert got == pytest.approx([ref.aged_tv_distance(kern, age, s) for age in ages], abs=1e-14)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
@@ -172,7 +204,7 @@ def test_leakage_params_keep_the_degree_as_an_int():
     lambda eps: loose_bound(0.5, 2.0, eps),
     lambda eps: tight_bound(0.5, eps),
     lambda eps: adp_leakage(0.3, eps),
-    lambda eps: baseline_bounds(eps, 2, builtin_queries(StateSpace(2, 2))["mean"]),
+    lambda eps: baseline_bounds(eps, builtin_queries(StateSpace(2, 2))["mean"]),
     lambda eps: exact_oracles([aged_joint(joint_kernel(two_user_model(0.5)), (1, 1))],
                               builtin_queries(StateSpace(2, 2))["mean"], [eps]),
 ], ids=["LeakageParams", "loose_bound", "tight_bound", "adp_leakage", "baseline_bounds",
@@ -570,12 +602,14 @@ class TestAdpAndBaselines:
 
     def test_baselines(self):
         q = builtin_queries(StateSpace(2, 2))["mean"]
-        dp, ddp = baseline_bounds(1.0, 2, q)
+        dp, ddp = baseline_bounds(1.0, q)
         assert dp == pytest.approx(1.0)
         assert ddp == pytest.approx(2.0)
-        dp, ddp = baseline_bounds(0.7, 1, q)
+        # d(s) is read from the query's space: one user's mean has d(1) = 1
+        dp, ddp = baseline_bounds(0.7, builtin_queries(StateSpace(1, 2))["mean"])
         assert dp == ddp == pytest.approx(0.7)
-        assert ddp >= dp
+        assert baseline_bounds(0.7, builtin_queries(StateSpace(3, 2))["mean"])[1] == \
+            pytest.approx(2.1)
 
 
 class TestOracle:
@@ -679,6 +713,27 @@ class TestReductions:
         with one `loop_reference.single_chain_tv` call per age."""
         assert verify_reductions(eps_c, max_age)[1] == ref.spatially_independent_case(
             eps_c, max_age, 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 6), min_size=3, max_size=3), st.booleans())
+    def test_independent_delta_k_is_the_degree_one_value(self, s, m, seed, times, uniform):
+        """The reductions' premise: with identity coupling the conditional
+        law of the aged snapshot is the product of the users' own, so
+        Delta_k at the full degree s is the degree-1 loop value, at uniform
+        and mixed ages alike."""
+        model = random_model(s, m, seed)
+        kern = joint_kernel(CmcModel(model.space, model.transitions, np.eye(s)))
+        ages = [(t,) * s for t in times] if uniform else [tuple(times[:s]), tuple(times[-s:])]
+        got = bounds.aged_tvs(aged_joints(kern, ages))
+        want = [ref.aged_tv_distance(kern, age, 1) for age in ages]
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14, (got, want)
+
+    def test_coupled_delta_k_is_not_the_degree_one_value(self):
+        kern = joint_kernel(two_user_model(0.5))
+        (got,) = bounds.aged_tvs([aged_joint(kern, (1, 1))])
+        assert got == pytest.approx(0.24, abs=1e-12)
+        assert ref.aged_tv_distance(kern, (1, 1), 1) == pytest.approx(0.2174, abs=1e-4)
 
     def test_two_user_model_without_cross_coupling_is_the_independent_pair(self):
         model, pair = two_user_model(1.0), independent_pair()

@@ -185,7 +185,7 @@ class TestBackwardConditional:
         query = builtin_queries(kern.space)["mean"]
         law = aged_joint(kern, (1,))
         for consume in (lambda: aged_tv_distance(kern, (1,), 1),
-                        lambda: aged_tvs([law], 1),
+                        lambda: aged_tvs([law]),
                         lambda: bounded_aged_correlation(kern, (1,)),
                         lambda: bounded_aged_correlations([law]),
                         lambda: oracle_leakage(kern, LeakageParams((1,), 1.0, 1, query))):

@@ -208,7 +208,7 @@ def test_one_coefficient_and_aging_term_per_distinct_age(monkeypatch, kind):
     the loose ones) in one more."""
     age_of = {}  # id of each law built -> its age
 
-    def by_age(laws, *_):
+    def by_age(laws):
         return [age_of[id(law)] for law in laws]
 
     keys = {"aged_joints": lambda kernel, ages: list(ages),
@@ -290,7 +290,7 @@ def test_duplicate_ages_keep_their_rows(monkeypatch):
     monkeypatch.setattr(utility, "aged_joints", aged_joints)
     # each law's Delta_k is read off its age
     monkeypatch.setattr(utility, "aged_tvs",
-                        lambda laws, degree: [delta[age_of[id(law)]] for law in laws])
+                        lambda laws: [delta[age_of[id(law)]] for law in laws])
     spec = UtilitySpec(mean_query(), mse_cap=1e9, age_grid=((3, 3), (2, 2), (1, 1), (3, 3)),
                        eps_grid=(1.0,), leakage_kind="loose_linear")
     assert solve_p1(two_user_model(0.5), spec).age == (3, 3)

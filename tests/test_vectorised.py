@@ -149,8 +149,7 @@ def assert_oracle_matches_loops(kernel, age, eps_c):
 
 def assert_matches_loops(kernel, age, eps_c=0.7):
     s = kernel.space.num_sequences
-    for degree in range(1, s + 1):
-        assert aged_tv_distance(kernel, age, degree) == ref.aged_tv_distance(kernel, age, degree)
+    assert aged_tv_distance(kernel, age, s) == ref.aged_tv_distance(kernel, age, s)
     assert_oracle_matches_loops(kernel, age, eps_c)
 
 
@@ -502,13 +501,12 @@ def models_and_mixed_age_lists(draw):
 @given(models_and_mixed_age_lists())
 def test_stacked_delta_k_matches_loops(case):
     """Delta_k of a list of laws equals the loop form at each law's age, at
-    every degree."""
+    the full degree s."""
     model, ages = case
     kern = joint_kernel(model)
-    laws = aged_joints(kern, ages)
-    for degree in range(1, model.space.num_sequences + 1):
-        assert aged_tvs(laws, degree) == [ref.aged_tv_distance(kern, age, degree)
-                                          for age in ages], degree
+    s = model.space.num_sequences
+    assert aged_tvs(aged_joints(kern, ages)) == [ref.aged_tv_distance(kern, age, s)
+                                                 for age in ages]
 
 
 def traced_peak(fn):
@@ -530,8 +528,8 @@ def test_stacked_delta_k_memory_is_the_loop_memory():
     n x n array above one law at a time."""
     kern = joint_kernel(random_model(0, 10, 2))
     laws = aged_joints(kern, [(t,) * 10 for t in range(1, 8)])
-    one_at_a_time, loop_peak = traced_peak(lambda: [aged_tvs([law], 10)[0] for law in laws])
-    stacked, stacked_peak = traced_peak(lambda: aged_tvs(laws, 10))
+    one_at_a_time, loop_peak = traced_peak(lambda: [aged_tvs([law])[0] for law in laws])
+    stacked, stacked_peak = traced_peak(lambda: aged_tvs(laws))
     assert stacked == one_at_a_time
     assert stacked_peak <= loop_peak + N1024, (stacked_peak, loop_peak)
 
@@ -723,13 +721,12 @@ def test_exact_oracle_bounds_the_half_line_ratios(law):
 def test_one_row_chunks_keep_the_bits(law):
     """With `_PAIR_ENTRIES` at 1, `_pair_differences` yields one row per
     chunk and takes one law per group, so a law's Delta_bar blocks straddle
-    chunks and its tau is taken across them; Delta_k at degree s and at
-    degree 1, and Delta_bar, still equal the default budget's bit for bit."""
+    chunks and its tau is taken across them; Delta_k and Delta_bar still
+    equal the default budget's bit for bit."""
     laws = [law, law]
-    s = law.space.num_sequences
-    want = [aged_tvs(laws, s), aged_tvs(laws, 1), bounded_aged_correlations(laws)]
+    want = [aged_tvs(laws), bounded_aged_correlations(laws)]
     with mock.patch.object(bounds, "_PAIR_ENTRIES", 1):
-        assert [aged_tvs(laws, s), aged_tvs(laws, 1), bounded_aged_correlations(laws)] == want
+        assert [aged_tvs(laws), bounded_aged_correlations(laws)] == want
 
 
 def counted(monkeypatch, module, names) -> dict:
