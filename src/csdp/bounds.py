@@ -53,7 +53,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .kernel import (JointKernel, _joint_stationary, aged_joint, aged_joints, joint_kernel,
+from .kernel import (JointKernel, _joint_stationaries, aged_joint, aged_joints, joint_kernel,
                      state_values)
 from .mechanism import noise_scale
 from .model import CmcModel, ModelError, StateSpace, check_positive, integer_value, two_user_model
@@ -355,12 +355,13 @@ def single_chain_tvs(model: CmcModel, ts) -> list:
     """At each age in `ts`, the worst per-sequence aged TV when each sequence
     is viewed as an isolated chain with its own self-transition matrix (the
     baseline that ignores coupling).  Each distinct self-transition matrix
-    gets one kernel and one stationary law, shared by every age."""
+    gets one kernel, shared by every age, and their stationary laws come
+    from one `_joint_stationaries` call."""
     space = StateSpace(1, model.space.num_states)
     # the one-sequence joint kernel is the self-transition matrix itself
     selves = model.transitions[np.diag_indices(model.space.num_sequences)]
-    solos = [JointKernel(space, P, _joint_stationary(P))
-             for P in {P.tobytes(): P for P in selves}.values()]
+    distinct = np.stack(list({P.tobytes(): P for P in selves}.values()))
+    solos = [JointKernel(space, P, pi) for P, pi in zip(distinct, _joint_stationaries(distinct))]
     tvs = [aged_tvs(aged_joints(solo, [[t] for t in ts])) for solo in solos]
     return [max(at_t) for at_t in zip(*tvs)]
 
@@ -446,11 +447,32 @@ class ReductionCase:
     detail: str
 
 
+def _iid_cases(model: CmcModel, eps_c: float, tol: float) -> list:
+    """`verify_reductions`' cases (a) on the two-user `model`: its budgets at
+    d(1) against eps_c at age 0 and against 0 at age 1, both ages read
+    from one `aged_joints` call."""
+    d1 = k_sensitivity(builtin_queries(model.space)["mean"], 1)
+    laws = aged_joints(joint_kernel(model), [(0, 0), (1, 1)])
+    cases = []
+    for name, delta_k, delta_bar, target in zip(
+            ("iid-age0-k1", "iid-age1-k1"), aged_tvs(laws), bounded_aged_correlations(laws),
+            (eps_c, 0.0)):
+        lin, logf = loose_bound(delta_k, d1, eps_c)
+        tgt = tight_bound(delta_bar, eps_c)
+        errs = [abs(lin - target), abs(logf - target), abs(tgt - target)]
+        cases.append(ReductionCase(
+            name, True, max(errs) <= tol,
+            f"linear={lin:.12g} log={logf:.12g} tight={tgt:.12g} target={target:.12g}"))
+    return cases
+
+
 def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -> list:
     """Certify the degenerate-correlation reductions of the bounds.
 
-    (a) i.i.d.-over-time model (all transition columns identical), age 0,
-        at d(1): loose (both forms) and tight budgets all equal eps_c.
+    (a) i.i.d.-over-time model (all transition columns identical), at
+        d(1): at age 0 the loose (both forms) and tight budgets all equal
+        eps_c; at age 1 the aged snapshot is independent of the current one,
+        so Delta_k and Delta_bar are 0 and so are all three budgets.
     (b) temporally-correlated but spatially-independent model: the
         log-form loose budget at unit sensitivity equals the
         single-sequence age-dependent budget at every age.
@@ -466,8 +488,6 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
     as that factor's laws.
     """
     integer_value(max_age, "max_age", 0)
-    cases = []
-
     iid_col = np.array([0.6, 0.4])
     P_iid = np.stack([iid_col, iid_col], axis=1)  # both columns identical
     iid = CmcModel(
@@ -475,20 +495,7 @@ def verify_reductions(eps_c: float = 1.0, max_age: int = 8, tol: float = 1e-9) -
         np.broadcast_to(P_iid, (2, 2, 2, 2)),
         np.array([[0.75, 0.25], [0.25, 0.75]]),
     )
-    kern = joint_kernel(iid)
-    query = builtin_queries(iid.space)["mean"]
-    fresh = [aged_joint(kern, (0, 0))]
-    lin, logf = loose_bound(aged_tvs(fresh)[0], k_sensitivity(query, 1), eps_c)
-    tgt = tight_bound(bounded_aged_correlations(fresh)[0], eps_c)
-    errs = [abs(lin - eps_c), abs(logf - eps_c), abs(tgt - eps_c)]
-    cases.append(
-        ReductionCase(
-            "iid-age0-k1",
-            True,
-            max(errs) <= tol,
-            f"linear={lin:.12g} log={logf:.12g} tight={tgt:.12g} target={eps_c:.12g}",
-        )
-    )
+    cases = _iid_cases(iid, eps_c, tol)
 
     indep = two_user_model(1.0)  # no cross-coupling
     kern = joint_kernel(indep)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import yaml
-from scipy.sparse import csgraph, csr_matrix
 
 STOCHASTIC_TOL = 1e-9
 # Joint states above which the dense product-space kernel is refused.  An
@@ -34,9 +33,6 @@ STOCHASTIC_TOL = 1e-9
 # leakage sweep over 7 (s = 8), past one law per age mostly the rows of
 # Delta_bar's transport blocks left open for its LPs (README, `--cap`).
 DEFAULT_ENUMERATION_CAP = 2**13
-# Steps after which a power iteration that has not converged checks whether
-# the chain is periodic; converging chains seldom need more than 100.
-PERIOD_CHECK_AFTER = 256
 
 
 class ModelError(ValueError):
@@ -228,65 +224,6 @@ class CmcModel:
                          for j in np.flatnonzero(~(abs(rows - 1.0) <= STOCHASTIC_TOL))]
         if problems:
             raise ModelError("invalid model: " + "; ".join(problems))
-
-
-def _support_period(A: np.ndarray) -> int:
-    """Least common multiple of the periods of the strongly connected
-    components of A's support graph; 1 when every component is aperiodic.
-
-    A component's period is the gcd, over its edges u -> v, of
-    level(u) + 1 - level(v), with BFS levels taken from any one of its
-    states.  The iterates of A can only oscillate with a period dividing it.
-    """
-    n = A.shape[0]
-    graph = csr_matrix(A != 0)
-    n_comp, comp = csgraph.connected_components(graph, directed=True, connection="strong")
-    u, v = graph.nonzero()
-    keep = comp[u] == comp[v]
-    order = np.argsort(comp[u][keep], kind="stable")
-    u, v = u[keep][order], v[keep][order]  # edges inside components, grouped
-    # BFS levels inside each component from its first state: search from an
-    # extra state n with one edge to each of those
-    roots = np.unique(comp, return_index=True)[1]
-    inner = csr_matrix(
-        (np.ones(len(u) + n_comp), (np.r_[u, np.full(n_comp, n)], np.r_[v, roots])),
-        shape=(n + 1, n + 1),
-    )
-    level = csgraph.shortest_path(inner, indices=n, unweighted=True)[:n].astype(np.int64)
-    starts = np.flatnonzero(np.r_[True, np.diff(comp[u]) != 0])
-    periods = np.gcd.reduceat(np.abs(level[u] + 1 - level[v]), starts)
-    return math.lcm(*set(periods.tolist()))
-
-
-def _power_iteration(A: np.ndarray, pi: np.ndarray, tol: float, max_iter: int):
-    """Iterate pi <- A @ pi until the l1 step is at most tol; None if it never is.
-
-    A periodic chain oscillates instead of converging.  If the iteration
-    has not converged after PERIOD_CHECK_AFTER steps, the period L of A's
-    support graph is computed once.  When L > 1 the chain is reported as
-    periodic as soon as an iterate returns to within tol of the one L steps
-    before while its step stays the same (to 1e-12 relative, with no
-    absolute slack, so a slowly converging aperiodic chain is not taken for
-    one).
-    """
-    period = 1
-    for it in range(int(max_iter)):
-        nxt = A @ pi
-        gap = np.abs(nxt - pi).sum()
-        if gap <= tol:
-            return nxt
-        if it == PERIOD_CHECK_AFTER:
-            period = _support_period(A)
-            back, back_gap = nxt, gap
-        elif period > 1 and (it - PERIOD_CHECK_AFTER) % period == 0:
-            if (gap > 100 * tol and abs(gap - back_gap) <= 1e-12 * back_gap
-                    and np.abs(nxt - back).sum() < tol):
-                raise ModelError(
-                    f"power iteration oscillates: the chain appears periodic (period {period})"
-                )
-            back, back_gap = nxt, gap
-        pi = nxt
-    return None
 
 
 # ---------------------------------------------------------------------------

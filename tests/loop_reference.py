@@ -52,6 +52,13 @@ single-chain TV from one `single_chain_tvs` call;
 `spatially_independent_case` keeps the hand-built model and the call per
 age it replaced.
 
+The package's stationary law keeps the bits of the power iteration
+`joint_stationary` wherever that stops within STATIONARY_STEPS steps, and
+solves every other kernel by GTH state reduction in float64;
+`stationary_gth` is the same reduction in long double, on the transposed,
+row-stochastic matrix, against which that solve must agree to 1e-12
+relative in every entry.
+
 Two references have no package form to mirror: `evolve_distribution`
 steps the per-sequence marginals pi_j' = sum_k lam[j, k] P[j][k] pi_k,
 which the joint kernel's one-step marginals must match, and
@@ -119,6 +126,23 @@ def joint_stationary(K: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6) -
             return nxt
         pi = nxt
     raise AssertionError("joint stationary distribution did not converge")
+
+
+def stationary_gth(K: np.ndarray) -> np.ndarray:
+    """The stationary law of the irreducible column-stochastic K by GTH state
+    reduction in long double, on the row-stochastic P = K^T as Grassmann,
+    Taksar & Heyman (1985) write it: state k is folded out by
+    P[i, j] += P[i, k] P[k, j] / sum_{l<k} P[k, l], and the law is read back
+    from pi[k] = sum_{i<k} pi[i] P[i, k]."""
+    P = K.T.astype(np.longdouble)
+    n = len(P)
+    for k in range(n - 1, 0, -1):
+        P[:k, k] /= P[k, :k].sum()
+        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+    pi = np.ones(n, np.longdouble)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ P[:k, k]
+    return pi / pi.sum()
 
 
 def aged_joint(kernel, age) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_criteria_1_2_and_4_lines_are_fixed(results):
         "drop(0->4)=98.7%; lambda=0.75: eps(6)=0.0042, drop(0->4)=98.6%; lambda=1.0: "
         "eps(6)=0.0082, drop(0->4)=97.4%; expected eps(6) < 0.05, drop >= 55%, non-increasing")
     assert results[3].line() == (
-        "[PASS] criterion 4 (reductions): measured iid-age0-k1=pass, "
+        "[PASS] criterion 4 (reductions): measured iid-age0-k1=pass, iid-age1-k1=pass, "
         "spatially-independent-vs-age-dependent=pass, coupled-benchmark=pass (n/a); "
         "expected all applicable cases within 1e-09")
 

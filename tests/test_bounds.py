@@ -584,19 +584,19 @@ class TestAdpAndBaselines:
             [abs(lam) ** t for t in ts], abs=1e-12)
 
     def test_one_solo_kernel_per_distinct_self_matrix(self, monkeypatch):
-        builds = []
-        stationary = bounds._joint_stationary
-        monkeypatch.setattr(bounds, "_joint_stationary",
-                            lambda P: builds.append(P) or stationary(P))
+        builds = []  # the stack size of each stationary solve
+        stationaries = bounds._joint_stationaries
+        monkeypatch.setattr(bounds, "_joint_stationaries",
+                            lambda K: builds.append(len(K)) or stationaries(K))
         ts = [0, 1, 2, 5, 1]
         # both users of the benchmark share one self matrix
         assert single_chain_tvs(two_user_model(0.25), ts) == pytest.approx(
             [0.4**t for t in ts], abs=1e-10)
-        assert len(builds) == 1
+        assert builds == [1]
         builds.clear()
         model = random_model(3, 2, seed=4)  # three different self matrices
         got = single_chain_tvs(model, ts)
-        assert len(builds) == 3
+        assert builds == [3]
         assert got == [ref.single_chain_tv(model, t) for t in ts]
         assert single_chain_tvs(model, []) == []
 
@@ -691,6 +691,22 @@ class TestReductions:
         cases = verify_reductions(1.0, 8)
         assert all(c.passed for c in cases if c.applicable)
 
+    @pytest.mark.parametrize("eps_c", [0.5, 1.0, 2.0])
+    def test_iid_model_at_age_one_reads_zero(self, eps_c):
+        """At age 1 identical transition columns make the aged snapshot
+        independent of the current one, so every budget reads 0; at age 0
+        every model reads eps_c, so only age 1 tells the i.i.d. model apart."""
+        cases = {c.name: c for c in verify_reductions(eps_c, 2)}
+        assert list(cases)[:2] == ["iid-age0-k1", "iid-age1-k1"]
+        assert cases["iid-age1-k1"].applicable and cases["iid-age1-k1"].passed
+        assert cases["iid-age1-k1"].detail.endswith(" target=0")
+
+    def test_coupled_model_fails_the_iid_age_one_case(self):
+        age0, age1 = bounds._iid_cases(two_user_model(0.5), 1.0, 1e-9)
+        assert age0.passed
+        assert not age1.passed
+        assert age1.detail == "linear=0.24 log=0.345281633144 tight=0.4 target=0"
+
     def test_coupled_case_not_applicable(self):
         cases = {c.name: c for c in verify_reductions()}
         assert not cases["coupled-benchmark"].applicable
@@ -711,7 +727,8 @@ class TestReductions:
         """Built as two_user_model(1.0) with one single_chain_tvs call, the
         spatially independent case reads as it did from the hand-built model
         with one `loop_reference.single_chain_tv` call per age."""
-        assert verify_reductions(eps_c, max_age)[1] == ref.spatially_independent_case(
+        cases = {c.name: c for c in verify_reductions(eps_c, max_age)}
+        assert cases["spatially-independent-vs-age-dependent"] == ref.spatially_independent_case(
             eps_c, max_age, 1e-9)
 
     @settings(max_examples=30, deadline=None)

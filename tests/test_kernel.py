@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -77,14 +78,19 @@ class TestJointKernel:
         np.testing.assert_allclose(kern.matrix.sum(axis=0), 1.0, atol=1e-12)
         assert kern.matrix.min() >= 0
 
-    def test_identity_fixed_point(self):
+    def test_identity_fixed_point(self, monkeypatch):
         # identity transitions with identity coupling leave every product law
-        # in place
+        # in place; every joint state is then a closed class of its own, so
+        # the kernel is refused for want of a unique stationary law, and its
+        # matrix is read with that solve stubbed out
         model = CmcModel(
             StateSpace(2, 2),
             np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy(),
             np.eye(2),
         )
+        with pytest.raises(ModelError, match="has 4 closed classes"):
+            joint_kernel(model)
+        monkeypatch.setattr(kernel_module, "_joint_stationaries", lambda K: K[:, 0])
         blocks = np.array([[0.2, 0.8], [0.6, 0.4]])
         np.testing.assert_allclose(kernel_marginals(joint_kernel(model), blocks), blocks,
                                    atol=1e-12)
@@ -134,13 +140,14 @@ class TestJointKernel:
         with pytest.raises(ModelError, match=f"cap {DEFAULT_ENUMERATION_CAP}.* {2**31} bytes"):
             joint_kernel(model)
 
-    def test_periodic_chain_fails_fast(self):
-        # period-2 chain: power iteration from uniform oscillates forever
+    def test_periodic_chain_is_solved_fast(self):
+        # period-2 chain: power iteration from uniform oscillates forever, so
+        # its zero entries send it to the exact solve
         P = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
         start = time.perf_counter()
-        with pytest.raises(ModelError, match="periodic"):
-            joint_kernel(single_chain(P))
+        pi = joint_kernel(single_chain(P)).stationary
         assert time.perf_counter() - start < 1.0
+        np.testing.assert_allclose(pi, [0.5, 0.25, 0.25], rtol=1e-14)
 
 
 class TestBackwardConditional:
@@ -177,21 +184,33 @@ class TestBackwardConditional:
         with pytest.raises(ModelError, match=r"\(1,\)"):
             aged_joint(kern, (1,)).conditional()
 
-    def test_zero_probability_state_refused_by_every_conditioning_consumer(self):
-        """Delta_k at degree s, Delta_bar and the oracle condition on the
-        current state and refuse it by name, in their one-law and list
-        forms; the MSE does not condition."""
-        kern = joint_kernel(self.NEVER_ENTERED)
+    # two users, each absorbed in state 0: (0, 0) is the one closed class
+    ABSORBING = CmcModel(StateSpace(2, 2),
+                         np.broadcast_to([[1.0, 0.5], [0.0, 0.5]], (2, 2, 2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("model, dead", [(NEVER_ENTERED, "(1,)"), (ABSORBING, "(0, 1)")],
+                             ids=["never-entered", "absorbing"])
+    def test_zero_probability_state_refused_by_every_conditioning_consumer(self, model, dead):
+        """Delta_k at degree s, Delta_bar, the oracle and the backward
+        conditional condition on the current state and refuse it by name,
+        in their one-law and list forms; the MSE does not condition.  The
+        stationary law is exactly 0 off the closed class."""
+        kern = joint_kernel(model)
+        s = kern.space.num_sequences
+        assert kern.stationary.tolist() == [1.0] + [0.0] * (len(kern.stationary) - 1)
         query = builtin_queries(kern.space)["mean"]
-        law = aged_joint(kern, (1,))
-        for consume in (lambda: aged_tv_distance(kern, (1,), 1),
+        age = (1,) * s
+        law = aged_joint(kern, age)
+        for consume in (lambda: aged_tv_distance(kern, age, s),
                         lambda: aged_tvs([law]),
-                        lambda: bounded_aged_correlation(kern, (1,)),
+                        lambda: bounded_aged_correlation(kern, age),
                         lambda: bounded_aged_correlations([law]),
-                        lambda: oracle_leakage(kern, LeakageParams((1,), 1.0, 1, query))):
-            with pytest.raises(ModelError, match=r"\(1,\)"):
+                        lambda: oracle_leakage(kern, LeakageParams(age, 1.0, s, query)),
+                        law.conditional):
+            with pytest.raises(ModelError, match=re.escape(f"cannot condition on state {dead}: "
+                                                           "zero probability")):
                 consume()
-        assert np.isfinite(mse_exact(kern, (1,), query, 1.0))
+        assert np.isfinite(mse_exact(kern, age, query, 1.0))
 
 
 class TestAgedJoint:
@@ -231,12 +250,9 @@ class TestAgedJoint:
 
 class TestSampling:
     def test_identity_kernel_constant(self):
-        model = CmcModel(
-            StateSpace(2, 2),
-            np.broadcast_to(np.eye(2), (2, 2, 2, 2)).copy(),
-            np.eye(2),
-        )
-        kern = joint_kernel(model)
+        # the identity kernel has no unique stationary law (joint_kernel
+        # refuses it), and a path from a given start needs none
+        kern = JointKernel(StateSpace(2, 2), np.eye(4), np.full(4, 0.25))
         traj = sample_trajectory(kern, (1, 0), horizon=50, seed=3)
         assert (traj == [1, 0]).all()
 

@@ -5,15 +5,17 @@ import pytest
 
 from csdp import (
     CmcModel,
+    JointKernel,
     ModelError,
     StateSpace,
+    aged_joints,
+    aged_tvs,
     joint_kernel,
     load_model,
     save_model,
     single_chain_tvs,
     two_user_model,
 )
-from csdp.model import _support_period
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
 
@@ -127,7 +129,10 @@ class TestStateIndex:
 
 
 class TestStationary:
-    """The joint kernel's stationary law, by power iteration from uniform."""
+    """The joint kernel's stationary law: by power iteration from uniform on a
+    positive kernel that settles within STATIONARY_STEPS steps, and by GTH
+    state reduction on the one closed class otherwise, so periodic and
+    slowly mixing chains get their law and reducible ones are refused."""
 
     def test_benchmark_uniform_blocks(self):
         pi = joint_kernel(two_user_model(0.75)).stationary.reshape(2, 2)
@@ -153,35 +158,40 @@ class TestStationary:
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(kern.matrix @ pi, pi, atol=1e-12)
 
-    def test_periodic_chain_fails(self):
+    def test_period_two_chain_returns_its_law(self):
         # period-2 chain: state 0 splits over 1, 2 and 3, which all return to
-        # 0; from uniform the mass on state 0 swings between 1/4 and 3/4 and
-        # must be reported, not silently averaged
+        # 0; from uniform the mass on state 0 swings between 1/4 and 3/4, so
+        # the law is solved on the closed class, not iterated
         P = np.array([[0, 1, 1, 1], [0.2, 0, 0, 0], [0.3, 0, 0, 0], [0.5, 0, 0, 0]], float)
-        with pytest.raises(ModelError, match="period 2"):
-            joint_kernel(single_chain(P))
-
-    @pytest.mark.parametrize("entry", [
-        joint_kernel,
-        lambda model: single_chain_tvs(model, [1]),
-    ], ids=["joint_kernel", "single_chain_tvs"])
-    def test_period_three_chain_fails_fast(self, entry):
-        # 0 -> 1 -> {2, 3} -> 0: every cycle has length 3, so power iteration
-        # from uniform returns to its start every third step
-        P = np.array([[0, 0, 1, 1], [1, 0, 0, 0], [0, 0.5, 0, 0], [0, 0.5, 0, 0]], float)
-        start = time.perf_counter()
-        with pytest.raises(ModelError, match="periodic"):
-            entry(single_chain(P))
-        assert time.perf_counter() - start < 1.0
-
-    def test_reducible_chain_keeps_each_class_mass(self):
-        # two closed classes: the iteration from uniform is not refused; it
-        # keeps mass 1/2 on each class and settles within it
-        P = np.zeros((4, 4))
-        P[:2, :2] = [[0.9, 0.2], [0.1, 0.8]]
-        P[2:, 2:] = 0.5
         pi = joint_kernel(single_chain(P)).stationary
-        np.testing.assert_allclose(pi, [1 / 3, 1 / 6, 1 / 4, 1 / 4], atol=1e-9)
+        np.testing.assert_allclose(pi, [0.5, 0.1, 0.15, 0.25], rtol=1e-14)
+
+    def test_period_three_chain_returns_its_law(self):
+        # 0 -> 1 -> {2, 3} -> 0: every cycle has length 3, so power iteration
+        # from uniform returns to its start every third step; both the joint
+        # kernel and the single-chain TVs read the hand-solved law
+        P = np.array([[0, 0, 1, 1], [1, 0, 0, 0], [0, 0.5, 0, 0], [0, 0.5, 0, 0]], float)
+        law = np.array([1 / 3, 1 / 3, 1 / 6, 1 / 6])
+        ts = [0, 1, 2, 3, 4]
+        start = time.perf_counter()
+        pi = joint_kernel(single_chain(P)).stationary
+        tvs = single_chain_tvs(single_chain(P), ts)
+        assert time.perf_counter() - start < 1.0
+        np.testing.assert_allclose(pi, law, rtol=1e-14)
+        hand = JointKernel(StateSpace(1, 4), P, law)
+        np.testing.assert_allclose(tvs, aged_tvs(aged_joints(hand, [[t] for t in ts])),
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("model", [
+        single_chain(np.block([[np.array([[0.9, 0.2], [0.1, 0.8]]), np.zeros((2, 2))],
+                               [np.zeros((2, 2)), np.full((2, 2), 0.5)]])),
+        two_user_model(0.5, p=0),
+    ], ids=["two-blocks", "two-user-p0"])
+    def test_reducible_chain_is_refused_by_name(self, model):
+        # more than one closed class: no unique stationary law to condition on
+        with pytest.raises(ModelError, match=r"the joint chain has \d+ closed classes of "
+                                             r"states, so its stationary law is not unique"):
+            joint_kernel(model)
 
     def test_convergence_speed_on_benchmark(self):
         # from a point mass the joint law is within 1e-6 of its fixed point
@@ -198,15 +208,6 @@ class TestStationary:
         burned = gaps[2:]
         assert all(b <= a + 1e-15 for a, b in zip(burned, burned[1:]))
 
-    def test_support_period_is_lcm_over_components(self):
-        # a 2-cycle, a 3-cycle and a state with a self-loop
-        A = np.zeros((6, 6))
-        for a, b in [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 5)]:
-            A[b, a] = 1.0
-        assert _support_period(A) == 6
-        assert _support_period(A[5:, 5:]) == 1
-        assert _support_period(np.array([[0.001, 0.998], [0.999, 0.002]])) == 1
-
     def test_nearly_periodic_chain_converges(self):
         # eigenvalue -0.997: successive steps almost repeat, yet the chain
         # is aperiodic and must not be reported as periodic
@@ -214,9 +215,9 @@ class TestStationary:
         pi = joint_kernel(single_chain(P)).stationary
         np.testing.assert_allclose(pi, [0.998 / 1.997, 0.999 / 1.997], atol=1e-9)
 
-    def test_permutation_from_uniform_start_converges_exactly(self):
-        # uniform is the exact stationary vector of any permutation chain, so
-        # the mandated uniform start lands on the fixed point immediately
+    def test_permutation_chain_is_solved_exactly(self):
+        # a permutation chain has zero entries, so it is solved on its one
+        # closed class, where uniform is the exact stationary vector
         perm = np.array([[0.0, 1.0], [1.0, 0.0]])
         pi = joint_kernel(single_chain(perm)).stationary
         np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)

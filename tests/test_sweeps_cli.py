@@ -101,7 +101,7 @@ class TestSweeps:
     def test_reduce_check_passes(self):
         _, rows, violations = run_sweep(PRESETS["reduce-check"])
         assert violations == []
-        assert {r["case"] for r in rows} >= {"iid-age0-k1"}
+        assert {r["case"] for r in rows} >= {"iid-age0-k1", "iid-age1-k1"}
 
     def test_frontier_rows(self):
         config = ExperimentConfig(
