@@ -75,6 +75,7 @@ class LeakageParams:
 # Entries of backward conditionals, and of neighbour-pair differences, that
 # `_pair_differences` holds at once.
 _PAIR_ENTRIES = 1 << 16
+EXPM1_MAX = math.log(np.finfo(float).max)  # math.expm1 overflows above it (`loose_bound`)
 
 
 def _pair_differences(laws, pairs: np.ndarray):
@@ -150,7 +151,9 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
         raise ModelError(f"k-sensitivity must be >= 1, got {dk}")
     check_positive("eps_c", eps_c)
     linear = dk * delta_k * eps_c
-    log_form = math.log1p(delta_k * math.expm1(dk * eps_c))
+    x = dk * eps_c  # past EXPM1_MAX, the equal form without e^x, 0 at delta_k = 0
+    log_form = (math.log1p(delta_k * math.expm1(x)) if x <= EXPM1_MAX
+                else (x + math.log(delta_k + (1.0 - delta_k) * math.exp(-x)) if delta_k else 0.0))
     return linear, log_form
 
 

@@ -12,9 +12,9 @@ as one (L, n, n) stack by `joint_kernels`, whose stationary laws come from
 one routine over the stack (`_joint_stationaries`): a power iteration of at
 most STATIONARY_STEPS steps on the positive kernels, and an exact solve on
 the closed class of every other one, O(n^3) (about 1 s at n = 1024).
-`aged_joint_grid` reads every uniform age of every kernel off one stack of
-powers.  `joint_kernel` is the one-model call and `aged_joints` the
-one-kernel call; each slice has the bits it has alone.
+`aged_joint_grid` joins each age's lag groups by powers off one stack.
+`joint_kernel` is the one-model call and `aged_joints` the one-kernel call;
+each slice, and each law, has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -261,57 +261,55 @@ def aged_joint_grid(kernels, ages) -> list:
     """The aged laws of every kernel of `kernels` (all of one space) at every
     age of `ages`: one list per kernel, in order, of one law per age.
 
-    z_i is the state of sequence i at `age[i]` steps before x.  With a
-    uniform age t the law is pi[z] * K^t[x, z], and every uniform age of
-    every kernel reads its K^t off one stack of powers (`_powers`) of the
-    kernels' stack, which then holds the laws in place; heterogeneous ages
-    are handled by forward dynamic programming over the trajectory,
-    recording each coordinate when its lag is reached, one law at a time.
+    z_i is the state of sequence i at `age[i]` steps before x.  An age's
+    distinct lags split the sequences into groups, recorded oldest first
+    from pi and joined by one product with K^gap each, the youngest straight
+    into K^min(age), which then holds the law (`_join`).  One `_powers` call
+    gives one slot per age and one per other gap, so any age costs
+    O(log max(age)) products; a uniform age's K^t is scaled by pi in place.
     """
     space = kernels[0].space
-    ages = [validate_ages(age, space) for age in ages]
-    uniform = [i for i, age in enumerate(ages) if len(set(age)) == 1]
-    # powers[u, l] is kernel l's power at the u-th uniform age
-    powers = _powers(_stacked([kern.matrix for kern in kernels]), [ages[i][0] for i in uniform])
-    powers *= _stacked([kern.stationary for kern in kernels])[:, None, :]
-    grid = []
-    for l, kern in enumerate(kernels):
-        laws = [None] * len(ages)
-        for i, J in zip(uniform, powers[:, l]):
-            J[...] = J.T.copy()  # J[z, x] in C order, one n x n at a time
-            laws[i] = AgedLaw(space, J)
-        for i, age in enumerate(ages):
-            if laws[i] is None:
-                laws[i] = AgedLaw(space, _mixed_aged_joint(kern, np.array(age)))
-        grid.append(laws)
-    return grid
+    digits = (space.num_states,) * space.num_sequences
+    groups = [[(a, [i for i, b in enumerate(age) if b == a]) for a in sorted(set(age))[::-1]]
+              for age in (validate_ages(age, space) for age in ages)]  # (lag, sequences)
+    ts = [lags[-1][0] for lags in groups]  # each age's min(age), then the other gaps
+    ts += sorted({a - b for lags in groups for (a, _), (b, _) in zip(lags, lags[1:])} - set(ts))
+    powers = _powers(_stacked([kern.matrix for kern in kernels]), ts)
+    pi = _stacked([kern.stationary for kern in kernels])[:, :, None]
+    L, n = pi.shape[:2]
+    # every older group is joined before any law overwrites a power it reads
+    dists = []
+    for lags in groups:
+        dist = pi
+        for (a, seqs), (b, _) in zip(lags, lags[1:]):
+            dist = _join(powers[ts.index(a - b)], dist, seqs, space).reshape(L, n, -1)
+        dists.append(dist)
+    for J, lags, dist in zip(powers, groups, dists):
+        if len(lags) == 1:  # J[l, z, x] = pi[z] * K^t[x, z], scaled in place
+            J *= dist.transpose(0, 2, 1)
+            J[...] = J.transpose(0, 2, 1)  # numpy copies J first, as the two overlap
+            continue
+        # the join's z digits are in recorded order, J's in sequence order
+        recorded = [i for _, seqs in lags for i in seqs]
+        J.reshape((L,) + digits + (n,))[...] = _join(J, dist, lags[-1][1], space).reshape(
+            (L, n) + digits).transpose(0, *[2 + recorded.index(i) for i in range(len(digits))], 1)
+    return [[AgedLaw(space, J) for J in powers[: len(groups), l]] for l in range(L)]
 
 
-def _mixed_aged_joint(kernel: JointKernel, ages: np.ndarray) -> np.ndarray:
-    """J[z, x] at heterogeneous ages by forward dynamic programming."""
-    n = kernel.matrix.shape[0]
-    T = int(ages.max())
-    s, m = kernel.space.num_sequences, kernel.space.num_states
-    # dist[w, r] = Pr[current joint state w, recorded coordinates r], where r
-    # is the big-endian code of the coordinates recorded so far, in the
-    # order they were recorded
-    dist = kernel.stationary[:, None]  # (n, 1): nothing recorded yet
-    recorded = []
-    for step in range(T + 1):
-        seqs = [i for i in range(s) if T - ages[i] == step]
-        if seqs:
-            # append the codes of w's coordinates `seqs` as the lowest digits of r
-            reps = m ** len(seqs)
-            code = kernel.space.subset_code(seqs)
-            out = np.zeros((n, dist.shape[1], reps))
-            out[np.arange(n), :, code] = dist
-            dist = out.reshape(n, -1)
-            recorded.extend(seqs)
-        if step < T:
-            dist = kernel.matrix @ dist
-    # J[z, x] with the recorded coordinates back in sequence order
-    J = dist.T.reshape((m,) * s + (n,)).transpose(list(np.argsort(recorded)) + [s])
-    return J.reshape(n, n)
+def _join(P: np.ndarray, dist: np.ndarray, seqs: list, space: StateSpace) -> np.ndarray:
+    """Record sequences `seqs` and step by the (L, n, n) powers P.
+
+    dist[l, w, r] is the mass of current state w and recorded code r; the
+    result, an (L, n, R, m^g) view, is out[l, x, r, c], the sum of
+    P[l, x, w] * dist[l, w, r] over the w whose code at `seqs` is c, one
+    product per c, for `seqs` short of every sequence."""
+    L, n, R = dist.shape
+    g = space.num_states ** len(seqs)
+    rest = [i for i in range(space.num_sequences) if i not in seqs]
+    order = np.argsort(space.subset_code(seqs + rest))  # w by (code at seqs, code at rest)
+    # `take` copies in C order: each product has one layout, so its bits, for any L
+    cols = P.take(order, axis=2).reshape(L, n, g, n // g).transpose(0, 2, 1, 3)
+    return (cols @ dist.take(order, axis=1).reshape(L, g, n // g, R)).transpose(0, 2, 3, 1)
 
 
 def sample_trajectory(kernel: JointKernel, initial, horizon: int, seed: int) -> np.ndarray:

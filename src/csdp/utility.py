@@ -145,17 +145,18 @@ def _mse_simulated(kernel: JointKernel, age, query: QuerySpec, f: np.ndarray,
     T = int(ages.max())
     rng = generator(seed)
 
-    path = np.empty((T + 1, n), dtype=np.intp)  # path[step, sample], a joint index
-    table, start = tables
-    path[0] = threshold_draws(start, 0, rng.random(n))
-    for step in range(T):
-        path[step + 1] = threshold_draws(table, path[step], rng.random(n))
-    # the aged joint index digits @ place, summed over the distinct ages a:
-    # the sequences of age a read their digits off the path at step T - a
+    # age a's sequences add their digits @ place at step T - a; only the current step is held
     digits, place = kernel.space.digits, kernel.space.place
-    aged = sum((digits[:, ages == a] @ place[ages == a])[path[T - a]] for a in set(ages.tolist()))
+    reads = {T - a: digits[:, ages == a] @ place[ages == a] for a in set(ages.tolist())}
+    table, start = tables
+    cur = threshold_draws(start, 0, rng.random(n))  # cur[sample], a joint index
+    aged = reads[0][cur]  # the oldest sequences read the start
+    for step in range(1, T + 1):
+        cur = threshold_draws(table, cur, rng.random(n))
+        if step in reads:
+            aged = aged + reads[step][cur]
     noise = laplace(rng, scale, n)
-    sq = (f[aged] + noise - f[path[T]]) ** 2
+    sq = (f[aged] + noise - f[cur]) ** 2
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n))
 
 

@@ -7,10 +7,10 @@ digit table, place values, subset codes and neighbour pairs).  These are
 the nested-loop forms they replaced, one state at a time.  The package
 reads Delta_k at the full degree s only; the loop `aged_tv_distance` here
 still takes any degree, so that the reductions can check that on a
-spatially independent model the degree-s value is the degree-1 one.  The aged joint law
-here steps every age, uniform ones too, where the package squares K for a
-uniform age; the two agree to rounding there and bit for bit on mixed
-ages.  The package's `AgedLaw` divides J by its column totals; the
+spatially independent model the degree-s value is the degree-1 one.  The
+aged joint law here steps K once per lag, where the package joins an age's
+lag groups by powers of K taken from shared squares; the two agree to
+rounding.  The package's `AgedLaw` divides J by its column totals; the
 backward conditional here divides each column of the loop law by its own
 sum, so the Delta_bar and oracle references that read it are independent
 of the package's law and agree with it to rounding.  The exact oracle

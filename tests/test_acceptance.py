@@ -103,7 +103,7 @@ def test_criteria_5_and_7_lines_are_fixed(results):
         "csdp<=adp<=ddp<=dp")
     assert results[6].line() == (
         "[PASS] criterion 7 (mse model): measured worst |sim-exact| = 2.97 standard errors; "
-        "decomposition residual 4.44e-16; expected <= 3.0 standard errors; residual <= 1e-12")
+        "decomposition residual 2.22e-16; expected <= 3.0 standard errors; residual <= 1e-12")
 
 
 def test_criterion_8_oracle_cross_validation(results):

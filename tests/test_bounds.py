@@ -32,6 +32,7 @@ from csdp import (
 )
 from csdp import bounds
 from csdp.acceptance import _half_line_cdf, dkw_bound, half_line_gap
+from csdp.sweeps import ExperimentConfig, run_sweep
 import loop_reference as ref
 
 FLIP = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -243,6 +244,32 @@ class TestLooseBound:
         lin, logf = loose_bound(1.0, 2.0, 0.7)
         assert logf == pytest.approx(lin, abs=1e-12)
         assert loose_bound(0.0, 2.0, 0.7) == (0.0, 0.0)
+
+    def test_finite_where_expm1_overflows(self):
+        """At d(s) * eps_c = 800, past the log of the largest float, the log
+        form is x + log(Delta + (1 - Delta) e^-x): no OverflowError, 0 at
+        Delta = 0, x at Delta = 1, and so is ADP's and a leakage sweep's."""
+        assert loose_bound(0.5, 1.0, 800.0) == (400.0, pytest.approx(800.0 + math.log(0.5)))
+        assert adp_leakage(0.5, 800.0) == pytest.approx(800.0 + math.log(0.5))
+        assert loose_bound(1e-300, 1.0, 800.0)[1] == pytest.approx(800.0 + math.log(1e-300))
+        assert loose_bound(0.0, 2.0, 800.0) == (0.0, 0.0)
+        assert loose_bound(1.0, 2.0, 400.0)[1] == 800.0
+        config = ExperimentConfig("leakage-vs-noise", {"eps_c": [1.0, 800.0]})
+        _, rows, _ = run_sweep(config)
+        assert all(math.isfinite(row[key]) for row in rows for key in ("loose_log", "adp"))
+
+    def test_forms_meet_at_the_switch_point(self):
+        """At EXPM1_MAX the log form is still log1p(Delta * expm1(x)), bit
+        for bit; one float above it the other form reads the same value to
+        the one-ulp step of x (1.1e-13)."""
+        x = bounds.EXPM1_MAX
+        above = math.nextafter(x, math.inf)
+        for delta in (1e-300, 0.3, 1.0):
+            below = loose_bound(delta, 1.0, x)[1]
+            assert below == math.log1p(delta * math.expm1(x)), delta
+            assert loose_bound(delta, 1.0, above)[1] == pytest.approx(below, rel=0, abs=2e-13)
+        with pytest.raises(OverflowError):
+            math.expm1(above)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ModelError):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestMseSimulated:
         kern = joint_kernel(two_user_model(0.5))
         with pytest.raises(ModelError, match="samples"):
             mse_simulated(kern, (1, 1), mean_query(), 1.0, 50, seed=1)
+
+    def test_memory_does_not_grow_with_the_age(self):
+        """The chains hold their current step and the aged index read so
+        far, not their whole path: 4,000 chains peak alike at ages (20, 0)
+        and (2000, 0), where a path would take 64 MB."""
+        kern = joint_kernel(two_user_model(0.5))
+        peaks = []
+        for age in ((20, 0), (2000, 0)):
+            tracemalloc.start()
+            mse_simulated(kern, age, mean_query(), 1.0, 4000, seed=11)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 class TestSolveP1:
