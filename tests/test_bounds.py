@@ -347,14 +347,14 @@ class TestBoundedAgedCorrelation:
         assert calls == []
 
     def test_one_lp_per_call(self, monkeypatch):
-        cases = [(joint_kernel(random_model(3, 2, seed=48)), (1, 1, 1)),
+        cases = [(joint_kernel(random_model(3, 2, seed=2609)), (1, 1, 1)),
                  (joint_kernel(two_user_model(0.75)), (3, 3))]
         kern = joint_kernel(CmcModel(StateSpace(3, 2), np.broadcast_to(FLIP, (3, 3, 2, 2)).copy(),
                                      np.full((3, 3), 1 / 3)))
         cases.append((kern, (1, 2, 0)))
         calls = self.count_lps(monkeypatch)
-        # one LP for a call with open blocks (only the seed-48 kernel's 4 of
-        # 12 stay open), none for a call whose bounds settle every block;
+        # one LP for a call with open blocks (only the seed-2609 kernel's 1
+        # of 12 stays open), none for a call whose bounds settle every block;
         # slack -1 opens every block, and each call is still one LP
         for slack, lps in ((bounds._SETTLE_SLACK, [1, 0, 0]), (-1.0, [1, 1, 1])):
             monkeypatch.setattr(bounds, "_SETTLE_SLACK", slack)
@@ -382,14 +382,15 @@ class TestBoundedAgedCorrelation:
         laws = [aged_joint(kern, age) for age in ages]
         default = bounded_aged_correlations(laws)
         opened = open_blocks(kern, ages)
-        assert opened == 3
+        assert opened == 0
         calls = self.count_lps(monkeypatch)
         results = []
         # n potentials per LP: one LP per open block, or per each of the
-        # 4 * 32 blocks once slack -1 opens them all; 10^9: one LP
+        # 4 * 32 blocks once slack -1 opens them all; 10^9: one LP, or none
+        # where the flow bound settles every block
         for slack, blocks in ((bounds._SETTLE_SLACK, opened), (-1.0, 4 * 32)):
             monkeypatch.setattr(bounds, "_SETTLE_SLACK", slack)
-            for size, lps in ((16, blocks), (10**9, 1)):
+            for size, lps in ((16, blocks), (10**9, min(blocks, 1))):
                 monkeypatch.setattr(bounds, "_LP_VARIABLES", size)
                 calls.clear()
                 results.append(bounded_aged_correlations(laws))
@@ -410,7 +411,7 @@ class TestBoundedAgedCorrelation:
         open_lambdas = sum(open_blocks(kern, ages) > 0 for kern in kernels)
         calls = self.count_lps(monkeypatch)
         run_sweep(PRESETS["fig3a"])
-        # the cheapest-target flow bound settles every fig3a block
+        # the split flow bound settles every fig3a block
         assert len(calls) == open_lambdas == 0
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
         per_lambda = [bounded_aged_correlations(aged_joints(kern, ages)) for kern in kernels]
@@ -424,23 +425,25 @@ class TestBoundedAgedCorrelation:
                            [v for values in per_lambda for v in values], rtol=0, atol=1e-12)
 
     def test_large_kernel_is_chunked(self, monkeypatch):
-        # n = 64: 192 blocks of 64 potentials, 16 blocks per LP, of which
-        # 24 stay open on this kernel
+        # n = 64: 192 blocks of 64 potentials, 16 blocks per LP; the flow
+        # bound settles all of them on this kernel, and slack -1 opens them
         kern = joint_kernel(random_model(6, 2, seed=5))
         calls = self.count_lps(monkeypatch)
         bounded_aged_correlation(kern, (1,) * 6)
-        assert open_blocks(kern, [(1,) * 6]) == 24
-        assert len(calls) == lps_for(kern, [(1,) * 6]) == 2
+        assert open_blocks(kern, [(1,) * 6]) == 0
+        assert len(calls) == lps_for(kern, [(1,) * 6]) == 0
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
         calls.clear()
         bounded_aged_correlation(kern, (1,) * 6)
-        assert len(calls) == 12
+        assert open_blocks(kern, [(1,) * 6]) == 192
+        assert len(calls) == lps_for(kern, [(1,) * 6]) == 12
 
-    def test_older_ages_of_multi_user_models_solve(self):
-        """At age 13 some open blocks of this kernel differ by l1 ~ 1e-11.
-        Scaled to unit mass they keep a rounding imbalance, which made the
-        LP with every potential free unbounded; one fixed potential per
-        block keeps it bounded."""
+    def test_older_ages_of_multi_user_models_solve(self, monkeypatch):
+        """At age 13 some blocks of this kernel differ by l1 ~ 1e-11, and
+        slack -1 sends them to the LP.  Scaled to unit mass they keep a
+        rounding imbalance, which made the LP with every potential free
+        unbounded; one fixed potential per block keeps it bounded."""
+        monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
         kern, age = joint_kernel(random_model(3, 2, 1)), (13, 13, 13)
         assert lps_for(kern, [age]) == 1
         value = bounded_aged_correlation(kern, age)
@@ -490,7 +493,7 @@ class TestTransportBounds:
     def test_equal_marginals_move_two_coordinates(self):
         # 1/2 (d_0000 + d_1111) - 1/2 (d_0011 + d_1100): every coordinate
         # marginal agrees, so lo is the TV, 1; each unit of mass must change
-        # two coordinates, so W1 = 2, and the collapsing flow attains it
+        # two coordinates, so W1 = 2, and the split flow attains it
         d = np.zeros(16)
         d[[0b0000, 0b1111]] = 0.5
         d[[0b0011, 0b1100]] = -0.5
@@ -530,6 +533,34 @@ class TestTransportBounds:
         calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
         assert run_sweep(PRESETS[preset])[2] == []
         assert calls == []
+
+    @staticmethod
+    def exchangeable_kernel(s):
+        """s users, each the chain P = [[0.7, 0.3], [0.3, 0.7]], coupled 1/s."""
+        P = np.array([[0.7, 0.3], [0.3, 0.7]])
+        return joint_kernel(CmcModel(StateSpace(s, 2), np.broadcast_to(P, (s, s, 2, 2)),
+                                     np.full((s, s), 1.0 / s)))
+
+    def test_exchangeable_eight_users_need_no_lp(self, monkeypatch):
+        # every one of a law's 1,024 blocks is settled by the split flow
+        calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
+        kern = self.exchangeable_kernel(8)
+        values = bounded_aged_correlations(aged_joints(kern, [(t,) * 8 for t in (1, 2, 4, 7)]))
+        assert calls == []
+        assert values == sorted(values, reverse=True) and values[-1] > 0
+
+    def test_exchangeable_six_users_match_every_block_lp(self, monkeypatch):
+        # the settled value tau is within n ulps of 1 of the LP maximum
+        kern = self.exchangeable_kernel(6)
+        laws = aged_joints(kern, [(1,) * 6, (7,) * 6])
+        calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
+        settled = bounded_aged_correlations(laws)
+        assert calls == []
+        monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
+        solved = bounded_aged_correlations(laws)
+        assert len(calls) == 2 * 12
+        ulps = 64 * np.finfo(float).eps
+        assert np.allclose(settled, solved, rtol=0, atol=ulps), (settled, solved)
 
     def test_temporaries_stay_within_three_times_d(self):
         kern = joint_kernel(random_model(8, 2, seed=1))

@@ -10,8 +10,8 @@ values, with one `logsumexp` per state and value to 1e-12 * max(1, |value|).
 The exact oracle also equals the largest log-ratio over a 20,001-point
 density grid that holds the query's values, and is at least the largest
 half-line log-ratio on criterion 8's grid, with warnings raised as errors.  The closed-form transport
-bounds that settle most Delta_bar blocks must bracket the dense LP, and the
-flow bound must not exceed the collapse onto state 0 it replaced.  The aged
+bounds that settle most Delta_bar blocks must bracket the dense LP to n
+ulps, on random and exchangeable models at mixed ages.  The aged
 joint law is held in C order; it joins an age's lag groups by powers of K
 where the loop steps once per lag, so the two agree to 1e-15, and a law
 has the same bytes built alone or in a list.  The powers of a list of uniform
@@ -442,22 +442,35 @@ def test_batched_delta_bar_matches_dense_lp(case):
         assert abs(value - want) <= 1e-12, (age, value, want)
 
 
+def exchangeable_model(seed: int, s: int, m: int) -> CmcModel:
+    """Every user the same Dirichlet(1) chain, every coupling row uniform."""
+    P = np.random.default_rng(seed).dirichlet(np.ones(m), size=m).T
+    return CmcModel(StateSpace(s, m), np.broadcast_to(P, (s, s, m, m)), np.full((s, s), 1.0 / s))
+
+
 @st.composite
 def small_models_and_ages(draw):
-    """A model with m^s <= 27 states (s <= 4, m <= 3) and one age, mixed or
-    uniform."""
+    """A random or exchangeable model with m^s <= 27 states, or 16 (s <= 4,
+    m <= 3), and one age, mixed or uniform."""
     s, m = draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]))
-    model = random_model(draw(st.integers(0, 2**32 - 1)), s, m, draw(st.booleans()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = (exchangeable_model(seed, s, m) if draw(st.booleans())
+             else random_model(seed, s, m, draw(st.booleans())))
     uniform = st.integers(0, 3).map(lambda t: (t,) * s)
     mixed = st.lists(st.integers(0, 3), min_size=s, max_size=s).map(tuple)
     return model, draw(st.one_of(uniform, mixed))
 
 
 # each example makes one dense reference LP per neighbour pair (up to 54)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(small_models_and_ages())
+@example((exchangeable_model(7, 4, 2), (1, 1, 1, 1)))
+@example((exchangeable_model(8, 3, 3), (2, 0, 1)))
+@example((random_model(9, 4, 2), (3, 1, 0, 2)))
 def test_transport_bounds_bracket_dense_lp(case):
-    """lo <= W1 <= hi for the backward conditionals of every neighbour pair."""
+    """lo <= W1 <= hi, up to n ulps of 1, for the backward conditionals of
+    every neighbour pair: the split flow is a real flow, so its cost is
+    never below the dense LP."""
     model, age = case
     kern = joint_kernel(model)
     s, m = model.space.num_sequences, model.space.num_states
@@ -465,24 +478,10 @@ def test_transport_bounds_bracket_dense_lp(case):
     pairs = ref.neighbour_pairs(kern.space.states)
     lo, hi = _transport_bounds(np.array([B[:, a] - B[:, b] for a, b in pairs]), kern.space)
     costs = ref.hamming_costs_from_digits(s, m)
+    ulps = kern.space.product_size * np.finfo(float).eps
     for (a, b), low, high in zip(pairs, lo, hi):
         w1 = ref.transport_distance(B[:, a], B[:, b], costs)
-        assert low <= w1 + 1e-12 and w1 <= high + 1e-12, (a, b, low, w1, high)
-
-
-@PROPERTY
-@given(small_models_and_ages())
-def test_cheapest_target_never_above_state_zero_collapse(case):
-    """Row by row, the flow bound is at most the collapse onto state 0 (to
-    1e-15 relative: the two sum their lines in different orders)."""
-    model, age = case
-    kern = joint_kernel(model)
-    B = aged_joint(kern, age).conditional()
-    pairs = kern.space.neighbour_pairs
-    D = (B[:, pairs[:, 0]] - B[:, pairs[:, 1]]).T
-    hi = _transport_bounds(D, kern.space)[1]
-    state_zero = ref.state_zero_flow_cost(D, kern.space)
-    assert np.all(hi <= state_zero * (1 + 1e-15)), (hi - state_zero).max()
+        assert low <= w1 + ulps and w1 <= high + ulps, (a, b, low, w1, high)
 
 
 def test_batched_delta_bar_with_equal_conditionals():
@@ -598,10 +597,11 @@ def test_delta_bar_memory_is_the_loop_memory():
     assert stacked_peak <= loop_peak + N256, (stacked_peak, loop_peak)
 
 
-def test_delta_bar_holds_one_lp_of_open_rows():
-    """On the exchangeable six-user model (n = 64) at age 1 every one of a
-    law's 192 blocks stays open.  Sixteen copies of the law fill a group of
-    `_pair_differences`, so its conditionals and chunks are at their budget;
+def test_delta_bar_holds_one_lp_of_open_rows(monkeypatch):
+    """On the exchangeable six-user model (n = 64) at age 1 the flow bound
+    settles every block; slack -1 opens all 192 of a law's blocks, as on a
+    model whose bounds settle none.  Sixteen copies of the law fill a group
+    of `_pair_differences`, so its conditionals and chunks are at their budget;
     48 copies then raise the peak by at most 64 bytes per block (its bounds
     and indices), and by none of the 64-entry rows of the 6,144 blocks
     more: each LP is solved as soon as its rows are rebuilt.  The solver is
@@ -613,6 +613,7 @@ def test_delta_bar_holds_one_lp_of_open_rows():
                                  np.full((s, s), 1.0 / s)))
     law = aged_joint(kern, (1,) * s)
     assert 2**16 // 64**2 == 16 and bounds._PAIR_ENTRIES == 2**16
+    monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
     solved = []
 
     def stub(c, **kwargs):
@@ -629,7 +630,7 @@ def test_delta_bar_holds_one_lp_of_open_rows():
 
 def test_pair_differences_hold_no_copy_of_the_laws():
     """Delta_bar of one full group of `_pair_differences` (16 of the
-    all-open 64-state laws, stub solver) peaks at most two budgets of
+    exchangeable 64-state laws, stub solver) peaks at most two budgets of
     `_PAIR_ENTRIES` entries above one law: the group's conditionals and one
     chunk's two temporaries.  A copy of the group's laws, divided into the
     conditionals afterwards, would add a third."""
