@@ -17,19 +17,15 @@ Three analytic quantities drive everything:
   coordinate-marginal TVs), hi from an explicit flow that splits one
   coordinate's marginal difference at a time across the rest of the
   state.  With tau the age's largest lo, a block with
-  hi <= tau * (1 + 1e-12) is settled; only the others get an LP.  Those
-  go to the Kantorovich-Rubinstein dual on the Hamming graph
-  (potentials that change by at most 1 across each of the
-  E = n*s*(m-1)/2 neighbour edges): one block of n potentials and 2*E rows
-  each, its first potential fixed at 0 so that rounding cannot make the LP
-  unbounded, packed in order into block-diagonal LPs of at most about a
-  thousand potentials.  Packing saves the solver's per-call overhead,
-  which dominates tiny LPs; the bound on size keeps the solver's time,
-  which grows faster than the LP, from dominating large ones.  Each age's
-  Delta_bar is an LP value or tau, and tau is within the 1e-12 relative
-  slack of the exact maximum whenever it is returned.  On the two-user
-  presets and the exchangeable 8-user model every block settles, so they
-  solve no LP.
+  hi <= tau * (1 + 1e-12) is settled; each other block gets its own LP,
+  the Kantorovich-Rubinstein dual on the Hamming graph: n potentials that
+  change by at most 1 across each of the E = n*s*(m-1)/2 neighbour edges
+  (2*E rows), the first fixed at 0 so that rounding cannot make the LP
+  unbounded.  Each age's Delta_bar is an LP value or tau, and tau is
+  within the 1e-12 relative slack of the exact maximum whenever it is
+  returned.  Each block's bounds and LP read its own row alone, so a
+  law's Delta_bar is the same bits in a list of laws as on its own.  On the two-user presets and
+  the exchangeable 8-user model every block settles, so they solve no LP.
 * d(s) -- the query's s-sensitivity.
 
 The certified loose budget is ln(1 + Delta_k*(e^{d(s) eps_c} - 1)); its
@@ -149,8 +145,8 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
     """(linear, log) forms of the loose budget; only log is certified (linear is its tangent)."""
     if not 0.0 <= delta_k <= 1.0 + 1e-12:
         raise ModelError(f"delta_k must lie in [0, 1], got {delta_k}")
-    if dk < 1.0 - 1e-12:
-        raise ModelError(f"k-sensitivity must be >= 1, got {dk}")
+    if not 1.0 - 1e-12 <= dk < math.inf:  # also catches NaN, which fails every comparison
+        raise ModelError(f"k-sensitivity must be finite and >= 1, got {dk}")
     check_positive("eps_c", eps_c)
     linear = dk * delta_k * eps_c
     x = dk * eps_c  # past EXPM1_MAX, the equal form without e^x, 0 at delta_k = 0
@@ -159,13 +155,6 @@ def loose_bound(delta_k: float, dk: float, eps_c: float) -> tuple:
     return linear, log_form
 
 
-# Largest number of potentials in one transport LP (at least one block is
-# always packed).  On a shared 2-vCPU x86-64 host the 192 blocks of a
-# random 64-state kernel, every one opened, took ~430-520 ms as one LP,
-# ~290-370 ms as 16-block LPs and ~690-810 ms as one LP per block.  The
-# flow bound settles all 192 of them, so packing matters only for the few
-# blocks it leaves open.
-_LP_VARIABLES = 1024
 # A block whose flow bound is within this relative slack of its age's
 # largest dual bound cannot raise the age's maximum by more than the slack,
 # so it is settled without an LP.
@@ -249,60 +238,40 @@ def _run_bounds(D: np.ndarray, space: StateSpace) -> tuple:
     return lo, hi
 
 
-def _row_batches(chunks, size: int):
-    """The rows of the row arrays `chunks`, in order, regrouped into arrays
-    of `size` rows (the last may be shorter).  Rows left over from a chunk
-    are copied out of it, so no chunk is held past its turn."""
-    held, need = [], size
-    for chunk in chunks:
-        lo = 0
-        while len(chunk) - lo >= need:
-            rows = chunk[lo : lo + need]
-            yield np.concatenate(held + [rows]) if held else rows
-            lo += need
-            held, need = [], size
-        if lo < len(chunk):
-            held.append(chunk[lo:].copy())
-            need -= len(chunk) - lo
-    if held:
-        yield np.concatenate(held)
+def _transport_lps(rows, n: int, edges: np.ndarray):
+    """Yield the transport distance of each row d of `rows` (n entries), in
+    order, by a Kantorovich-Rubinstein LP on the Hamming graph with the
+    given edges: n potentials that change by at most 1 along each edge,
+    taken both ways.  Every row's LP shares one constraint matrix.
 
-
-def _transport_lps(chunks, n: int, edges: np.ndarray) -> np.ndarray:
-    """The transport distance of every row of the row arrays `chunks` (of n
-    entries each), in order, by Kantorovich-Rubinstein LPs on the Hamming
-    graph with the given edges.
-
-    Each row gets one block of n potentials, with d scaled to unit moved
-    mass so that nearly equal conditionals stay well conditioned, and its
-    first potential fixed at 0: a shift of all potentials moves the value
-    by the shift times sum(d), which is 0 for exact d, but a block with
-    l1 ~ 1e-11 keeps, scaled, a rounding imbalance of up to ~1e-4 of its
-    mass, and with every potential free the LP is unbounded.  Consecutive
-    blocks are packed into LPs of at most `_LP_VARIABLES` potentials, each
-    solved as soon as its rows have arrived, so one LP's rows are held.
+    d is scaled to unit moved mass, so that nearly equal conditionals stay
+    well conditioned, and the first potential is fixed at 0: a shift of all
+    potentials moves the value by the shift times sum(d), which is 0 for
+    exact d, but a row with l1 ~ 1e-11 keeps, scaled, a rounding imbalance
+    of up to ~1e-4 of its mass, and with every potential free the LP is
+    unbounded.
     """
-    # block p is [G; -G] f_p <= 1 on potentials p*n .. p*n + n-1, where row
-    # e of G is +1 at edges[e, 0] and -1 at edges[e, 1]; the rows of
-    # [G; -G] are the edges taken both ways (arcs)
+    # row e of A is +1 at potential arcs[e, 0] and -1 at arcs[e, 1]; the
+    # arcs are the edges taken both ways
     arcs = np.concatenate([edges, edges[:, ::-1]])
-    values = []
-    for d in _row_batches(chunks, max(1, _LP_VARIABLES // n)):
-        mass = np.maximum(d, 0.0).sum(axis=1)
-        d = d / mass[:, None]
-        rows = len(arcs) * len(d)
-        cols = arcs[None] + n * np.arange(len(d))[:, None, None]
-        A = sparse.csr_matrix(
-            (np.tile([1.0, -1.0], rows), (np.arange(rows).repeat(2), cols.ravel())),
-            shape=(rows, n * len(d)),
-        )
-        bounds = np.full((d.size, 2), [-np.inf, np.inf])
-        bounds[::n] = 0.0  # each block's first potential
-        res = linprog(-d.ravel(), A_ub=A, b_ub=np.ones(rows), bounds=bounds, method="highs")
+    A = sparse.csr_matrix(
+        (np.tile([1.0, -1.0], len(arcs)), (np.arange(len(arcs)).repeat(2), arcs.ravel())),
+        shape=(len(arcs), n),
+    )
+    ones = np.ones(len(arcs))
+    bounds = np.full((n, 2), [-np.inf, np.inf])
+    bounds[0] = 0.0
+    for d in rows:
+        mass = np.maximum(d, 0.0).sum()
+        d = d / mass
+        # at HiGHS's default dual feasibility tolerance, 1e-7, one block's
+        # LP stopped 8.5e-9 relative short of its W1
+        # (`test_lone_block_lp_reaches_the_dense_value`)
+        res = linprog(-d, A_ub=A, b_ub=ones, bounds=bounds, method="highs",
+                      options={"dual_feasibility_tolerance": 1e-10})
         if not res.success:
             raise ModelError(f"transport LP failed: {res.message}")
-        values.append((res.x.reshape(d.shape) * d).sum(axis=1) * mass)
-    return np.concatenate(values)
+        yield (res.x * d).sum() * mass
 
 
 def bounded_aged_correlation(kernel: JointKernel, age) -> float:
@@ -328,18 +297,16 @@ def bounded_aged_correlations(laws) -> list:
     a law, a block with hi <= tau * (1 + 1e-12) is settled: it cannot raise
     the law's maximum by more than that relative slack.  The split flow
     settles nearly every block (all but 128 of 72,403 on 400 random models
-    with s <= 5 and m <= 3, a fifth of them exchangeable).  The open
-    blocks' rows are rebuilt, all laws in order, and go to exact
-    Kantorovich-Rubinstein LPs (`_transport_lps`), several per LP for a
-    small space; each LP is solved as soon as its rows are rebuilt, so the
-    open rows held at once are one LP's, whatever the number of laws.
+    with s <= 5 and m <= 3, a fifth of them exchangeable).  Each open
+    block's row is rebuilt from its law and goes to its own exact
+    Kantorovich-Rubinstein LP (`_transport_lps`), solved before the next
+    row is built, so one open row is held at a time.
 
     A law's value is max(tau, the LP values of its open blocks), so it is
     an LP value or tau.  tau never exceeds Delta_bar by more than n ulps,
     and when it is returned Delta_bar <= tau * (1 + 1e-12).  A law with no
-    differing pair gives 0.0.  The solver does not promise a block the same
-    bits in every packing of the shared LPs (none moved in 1,000 measured
-    cases), so the tests compare `tight` values across grids to 1e-12.
+    differing pair gives 0.0.  Each block's bounds and LP read its own row
+    alone, so a law's value is the same bits whatever laws share the call.
     """
     if not laws:
         return []
@@ -360,18 +327,21 @@ def bounded_aged_correlations(laws) -> list:
     values = np.zeros(len(laws))
     np.maximum.at(values, law_of, lo)
     opened = blocks[hi > values[law_of] * (1 + _SETTLE_SLACK)]
-    if len(opened):
-        law_of, pair_of = np.divmod(opened, len(edges))
-        # the open blocks' rows, rebuilt law by law in block order
-        rows = (chunk for law in np.unique(law_of)
-                for _, chunk in _pair_differences([laws[law]], edges[pair_of[law_of == law]]))
-        np.maximum.at(values, law_of, _transport_lps(rows, space.product_size, edges))
+    law_of, pair_of = np.divmod(opened, len(edges))
+    # each open block's row, rebuilt from its law by the operations of
+    # `_pair_differences`, so with the same bits
+    rows = (laws[law].joint[:, a] / laws[law].totals[a]
+            - laws[law].joint[:, b] / laws[law].totals[b]
+            for law, (a, b) in zip(law_of, edges[pair_of]))
+    # zip reads law_of first, so with no open block no LP is set up
+    for law, value in zip(law_of, _transport_lps(rows, space.product_size, edges)):
+        values[law] = max(values[law], value)
     return values.tolist()
 
 
 def tight_bound(delta_bar: float, eps_c: float) -> float:
-    if delta_bar < 0:
-        raise ModelError(f"delta_bar must be nonnegative, got {delta_bar}")
+    if not 0.0 <= delta_bar < math.inf:  # also catches NaN
+        raise ModelError(f"delta_bar must be finite and nonnegative, got {delta_bar}")
     check_positive("eps_c", eps_c)
     return delta_bar * eps_c
 

@@ -26,12 +26,8 @@ STOCHASTIC_TOL = 1e-9
 # Joint states above which the dense product-space kernel is refused.  An
 # n x n float64 kernel takes 8 n^2 bytes (512 MiB at the cap), and a run
 # holds many such arrays at once: every consumer of an age grid builds one
-# aged law per age of it in one call.  Peaks measured by tracemalloc at
-# n = 256, in n x n arrays: 5 for a utility sweep over one age, 27 over 22
-# ages; 9 for a loose P1 over 6 ages, 24 for a loose frontier over 21; 17
-# for a tight P1 over 6 ages, 47 for a tight frontier over 21 and 17 for a
-# leakage sweep over 7 (s = 8), past one law per age mostly the rows of
-# Delta_bar's transport blocks left open for its LPs (README, `--cap`).
+# aged law per age of it in one call, so a run's peak grows with its grid.
+# README's `--cap` table gives each run's measured peak.
 DEFAULT_ENUMERATION_CAP = 2**13
 
 

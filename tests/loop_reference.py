@@ -38,8 +38,9 @@ arrays, and the built-in queries evaluate in plain Python; below are the
 per-sample and NumPy forms those replaced.  `test_vectorised.py` asserts that both give bit-identical
 results.
 
-Delta_bar is one Kantorovich-Rubinstein LP per kernel in the package; the
-dense coupling LP per neighbour pair it replaced is kept here as its
+In the package, Delta_bar settles most neighbour pairs by closed-form
+bounds and gives each other pair a Kantorovich-Rubinstein LP over the
+potentials; the dense coupling LP per neighbour pair is kept here as its
 reference, which agrees to rounding, not bit for bit.
 `single_chain_tvs` builds one kernel per distinct self-transition
 matrix directly; the form through a one-sequence

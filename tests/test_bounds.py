@@ -71,12 +71,6 @@ def open_blocks(kern, ages) -> int:
     return opened
 
 
-def lps_for(kern, ages) -> int:
-    """LPs one `bounded_aged_correlations` call on the laws of `ages` makes."""
-    per_lp = max(1, bounds._LP_VARIABLES // kern.space.product_size)
-    return -(-open_blocks(kern, ages) // per_lp)
-
-
 def single_chain(P=FLIP):
     return CmcModel(StateSpace(1, P.shape[0]), np.asarray(P)[None, None], np.ones((1, 1)))
 
@@ -215,6 +209,20 @@ def test_non_finite_eps_rejected(entry, eps):
         entry(eps)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry, message", [
+    (lambda v: loose_bound(v, 2.0, 1.0), "delta_k must lie in [0, 1]"),
+    (lambda v: loose_bound(0.5, v, 1.0), "k-sensitivity must be finite and >= 1"),
+    (lambda v: tight_bound(v, 1.0), "delta_bar must be finite and nonnegative"),
+], ids=["delta_k", "d_s", "delta_bar"])
+def test_non_finite_coefficient_rejected(entry, message, value):
+    """A NaN budget would pass every comparison of a sweep's invariant
+    checks, so a non-finite coefficient is refused by name."""
+    with pytest.raises(ModelError) as raised:
+        entry(value)
+    assert str(raised.value) == f"{message}, got {value}"
+
+
 class TestLooseBound:
     def test_zero_delta(self):
         assert loose_bound(0.0, 2.0, 1.0) == (0.0, 0.0)
@@ -346,97 +354,92 @@ class TestBoundedAgedCorrelation:
             assert bounded_aged_correlation(kern, age) == 0.0
         assert calls == []
 
-    def test_one_lp_per_call(self, monkeypatch):
+    def test_one_lp_per_open_block(self, monkeypatch):
         cases = [(joint_kernel(random_model(3, 2, seed=2609)), (1, 1, 1)),
                  (joint_kernel(two_user_model(0.75)), (3, 3))]
         kern = joint_kernel(CmcModel(StateSpace(3, 2), np.broadcast_to(FLIP, (3, 3, 2, 2)).copy(),
                                      np.full((3, 3), 1 / 3)))
         cases.append((kern, (1, 2, 0)))
         calls = self.count_lps(monkeypatch)
-        # one LP for a call with open blocks (only the seed-2609 kernel's 1
-        # of 12 stays open), none for a call whose bounds settle every block;
-        # slack -1 opens every block, and each call is still one LP
-        for slack, lps in ((bounds._SETTLE_SLACK, [1, 0, 0]), (-1.0, [1, 1, 1])):
+        # only the seed-2609 kernel's 1 of 12 blocks stays open; slack -1
+        # opens every block, and each gets its own LP of n potentials
+        for slack, lps in ((bounds._SETTLE_SLACK, [1, 0, 0]), (-1.0, [12, 4, 12])):
             monkeypatch.setattr(bounds, "_SETTLE_SLACK", slack)
-            calls.clear()
-            for k, a in cases:
+            for (k, a), want in zip(cases, lps):
+                calls.clear()
                 bounded_aged_correlation(k, a)
-            assert [lps_for(k, [a]) for k, a in cases] == lps
-            assert len(calls) == sum(lps)
+                assert open_blocks(k, [a]) == want
+                assert calls == [k.space.product_size] * want
 
     @staticmethod
     def count_lps(monkeypatch):
+        """The potentials of each LP `linprog` is given, in order."""
         calls = []
         linprog = bounds.linprog
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
+        def counting(c, **kwargs):
+            calls.append(len(c))
+            return linprog(c, **kwargs)
 
         monkeypatch.setattr(bounds, "linprog", counting)
         return calls
 
     def test_chunk_size_does_not_move_values(self, monkeypatch):
+        """A law's Delta_bar reads that law alone: at every `_PAIR_ENTRIES`
+        (from chunks of two rows and groups of one law to one chunk
+        of every law) the list form equals one call per law, bit for bit,
+        with the settle rule and with every block open."""
         kern = joint_kernel(random_model(4, 2, seed=3))  # n = 16, 32 Hamming edges
         ages = [(0,) * 4, (1,) * 4, (2, 0, 1, 3), (3,) * 4]
         laws = [aged_joint(kern, age) for age in ages]
-        default = bounded_aged_correlations(laws)
-        opened = open_blocks(kern, ages)
-        assert opened == 0
         calls = self.count_lps(monkeypatch)
-        results = []
-        # n potentials per LP: one LP per open block, or per each of the
-        # 4 * 32 blocks once slack -1 opens them all; 10^9: one LP, or none
-        # where the flow bound settles every block
-        for slack, blocks in ((bounds._SETTLE_SLACK, opened), (-1.0, 4 * 32)):
+        for slack, opened in ((bounds._SETTLE_SLACK, 0), (-1.0, 4 * 32)):
             monkeypatch.setattr(bounds, "_SETTLE_SLACK", slack)
-            for size, lps in ((16, blocks), (10**9, min(blocks, 1))):
-                monkeypatch.setattr(bounds, "_LP_VARIABLES", size)
+            assert open_blocks(kern, ages) == opened
+            want = None
+            for entries in (2**6, 2**10, 2**16, 2**22):
+                monkeypatch.setattr(bounds, "_PAIR_ENTRIES", entries)
                 calls.clear()
-                results.append(bounded_aged_correlations(laws))
-                assert len(calls) == lps
-        for value in results:
-            assert np.allclose(value, default, rtol=0, atol=1e-12)
+                together = bounded_aged_correlations(laws)
+                assert len(calls) == opened
+                alone = [bounded_aged_correlations([law])[0] for law in laws]
+                want = want or alone
+                assert together == alone == want, (slack, entries)
 
-    def test_fig3a_lambdas_share_packed_lps(self, monkeypatch):
-        """fig3a is one pass over its 21 lambdas, so with every block open
-        their blocks pack together into LPs of at most `_LP_VARIABLES`
-        potentials, and each law's Delta_bar matches the packing of its own
-        lambda's laws alone."""
+    def test_fig3a_column_is_the_per_lambda_values(self, monkeypatch):
+        """fig3a is one pass over its 21 lambdas; with every block open,
+        each open block is one LP and each row's Delta_bar is its lambda's
+        own call, bit for bit."""
         from csdp.sweeps import PRESETS, run_sweep
 
         grids = PRESETS["fig3a"].grids
         ages = [(t, t) for t in grids["t"]]
         kernels = [joint_kernel(two_user_model(lam)) for lam in grids["lambda"]]
-        open_lambdas = sum(open_blocks(kern, ages) > 0 for kern in kernels)
         calls = self.count_lps(monkeypatch)
         run_sweep(PRESETS["fig3a"])
         # the split flow bound settles every fig3a block
-        assert len(calls) == open_lambdas == 0
+        assert calls == [] and sum(open_blocks(kern, ages) for kern in kernels) == 0
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
+        opened = sum(open_blocks(kern, ages) for kern in kernels)
         per_lambda = [bounded_aged_correlations(aged_joints(kern, ages)) for kern in kernels]
-        assert len(calls) == len(kernels) == 21
+        assert len(calls) == opened == 588
         calls.clear()
         _, rows, _ = run_sweep(PRESETS["fig3a"])
-        per_lp = bounds._LP_VARIABLES // kernels[0].space.product_size
-        opened = sum(open_blocks(kern, ages) for kern in kernels)
-        assert len(calls) == -(-opened // per_lp) == 3
-        assert np.allclose([row["delta_bar"] for row in rows],
-                           [v for values in per_lambda for v in values], rtol=0, atol=1e-12)
+        assert calls == [4] * opened
+        assert [row["delta_bar"] for row in rows] == [v for values in per_lambda for v in values]
 
-    def test_large_kernel_is_chunked(self, monkeypatch):
-        # n = 64: 192 blocks of 64 potentials, 16 blocks per LP; the flow
-        # bound settles all of them on this kernel, and slack -1 opens them
+    def test_large_kernel_makes_one_lp_per_open_block(self, monkeypatch):
+        # n = 64: the flow bound settles all 192 blocks of this kernel, and
+        # slack -1 opens them, each its own LP of 64 potentials
         kern = joint_kernel(random_model(6, 2, seed=5))
         calls = self.count_lps(monkeypatch)
         bounded_aged_correlation(kern, (1,) * 6)
         assert open_blocks(kern, [(1,) * 6]) == 0
-        assert len(calls) == lps_for(kern, [(1,) * 6]) == 0
+        assert calls == []
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
-        calls.clear()
         bounded_aged_correlation(kern, (1,) * 6)
         assert open_blocks(kern, [(1,) * 6]) == 192
-        assert len(calls) == lps_for(kern, [(1,) * 6]) == 12
+        assert calls == [64] * 192
 
     def test_older_ages_of_multi_user_models_solve(self, monkeypatch):
         """At age 13 some blocks of this kernel differ by l1 ~ 1e-11, and
@@ -445,8 +448,9 @@ class TestBoundedAgedCorrelation:
         unbounded; one fixed potential per block keeps it bounded."""
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
         kern, age = joint_kernel(random_model(3, 2, 1)), (13, 13, 13)
-        assert lps_for(kern, [age]) == 1
+        calls = self.count_lps(monkeypatch)
         value = bounded_aged_correlation(kern, age)
+        assert len(calls) == open_blocks(kern, [age]) == 12
         assert_between_transport_bounds(kern, age, value)
         # the dense coupling LP per pair, whose tolerances are coarse at 1e-10
         assert value == pytest.approx(ref.bounded_aged_correlation(kern, age), rel=1e-5)
@@ -513,6 +517,24 @@ class TestTransportBounds:
         assert value > tau * 1.003
         assert value == pytest.approx(ref.bounded_aged_correlation(kern, (1, 1, 1)), abs=1e-12)
 
+    def test_lone_block_lp_reaches_the_dense_value(self):
+        """Four blocks of this exchangeable 4-user, 3-state law lie 8.5e-9
+        relative above every lower bound.  Each LP alone, at the solver's
+        default dual tolerance, stopped at tau's potential, 6.5e-9 short."""
+        P = np.random.default_rng(239).dirichlet(np.ones(3), size=3).T
+        kern = joint_kernel(CmcModel(StateSpace(4, 3), np.broadcast_to(P, (4, 4, 3, 3)),
+                                     np.full((4, 4), 0.25)))
+        (D,) = transport_blocks(kern, [(1,) * 4])
+        lo, hi = bounds._transport_bounds(D, kern.space)
+        opened = D[hi > lo.max() * (1 + bounds._SETTLE_SLACK)]
+        assert len(opened) == 4
+        costs = ref.hamming_costs_from_digits(4, 3)
+        want = max(ref.transport_distance(np.maximum(d, 0), np.maximum(-d, 0), costs)
+                   for d in opened)
+        assert want > lo.max() * (1 + 8e-9)
+        value = bounded_aged_correlation(kern, (1,) * 4)
+        assert value == pytest.approx(want, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("s, m", [(1, 3), (2, 2), (3, 2), (2, 3)])
     def test_age_zero_is_exactly_one_without_lp(self, monkeypatch, s, m):
         calls = TestBoundedAgedCorrelation.count_lps(monkeypatch)
@@ -558,7 +580,7 @@ class TestTransportBounds:
         assert calls == []
         monkeypatch.setattr(bounds, "_SETTLE_SLACK", -1.0)
         solved = bounded_aged_correlations(laws)
-        assert len(calls) == 2 * 12
+        assert calls == [64] * open_blocks(kern, [(1,) * 6, (7,) * 6]) == [64] * 2 * 192
         ulps = 64 * np.finfo(float).eps
         assert np.allclose(settled, solved, rtol=0, atol=ulps), (settled, solved)
 

@@ -256,8 +256,7 @@ class TestModelFileSweeps:
         aged law of every t of its one joint kernel in one stacked call and
         reads Delta_k, Delta_bar and every eps_c's oracle from them.  Each
         row equals one call per quantity through the (kernel, age)
-        functions: Delta_k and the oracle exactly, and `tight` to 1e-12,
-        since a cell packs its ages' transport LPs."""
+        functions, bit for bit: a law's Delta_bar reads that law alone."""
         rng = np.random.default_rng(5)
         model = CmcModel(StateSpace(3, 2),
                          rng.dirichlet(np.ones(2), size=(3, 3, 2)).transpose(0, 1, 3, 2),
@@ -290,7 +289,7 @@ class TestModelFileSweeps:
             tight = tight_bound(bounded_aged_correlation(kernel, age), eps)
             assert row["delta_k"] == aged_tv_distance(kernel, age, 3)
             assert row["oracle"] == oracle
-            assert abs(row["tight"] - tight) <= 1e-12
+            assert row["tight"] == tight
 
 
 class TestViolationMessages:

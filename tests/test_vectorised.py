@@ -431,8 +431,8 @@ def models_and_age_lists(draw):
 @settings(max_examples=15, deadline=None)
 @given(models_and_age_lists())
 def test_batched_delta_bar_matches_dense_lp(case):
-    """One call packs the transport blocks of every age into shared LPs;
-    each age still gets its own dense-LP value."""
+    """One call bounds the transport blocks of every age and gives each
+    open one its own LP; each age still gets its own dense-LP value."""
     model, ages = case
     kern = joint_kernel(model)
     got = bounded_aged_correlations([aged_joint(kern, age) for age in ages])
@@ -604,9 +604,9 @@ def test_delta_bar_holds_one_lp_of_open_rows(monkeypatch):
     of `_pair_differences`, so its conditionals and chunks are at their budget;
     48 copies then raise the peak by at most 64 bytes per block (its bounds
     and indices), and by none of the 64-entry rows of the 6,144 blocks
-    more: each LP is solved as soon as its rows are rebuilt.  The solver is
-    a stub, given the same LPs as HiGHS, so the test takes a fraction of a
-    second."""
+    more: each open block's row is rebuilt from its law and solved by its
+    own LP before the next.  The solver is a stub, given the same LPs as
+    HiGHS, so the test takes about a second."""
     P = np.array([[0.7, 0.3], [0.3, 0.7]])
     s = 6
     kern = joint_kernel(CmcModel(StateSpace(s, 2), np.broadcast_to(P, (s, s, 2, 2)),
